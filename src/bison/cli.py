@@ -16,7 +16,7 @@ import statistics
 import sys
 
 from .bench import bench_hl, bench_rows_csv
-from .core import BisonError, check_ndrp, ObjectTable
+from .core import BisonError, check_ndrp
 from .envs import (ENV_KINDS, EGO_DIM, ACTION_DIM, EnvConfig, builtin_policy,
                    env_domain, episode_seed, generate_demos, make_env,
                    make_labeller, obj_dim)
@@ -130,10 +130,20 @@ def cmd_train_ll(args):
 
 
 def _parse_range(spec: str):
-    if ".." in spec:
-        a, b = spec.split("..", 1)
-        return list(range(int(a), int(b) + 1))
-    return [int(x) for x in spec.split(",") if x]
+    """Object counts from "3", "1..10" or "2,4,8"; each count at least 1."""
+    try:
+        if ".." in spec:
+            a, b = spec.split("..", 1)
+            ns = list(range(int(a), int(b) + 1))
+        else:
+            ns = [int(x) for x in spec.split(",") if x]
+    except ValueError:
+        raise BisonError("bad range %r: expected N, A..B or N,M,..." % spec) from None
+    if not ns:
+        raise BisonError("range %r is empty" % spec)
+    if min(ns) < 1:
+        raise BisonError("range %r has a count below 1" % spec)
+    return ns
 
 
 def cmd_eval(args):
@@ -141,9 +151,10 @@ def cmd_eval(args):
     if args.strategy in ("bison", "pure_nn_stub"):
         policy = _load_policy_arg(args.policy, args.env)
     params = load_params(args.params) if args.params else None
-    if args.ll in ("gnn", "gnn_stub") and params is None \
-            and args.strategy not in ("oracle",):
-        raise BisonError("--ll %s requires --params" % args.ll)
+    if params is None and (args.strategy == "pure_nn_stub"
+                           or args.ll == "gnn" and args.strategy != "oracle"):
+        raise BisonError("--strategy %s --ll %s requires --params"
+                         % (args.strategy, args.ll))
     rows = []
     n_list = _parse_range(args.objects_range)
     jobs = []
@@ -227,13 +238,9 @@ def cmd_check(args):
                 print("demo %d: abstraction gap: %s" % (k, e))
                 problems += 1
                 continue
-            table = ObjectTable()
-            for name in demo.steps[0].objects:
-                table.intern(name)
-            goal = frozenset(domain.ground_fact(g[0], g[1:], table)
-                             for g in demo.goal)
             transitions = list(zip(demo.steps, demo.steps[1:]))
-            rep = check_ndrp(transitions, labeller, table, policy, domain, goal)
+            rep = check_ndrp(transitions, labeller, trace.table, policy, domain,
+                             trace.goal)
             if not rep.ok:
                 print("demo %d: NDRP violation at step %d: %s"
                       % (k, rep.step, rep.reason))
@@ -251,7 +258,6 @@ def build_parser() -> _Parser:
 
     def common(sp, env=True):
         sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--jobs", type=int, default=1)
         sp.add_argument("--out", default="-")
         if env:
             sp.add_argument("--env", required=True, choices=ENV_KINDS)
@@ -279,11 +285,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("eval", help="run evaluation episodes to CSV")
     common(sp)
     sp.add_argument("--strategy", required=True, choices=STRATEGIES)
+    sp.add_argument("--jobs", type=int, default=1)
     sp.add_argument("--objects", dest="objects_range", default="1..10",
                     help="object counts, e.g. 3 or 1..10 or 2,4,8")
     sp.add_argument("--episodes", type=int, default=10)
     sp.add_argument("--seeds", type=int, default=3)
-    sp.add_argument("--ll", default="oracle", choices=("oracle", "gnn", "gnn_stub"))
+    sp.add_argument("--ll", default="oracle", choices=("oracle", "gnn"))
     sp.add_argument("--policy", default=None,
                     help=".bsp file or 'builtin' (default: builtin)")
     sp.add_argument("--params", default=None, help=".bsw parameter file")

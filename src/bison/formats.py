@@ -8,6 +8,7 @@ yields a value or a positioned ParseError, never an unhandled crash.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, List, Tuple
 
@@ -365,6 +366,24 @@ def _fact_names(s: str, line_no: int) -> tuple:
     return tuple(t.text for t in forms[0])
 
 
+def _numbers(value, what: str, line_no: int) -> list:
+    """A JSON list of finite numbers as floats, or a ParseError."""
+    if not isinstance(value, list):
+        raise ParseError("trace %s must be a list of numbers" % what, line_no, 1)
+    out = []
+    for x in value:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ParseError("trace %s holds a non-number %r" % (what, x), line_no, 1)
+        try:
+            x = float(x)
+        except OverflowError:  # an integer too large for a float
+            x = math.inf
+        if not math.isfinite(x):
+            raise ParseError("trace %s holds a non-finite number" % what, line_no, 1)
+        out.append(x)
+    return out
+
+
 def parse_traces(text: str) -> List[Demo]:
     demos = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -374,26 +393,34 @@ def parse_traces(text: str) -> List[Demo]:
             rec = json.loads(line)
         except json.JSONDecodeError as e:
             raise ParseError("malformed trace record: %s" % e.msg, line_no, e.colno) from None
+        except (ValueError, RecursionError) as e:  # over-long integer, deep nesting
+            raise ParseError("malformed trace record: %s" % e, line_no, 1) from None
         if not isinstance(rec, dict) or "goal" not in rec or "steps" not in rec:
             raise ParseError("trace record needs 'goal' and 'steps'", line_no, 1)
+        if not isinstance(rec["goal"], list) or not all(isinstance(g, str) for g in rec["goal"]):
+            raise ParseError("trace goal must be a list of fact strings", line_no, 1)
+        if not isinstance(rec["steps"], list):
+            raise ParseError("trace steps must be a list", line_no, 1)
         goal = tuple(_fact_names(g, line_no) for g in rec["goal"])
         steps, ego_len, obj_len, act_len = [], None, None, None
         for s in rec["steps"]:
             if not isinstance(s, dict) or not {"ego", "objects", "action"} <= set(s):
                 raise ParseError("trace step needs ego/objects/action", line_no, 1)
-            ego, objs, act = s["ego"], s["objects"], s["action"]
+            if not isinstance(s["objects"], dict):
+                raise ParseError("trace step objects must map names to vectors", line_no, 1)
+            ego = _numbers(s["ego"], "ego vector", line_no)
+            act = _numbers(s["action"], "action vector", line_no)
+            objs = {k: _numbers(v, "object vector", line_no) for k, v in s["objects"].items()}
             if ego_len is None:
                 ego_len, act_len = len(ego), len(act)
             if len(ego) != ego_len or len(act) != act_len:
                 raise ParseError("ragged ego/action vector lengths", line_no, 1)
-            for name, vec in objs.items():
+            for vec in objs.values():
                 if obj_len is None:
                     obj_len = len(vec)
                 if len(vec) != obj_len:
                     raise ParseError("ragged object vector lengths", line_no, 1)
-            steps.append(DemoStep([float(x) for x in ego],
-                                  {k: [float(x) for x in v] for k, v in objs.items()},
-                                  [float(x) for x in act]))
+            steps.append(DemoStep(ego, objs, act))
         demos.append(Demo(goal, steps))
     return demos
 

@@ -306,14 +306,6 @@ class LLSample:
     target: np.ndarray
 
 
-class _StepView:
-    __slots__ = ("ego", "objects")
-
-    def __init__(self, step):
-        self.ego = step.ego
-        self.objects = step.objects
-
-
 def build_dataset(demos: Iterable[Demo], domain: Domain, labeller: Callable,
                   spec: EncodingSpec, zero_action: bool = False) -> List[LLSample]:
     """Pair every LL step with the HL action of its abstraction segment.
@@ -332,16 +324,14 @@ def build_dataset(demos: Iterable[Demo], domain: Domain, labeller: Callable,
             continue
         if not trace.actions:
             continue
-        table = trace.table
-        hl_states = [labeller(_StepView(s), table) for s in demo.steps]
-        goal = frozenset(domain.ground_fact(g[0], g[1:], table) for g in demo.goal)
+        hl_states = trace.step_states
         seg = 0
         for i, step in enumerate(demo.steps):
             if i > 0 and hl_states[i] != hl_states[i - 1]:
                 seg = min(seg + 1, len(trace.actions))
             act_i = min(seg, len(trace.actions) - 1)
-            inp = encode(spec, domain, _StepView(step), trace.actions[act_i], goal,
-                         hl_states[i], table, zero_action=zero_action)
+            inp = encode(spec, domain, step, trace.actions[act_i], trace.goal,
+                         hl_states[i], trace.table, zero_action=zero_action)
             samples.append(LLSample(inp, np.asarray(step.action, dtype=float)))
     return samples
 

@@ -9,14 +9,13 @@ houses the finite-cover bound on the number of inequivalent extractable rules.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Callable, Iterable, List
 
 from .core import (BisonError, Domain, GroundAction, HLState, ObjectTable,
                    ground_outcomes, instantiate)
 from .formats import Demo
-from .rules import HLPolicy, Rule
+from .rules import HLPolicy, Rule, StateIndex, applicable_actions
 
 
 class AbstractionGapError(BisonError):
@@ -34,6 +33,7 @@ class HLTrace:
     states: list   # list[HLState], len = len(actions) + 1
     table: ObjectTable = None
     goal_reached: bool = True
+    step_states: list = None  # list[HLState], the label of every LL step
 
     @property
     def achieved(self) -> frozenset:
@@ -41,18 +41,13 @@ class HLTrace:
 
 
 def _explain_change(domain: Domain, prev: HLState, nxt: HLState, table: ObjectTable):
-    """First (schema, binding, outcome) in canonical order with pre ⊆ prev and
-    nxt = (prev \\ del) ∪ add, or None."""
-    n_obj = len(table)
-    for sid, sch in enumerate(domain.schemata):
-        for binding in itertools.product(range(n_obj), repeat=sch.arity):
-            if not all(instantiate(a, binding) in prev for a in sch.pre):
-                continue
-            action = GroundAction(sid, binding)
-            for add, dele in ground_outcomes(domain, action):
-                if (prev - dele) | add == nxt:
-                    return action
-    return None
+    """Smallest (schema_id, args) among actions applicable in prev with an
+    outcome giving nxt = (prev \\ del) ∪ add, or None."""
+    idx = StateIndex(prev, frozenset())
+    explaining = [act for act in applicable_actions(domain, idx, len(table))
+                  if any((prev - dele) | add == nxt
+                         for add, dele in ground_outcomes(domain, act))]
+    return min(explaining, key=lambda a: (a.schema_id, a.args), default=None)
 
 
 def extract_hl_trace(demo: Demo, domain: Domain, labeller: Callable) -> HLTrace:
@@ -81,7 +76,7 @@ def extract_hl_trace(demo: Demo, domain: Domain, labeller: Callable) -> HLTrace:
             raise AbstractionGapError("unexplained abstraction change", i)
         actions.append(act)
     return HLTrace(goal, actions, hl_states, table,
-                   goal_reached=goal <= hl_states[-1])
+                   goal_reached=goal <= hl_states[-1], step_states=states)
 
 
 def regress(domain: Domain, goal: frozenset, action: GroundAction) -> List[frozenset]:

@@ -4,11 +4,14 @@ A rule fires in state s with goal g when its state condition is contained in s
 and its goal condition is contained in the unachieved goals g \\ s.  Rule
 selection scans rules by ascending priority and grounds conditions by a
 most-constrained-atom-first join over per-predicate fact indexes; this is what
-makes policy execution at 10k-object scale possible.
+makes policy execution at 10k-object scale possible.  The same join grounds
+action preconditions: it enumerates applicable actions for the planners and
+for explaining abstraction changes while learning.
 """
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
@@ -150,14 +153,15 @@ class HLPolicy:
 
     def __init__(self, rules: Iterable[Rule], domain: Domain):
         self.domain = domain
-        seen = {}
+        seen = {}  # canonical body (the serialization minus its priority) -> rule
         for r in rules:
             validate_rule(r, domain)
-            key = canonical_rule_str(r, domain).split(": ", 1)[1]
-            if key not in seen or r.val < seen[key].val:
-                seen[key] = r
-        self.rules = tuple(sorted(seen.values(),
-                                  key=lambda r: (r.val, canonical_rule_str(r, domain))))
+            body = canonical_rule_str(r, domain).split(": ", 1)[1]
+            if body not in seen or r.val < seen[body].val:
+                seen[body] = r
+        # (val, body) orders as (val, full serialization): equal vals share a prefix
+        self.rules = tuple(r for _, _, r in sorted((r.val, body, r)
+                                                    for body, r in seen.items()))
         self.dead = tuple(rule_is_dead(r) for r in self.rules)
         self.flagged_unconstrained = tuple(i for i, r in enumerate(self.rules)
                                            if unconstrained_vars(r))
@@ -173,63 +177,80 @@ class HLPolicy:
 # Indexed state for conjunctive matching
 # ---------------------------------------------------------------------------
 
-class StateIndex:
-    """Fact indexes for a state plus incremental unachieved-goal tracking.
+class FactIndex:
+    """One indexed fact set: membership, per-predicate and per-argument buckets.
 
-    Buckets are insertion-ordered dicts built in canonical fact order, so
-    candidate enumeration (and therefore rule grounding) is deterministic.
+    Buckets are insertion-ordered dicts, so candidate enumeration follows the
+    order facts were added.
     """
 
-    def __init__(self, facts: Iterable[Fact], goal: frozenset):
-        self.goal = frozenset(goal)
-        self.facts = set()
+    __slots__ = ("facts", "by_pred", "by_pos")
+
+    def __init__(self):
+        self.facts = {}
         self.by_pred = {}
         self.by_pos = {}
-        self.un_facts = {}
-        self.un_by_pred = {}
-        self.un_by_pos = {}
-        for f in sorted(facts):
-            self.add(f)
-        for f in sorted(self.goal - self.facts):
-            self._un_add(f)
 
-    # -- state side -------------------------------------------------------
     def add(self, fact: Fact):
         if fact in self.facts:
             return
-        self.facts.add(fact)
+        self.facts[fact] = None
         self.by_pred.setdefault(fact[0], {})[fact] = None
         for pos, o in enumerate(fact[1:]):
             self.by_pos.setdefault((fact[0], pos, o), {})[fact] = None
-        if fact in self.goal:
-            self._un_remove(fact)
 
     def remove(self, fact: Fact):
         if fact not in self.facts:
             return
-        self.facts.discard(fact)
+        del self.facts[fact]
         del self.by_pred[fact[0]][fact]
         for pos, o in enumerate(fact[1:]):
             del self.by_pos[(fact[0], pos, o)][fact]
+
+    def bucket(self, atom: Atom, binding: list):
+        """Smallest candidate bucket for an atom under the current partial binding."""
+        best = self.by_pred.get(atom[0])
+        if best is None:
+            best = {}
+        for pos, v in enumerate(atom[1:]):
+            if binding[v] is not None:
+                b = self.by_pos.get((atom[0], pos, binding[v]))
+                if b is None:
+                    return {}
+                if len(b) < len(best):
+                    best = b
+        return best
+
+
+class StateIndex:
+    """Indexed state facts plus incrementally tracked unachieved goals.
+
+    ``sides`` maps a rule atom's tag to the fact set it is matched against:
+    "s" to the state, "g" to the unachieved goals g \\ s.  Both are built in
+    canonical fact order, so candidate enumeration (and therefore rule
+    grounding) is deterministic.
+    """
+
+    def __init__(self, facts: Iterable[Fact], goal: frozenset):
+        self.goal = frozenset(goal)
+        self.held = FactIndex()
+        self.unachieved = FactIndex()
+        self.sides = {"s": self.held, "g": self.unachieved}
+        for f in sorted(facts):
+            self.add(f)
+        for f in sorted(self.goal.difference(self.held.facts)):
+            self.unachieved.add(f)
+
+    # invariant: unachieved == goal \ held after every add and remove
+    def add(self, fact: Fact):
+        self.held.add(fact)
         if fact in self.goal:
-            self._un_add(fact)
+            self.unachieved.remove(fact)
 
-    # -- unachieved side ----------------------------------------------------
-    def _un_add(self, fact: Fact):
-        if fact in self.un_facts:
-            return
-        self.un_facts[fact] = None
-        self.un_by_pred.setdefault(fact[0], {})[fact] = None
-        for pos, o in enumerate(fact[1:]):
-            self.un_by_pos.setdefault((fact[0], pos, o), {})[fact] = None
-
-    def _un_remove(self, fact: Fact):
-        if fact not in self.un_facts:
-            return
-        del self.un_facts[fact]
-        del self.un_by_pred[fact[0]][fact]
-        for pos, o in enumerate(fact[1:]):
-            del self.un_by_pos[(fact[0], pos, o)][fact]
+    def remove(self, fact: Fact):
+        self.held.remove(fact)
+        if fact in self.goal:
+            self.unachieved.add(fact)
 
     def apply(self, add: Iterable[Fact], dele: Iterable[Fact]):
         for f in dele:
@@ -238,27 +259,10 @@ class StateIndex:
             self.add(f)
 
     def solved(self) -> bool:
-        return not self.un_facts
+        return not self.unachieved.facts
 
     def state(self) -> HLState:
-        return frozenset(self.facts)
-
-
-def _bucket(idx: StateIndex, src: str, atom: Atom, binding: list):
-    """Smallest candidate bucket for an atom under the current partial binding."""
-    by_pred = idx.by_pred if src == "s" else idx.un_by_pred
-    by_pos = idx.by_pos if src == "s" else idx.un_by_pos
-    best = by_pred.get(atom[0])
-    if best is None:
-        best = {}
-    for pos, v in enumerate(atom[1:]):
-        if binding[v] is not None:
-            b = by_pos.get((atom[0], pos, binding[v]))
-            if b is None:
-                return {}
-            if len(b) < len(best):
-                best = b
-    return best
+        return frozenset(self.held.facts)
 
 
 def enum_matches(idx: StateIndex, atoms: list, binding: list):
@@ -272,19 +276,19 @@ def enum_matches(idx: StateIndex, atoms: list, binding: list):
     if not atoms:
         yield tuple(binding)
         return
+    sides = idx.sides
     best_i, best_rank, best_bucket = -1, None, None
     for i, (src, atom) in enumerate(atoms):
         bound = sum(1 for v in atom[1:] if binding[v] is not None)
-        bucket = _bucket(idx, src, atom, binding)
+        bucket = sides[src].bucket(atom, binding)
         # spec join order: already-bound variables desc, selectivity asc
         rank = (-bound, len(bucket), i)
         if best_rank is None or rank < best_rank:
             best_i, best_rank, best_bucket = i, rank, bucket
     src, atom = atoms[best_i]
     rest = atoms[:best_i] + atoms[best_i + 1:]
-    facts = idx.facts if src == "s" else idx.un_facts
     if all(binding[v] is not None for v in atom[1:]):
-        if instantiate(atom, binding) in facts:
+        if instantiate(atom, binding) in sides[src].facts:
             yield from enum_matches(idx, rest, binding)
         return
     for fact in list(best_bucket):
@@ -301,6 +305,31 @@ def enum_matches(idx: StateIndex, atoms: list, binding: list):
             yield from enum_matches(idx, rest, binding)
         for v in touched:
             binding[v] = None
+
+
+def applicable_actions(domain: Domain, idx: StateIndex, n_objects: int):
+    """All ground actions applicable in the indexed state, deterministically.
+
+    Schemata come in declaration order; within one, precondition variables are
+    bound by the join (so bindings come in join order, not sorted) and
+    parameters that the precondition leaves free range over all objects.
+    """
+    for sid, sch in enumerate(domain.schemata):
+        atoms = [("s", a) for a in sch.pre]
+        seen = set()
+        for binding in enum_matches(idx, atoms, [None] * sch.arity):
+            if binding in seen:  # joins may revisit a binding via free atoms
+                continue
+            seen.add(binding)
+            free = [v for v in range(sch.arity) if binding[v] is None]
+            if not free:
+                yield GroundAction(sid, binding)
+            else:
+                for combo in itertools.product(range(n_objects), repeat=len(free)):
+                    b = list(binding)
+                    for v, o in zip(free, combo):
+                        b[v] = o
+                    yield GroundAction(sid, tuple(b))
 
 
 def match_rule(rule: Rule, state, goal: frozenset, objects, domain: Domain = None):
@@ -349,7 +378,7 @@ def select_action(policy: HLPolicy, state, goal: frozenset, objects,
                                   tuple(binding[v] for v in rule.head_args))
             if diag is not None:
                 diag.rule_index = i
-                diag.inapplicable = not applicable(domain, idx.facts, action)
+                diag.inapplicable = not applicable(domain, idx.held.facts, action)
             return action
     return None
 
@@ -374,7 +403,7 @@ def adversarial_outcome(outcomes, idx: "StateIndex"):
     """Outcome leaving the most unachieved goal facts; first index on ties."""
     worst, worst_n = 0, -1
     for i, (add, dele) in enumerate(outcomes):
-        un = set(idx.un_facts)
+        un = set(idx.unachieved.facts)
         un |= idx.goal & dele
         un -= add
         if len(un) > worst_n:

@@ -45,9 +45,10 @@ class EpisodeResult:
 class Executor:
     """Strategy plus the handles it needs.
 
-    ll_mode: "oracle" (scripted skill), "gnn", or "gnn_stub" (action features
-    zeroed at inference).  The oracle and pure_nn_stub strategies force their
-    LL mode; bison uses hl_policy or the env's built-in policy when None.
+    ll_mode: "oracle" (scripted skill) or "gnn".  The oracle strategy forces
+    the scripted skill and pure_nn_stub the network with its action features
+    zeroed at inference; bison uses hl_policy or the env's built-in policy
+    when None.
     """
 
     strategy: str
@@ -63,19 +64,15 @@ class Executor:
 
 
 def _make_ll(executor: Executor, env) -> Callable:
-    mode = executor.ll_mode
-    if executor.strategy == "oracle":
-        mode = "oracle"
-    elif executor.strategy == "pure_nn_stub":
-        mode = "gnn_stub"
+    zero = executor.strategy == "pure_nn_stub"
+    mode = "oracle" if executor.strategy == "oracle" else "gnn" if zero else executor.ll_mode
     if mode == "oracle":
         return lambda lls, hla, goal, hls: env.oracle_skill(lls, hla)
-    if mode in ("gnn", "gnn_stub"):
+    if mode == "gnn":
         from .gnn import encode, forward
         params = executor.gnn_params
         if params is None:
             raise ValueError("gnn LL mode requires trained parameters")
-        zero = mode == "gnn_stub"
 
         def ll(lls, hla, goal, hls):
             inp = encode(params.spec, env.domain, lls, hla, goal, hls, env.table,
@@ -85,24 +82,13 @@ def _make_ll(executor: Executor, env) -> Callable:
     raise ValueError("unknown ll_mode %r" % mode)
 
 
-def _note_fired(result: EpisodeResult, prev, hla):
-    if hla != prev:
-        result.hl_actions_fired += 1
-    return hla
-
-
 def run_episode(env, executor: Executor, step_cap: int = None,
                 record: list = None) -> EpisodeResult:
     """Run one episode of the given strategy; never raises on planning failure."""
     t0 = time.perf_counter()
     lls, _ = env.reset()
     cap = step_cap if step_cap is not None else env.config.max_steps
-    if executor.strategy in ("bison", "oracle", "pure_nn_stub"):
-        result = _run_policy_loop(env, executor, lls, cap, record)
-    elif executor.strategy in ("det_plan", "det_replan"):
-        result = _run_det(env, executor, lls, cap, executor.strategy == "det_replan")
-    else:
-        result = _run_ndt(env, executor, lls, cap, executor.strategy == "ndt_replan")
+    result = _run_loop(env, executor, lls, cap, record)
     result.wall_time = time.perf_counter() - t0
     return result
 
@@ -112,15 +98,66 @@ def _record_step(record, lls, action):
         record.append((lls, np.asarray(action, dtype=float)))
 
 
-def _run_policy_loop(env, executor, lls, cap, record=None) -> EpisodeResult:
+def _problem_from(env, hls):
+    return HLProblem(env.domain, env.table, frozenset(hls), frozenset(env.goal))
+
+
+def _rule_selector(env, hls, executor) -> Callable:
+    """The rule policy (bison: hl_policy or the built-in one), queried afresh
+    at every state; None when no rule fires."""
     from .envs import builtin_policy
 
     policy = executor.hl_policy
     if policy is None or executor.strategy == "oracle":
         policy = builtin_policy(env.config.kind)
+    return lambda hls: select_action(policy, hls, env.goal, range(len(env.table)),
+                                     env.domain)
+
+
+def _plan_cursor(env, hls, executor) -> Optional[Callable]:
+    """Plan from hls, walked by index: the next action if its precondition
+    holds, else the one after it (one-step lookahead), else None (broken)."""
+    plan = find_plan(_problem_from(env, hls), node_budget=executor.plan_node_budget,
+                     time_budget=executor.plan_time_budget)
+    if plan is None:
+        return None
+    actions, domain, i = plan.actions, env.domain, 0
+
+    def next_action(hls):
+        nonlocal i
+        for j in (i, i + 1):
+            if j < len(actions) and ground_pre(domain, actions[j]) <= hls:
+                i = j
+                return actions[j]
+        return None
+    return next_action
+
+
+def _policy_lookup(env, hls, executor) -> Optional[Callable]:
+    """AND-OR policy from hls, queried by state lookup (None when uncovered)."""
+    policy = find_policy(_problem_from(env, hls), node_budget=executor.plan_node_budget,
+                         time_budget=executor.plan_time_budget)
+    return None if policy is None else policy.get
+
+
+def _run_loop(env, executor, lls, cap, record) -> EpisodeResult:
+    """The control loop every strategy shares: one HL and one LL query per step.
+
+    The strategy's source turns the first unsolved state into a "state → next
+    action or None" callable.  None from the rule policy means no rule fires;
+    from a plan or policy it means the state left what was planned, which
+    fails the episode or, for the *_replan strategies, plans again from it.
+    """
+    if executor.strategy in ("bison", "oracle", "pure_nn_stub"):
+        source, broken_kind = _rule_selector, "no_hl_action"
+    elif executor.strategy.startswith("det"):
+        source, broken_kind = _plan_cursor, "plan_broken"
+    else:
+        source, broken_kind = _policy_lookup, "no_hl_action"
+    replan = executor.strategy.endswith("_replan")
     ll = _make_ll(executor, env)
     result = EpisodeResult()
-    prev = None
+    next_action = prev = None
     while True:
         hls = env.label(lls)
         goal = env.goal
@@ -128,105 +165,25 @@ def _run_policy_loop(env, executor, lls, cap, record=None) -> EpisodeResult:
             result.success = True
             _record_step(record, lls, np.zeros(3))
             return result
-        if result.ll_steps >= cap:
-            return result.fail("step_cap")
-        hla = select_action(policy, hls, goal, range(len(env.table)), env.domain)
-        if hla is None:
-            return result.fail("no_hl_action")
-        prev = _note_fired(result, prev, hla)
-        action = ll(lls, hla, goal, hls)
-        _record_step(record, lls, action)
-        lls = env.step(action)
-        result.ll_steps += 1
-
-
-def _plan_from(env, hls, executor):
-    problem = HLProblem(env.domain, env.table, frozenset(hls), frozenset(env.goal))
-    return find_plan(problem, node_budget=executor.plan_node_budget,
-                     time_budget=executor.plan_time_budget)
-
-
-def _run_det(env, executor, lls, cap, replan: bool) -> EpisodeResult:
-    ll = _make_ll(executor, env)
-    result = EpisodeResult()
-    hls = env.label(lls)
-    if env.goal <= hls:
-        result.success = True
-        return result
-    plan = _plan_from(env, hls, executor)
-    if plan is None:
-        return result.fail("no_hl_action")
-    i = 0
-    prev = None
-    domain = env.domain
-    while True:
-        hls = env.label(lls)
-        goal = env.goal
-        if goal <= hls:
-            result.success = True
-            return result
-        if result.ll_steps >= cap:
-            return result.fail("step_cap")
-        broken = False
-        if i < len(plan.actions) and ground_pre(domain, plan.actions[i]) <= hls:
-            hla = plan.actions[i]
-        elif i + 1 < len(plan.actions) and ground_pre(domain, plan.actions[i + 1]) <= hls:
-            i += 1
-            hla = plan.actions[i]
-        else:
-            broken = True
-        if broken:
-            if not replan:
-                return result.fail("plan_broken")
-            plan = _plan_from(env, hls, executor)
-            result.replans += 1
-            if plan is None:
+        if next_action is None:
+            next_action = source(env, hls, executor)
+            if next_action is None:
                 return result.fail("no_hl_action")
-            i = 0
-            continue
-        prev = _note_fired(result, prev, hla)
-        action = ll(lls, hla, goal, hls)
-        lls = env.step(action)
-        result.ll_steps += 1
-
-
-def _policy_from(env, hls, executor):
-    problem = HLProblem(env.domain, env.table, frozenset(hls), frozenset(env.goal))
-    return find_policy(problem, node_budget=executor.plan_node_budget,
-                       time_budget=executor.plan_time_budget)
-
-
-def _run_ndt(env, executor, lls, cap, replan: bool) -> EpisodeResult:
-    ll = _make_ll(executor, env)
-    result = EpisodeResult()
-    hls = env.label(lls)
-    if env.goal <= hls:
-        result.success = True
-        return result
-    policy = _policy_from(env, hls, executor)
-    if policy is None:
-        return result.fail("no_hl_action")
-    prev = None
-    while True:
-        hls = env.label(lls)
-        goal = env.goal
-        if goal <= hls:
-            result.success = True
-            return result
         if result.ll_steps >= cap:
             return result.fail("step_cap")
-        hla = policy.get(hls)
+        hla = next_action(hls)
         if hla is None:
             if not replan:
-                return result.fail("no_hl_action")
-            policy = _policy_from(env, hls, executor)
+                return result.fail(broken_kind)
+            next_action = source(env, hls, executor)
             result.replans += 1
-            if policy is None:
-                return result.fail("no_hl_action")
-            hla = policy.get(hls)
+            hla = next_action(hls) if next_action is not None else None
             if hla is None:
                 return result.fail("no_hl_action")
-        prev = _note_fired(result, prev, hla)
+        if hla != prev:
+            result.hl_actions_fired += 1
+        prev = hla
         action = ll(lls, hla, goal, hls)
+        _record_step(record, lls, action)
         lls = env.step(action)
         result.ll_steps += 1

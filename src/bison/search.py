@@ -13,15 +13,14 @@ by the closed set.
 from __future__ import annotations
 
 import heapq
-import itertools
 import sys
 import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (Domain, GroundAction, HLProblem, HLState, ground_outcomes,
-                   instantiate)
-from .rules import StateIndex, enum_matches
+from .core import (GroundAction, HLProblem, HLState, applicable,
+                   ground_outcomes)
+from .rules import StateIndex, applicable_actions
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 DEFAULT_GENERATED_CAP = 2 * 10 ** 6
@@ -42,30 +41,6 @@ class SearchStats:
     expanded: int = 0
     generated: int = 0
     seconds: float = 0.0
-
-
-def applicable_actions(domain: Domain, idx: StateIndex, n_objects: int):
-    """All ground actions applicable in the indexed state, canonical order.
-
-    Precondition variables are bound by an index join; parameters that the
-    precondition leaves free range over all objects.
-    """
-    for sid, sch in enumerate(domain.schemata):
-        atoms = [("s", a) for a in sch.pre]
-        seen = set()
-        for binding in enum_matches(idx, atoms, [None] * sch.arity):
-            if binding in seen:  # joins may revisit a binding via free atoms
-                continue
-            seen.add(binding)
-            free = [v for v in range(sch.arity) if binding[v] is None]
-            if not free:
-                yield GroundAction(sid, binding)
-            else:
-                for combo in itertools.product(range(n_objects), repeat=len(free)):
-                    b = list(binding)
-                    for v, o in zip(free, combo):
-                        b[v] = o
-                    yield GroundAction(sid, tuple(b))
 
 
 def _goal_count(state: HLState, goal: frozenset) -> int:
@@ -255,8 +230,7 @@ def validate_plan(problem: HLProblem, plan: Plan) -> bool:
     """Replaying the plan under its chosen determinisation reaches the goal."""
     state = frozenset(problem.init)
     for act, k in zip(plan.actions, plan.outcomes):
-        sch = problem.domain.schemata[act.schema_id]
-        if not all(instantiate(a, act.args) in state for a in sch.pre):
+        if not applicable(problem.domain, state, act):
             return False
         outs = list(ground_outcomes(problem.domain, act))
         add, dele = outs[k]

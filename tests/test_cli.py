@@ -161,3 +161,30 @@ def test_learn_hl_with_domain_file(workdir):
                  str(workdir / "bad.bsd"), "--traces", str(workdir / "demos.bst"),
                  "--out", "-"])
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize("command,spec", [
+    ("eval", "a..b"), ("eval", "1..x"), ("eval", "5..1"), ("eval", ""),
+    ("eval", "0"), ("bench-hl", "10..3"), ("bench-hl", "x"),
+])
+def test_bad_range_is_data_error(command, spec):
+    if command == "eval":
+        args = ["eval", "--env", "blocks", "--strategy", "oracle", "--objects", spec,
+                "--episodes", "1", "--seeds", "1", "--out", "-"]
+    else:
+        args = ["bench-hl", "--n-list", spec, "--out", "-"]
+    r = run_cli(args)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+
+
+def test_jobs_only_accepted_by_eval():
+    r = run_cli(["gen-demos", "--env", "blocks", "--objects", "1", "--count", "1",
+                 "--jobs", "4", "--out", "-"])
+    assert r.returncode == 1
+
+
+def test_pure_nn_stub_without_params_is_data_error():
+    r = run_cli(["eval", "--env", "blocks", "--strategy", "pure_nn_stub",
+                 "--objects", "1", "--episodes", "1", "--seeds", "1", "--out", "-"])
+    assert r.returncode == 2, r.stderr

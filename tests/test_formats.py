@@ -110,6 +110,36 @@ def test_parse_traces_malformed_record():
         parse_traces('{"steps": []}')
 
 
+def _step(ego="[0.1]", objects='{"b0": [0.1]}', action="[0]"):
+    return '{"ego": %s, "objects": %s, "action": %s}' % (ego, objects, action)
+
+
+@pytest.mark.parametrize("record", [
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(objects="[[0.1]]"), id="objects-list"),
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(objects='{"b0": 5}'), id="object-scalar"),
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(ego='["x"]'), id="string-in-ego"),
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(objects='{"b0": ["x"]}'),
+                 id="string-in-object"),
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(action="[true]"), id="bool-in-action"),
+    pytest.param('{"goal": [], "steps": 5}', id="steps-number"),
+    pytest.param('{"goal": 5, "steps": [%s]}' % _step(), id="goal-number"),
+    pytest.param('{"goal": [5], "steps": [%s]}' % _step(), id="goal-fact-number"),
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(ego="[1e999]"), id="overflow-inf"),
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(objects='{"b0": [NaN]}'), id="nan"),
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(action="[-Infinity]"), id="infinity"),
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(ego="[1%s]" % ("0" * 400)),
+                 id="int-beyond-float"),
+    pytest.param('{"goal": [], "steps": [%s]}' % _step(ego="[1%s]" % ("0" * 5000)),
+                 id="int-too-long"),
+    pytest.param('{"goal": [], "steps": %s}' % ("[" * 100000 + "]" * 100000),
+                 id="deep-nesting"),
+])
+def test_parse_traces_structured_garbage_is_positioned(record):
+    with pytest.raises(ParseError) as ei:
+        parse_traces("\n" + record)
+    assert ei.value.line == 2
+
+
 def test_traces_round_trip(blocks_demos):
     demos = blocks_demos[:3]
     text = serialize_traces(demos)
