@@ -256,9 +256,11 @@ def build_parser() -> _Parser:
     p.add_argument("--log-level", default=os.environ.get("BISON_LOG", "warning"))
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, env=True):
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default="-")
+    def common(sp, env=True, seed=True, out=True):
+        if seed:
+            sp.add_argument("--seed", type=int, default=0)
+        if out:
+            sp.add_argument("--out", default="-")
         if env:
             sp.add_argument("--env", required=True, choices=ENV_KINDS)
 
@@ -269,7 +271,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_gen_demos)
 
     sp = sub.add_parser("learn-hl", help="learn an HL rule policy from traces")
-    common(sp)
+    common(sp, seed=False)
     sp.add_argument("--traces", required=True)
     sp.add_argument("--domain", default=None, help="optional .bsd file")
     sp.add_argument("--subgoal-cap", type=int, default=256)
@@ -308,7 +310,7 @@ def build_parser() -> _Parser:
     sp.set_defaults(func=cmd_bench_hl)
 
     sp = sub.add_parser("check", help="NDRP and policy validation diagnostics")
-    common(sp)
+    common(sp, seed=False, out=False)
     sp.add_argument("--policy", default=None)
     sp.add_argument("--traces", default=None)
     sp.set_defaults(func=cmd_check)

@@ -646,12 +646,15 @@ class PickPlaceEnv(SimEnv):
             if target is None or self.held == names[0]:
                 return np.zeros(ACTION_DIM)
             return self._approach_grasp(target)
-        if sch == "move":
-            return self._goto(self.fixture_pos[names[1]])
-        if sch == "place":
-            if self.held != names[0]:
+        if sch in ("move", "place"):
+            # the domain is untyped: a planner may bind the location to a block
+            target = self.fixture_pos.get(names[1])
+            if target is None:
                 return np.zeros(ACTION_DIM)
-            return self._carry_release(self.fixture_pos[names[1]])
+            if sch == "move":
+                return self._goto(target)
+            if self.held == names[0]:
+                return self._carry_release(target)
         return np.zeros(ACTION_DIM)
 
 

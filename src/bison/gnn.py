@@ -9,7 +9,10 @@ behaviour cloning runs under Adam with a cosine-annealed learning rate.
 
 All tensor math is plain dense numpy; reverse-mode accumulation is written out
 explicitly for this fixed graph (max routes gradient to the argmax element,
-first index on ties; ReLU gradient is zero at 0).
+first index on ties; ReLU gradient is zero at 0).  ``forward``/``backward``
+handle one sample (inference and the gradient reference); training runs the
+same math once per batch over object rows padded under a mask
+(``batch_backward``).
 """
 
 from __future__ import annotations
@@ -17,8 +20,8 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional
+from dataclasses import asdict, dataclass, fields
+from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
@@ -127,6 +130,14 @@ def encode(spec: EncodingSpec, domain: Domain, lls, hla: GroundAction,
     return GnnInput(g, a, objs)
 
 
+def param_shapes(spec: EncodingSpec, hidden: int, layers: int) -> list:
+    """Tensor shapes in ``GnnParams.tensors()`` order."""
+    h = hidden
+    return ([(h, spec.g_dim), (h, spec.a_dim), (h, spec.o_dim)]
+            + [(h, h)] * (3 * layers)
+            + [(h, h), (h,), (spec.out_dim, h), (spec.out_dim,)])
+
+
 class GnnParams:
     """Weight tensors; see ``tensors()`` for the canonical serialization order."""
 
@@ -136,25 +147,19 @@ class GnnParams:
         self.hidden = hidden
         self.layers = layers
         self.seed = seed
-        h = hidden
 
-        def init(shape, rng):
-            if rng is None:
+        def init(shape):
+            if init_rng is None or len(shape) == 1:  # biases start at zero
                 return np.zeros(shape)
             bound = 1.0 / math.sqrt(shape[-1])
-            return rng.uniform(-bound, bound, shape)
+            return init_rng.uniform(-bound, bound, shape)
 
-        rng = init_rng
-        self.w_g0 = init((h, spec.g_dim), rng)
-        self.w_a0 = init((h, spec.a_dim), rng)
-        self.w_o0 = init((h, spec.o_dim), rng)
-        self.w_g = [init((h, h), rng) for _ in range(layers)]
-        self.w_a = [init((h, h), rng) for _ in range(layers)]
-        self.w_o = [init((h, h), rng) for _ in range(layers)]
-        self.r_w1 = init((h, h), rng)
-        self.r_b1 = np.zeros(h)
-        self.r_w2 = init((spec.out_dim, h), rng)
-        self.r_b2 = np.zeros(spec.out_dim)
+        ts = [init(shape) for shape in param_shapes(spec, hidden, layers)]
+        self.w_g0, self.w_a0, self.w_o0 = ts[:3]
+        self.w_g = ts[3:3 + layers]
+        self.w_a = ts[3 + layers:3 + 2 * layers]
+        self.w_o = ts[3 + 2 * layers:3 + 3 * layers]
+        self.r_w1, self.r_b1, self.r_w2, self.r_b2 = ts[3 + 3 * layers:]
         if hidden == 64 and layers == 2 and self.count() >= PARAM_BUDGET:
             raise BisonError("parameter count %d exceeds the %d budget"
                              % (self.count(), PARAM_BUDGET))
@@ -167,9 +172,6 @@ class GnnParams:
 
     def count(self) -> int:
         return sum(t.size for t in self.tensors())
-
-    def zeros_like(self) -> list:
-        return [np.zeros_like(t) for t in self.tensors()]
 
 
 def init_params(spec: EncodingSpec, config: TrainConfig) -> GnnParams:
@@ -337,6 +339,131 @@ def build_dataset(demos: Iterable[Demo], domain: Domain, labeller: Callable,
 
 
 @dataclass
+class PaddedBatch:
+    """Samples stacked for batched training.
+
+    Object arrays are slot-major: ``h_objects[k, i]`` is sample ``i``'s
+    object row ``k``, so every matmul over a slot is one small BLAS call.  A
+    sample's real rows fill slots ``0..n-1`` and zero padding follows;
+    ``mask`` marks the real rows.  ``width`` is the largest object count among
+    the samples (``spec.max_arity`` at most for encoded samples) and at least 1.
+    """
+
+    h_global: np.ndarray   # (B, g_dim)
+    h_action: np.ndarray   # (B, a_dim)
+    h_objects: np.ndarray  # (width, B, o_dim)
+    mask: np.ndarray       # (width, B) bool
+    target: np.ndarray     # (B, out_dim)
+
+    def take(self, idx) -> "PaddedBatch":
+        return PaddedBatch(self.h_global[idx], self.h_action[idx],
+                           self.h_objects[:, idx], self.mask[:, idx],
+                           self.target[idx])
+
+
+def pad_batch(spec: EncodingSpec, samples: Sequence[LLSample]) -> PaddedBatch:
+    """Stack samples into one padded batch."""
+    if any(np.shape(s.target) != (spec.out_dim,) for s in samples):
+        raise BisonError("target dimension mismatch")
+    width = max([1] + [s.inp.h_objects.shape[0] for s in samples])
+    objs = np.zeros((width, len(samples), spec.o_dim))
+    mask = np.zeros((width, len(samples)), dtype=bool)
+    for i, s in enumerate(samples):
+        n = s.inp.h_objects.shape[0]
+        objs[:n, i] = s.inp.h_objects
+        mask[:n, i] = True
+    return PaddedBatch(np.array([s.inp.h_global for s in samples], dtype=float),
+                       np.array([s.inp.h_action for s in samples], dtype=float),
+                       objs, mask,
+                       np.array([s.target for s in samples], dtype=float))
+
+
+def batch_backward(params: GnnParams, batch: PaddedBatch):
+    """Batch means of the per-sample ``backward`` gradients and MSE losses.
+
+    The same math as ``forward``/``backward`` over stacked arrays.  The max
+    aggregation sets padded rows to -inf, so it always picks a real row (the
+    first one on ties, as padding follows the real rows); a sample with no
+    object nodes aggregates to 0 and gets no object gradient.  Each (sample,
+    unit) pair owns one argmax slot, so gradients scatter back with a plain
+    fancy-index ``+=``.
+    """
+    width, b = batch.mask.shape
+    h = params.hidden
+    rows = np.arange(b)[:, None]
+    units = np.arange(h)[None, :]
+    has = batch.mask.any(axis=0)[:, None]
+    pad = np.where(batch.mask, 0.0, -np.inf)[:, :, None]
+
+    def pool(objs):
+        """Max over the slots and its argmax, by strict comparison."""
+        masked = objs + pad
+        best = masked[0]
+        idx = np.zeros(best.shape, dtype=np.intp)
+        for k in range(1, width):
+            better = masked[k] > best
+            idx[better] = k
+            best = np.where(better, masked[k], best)
+        return idx, np.where(has, best, 0.0)
+
+    def relu(z):
+        return np.maximum(z, 0.0)
+
+    def flat(x):
+        return x.reshape(-1, x.shape[-1])
+
+    g = batch.h_global @ params.w_g0.T
+    a = batch.h_action @ params.w_a0.T
+    objs = batch.h_objects @ params.w_o0.T
+    layers = []
+    for l in range(params.layers):
+        agg_idx, agg = pool(objs)
+        ug = g + a + agg
+        zg = ug @ params.w_g[l].T
+        g2 = relu(zg)
+        ua = g2 + a + agg
+        za = ua @ params.w_a[l].T
+        uo = (g2 + a)[None] + objs
+        zo = uo @ params.w_o[l].T
+        layers.append((agg_idx, ug, zg, ua, za, uo, zo))
+        g, a, objs = g2, relu(za), relu(zo)
+    fin_idx, fin = pool(objs)
+    r = g + a + fin
+    z1 = r @ params.r_w1.T + params.r_b1
+    h1 = relu(z1)
+    y = h1 @ params.r_w2.T + params.r_b2
+
+    diff = y - batch.target
+    loss = float(np.mean(diff ** 2))
+    dy = 2.0 * diff / (diff.shape[1] * b)
+    dz1 = (dy @ params.r_w2) * (z1 > 0)
+    dr = dz1 @ params.r_w1
+    dg, da = dr, dr
+    dobjs = np.zeros((width, b, h))
+    dobjs[fin_idx, rows, units] += np.where(has, dr, 0.0)
+    gw_g, gw_a, gw_o = ([None] * params.layers for _ in range(3))
+    for l in range(params.layers - 1, -1, -1):
+        agg_idx, ug, zg, ua, za, uo, zo = layers[l]
+        dzo = dobjs * (zo > 0)
+        gw_o[l] = flat(dzo).T @ flat(uo)
+        duo = dzo @ params.w_o[l]
+        duo_sum = duo.sum(axis=0)
+        dza = da * (za > 0)
+        gw_a[l] = dza.T @ ua
+        dua = dza @ params.w_a[l]
+        dzg = (dg + duo_sum + dua) * (zg > 0)
+        gw_g[l] = dzg.T @ ug
+        dug = dzg @ params.w_g[l]
+        duo[agg_idx, rows, units] += np.where(has, dua + dug, 0.0)
+        dg, da, dobjs = dug, duo_sum + dua + dug, duo
+    grads = [dg.T @ batch.h_global, da.T @ batch.h_action,
+             flat(dobjs).T @ flat(batch.h_objects)]
+    grads += gw_g + gw_a + gw_o
+    grads += [dz1.T @ r, dz1.sum(axis=0), dy.T @ h1, dy.sum(axis=0)]
+    return grads, loss
+
+
+@dataclass
 class TrainResult:
     params: GnnParams
     losses: list  # per-iteration batch MSE
@@ -344,13 +471,17 @@ class TrainResult:
 
 def train(samples: List[LLSample], spec: EncodingSpec,
           config: TrainConfig = None) -> TrainResult:
-    """Adam + cosine annealing over shuffled batches; deterministic per seed."""
+    """Adam + cosine annealing over shuffled batches; deterministic per seed.
+
+    Each iteration runs one ``batch_backward`` over its padded batch.
+    """
     config = config or TrainConfig()
     if not samples:
         raise BisonError("empty training dataset")
     params = init_params(spec, config)
     if config.iterations == 0:
         return TrainResult(params, [])
+    data = pad_batch(spec, samples)
     rng = np.random.default_rng(config.seed + 1)
     tensors = params.tensors()
     m = [np.zeros_like(t) for t in tensors]
@@ -359,25 +490,21 @@ def train(samples: List[LLSample], spec: EncodingSpec,
     cursor = 0
     losses = []
     for it in range(config.iterations):
-        batch = []
-        while len(batch) < config.batch_size:
+        picks = []
+        need = config.batch_size
+        while need:
             if cursor >= len(order):
                 order = rng.permutation(len(samples))
                 cursor = 0
-            batch.append(samples[order[cursor]])
-            cursor += 1
-        acc = params.zeros_like()
-        total = 0.0
-        for s in batch:
-            g, loss = backward(params, s.inp, s.target)
-            for ai, gi in zip(acc, g):
-                ai += gi
-            total += loss
-        losses.append(total / len(batch))
+            take = order[cursor:cursor + need]
+            picks.append(take)
+            cursor += len(take)
+            need -= len(take)
+        grads, loss = batch_backward(params, data.take(np.concatenate(picks)))
+        losses.append(loss)
         lr = cosine_lr(config.lr, it, config.iterations)
         t_adam = it + 1
-        for k, (tens, grad) in enumerate(zip(tensors, acc)):
-            grad = grad / len(batch)
+        for k, (tens, grad) in enumerate(zip(tensors, grads)):
             m[k] = config.beta1 * m[k] + (1 - config.beta1) * grad
             v[k] = config.beta2 * v[k] + (1 - config.beta2) * grad * grad
             m_hat = m[k] / (1 - config.beta1 ** t_adam)
@@ -394,11 +521,8 @@ _MAGIC = b"BSW1"
 
 
 def save_params(params: GnnParams, path: str):
-    spec = params.spec
     header = {
-        "spec": {"n_pred": spec.n_pred, "n_schema": spec.n_schema,
-                 "max_arity": spec.max_arity, "ego_dim": spec.ego_dim,
-                 "obj_feat_dim": spec.obj_feat_dim, "out_dim": spec.out_dim},
+        "spec": asdict(params.spec),
         "hidden": params.hidden, "layers": params.layers, "seed": params.seed,
         "tensors": [list(t.shape) for t in params.tensors()],
     }
@@ -411,18 +535,56 @@ def save_params(params: GnnParams, path: str):
             fh.write(np.ascontiguousarray(t, dtype="<f8").tobytes())
 
 
+_SPEC_KEYS = [f.name for f in fields(EncodingSpec)]
+_HEADER_KEYS = {"spec", "hidden", "layers", "seed", "tensors"}
+
+
+def _is_int(x, least=0) -> bool:
+    return type(x) is int and x >= least
+
+
 def load_params(path: str) -> GnnParams:
+    """Read a ``.bsw`` file; any malformed content raises ``BisonError``."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
-            raise BisonError("not a parameter file: %s" % path)
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        spec = EncodingSpec(**header["spec"])
-        params = GnnParams(spec, header["hidden"], header["layers"], header["seed"])
-        tensors = params.tensors()
-        for t, shape in zip(tensors, header["tensors"]):
-            want = tuple(shape)
-            raw = fh.read(8 * int(np.prod(want)))
-            arr = np.frombuffer(raw, dtype="<f8").reshape(want)
-            t[...] = arr
+        data = fh.read()
+
+    def bad(why):
+        return BisonError("bad parameter file %s: %s" % (path, why))
+
+    if data[:4] != _MAGIC:
+        raise BisonError("not a parameter file: %s" % path)
+    if len(data) < 8:
+        raise bad("truncated header")
+    (hlen,) = struct.unpack("<I", data[4:8])
+    if 8 + hlen > len(data):
+        raise bad("header length %d exceeds the file" % hlen)
+    try:
+        header = json.loads(data[8:8 + hlen].decode("utf-8"))
+    except (ValueError, RecursionError) as e:
+        raise bad("header is not JSON (%s)" % e) from None
+    if not isinstance(header, dict) or set(header) != _HEADER_KEYS:
+        raise bad("header must be an object with keys %s" % sorted(_HEADER_KEYS))
+    spec_fields = header["spec"]
+    if not isinstance(spec_fields, dict) or set(spec_fields) != set(_SPEC_KEYS) \
+            or not all(_is_int(spec_fields[k]) for k in _SPEC_KEYS):
+        raise bad("spec must map %s to non-negative integers" % ", ".join(_SPEC_KEYS))
+    if not (_is_int(header["hidden"], 1) and _is_int(header["layers"], 1)
+            and _is_int(header["seed"])):
+        raise bad("hidden and layers must be positive integers, seed non-negative")
+    spec = EncodingSpec(**spec_fields)
+    shapes = param_shapes(spec, header["hidden"], header["layers"])
+    if header["tensors"] != [list(shape) for shape in shapes]:
+        raise bad("tensor shapes do not match the spec")
+    payload = data[8 + hlen:]
+    need = 8 * sum(math.prod(shape) for shape in shapes)
+    if len(payload) != need:
+        raise bad("payload is %d bytes, the shapes need %d" % (len(payload), need))
+    values = np.frombuffer(payload, dtype="<f8")
+    if not np.all(np.isfinite(values)):
+        raise bad("non-finite weight")
+    params = GnnParams(spec, header["hidden"], header["layers"], header["seed"])
+    offset = 0
+    for t in params.tensors():
+        t[...] = values[offset:offset + t.size].reshape(t.shape)
+        offset += t.size
     return params

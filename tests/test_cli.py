@@ -188,3 +188,33 @@ def test_pure_nn_stub_without_params_is_data_error():
     r = run_cli(["eval", "--env", "blocks", "--strategy", "pure_nn_stub",
                  "--objects", "1", "--episodes", "1", "--seeds", "1", "--out", "-"])
     assert r.returncode == 2, r.stderr
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("learn-hl", ["--seed", "1"]), ("check", ["--seed", "1"]),
+    ("check", ["--out", "-"]),
+])
+def test_flags_a_command_ignores_are_rejected(workdir, command, flag):
+    if command == "learn-hl":
+        args = ["learn-hl", "--env", "blocks", "--traces", str(workdir / "demos.bst"),
+                "--out", "-"]
+    else:
+        args = ["check", "--env", "blocks"]
+    assert run_cli(args).returncode == 0
+    r = run_cli(args + flag)
+    assert r.returncode == 1
+
+
+def test_eval_truncated_params_is_data_error(tmp_path):
+    from bison.envs import ACTION_DIM, EGO_DIM, env_domain, obj_dim
+    from bison.gnn import EncodingSpec, TrainConfig, init_params, save_params
+    spec = EncodingSpec.for_domain(env_domain("blocks"), EGO_DIM, obj_dim("blocks"),
+                                   ACTION_DIM)
+    path = tmp_path / "p.bsw"
+    save_params(init_params(spec, TrainConfig()), str(path))
+    path.write_bytes(path.read_bytes()[:300])
+    r = run_cli(["eval", "--env", "blocks", "--strategy", "bison", "--ll", "gnn",
+                 "--params", str(path), "--objects", "1", "--episodes", "1",
+                 "--seeds", "1", "--out", "-"])
+    assert r.returncode == 2, r.stderr
+    assert "bad parameter file" in r.stderr

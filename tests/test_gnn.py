@@ -1,12 +1,16 @@
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from bison.core import BisonError, GroundAction, ObjectTable
 from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, env_domain, make_env,
                         make_labeller, obj_dim)
-from bison.gnn import (EncodingSpec, GnnInput, GnnParams, TrainConfig,
-                       build_dataset, cosine_lr, encode, forward, init_params,
-                       load_params, save_params, backward, train)
+from bison.gnn import (EncodingSpec, GnnInput, GnnParams, LLSample, TrainConfig,
+                       batch_backward, build_dataset, cosine_lr, encode, forward,
+                       init_params, load_params, pad_batch, save_params, backward,
+                       train)
 
 
 def synth_spec(n_obj_feat=5):
@@ -242,3 +246,231 @@ def test_dataset_segment_pairing(blocks_demos):
     # trailing samples with the last (a place: 2 object nodes)
     assert samples[0].inp.h_objects.shape[0] == 1
     assert samples[-1].inp.h_objects.shape[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# Batched training path against the per-sample reference
+# ---------------------------------------------------------------------------
+
+def arity3_spec():
+    # M=3 so one batch mixes object counts 0..3
+    return EncodingSpec(n_pred=4, n_schema=3, max_arity=3, ego_dim=3,
+                        obj_feat_dim=5, out_dim=3)
+
+
+def rand_samples(spec, rng, arities):
+    out = []
+    for n in arities:
+        objs = rng.normal(size=(n, spec.o_dim))
+        if n >= 2 and rng.random() < 0.3:
+            objs[1] = objs[0]  # identical rows: the max ties at every layer
+        out.append(LLSample(GnnInput(rng.normal(size=spec.g_dim),
+                                     rng.normal(size=spec.a_dim), objs),
+                            rng.normal(size=spec.out_dim)))
+    return out
+
+
+def per_sample_mean(params, samples):
+    outs = [backward(params, s.inp, s.target) for s in samples]
+    grads = [sum(o[0][k] for o in outs) / len(outs) for k in range(len(outs[0][0]))]
+    return grads, sum(o[1] for o in outs) / len(outs)
+
+
+def has_zero_tie(params, inp):
+    """Two object rows both zero after a ReLU on some unit, where max ties."""
+    cache = {}
+    forward(params, inp, cache)
+    later = [layer[2] for layer in cache["layers"][1:]] + [cache["objs"]]
+    return any(objs.shape[0] > 1 and np.any(np.sum(objs == 0.0, axis=0) > 1)
+               for objs in later)
+
+
+def test_batch_backward_matches_per_sample_mean():
+    rng = np.random.default_rng(40)
+    spec = arity3_spec()
+    zero_ties = empty = 0
+    for _ in range(250):
+        params = GnnParams(spec, hidden=int(rng.integers(3, 9)),
+                           layers=int(rng.integers(1, 4)), init_rng=rng)
+        if rng.random() < 0.2:
+            params.w_o0[...] = 0.0  # every layer-0 max ties: the first row wins
+        samples = rand_samples(spec, rng, rng.integers(0, 4, size=rng.integers(1, 10)))
+        grads, loss = batch_backward(params, pad_batch(spec, samples))
+        ref_grads, ref_loss = per_sample_mean(params, samples)
+        scale = max(np.max(np.abs(g)) for g in ref_grads)
+        for g, r in zip(grads, ref_grads):
+            assert g.shape == r.shape
+            assert np.max(np.abs(g - r)) <= 1e-12 * scale
+        assert abs(loss - ref_loss) <= 1e-12 * ref_loss
+        zero_ties += any(has_zero_tie(params, s.inp) for s in samples)
+        empty += any(s.inp.h_objects.shape[0] == 0 for s in samples)
+    assert zero_ties > 50 and empty > 50
+
+
+def test_batch_gradcheck_padded_mixed_batch():
+    # criterion 3's step and tolerance, every partial, on one padded batch
+    h_step, tol = 1e-5, 1e-4
+    rng = np.random.default_rng(41)
+    spec = arity3_spec()
+    while True:
+        params = GnnParams(spec, hidden=6, layers=2, init_rng=rng)
+        samples = rand_samples(spec, rng, [0, 1, 2, 3, 2, 1])
+        if min(kink_margin(params, s.inp) for s in samples) >= 1e-3:
+            break  # no sample adjacent to a ReLU/max kink
+    batch = pad_batch(spec, samples)
+    assert batch.mask.sum(axis=0).tolist() == [0, 1, 2, 3, 2, 1]
+    grads, _ = batch_backward(params, batch)
+    worst = 0.0
+    for tens, g in zip(params.tensors(), grads):
+        flat, gf = tens.reshape(-1), g.reshape(-1)
+        for i in range(flat.size):
+            old = flat[i]
+            flat[i] = old + h_step
+            _, lp = batch_backward(params, batch)
+            flat[i] = old - h_step
+            _, lm = batch_backward(params, batch)
+            flat[i] = old
+            fd = (lp - lm) / (2 * h_step)
+            denom = max(abs(fd), abs(gf[i]))
+            if denom > 1e-7:
+                worst = max(worst, abs(fd - gf[i]) / denom)
+    assert worst < tol
+
+
+def test_pad_batch_target_mismatch_errors():
+    spec = arity3_spec()
+    samples = rand_samples(spec, np.random.default_rng(42), [1, 2])
+    samples[1] = LLSample(samples[1].inp, np.zeros(spec.out_dim + 1))
+    with pytest.raises(BisonError):
+        pad_batch(spec, samples)
+
+
+def reference_train(samples, spec, config):
+    """The per-sample training loop: one ``backward`` call per batch sample."""
+    params = init_params(spec, config)
+    rng = np.random.default_rng(config.seed + 1)
+    tensors = params.tensors()
+    m = [np.zeros_like(t) for t in tensors]
+    v = [np.zeros_like(t) for t in tensors]
+    order = rng.permutation(len(samples))
+    cursor = 0
+    losses = []
+    for it in range(config.iterations):
+        batch = []
+        while len(batch) < config.batch_size:
+            if cursor >= len(order):
+                order = rng.permutation(len(samples))
+                cursor = 0
+            batch.append(samples[order[cursor]])
+            cursor += 1
+        acc = [np.zeros_like(t) for t in tensors]
+        total = 0.0
+        for s in batch:
+            g, loss = backward(params, s.inp, s.target)
+            for ai, gi in zip(acc, g):
+                ai += gi
+            total += loss
+        losses.append(total / len(batch))
+        lr = cosine_lr(config.lr, it, config.iterations)
+        for k, (tens, grad) in enumerate(zip(tensors, acc)):
+            grad = grad / len(batch)
+            m[k] = config.beta1 * m[k] + (1 - config.beta1) * grad
+            v[k] = config.beta2 * v[k] + (1 - config.beta2) * grad * grad
+            m_hat = m[k] / (1 - config.beta1 ** (it + 1))
+            v_hat = v[k] / (1 - config.beta2 ** (it + 1))
+            tens -= lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+    return params, losses
+
+
+def test_train_matches_per_sample_reference(blocks_demos):
+    dom = env_domain("blocks")
+    spec = EncodingSpec.for_domain(dom, EGO_DIM, obj_dim("blocks"), ACTION_DIM)
+    # 5 demos hold fewer samples than 20 batches: the reshuffle path runs too
+    samples = build_dataset(blocks_demos[:5], dom, make_labeller("blocks"), spec)
+    assert len(samples) < 20 * 128
+    config = TrainConfig(iterations=20, seed=7)
+    res = train(samples, spec, config)
+    ref_params, ref_losses = reference_train(samples, spec, config)
+    assert np.allclose(res.losses, ref_losses, rtol=1e-9, atol=0.0)
+    for a, b in zip(res.params.tensors(), ref_params.tensors()):
+        assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+
+
+# ---------------------------------------------------------------------------
+# .bsw files: every malformed file is a BisonError
+# ---------------------------------------------------------------------------
+
+def bsw_parts(tmp_path):
+    """The header dict and payload bytes of a small saved parameter file."""
+    params = GnnParams(synth_spec(), hidden=4, layers=1,
+                       init_rng=np.random.default_rng(43))
+    path = tmp_path / "ok.bsw"
+    save_params(params, str(path))
+    blob = path.read_bytes()
+    (hlen,) = struct.unpack("<I", blob[4:8])
+    return json.loads(blob[8:8 + hlen]), blob[8 + hlen:], blob
+
+
+def bsw_bytes(header, payload):
+    text = (header if isinstance(header, bytes)
+            else json.dumps(header).encode("utf-8"))
+    return b"BSW1" + struct.pack("<I", len(text)) + text + payload
+
+
+def _with(header, **changes):
+    out = json.loads(json.dumps(header))
+    for key, value in changes.items():
+        if key.startswith("spec_"):
+            out["spec"][key[5:]] = value
+        else:
+            out[key] = value
+    return out
+
+
+BAD_BSW = {
+    "empty": lambda h, p, blob: b"",
+    "bad magic": lambda h, p, blob: b"BSW2" + blob[4:],
+    "short header length": lambda h, p, blob: blob[:6],
+    "truncated to 300 bytes": lambda h, p, blob: blob[:300],
+    "header past end": lambda h, p, blob: b"BSW1" + struct.pack("<I", 10 ** 6) + b"{}",
+    "header {}": lambda h, p, blob: bsw_bytes({}, p),
+    "header not JSON": lambda h, p, blob: bsw_bytes(b"{spec", p),
+    "header not UTF-8": lambda h, p, blob: bsw_bytes(b"\xff\xfe", p),
+    "header a list": lambda h, p, blob: bsw_bytes([h], p),
+    "deeply nested": lambda h, p, blob: bsw_bytes(b"[" * 100000, p),
+    "extra key": lambda h, p, blob: bsw_bytes(_with(h, extra=1), p),
+    "spec missing field": lambda h, p, blob: bsw_bytes(
+        _with(h, spec={k: v for k, v in h["spec"].items() if k != "out_dim"}), p),
+    "spec field a string": lambda h, p, blob: bsw_bytes(_with(h, spec_n_pred="4"), p),
+    "spec field a bool": lambda h, p, blob: bsw_bytes(_with(h, spec_n_pred=True), p),
+    "spec field negative": lambda h, p, blob: bsw_bytes(_with(h, spec_out_dim=-3), p),
+    "spec field a float": lambda h, p, blob: bsw_bytes(_with(h, spec_ego_dim=3.0), p),
+    "hidden zero": lambda h, p, blob: bsw_bytes(_with(h, hidden=0), p),
+    "huge hidden": lambda h, p, blob: bsw_bytes(_with(h, hidden=10 ** 12), p),
+    "shapes disagree": lambda h, p, blob: bsw_bytes(
+        _with(h, tensors=h["tensors"][::-1]), p),
+    "spec disagrees with payload": lambda h, p, blob: bsw_bytes(
+        _with(h, spec_out_dim=4, tensors=h["tensors"][:-2] + [[4, 4], [4]]), p),
+    "payload short": lambda h, p, blob: blob[:-8],
+    "payload trailing bytes": lambda h, p, blob: blob + b"\0" * 8,
+    "payload odd length": lambda h, p, blob: blob + b"\0",
+    "NaN weight": lambda h, p, blob: blob[:-8] + struct.pack("<d", float("nan")),
+    "infinite weight": lambda h, p, blob: blob[:-8] + struct.pack("<d", float("inf")),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_BSW))
+def test_load_params_rejects_malformed(tmp_path, case):
+    header, payload, blob = bsw_parts(tmp_path)
+    path = tmp_path / "bad.bsw"
+    path.write_bytes(BAD_BSW[case](header, payload, blob))
+    with pytest.raises(BisonError):
+        load_params(str(path))
+
+
+def test_load_params_accepts_rebuilt_file(tmp_path):
+    # the corruption helpers rebuild a loadable file when nothing changes
+    header, payload, blob = bsw_parts(tmp_path)
+    path = tmp_path / "same.bsw"
+    path.write_bytes(bsw_bytes(_with(header), payload))
+    assert load_params(str(path)).count() == len(payload) // 8

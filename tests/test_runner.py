@@ -178,3 +178,14 @@ def test_oracle_records_terminal_zero_action():
     assert res.success
     assert len(record) == res.ll_steps + 1
     assert np.array_equal(record[-1][1], np.zeros(3))
+
+
+def test_pickplace_ndt_move_to_block_is_a_noop():
+    # find_policy can bind move's untyped location to a block; the scripted
+    # skill then idles and the episode fails at the step cap, not with a crash
+    from bison.envs import episode_seed
+    for strat in ("ndt_plan", "ndt_replan"):
+        env = make_env(EnvConfig("pickplace", 1, seed=episode_seed(1, 0)))
+        res = run_episode(env, Executor(strategy=strat), step_cap=64)
+        assert not res.success
+        assert res.failure_kind == "step_cap"
