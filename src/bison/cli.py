@@ -56,9 +56,21 @@ def _read(path):
         return fh.read()
 
 
-def _env_config(args, n=None):
-    return EnvConfig(kind=args.env, n_objects=n if n is not None else args.objects,
-                     seed=args.seed)
+def _read_traces(args):
+    """The --traces demos, every vector's width checked against --env's layout."""
+    demos = parse_traces(_read(args.traces))
+    width = obj_dim(args.env)
+    for k, demo in enumerate(demos):
+        if any(len(s.ego) != EGO_DIM or len(s.action) != ACTION_DIM
+               or any(len(vec) != width for vec in s.objects.values()) for s in demo.steps):
+            raise BisonError("%s: demo %d does not fit --env %s (ego/object/action "
+                             "widths %d/%d/%d)"
+                             % (args.traces, k, args.env, EGO_DIM, width, ACTION_DIM))
+    return demos
+
+
+def _encoding_spec(kind):
+    return EncodingSpec.for_domain(env_domain(kind), EGO_DIM, obj_dim(kind), ACTION_DIM)
 
 
 def _load_policy_arg(arg, kind):
@@ -101,7 +113,7 @@ def _domain_for(args):
 
 def cmd_learn_hl(args):
     domain = _domain_for(args)
-    demos = parse_traces(_read(args.traces))
+    demos = _read_traces(args)
     report = LearnReport()
     policy = learn_hl_policy(demos, domain, make_labeller(args.env),
                              subgoal_cap=args.subgoal_cap, report=report)
@@ -114,8 +126,8 @@ def cmd_learn_hl(args):
 
 def cmd_train_ll(args):
     domain = _domain_for(args)
-    demos = parse_traces(_read(args.traces))
-    spec = EncodingSpec.for_domain(domain, EGO_DIM, obj_dim(args.env), ACTION_DIM)
+    demos = _read_traces(args)
+    spec = _encoding_spec(args.env)
     config = TrainConfig(iterations=args.iterations, seed=args.seed)
     samples = build_dataset(demos, domain, make_labeller(args.env), spec)
     if not samples:
@@ -151,6 +163,9 @@ def cmd_eval(args):
     if args.strategy in ("bison", "pure_nn_stub"):
         policy = _load_policy_arg(args.policy, args.env)
     params = load_params(args.params) if args.params else None
+    if params is not None and params.spec != _encoding_spec(args.env):
+        raise BisonError("%s was trained for another env: its encoding %s does not "
+                         "match --env %s" % (args.params, params.spec, args.env))
     if params is None and (args.strategy == "pure_nn_stub"
                            or args.ll == "gnn" and args.strategy != "oracle"):
         raise BisonError("--strategy %s --ll %s requires --params"
@@ -230,7 +245,7 @@ def cmd_check(args):
             print("policy: rule %d has %d unconstrained variable(s); grounding "
                   "them scans all objects" % (i + 1, len(uv)))
     if args.traces:
-        demos = parse_traces(_read(args.traces))
+        demos = _read_traces(args)
         for k, demo in enumerate(demos):
             try:
                 trace = extract_hl_trace(demo, domain, labeller)

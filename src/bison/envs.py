@@ -6,13 +6,18 @@ lever).  Object feature vectors carry absolute position, position relative to
 the gripper, a held flag and type one-hots, so the labelling functions work
 identically on live states and on recorded demo steps.
 
-Environment kinds: blocks, blocks-noisy, factory, gacha, pickplace.
+The kind table ``KINDS`` maps the five kinds (blocks, blocks-noisy, factory,
+gacha, pickplace) to three families: domain and built-in policy texts,
+labeller, env class and object feature width.  The families share feature
+channels 0-7, so one labelling core labels the gripper, block clear and
+at(block, fixture) and each family's labeller adds only its own facts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from dataclasses import dataclass, replace
+from functools import cached_property
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -29,8 +34,6 @@ GRIP_DWELL = 6         # frames a grasp/release command must persist to act
 EGO_DIM = 3
 ACTION_DIM = 3
 
-ENV_KINDS = ("blocks", "blocks-noisy", "factory", "gacha", "pickplace")
-
 
 @dataclass
 class EnvConfig:
@@ -42,8 +45,7 @@ class EnvConfig:
     start_at_block: Optional[bool] = None  # pickplace: force robot start pad
 
     def __post_init__(self):
-        if self.kind not in ENV_KINDS:
-            raise BisonError("unknown env kind %r" % self.kind)
+        _family(self.kind)  # unknown kinds raise
         if self.n_objects < 1:
             raise BisonError("n_objects must be >= 1")
         if self.teleport_prob is None:
@@ -149,189 +151,154 @@ GACHA_POLICY_TEXT = """
 7: (:vars ?d ?c) (:state (opened ?d) (clear ?d) (gripperFree)) (:goal (achievedGoal ?c)) => (close ?d)
 """
 
-_domain_cache = {}
-
-
-def env_domain(kind: str) -> Domain:
-    key = "blocks" if kind in ("blocks", "blocks-noisy", "factory") else kind
-    if key not in _domain_cache:
-        text = {"blocks": BLOCKS_DOMAIN_TEXT, "pickplace": PICKPLACE_DOMAIN_TEXT,
-                "gacha": GACHA_DOMAIN_TEXT}[key]
-        _domain_cache[key] = parse_domain(text)
-    return _domain_cache[key]
-
-
-def builtin_policy(kind: str) -> HLPolicy:
-    text = {"blocks": BLOCKS_POLICY_TEXT, "blocks-noisy": BLOCKS_POLICY_TEXT,
-            "factory": BLOCKS_POLICY_TEXT, "pickplace": PICKPLACE_POLICY_TEXT,
-            "gacha": GACHA_POLICY_TEXT}[kind]
-    return parse_policy(text, env_domain(kind))
-
-
 # ---------------------------------------------------------------------------
 # Labelling functions (operate on feature vectors; shared by envs and demos)
 # ---------------------------------------------------------------------------
 
-# blocks-family feature layout:
-#   [x, y, relx, rely, gripdist, held, is_block, is_pad]
-# gripdist is the ∞-norm distance to the gripper; the skills' grip ramps are
-# linear in it, which keeps them cloneable within the fixed training budget
-B_X, B_DIST, B_HELD, B_BLOCK, B_PAD = 0, 4, 5, 6, 7
+# Every family's object vector starts with the same eight channels:
+#   [x, y, relx, rely, gripdist, held, is_block, is_fixture]
+# where the fixture is a pad (blocks, pickplace) or a tray (gacha).  gripdist
+# is the ∞-norm distance to the gripper; the skills' grip ramps are linear in
+# it, which keeps them cloneable within the fixed training budget
+B_DIST, B_HELD, B_BLOCK, B_PAD = 4, 5, 6, 7
 BLOCKS_OBJ_DIM = 8
 
-# gacha layout: [x, y, relx, rely, gripdist, held, is_block, is_tray, is_box,
-#                colour_idx+1, box_state]
-# colour_idx is 1-based so abstract colour objects (no type flag, no geometry)
-# are distinguishable from hidden blocks (all-zero vectors); box_state packs
-# lid-open (bit 0) and occupied (bit 1).  Kept compact: the parameter budget
-# is tight at these dims.
-G_BLOCK, G_TRAY, G_BOX, G_CIDX, G_BSTATE = 6, 7, 8, 9, 10
+# gacha appends [is_box, colour_idx+1, box_state].  colour_idx is 1-based so
+# abstract colour objects (no type flag, no geometry) are distinguishable from
+# hidden blocks (all-zero vectors); box_state packs lid-open (bit 0) and
+# occupied (bit 1).  Kept compact: the parameter budget is tight at these dims.
+G_BLOCK, G_TRAY, G_BOX, G_CIDX, G_BSTATE = B_BLOCK, B_PAD, 8, 9, 10
 GACHA_OBJ_DIM = 11
 
 
-def _near(p, q, radius=EPS):
-    return max(abs(p[0] - q[0]), abs(p[1] - q[1])) < radius
+def _near(p, q):
+    return max(abs(p[0] - q[0]), abs(p[1] - q[1])) < EPS
+
+
+def _split(objects: dict, wide: bool):
+    """One pass by type flag: (held, blocks, fixtures, box, colours).  Resting
+    blocks and fixtures are (name, x, y, vec), x and y plain floats for speed;
+    the rest (name, vec) or None, box and colours only in the ``wide`` gacha
+    layout.  All-zero vectors (hidden capsules) land nowhere: no facts."""
+    held = box = None
+    blocks, fixtures, colours = [], [], []
+    for name, vec in objects.items():
+        if vec[B_BLOCK] > 0.5:
+            if vec[B_HELD] > 0.5:
+                held = (name, vec)
+            else:
+                blocks.append((name, float(vec[0]), float(vec[1]), vec))
+        elif vec[B_PAD] > 0.5:
+            fixtures.append((name, float(vec[0]), float(vec[1]), vec))
+        elif wide:
+            if vec[G_BOX] > 0.5:
+                box = (name, vec)
+            elif vec[G_CIDX] > 0.5:
+                colours.append((name, vec))
+    return held, blocks, fixtures, box, colours
+
+
+def _gripper_facts(held, table: ObjectTable, p_free, p_hold, p_clear) -> set:
+    """gripperFree, or holding the held block (clear too, if the domain has it)."""
+    if held is None:
+        return {(p_free,)}
+    hid = table.intern(held[0])
+    return {(p_hold, hid)} if p_clear is None else {(p_hold, hid), (p_clear, hid)}
+
+
+def _block_facts(facts: set, blocks, fixtures, table: ObjectTable, p_clear, p_at,
+                 extra: Callable = None) -> list:
+    """Add clear(block) (unless ``p_clear`` is None) for each resting block with
+    no other within EPS, at(block, fixture) for each fixture within EPS (∞-norm,
+    strict) and a family's ``extra(oid, block)`` facts.  Interning goes block by
+    block: the block if it gets per-block facts, their objects, then at's block
+    and fixture.  Returns the at facts' (block, fixture) pairs."""
+    intern = table.intern
+    pairs = []
+    for block in blocks:
+        name, x, y, _ = block
+        if p_clear is not None:
+            oid = intern(name)
+            if not any(abs(x - b[1]) < EPS and abs(y - b[2]) < EPS
+                       for b in blocks if b is not block):
+                facts.add((p_clear, oid))
+            if extra is not None:
+                extra(oid, block)
+        for fixture in fixtures:
+            if abs(x - fixture[1]) < EPS and abs(y - fixture[2]) < EPS:
+                facts.add((p_at, intern(name), intern(fixture[0])))
+                pairs.append((block, fixture))
+    return pairs
 
 
 def label_blocks(step, table: ObjectTable) -> frozenset:
-    dom = env_domain("blocks")
-    p_clear, p_free, p_hold, p_at = (dom.pred_ids[n] for n in
-                                     ("clear", "gripperFree", "holding", "at"))
-    blocks, pads = [], []
-    held_name = None
-    for name, vec in step.objects.items():
-        if vec[B_BLOCK] > 0.5:
-            if vec[B_HELD] > 0.5:
-                held_name = name
-            else:
-                blocks.append((name, (vec[0], vec[1])))
-        elif vec[B_PAD] > 0.5:
-            pads.append((name, (vec[0], vec[1])))
-    facts = set()
-    if held_name is None:
-        facts.add((p_free,))
-    else:
-        facts.add((p_hold, table.intern(held_name)))
-        facts.add((p_clear, table.intern(held_name)))  # lifted above the plane
-    for name, pos in blocks:
-        oid = table.intern(name)
-        if not any(o != name and _near(pos, q) for o, q in blocks):
-            facts.add((p_clear, oid))
-        for pname, ppos in pads:
-            if _near(pos, ppos):
-                facts.add((p_at, oid, table.intern(pname)))
-    for pname, ppos in pads:
-        if not any(_near(q, ppos) for _, q in blocks):
-            facts.add((p_clear, table.intern(pname)))
+    """The core's facts plus clear for every empty pad."""
+    p_free, p_hold, p_clear, p_at = _BLOCKS.label_ids
+    held, blocks, pads, _, _ = _split(step.objects, False)
+    facts = _gripper_facts(held, table, p_free, p_hold, p_clear)
+    covered = {pad[0] for _, pad in _block_facts(facts, blocks, pads, table,
+                                                  p_clear, p_at)}
+    facts.update((p_clear, table.intern(pad[0])) for pad in pads if pad[0] not in covered)
     return frozenset(facts)
 
 
 def label_pickplace(step, table: ObjectTable) -> frozenset:
-    dom = env_domain("pickplace")
-    p_rat, p_at, p_free, p_hold = (dom.pred_ids[n] for n in
-                                   ("rAt", "at", "free", "hold"))
-    blocks, pads = [], []
-    held_name = None
-    for name, vec in step.objects.items():
-        if vec[B_BLOCK] > 0.5:
-            if vec[B_HELD] > 0.5:
-                held_name = name
-            else:
-                blocks.append((name, (vec[0], vec[1])))
-        elif vec[B_PAD] > 0.5:
-            pads.append((name, (vec[0], vec[1])))
-    facts = set()
-    if held_name is None:
-        facts.add((p_free,))
-    else:
-        facts.add((p_hold, table.intern(held_name)))
-    ego = step.ego
-    nearest = min(pads, key=lambda it: (max(abs(it[1][0] - ego[0]),
-                                            abs(it[1][1] - ego[1])), it[0]))
+    """The core's facts plus rAt of the pad nearest the robot (ties: by name)."""
+    p_free, p_hold, p_rat, p_at = _PICKPLACE.label_ids
+    held, blocks, pads, _, _ = _split(step.objects, False)
+    if not pads:
+        raise BisonError("pickplace step has no location for the robot to be at")
+    facts = _gripper_facts(held, table, p_free, p_hold, None)
+    ex, ey = step.ego[0], step.ego[1]
+    nearest = min(pads, key=lambda pad: (max(abs(pad[1] - ex), abs(pad[2] - ey)),
+                                         pad[0]))
     facts.add((p_rat, table.intern(nearest[0])))
-    for name, pos in blocks:
-        for pname, ppos in pads:
-            if _near(pos, ppos):
-                facts.add((p_at, table.intern(name), table.intern(pname)))
+    _block_facts(facts, blocks, pads, table, None, p_at)
     return frozenset(facts)
 
 
 def label_gacha(step, table: ObjectTable) -> frozenset:
-    dom = env_domain("gacha")
-    pid = dom.pred_ids
-    blocks, trays, colours = [], [], []
-    box = None
-    held = None
-    for name, vec in step.objects.items():
-        if vec[G_BLOCK] > 0.5:
-            if vec[B_HELD] > 0.5:
-                held = (name, vec)
-            else:
-                blocks.append((name, vec))
-        elif vec[G_TRAY] > 0.5:
-            trays.append((name, vec))
-        elif vec[G_BOX] > 0.5:
-            box = (name, vec)
-        elif vec[G_CIDX] > 0.5:
-            colours.append((name, vec))
-        # all-zero vectors are hidden objects: no facts
-    colour_name = {int(round(v[G_CIDX])): n for n, v in colours}
-    lid_open = box is not None and int(round(box[1][G_BSTATE])) & 1
-    occupied = box is not None and int(round(box[1][G_BSTATE])) & 2
-    facts = set()
-    if held is None:
-        facts.add((pid["gripperFree"],))
-    else:
-        hid = table.intern(held[0])
-        facts.add((pid["holding"], hid))
-        facts.add((pid["clear"], hid))
-        ci = int(round(held[1][G_CIDX]))
-        if ci in colour_name:
-            facts.add((pid["colourOf"], hid, table.intern(colour_name[ci])))
-    if box is not None:
-        bid = table.intern(box[0])
-        facts.add((pid["opened" if lid_open else "closed"], bid))
-        if not occupied:
-            facts.add((pid["clear"], bid))
-    for tname, tvec in trays:
-        ci = int(round(tvec[G_CIDX]))
-        if ci in colour_name:
-            facts.add((pid["trayColour"], table.intern(tname),
-                       table.intern(colour_name[ci])))
-    achieved = set()
-    for name, vec in blocks:
-        oid = table.intern(name)
-        pos = (vec[0], vec[1])
-        ci = int(round(vec[G_CIDX]))
-        cname = colour_name.get(ci)
+    """The core's facts plus colours, the box's lid and occupancy, capsules in
+    the open box and achievedGoal of each colour resting on its own tray."""
+    (p_free, p_hold, p_clear, p_at, p_colour, p_tray, p_in, p_opened, p_closed,
+     p_goal) = _GACHA.label_ids
+    held, blocks, trays, box, colours = _split(step.objects, True)
+    colour_name = {int(round(vec[G_CIDX])): name for name, vec in colours}
+    intern = table.intern
+
+    def colour(vec):
+        return colour_name.get(int(round(vec[G_CIDX])))
+
+    facts = _gripper_facts(held, table, p_free, p_hold, p_clear)
+    if held is not None:
+        cname = colour(held[1])
         if cname is not None:
-            facts.add((pid["colourOf"], oid, table.intern(cname)))
-        if not any(o != name and _near(pos, (v[0], v[1])) for o, v in blocks):
-            facts.add((pid["clear"], oid))
-        if box is not None and _near(pos, (box[1][0], box[1][1])) and lid_open:
-            facts.add((pid["in"], oid, table.intern(box[0])))
-        for tname, tvec in trays:
-            if _near(pos, (tvec[0], tvec[1])):
-                facts.add((pid["at"], oid, table.intern(tname)))
-                if cname is not None and int(round(tvec[G_CIDX])) == ci:
-                    achieved.add(cname)
-    for cname in achieved:
-        facts.add((pid["achievedGoal"], table.intern(cname)))
+            facts.add((p_colour, intern(held[0]), intern(cname)))
+    bstate = int(round(box[1][G_BSTATE])) if box is not None else 0
+    lid_open = bool(bstate & 1)
+    if box is not None:
+        bid = intern(box[0])
+        facts.add((p_opened if lid_open else p_closed, bid))
+        if not bstate & 2:
+            facts.add((p_clear, bid))
+    for tname, _, _, tvec in trays:
+        cname = colour(tvec)
+        if cname is not None:
+            facts.add((p_tray, intern(tname), intern(cname)))
+
+    def capsule_facts(oid, block):
+        cname = colour(block[3])
+        if cname is not None:
+            facts.add((p_colour, oid, intern(cname)))
+        if lid_open and _near(block[1:3], box[1]):
+            facts.add((p_in, oid, intern(box[0])))
+
+    for block, tray in _block_facts(facts, blocks, trays, table, p_clear, p_at,
+                                    capsule_facts):
+        cname = colour(block[3])
+        if cname is not None and colour(tray[3]) == cname:
+            facts.add((p_goal, intern(cname)))
     return frozenset(facts)
-
-
-def make_labeller(kind: str) -> Callable:
-    if kind in ("blocks", "blocks-noisy", "factory"):
-        return label_blocks
-    if kind == "pickplace":
-        return label_pickplace
-    if kind == "gacha":
-        return label_gacha
-    raise BisonError("unknown env kind %r" % kind)
-
-
-def obj_dim(kind: str) -> int:
-    return GACHA_OBJ_DIM if kind == "gacha" else BLOCKS_OBJ_DIM
 
 
 # ---------------------------------------------------------------------------
@@ -339,14 +306,16 @@ def obj_dim(kind: str) -> int:
 # ---------------------------------------------------------------------------
 
 class SimEnv:
-    """Shared gripper kinematics; subclasses add layout, dynamics and skills."""
-
-    kind = "base"
+    """Shared kinematics, render, labelling and pick and carry-to-fixture skills;
+    subclasses add layout, dynamics, object features and other skills."""
 
     def __init__(self, config: EnvConfig):
+        family = _family(config.kind)
         self.config = config
         self.rng = np.random.default_rng(config.seed)
-        self.domain = env_domain(config.kind)
+        self.domain = family.domain
+        self.obj_dim = family.obj_dim
+        self._labeller = make_labeller(config.kind)
         self.table = ObjectTable()
         self.grip = np.array([0.5, 0.5])
         self.held: Optional[str] = None
@@ -358,13 +327,11 @@ class SimEnv:
         self.prev_grip_cmd = 0.0
 
     # -- helpers ----------------------------------------------------------
-    def _sample_free(self, min_sep: float = MIN_SEP, lo: float = 0.1, hi: float = 0.9,
-                     avoid: Iterable = ()):
-        points = list(self.block_pos.values()) + list(self.fixture_pos.values()) \
-            + list(avoid)
-        sep = min_sep
+    def _sample_free(self):
+        points = list(self.block_pos.values()) + list(self.fixture_pos.values())
+        sep = MIN_SEP
         for attempt in range(1200):
-            p = self.rng.uniform(lo, hi, 2)
+            p = self.rng.uniform(0.1, 0.9, 2)
             if all(np.max(np.abs(p - np.asarray(q))) >= sep for q in points):
                 return p
             if attempt % 400 == 399:  # dense layouts: relax rather than fail
@@ -383,9 +350,6 @@ class SimEnv:
 
     def _dist(self, target) -> float:
         return float(np.max(np.abs(np.asarray(target) - self.grip)))
-
-    def _arrived(self, target, tol: float = EPS * 0.5) -> bool:
-        return self._dist(target) <= tol
 
     def _approach_grasp(self, target) -> np.ndarray:
         """Approach with the grip command ramping up over the grasp shell.
@@ -430,21 +394,70 @@ class SimEnv:
         a[2] = float(np.clip((1.2 * EPS - self._dist(target)) / (0.6 * EPS), 0.0, 1.0))
         return a
 
+    def _carry(self, name: str, target) -> np.ndarray:
+        """Carry the held block name to target (idle if not held or no target)."""
+        if target is None or self.held != name:
+            return np.zeros(ACTION_DIM)
+        return self._carry_release(target)
+
     # -- interface ----------------------------------------------------------
     def reset(self):
         raise NotImplementedError
 
     def step(self, action) -> LLState:
-        raise NotImplementedError
+        a = self._move_gripper(action)
+        self._grasp_nearest(a)
+        self._maybe_release(a)
+        self._dynamics()
+        return self.render()
+
+    def _dynamics(self):
+        """Changes the world makes after the gripper acted (none here)."""
 
     def label(self, lls: LLState) -> frozenset:
-        return make_labeller(self.config.kind)(lls, self.table)
+        return self._labeller(lls, self.table)
 
     def render(self) -> LLState:
-        raise NotImplementedError
+        ego = np.array([self.grip[0], self.grip[1],
+                        0.0 if self.held is not None else 1.0])
+        objs = {}
+        for name in self.table.names:
+            vec = np.zeros(self.obj_dim)
+            pos = self._features(name, vec)
+            if pos is not None:
+                rel = pos - self.grip
+                vec[:2] = pos
+                vec[2:4] = rel
+                vec[B_DIST] = max(abs(rel[0]), abs(rel[1]))
+            objs[name] = vec
+        return LLState(ego, objs)
+
+    def _features(self, name: str, vec: np.ndarray):
+        """Set name's flag channels in vec; return its position, or None when
+        it has no geometry.  Blocks and pads here."""
+        pos = self.block_pos.get(name)
+        if pos is None:
+            vec[B_PAD] = 1.0
+            return self.fixture_pos[name]
+        vec[B_HELD] = 1.0 if self.held == name else 0.0
+        vec[B_BLOCK] = 1.0
+        return pos
 
     def oracle_skill(self, lls: LLState, hla: GroundAction) -> np.ndarray:
-        raise NotImplementedError
+        sch = self.domain.schemata[hla.schema_id].name
+        names = [self.table.names[o] for o in hla.args]
+        if sch == "pick":
+            target = self.block_pos.get(names[0])
+            if target is None or self.held == names[0]:
+                return np.zeros(ACTION_DIM)
+            return self._approach_grasp(target)
+        if sch in ("place", "placeGoal"):  # (?x ?fixture ...)
+            return self._carry(names[0], self.fixture_pos.get(names[1]))
+        return self._skill(sch, names)
+
+    def _skill(self, sch: str, names: list) -> np.ndarray:
+        """The family's other skills; the zero action when it has none."""
+        return np.zeros(ACTION_DIM)
 
     def _move_gripper(self, action):
         a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
@@ -524,34 +537,17 @@ class BlocksEnv(SimEnv):
         self.grip = self.rng.uniform(0.2, 0.8, 2)
         return self.render(), self.goal
 
-    def render(self) -> LLState:
-        ego = np.array([self.grip[0], self.grip[1],
-                        0.0 if self.held is not None else 1.0])
-        objs = {}
-        for name in self.table.names:
-            vec = np.zeros(BLOCKS_OBJ_DIM)
-            if name in self.block_pos:
-                pos = self.block_pos[name]
-                vec[B_HELD] = 1.0 if self.held == name else 0.0
-                vec[B_BLOCK] = 1.0
-            else:
-                pos = self.fixture_pos[name]
-                vec[B_PAD] = 1.0
-            vec[:2] = pos
-            vec[2:4] = pos - self.grip
-            vec[B_DIST] = np.max(np.abs(pos - self.grip))
-            objs[name] = vec
-        return LLState(ego, objs)
+    # own attributes: perfbench/tracing.py wraps them for this class alone
+    render = SimEnv.render
+    step = SimEnv.step
+    oracle_skill = SimEnv.oracle_skill
 
     def _resting_at_goal(self, name) -> bool:
         pad = self.goal_pad.get(name)
         return (pad is not None and self.held != name
                 and _near(self.block_pos[name], self.fixture_pos[pad]))
 
-    def step(self, action) -> LLState:
-        a = self._move_gripper(action)
-        self._grasp_nearest(a)
-        self._maybe_release(a)
+    def _dynamics(self):
         # factory spawning: once per original block, at first placement
         for name in list(self.spawn_pending):
             if self._resting_at_goal(name):
@@ -571,21 +567,6 @@ class BlocksEnv(SimEnv):
             for name in list(self.block_pos):
                 if self._resting_at_goal(name) and self.rng.random() < p:
                     self.block_pos[name] = self._sample_free()
-        return self.render()
-
-    def oracle_skill(self, lls: LLState, hla: GroundAction) -> np.ndarray:
-        sch = self.domain.schemata[hla.schema_id].name
-        names = [self.table.names[o] for o in hla.args]
-        if sch == "pick":
-            target = self.block_pos.get(names[0])
-            if target is None or self.held == names[0]:
-                return np.zeros(ACTION_DIM)
-            return self._approach_grasp(target)
-        if sch == "place":
-            if self.held != names[0]:
-                return np.zeros(ACTION_DIM)
-            return self._carry_release(self.fixture_pos[names[1]])
-        return np.zeros(ACTION_DIM)
 
 
 class PickPlaceEnv(SimEnv):
@@ -630,32 +611,10 @@ class PickPlaceEnv(SimEnv):
         self.grip = self.fixture_pos[start_pad].copy()
         return self.render(), self.goal
 
-    render = BlocksEnv.render  # same feature layout
-
-    def step(self, action) -> LLState:
-        a = self._move_gripper(action)
-        self._grasp_nearest(a)
-        self._maybe_release(a)
-        return self.render()
-
-    def oracle_skill(self, lls: LLState, hla: GroundAction) -> np.ndarray:
-        sch = self.domain.schemata[hla.schema_id].name
-        names = [self.table.names[o] for o in hla.args]
-        if sch == "pick":
-            target = self.block_pos.get(names[0])
-            if target is None or self.held == names[0]:
-                return np.zeros(ACTION_DIM)
-            return self._approach_grasp(target)
-        if sch in ("move", "place"):
-            # the domain is untyped: a planner may bind the location to a block
-            target = self.fixture_pos.get(names[1])
-            if target is None:
-                return np.zeros(ACTION_DIM)
-            if sch == "move":
-                return self._goto(target)
-            if self.held == names[0]:
-                return self._carry_release(target)
-        return np.zeros(ACTION_DIM)
+    def _skill(self, sch: str, names: list) -> np.ndarray:
+        # the domain is untyped: a planner may bind move's location to a block
+        target = self.fixture_pos.get(names[1]) if sch == "move" else None
+        return np.zeros(ACTION_DIM) if target is None else self._goto(target)
 
 
 class GachaEnv(SimEnv):
@@ -689,47 +648,29 @@ class GachaEnv(SimEnv):
         for i in range(k):
             self.table.intern("c%d" % i)
         for i in range(k):
-            name = "t%d" % i
-            self.table.intern(name)
-            self.fixture_pos[name] = np.array([0.85, 0.2 + 0.15 * i])
+            self.table.intern("t%d" % i)
+            self.fixture_pos["t%d" % i] = np.array([0.85, 0.2 + 0.15 * i])
         self.goal = frozenset(self.fact("achievedGoal", "c%d" % i) for i in range(n))
         self.grip = np.array([0.5, 0.5])
         return self.render(), self.goal
 
-    def render(self) -> LLState:
-        ego = np.array([self.grip[0], self.grip[1],
-                        0.0 if self.held is not None else 1.0])
-        objs = {}
-        for name in self.table.names:
-            vec = np.zeros(GACHA_OBJ_DIM)
-            if name in self.block_pos:
-                hidden = (name == self.capsule and not self.lid_open)
-                if not hidden:
-                    pos = self.block_pos[name]
-                    vec[:2] = pos
-                    vec[2:4] = pos - self.grip
-                    vec[B_DIST] = np.max(np.abs(pos - self.grip))
-                    vec[B_HELD] = 1.0 if self.held == name else 0.0
-                    vec[G_BLOCK] = 1.0
-                    vec[G_CIDX] = self.block_colour[name] + 1.0
-            elif name == "box0":
-                vec[:2] = self.BOX
-                vec[2:4] = self.BOX - self.grip
-                vec[B_DIST] = np.max(np.abs(self.BOX - self.grip))
-                vec[G_BOX] = 1.0
-                vec[G_BSTATE] = (1.0 if self.lid_open else 0.0) \
-                    + (2.0 if self.capsule is not None else 0.0)
-            elif name.startswith("t"):
-                pos = self.fixture_pos[name]
-                vec[:2] = pos
-                vec[2:4] = pos - self.grip
-                vec[B_DIST] = np.max(np.abs(pos - self.grip))
-                vec[G_TRAY] = 1.0
-                vec[G_CIDX] = float(int(name[1:])) + 1.0
-            else:  # colour objects are abstract: colour index only
-                vec[G_CIDX] = float(int(name[1:])) + 1.0
-            objs[name] = vec
-        return LLState(ego, objs)
+    def _features(self, name: str, vec: np.ndarray):
+        if name in self.block_pos:
+            if name == self.capsule and not self.lid_open:
+                return None  # hidden in the closed box: an all-zero vector
+            vec[B_HELD] = 1.0 if self.held == name else 0.0
+            vec[G_BLOCK] = 1.0
+            vec[G_CIDX] = self.block_colour[name] + 1.0
+            return self.block_pos[name]
+        if name == "box0":
+            vec[G_BOX] = 1.0
+            vec[G_BSTATE] = float(self.lid_open) + 2.0 * (self.capsule is not None)
+            return self.BOX
+        vec[G_CIDX] = float(int(name[1:])) + 1.0
+        if name.startswith("t"):
+            vec[G_TRAY] = 1.0
+            return self.fixture_pos[name]
+        return None  # colour objects are abstract: colour index only
 
     def step(self, action) -> LLState:
         a = self._move_gripper(action)
@@ -753,39 +694,82 @@ class GachaEnv(SimEnv):
         self.prev_grip_cmd = float(a[2])
         return self.render()
 
-    def oracle_skill(self, lls: LLState, hla: GroundAction) -> np.ndarray:
-        sch = self.domain.schemata[hla.schema_id].name
-        names = [self.table.names[o] for o in hla.args]
+    def _skill(self, sch: str, names: list) -> np.ndarray:
         if sch in ("open", "close"):
             return self._approach_actuate(self.LID)
         if sch == "roll":
             return self._approach_actuate(self.LEVER)
-        if sch == "pick":
-            target = self.block_pos.get(names[0])
-            if target is None or self.held == names[0]:
-                return np.zeros(ACTION_DIM)
-            return self._approach_grasp(target)
-        if sch == "placeGoal":
-            if self.held != names[0]:
-                return np.zeros(ACTION_DIM)
-            return self._carry_release(self.fixture_pos[names[1]])
         if sch == "discard":
-            if self.held != names[0]:
-                return np.zeros(ACTION_DIM)
             slot = int(names[0][1:]) if names[0][1:].isdigit() else 0
-            target = np.asarray(self.DISCARD[slot % len(self.DISCARD)])
-            return self._carry_release(target)
+            return self._carry(names[0], np.asarray(self.DISCARD[slot % len(self.DISCARD)]))
         return np.zeros(ACTION_DIM)
 
 
+# ---------------------------------------------------------------------------
+# The kind table
+# ---------------------------------------------------------------------------
+
+@dataclass
+class _Family:
+    """What one env family's kinds share.  ``labeller`` is the name of a
+    module-level labelling function, looked up each time a labeller is made so
+    that it can be rebound; ``label_preds`` are the predicates it reads, in its
+    unpacking order."""
+
+    domain_text: str
+    policy_text: str
+    labeller: str
+    label_preds: tuple
+    env_class: type
+    obj_dim: int         # object feature width
+
+    @cached_property
+    def domain(self) -> Domain:
+        return parse_domain(self.domain_text)
+
+    @cached_property
+    def label_ids(self) -> tuple:
+        return tuple(self.domain.pred_ids[name] for name in self.label_preds)
+
+
+_BLOCKS = _Family(BLOCKS_DOMAIN_TEXT, BLOCKS_POLICY_TEXT, "label_blocks",
+                  ("gripperFree", "holding", "clear", "at"), BlocksEnv, BLOCKS_OBJ_DIM)
+_PICKPLACE = _Family(PICKPLACE_DOMAIN_TEXT, PICKPLACE_POLICY_TEXT, "label_pickplace",
+                     ("free", "hold", "rAt", "at"), PickPlaceEnv, BLOCKS_OBJ_DIM)
+_GACHA = _Family(GACHA_DOMAIN_TEXT, GACHA_POLICY_TEXT, "label_gacha",
+                 ("gripperFree", "holding", "clear", "at", "colourOf", "trayColour",
+                  "in", "opened", "closed", "achievedGoal"), GachaEnv, GACHA_OBJ_DIM)
+
+KINDS = {"blocks": _BLOCKS, "blocks-noisy": _BLOCKS, "factory": _BLOCKS,
+         "gacha": _GACHA, "pickplace": _PICKPLACE}
+ENV_KINDS = tuple(KINDS)
+
+
+def _family(kind: str) -> _Family:
+    if kind not in KINDS:
+        raise BisonError("unknown env kind %r" % kind)
+    return KINDS[kind]
+
+
+def env_domain(kind: str) -> Domain:
+    return _family(kind).domain
+
+
+def builtin_policy(kind: str) -> HLPolicy:
+    family = _family(kind)
+    return parse_policy(family.policy_text, family.domain)
+
+
+def make_labeller(kind: str) -> Callable:
+    return globals()[_family(kind).labeller]
+
+
+def obj_dim(kind: str) -> int:
+    return _family(kind).obj_dim
+
+
 def make_env(config: EnvConfig) -> SimEnv:
-    if config.kind in ("blocks", "blocks-noisy", "factory"):
-        return BlocksEnv(config)
-    if config.kind == "pickplace":
-        return PickPlaceEnv(config)
-    if config.kind == "gacha":
-        return GachaEnv(config)
-    raise BisonError("unknown env kind %r" % config.kind)
+    return _family(config.kind).env_class(config)
 
 
 def episode_seed(base_seed: int, episode: int) -> int:
@@ -799,7 +783,6 @@ def generate_demos(config: EnvConfig, count: int, max_attempts: int = None):
     alternates the robot's start (at the block's pad / away from it) so both
     demo shapes appear.
     """
-    from dataclasses import replace
     from .runner import Executor, run_episode
 
     demos = []

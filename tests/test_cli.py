@@ -218,3 +218,43 @@ def test_eval_truncated_params_is_data_error(tmp_path):
                  "--seeds", "1", "--out", "-"])
     assert r.returncode == 2, r.stderr
     assert "bad parameter file" in r.stderr
+
+
+@pytest.mark.parametrize("env", ["gacha", "pickplace"])
+def test_eval_params_of_another_env_is_data_error(tmp_path, env):
+    from bison.envs import ACTION_DIM, EGO_DIM, env_domain, obj_dim
+    from bison.gnn import EncodingSpec, TrainConfig, init_params, save_params
+    spec = EncodingSpec.for_domain(env_domain("blocks"), EGO_DIM, obj_dim("blocks"),
+                                   ACTION_DIM)
+    path = tmp_path / "blocks.bsw"
+    save_params(init_params(spec, TrainConfig()), str(path))
+    r = run_cli(["eval", "--env", env, "--strategy", "bison", "--ll", "gnn",
+                 "--params", str(path), "--objects", "1", "--episodes", "1",
+                 "--seeds", "1", "--out", "-"])
+    assert r.returncode == 2, r.stderr
+    assert "trained for another env" in r.stderr
+    assert r.stdout == ""
+
+
+TRACES = {
+    "narrow": ('{"goal":["(at b0 p0)"],"steps":[{"ego":[0.5,0.5,1],"objects":'
+               '{"b0":[0.2,0.2,1],"p0":[0.7,0.7,1]},"action":[0,0,0]}]}\n'),
+    "no-pad": ('{"goal":["(hold obj0)"],"steps":[{"ego":[0.5,0.5,1],"objects":'
+               '{"obj0":[0.2,0.2,-0.3,-0.3,0.3,0,1,0]},"action":[0,0,0]}]}\n'),
+}
+
+
+@pytest.mark.parametrize("command,env,trace", [
+    ("learn-hl", "blocks", "narrow"), ("train-ll", "blocks", "narrow"),
+    ("check", "blocks", "narrow"), ("learn-hl", "gacha", "narrow"),
+    ("learn-hl", "pickplace", "no-pad"),
+])
+def test_traces_that_do_not_fit_the_env_are_data_errors(tmp_path, command, env, trace):
+    path = tmp_path / "t.bst"
+    path.write_text(TRACES[trace])
+    args = [command, "--env", env, "--traces", str(path)]
+    if command != "check":
+        args += ["--out", str(tmp_path / "out")]
+    r = run_cli(args)
+    assert r.returncode == 2, r.stderr
+    assert "internal error" not in r.stderr

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from bison.core import BisonError
+from bison import envs
+from bison.core import BisonError, ObjectTable
 from bison.envs import (EPS, EnvConfig, GachaEnv, LLState, env_domain,
                         episode_seed, generate_demos, make_env, make_labeller)
 from bison.runner import Executor, run_episode
@@ -137,7 +138,7 @@ def test_labelling_constant_during_free_transit():
 
 
 def test_labelling_conforms_to_domain():
-    for kind in ("blocks", "factory", "gacha", "pickplace"):
+    for kind in ("blocks", "blocks-noisy", "factory", "gacha", "pickplace"):
         env = make_env(EnvConfig(kind, 2, seed=2))
         lls, _ = env.reset()
         rng = np.random.default_rng(3)
@@ -148,6 +149,103 @@ def test_labelling_conforms_to_domain():
                 pred = dom.predicates[fact[0]]
                 assert len(fact) - 1 == pred.arity
                 assert all(0 <= o < len(env.table) for o in fact[1:])
+
+
+def _label_scene(kind, ego, objects):
+    """Label a hand-built step on a fresh table: (fact strings, interning order)."""
+    table = ObjectTable()
+    facts = make_labeller(kind)(LLState(np.array(ego), objects), table)
+    return sorted(env_domain(kind).fact_str(f, table) for f in facts), table.names
+
+
+def _obj(x, y, held=0.0, block=0.0, fixture=0.0, width=8):
+    vec = [0.0] * width
+    vec[0], vec[1], vec[5], vec[6], vec[7] = x, y, held, block, fixture
+    return vec
+
+
+def test_labels_blocks_scene():
+    assert 0.0 + EPS - 0.0 == EPS  # p0 and b1 below are exactly EPS apart
+    strs, order = _label_scene("blocks", [0.5, 0.5, 0.0], {
+        "b0": _obj(0.5, 0.5, held=1, block=1),
+        "b1": _obj(EPS, 0.5, block=1),         # EPS from p0: strict <, so no at
+        "b2": _obj(0.8, 0.8, block=1),         # on p1
+        "b3": _obj(0.3, 0.2, block=1),         # b3, b4 within EPS: neither clear
+        "b4": _obj(0.32, 0.2, block=1),
+        "p0": _obj(0.0, 0.5, fixture=1),
+        "p1": _obj(0.8, 0.8, fixture=1),
+    })
+    assert strs == sorted(["(holding b0)", "(clear b0)", "(clear b1)", "(clear b2)",
+                           "(at b2 p1)", "(clear p0)"])
+    assert order == ["b0", "b1", "b2", "p1", "b3", "b4", "p0"]
+
+
+def test_labels_pickplace_scene():
+    strs, order = _label_scene("pickplace", [0.5, 0.5, 0.0], {
+        "obj0": _obj(0.25, 0.5, block=1),
+        "obj1": _obj(0.5, 0.5, held=1, block=1),
+        "loc1": _obj(0.25, 0.5, fixture=1),    # as near the robot as loc0:
+        "loc0": _obj(0.75, 0.5, fixture=1),    # the smaller name wins
+    })
+    assert strs == ["(at obj0 loc1)", "(hold obj1)", "(rAt loc0)"]
+    assert order == ["obj1", "loc0", "obj0", "loc1"]
+    with pytest.raises(BisonError):
+        _label_scene("pickplace", [0.5, 0.5, 1.0], {"obj0": _obj(0.2, 0.2, block=1)})
+
+
+@pytest.mark.parametrize("box_state", [0, 1, 2, 3])
+def test_labels_gacha_scene(box_state):
+    def obj(x, y, cidx, held=0.0, block=0.0, tray=0.0, box=0.0):
+        vec = _obj(x, y, held, block, tray, width=11)
+        vec[8], vec[9], vec[10] = box, cidx, box_state if box else 0.0
+        return vec
+    strs, order = _label_scene("gacha", [0.5, 0.5, 0.0], {
+        "box0": obj(0.15, 0.5, 0, box=1),
+        "c0": obj(0.0, 0.0, 1), "c1": obj(0.0, 0.0, 2),
+        "t0": obj(0.85, 0.2, 1, tray=1), "t1": obj(0.85, 0.35, 2, tray=1),
+        "g0": [0.0] * 11,                              # hidden: no facts
+        "g1": obj(0.5, 0.5, 2, held=1, block=1),       # held, colour c1
+        "g2": obj(0.85, 0.2, 1, block=1),              # colour c0 on tray t0
+        "g3": obj(0.15, 0.5, 2, block=1),              # in the box if it is open
+        "g4": obj(0.85, 0.35, 1, block=1),             # colour c0 on tray t1
+    })
+    expected = ["(holding g1)", "(clear g1)", "(colourOf g1 c1)",
+                "(trayColour t0 c0)", "(trayColour t1 c1)",
+                "(colourOf g2 c0)", "(clear g2)", "(at g2 t0)", "(achievedGoal c0)",
+                "(colourOf g3 c1)", "(clear g3)",
+                "(colourOf g4 c0)", "(clear g4)", "(at g4 t1)"]
+    expected.append("(opened box0)" if box_state & 1 else "(closed box0)")
+    if box_state & 1:
+        expected.append("(in g3 box0)")
+    if not box_state & 2:
+        expected.append("(clear box0)")
+    assert strs == sorted(expected)
+    assert "g0" not in order
+    assert order == ["g1", "c1", "box0", "t0", "c0", "t1", "g2", "g3", "g4"]
+
+
+def test_labeller_bound_once_per_env(monkeypatch):
+    calls, labels = [], []
+    make = envs.make_labeller
+    label = envs.label_blocks
+
+    def counted_make(kind):
+        calls.append(kind)
+        return make(kind)
+
+    def counted_label(step, table):
+        labels.append(step)
+        return label(step, table)
+
+    monkeypatch.setattr(envs, "make_labeller", counted_make)
+    monkeypatch.setattr(envs, "label_blocks", counted_label)  # looked up per env
+    env = make_env(EnvConfig("blocks", 2, seed=1))
+    lls, _ = env.reset()
+    for _ in range(20):
+        env.label(lls)
+        lls = env.step(np.array([0.3, -0.2, 0.0]))
+    assert calls == ["blocks"]
+    assert len(labels) == 20
 
 
 def test_oracle_demo_abstraction_blocks_n1():
