@@ -100,6 +100,21 @@ class ObjectTable:
         return name in self.ids
 
 
+def check_atoms(symbols: Sequence, atoms: Iterable, n_vars: int, owner: str):
+    """Each lifted atom ``(id, *var indices)`` names one of ``symbols``
+    (predicates, or schemata for a rule head) by its id, with that symbol's
+    arity, over variable indices below ``n_vars``."""
+    for atom in atoms:
+        sid = atom[0]
+        if not (0 <= sid < len(symbols)):
+            raise StructuralError("%s uses undeclared id %d" % (owner, sid))
+        if len(atom) - 1 != symbols[sid].arity:
+            raise StructuralError("%s: arity mismatch for %s" % (owner, symbols[sid].name))
+        for v in atom[1:]:
+            if not (0 <= v < n_vars):
+                raise StructuralError("%s: variable out of range" % owner)
+
+
 class Domain:
     """A set of predicates and action schemata with interned symbol ids."""
 
@@ -125,17 +140,8 @@ class Domain:
     def _check_schema(self, a: ActionSchema):
         if not a.outcomes:
             raise StructuralError("schema %r has no outcomes" % a.name)
-        nv = len(a.var_names)
-        for atom in itertools.chain(a.pre, *[add | dele for add, dele in a.outcomes]):
-            pid = atom[0]
-            if not (0 <= pid < len(self.predicates)):
-                raise StructuralError("schema %r uses undeclared predicate id %d" % (a.name, pid))
-            if len(atom) - 1 != self.predicates[pid].arity:
-                raise StructuralError("schema %r: arity mismatch for %s"
-                                      % (a.name, self.predicates[pid].name))
-            for v in atom[1:]:
-                if not (0 <= v < nv):
-                    raise StructuralError("schema %r: variable out of range" % a.name)
+        atoms = itertools.chain(a.pre, *[add | dele for add, dele in a.outcomes])
+        check_atoms(self.predicates, atoms, a.arity, "schema %r" % a.name)
         for add, dele in a.outcomes:
             if add & dele:
                 raise StructuralError("schema %r has an outcome with add ∩ del ≠ ∅" % a.name)

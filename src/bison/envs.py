@@ -31,6 +31,7 @@ EPS = 0.05             # ∞-norm radius for at/grasp/zone tests
 MIN_SEP = 0.125        # minimum separation when sampling layouts
 GRIP_ON = 0.25         # actuation deadband: |grip| <= GRIP_ON holds state
 GRIP_DWELL = 6         # frames a grasp/release command must persist to act
+JAM_PROB = 0.1         # probability that a gacha roll fails
 EGO_DIM = 3
 ACTION_DIM = 3
 
@@ -41,7 +42,6 @@ class EnvConfig:
     n_objects: int = 3
     seed: int = 0
     teleport_prob: Optional[float] = None  # per goal-satisfying block per step
-    jam_prob: float = 0.1                  # gacha roll failure probability
     start_at_block: Optional[bool] = None  # pickplace: force robot start pad
 
     def __post_init__(self):
@@ -679,7 +679,7 @@ class GachaEnv(SimEnv):
             self.lid_open = not self.lid_open
         elif rising and self.held is None and _near(self.grip, self.LEVER):
             if not self.lid_open and self.capsule is None:
-                if self.rng.random() >= self.config.jam_prob:
+                if self.rng.random() >= JAM_PROB:
                     name = "g%d" % self.roll_count
                     self.roll_count += 1
                     self.table.intern(name)
@@ -728,6 +728,10 @@ class _Family:
         return parse_domain(self.domain_text)
 
     @cached_property
+    def policy(self) -> HLPolicy:
+        return parse_policy(self.policy_text, self.domain)
+
+    @cached_property
     def label_ids(self) -> tuple:
         return tuple(self.domain.pred_ids[name] for name in self.label_preds)
 
@@ -756,8 +760,7 @@ def env_domain(kind: str) -> Domain:
 
 
 def builtin_policy(kind: str) -> HLPolicy:
-    family = _family(kind)
-    return parse_policy(family.policy_text, family.domain)
+    return _family(kind).policy
 
 
 def make_labeller(kind: str) -> Callable:
@@ -776,7 +779,7 @@ def episode_seed(base_seed: int, episode: int) -> int:
     return base_seed * 10007 + episode
 
 
-def generate_demos(config: EnvConfig, count: int, max_attempts: int = None):
+def generate_demos(config: EnvConfig, count: int):
     """Oracle episodes as Demo records; only goal-achieving episodes are kept.
 
     Episode e runs with seed base·10007+e.  For pickplace, episode parity
@@ -787,7 +790,7 @@ def generate_demos(config: EnvConfig, count: int, max_attempts: int = None):
 
     demos = []
     attempts = 0
-    cap = max_attempts if max_attempts is not None else max(count * 5, count + 20)
+    cap = max(count * 5, count + 20)
     ep = 0
     while len(demos) < count and attempts < cap:
         cfg = replace(config, seed=episode_seed(config.seed, ep))

@@ -2,7 +2,10 @@
 
 Domains and problems use a small S-expression dialect; traces are line-oriented
 JSON records; policies are one rule per line.  Parsers are total: any input
-yields a value or a positioned ParseError, never an unhandled crash.
+yields a value or a positioned ParseError, never an unhandled crash.  One
+reader, with an explicit stack rather than recursion, reads the S-expressions
+of domains, problems, rule lines and trace goals, and one lifted-atom parser
+reads schema preconditions and effects, rule conditions and rule heads.
 """
 
 from __future__ import annotations
@@ -10,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, List, Tuple
+from typing import Iterable, List
 
 from .core import (ActionSchema, BisonError, Domain, HLProblem, ObjectTable,
                    Predicate, StructuralError)
@@ -35,8 +38,18 @@ class _Tok:
     col: int
 
 
-def _tokenize(text: str) -> List[_Tok]:
-    toks, line, col, i = [], 1, 1, 0
+class _Form(list):
+    """A parenthesised list of _Tok leaves and nested _Forms, positioned at its '('."""
+
+    def __init__(self, line: int, col: int):
+        super().__init__()
+        self.line = line
+        self.col = col
+
+
+def _tokenize(text: str, line: int, col: int) -> List[_Tok]:
+    """Tokens of ``text``, positioned as if it began at ``line``, ``col``."""
+    toks, i = [], 0
     n = len(text)
     while i < n:
         c = text[i]
@@ -66,34 +79,24 @@ def _tokenize(text: str) -> List[_Tok]:
     return toks
 
 
-def _read_sexprs(text: str):
-    """Parse all top-level S-expressions into nested lists of _Tok leaves."""
-    toks = _tokenize(text)
-    pos = [0]
-
-    def read():
-        if pos[0] >= len(toks):
-            raise ParseError("unexpected end of input",
-                             toks[-1].line if toks else 1, toks[-1].col if toks else 1)
-        t = toks[pos[0]]
-        pos[0] += 1
+def _read(toks: List[_Tok]) -> list:
+    """All top-level forms of a token list, read with an explicit stack of open
+    lists, so nesting depth is bounded by memory, not by recursion."""
+    stack = [[]]
+    for t in toks:
         if t.text == "(":
-            items = []
-            while True:
-                if pos[0] >= len(toks):
-                    raise ParseError("unbalanced '('", t.line, t.col)
-                if toks[pos[0]].text == ")":
-                    pos[0] += 1
-                    return items
-                items.append(read())
-        if t.text == ")":
-            raise ParseError("unbalanced ')'", t.line, t.col)
-        return t
-
-    out = []
-    while pos[0] < len(toks):
-        out.append(read())
-    return out
+            form = _Form(t.line, t.col)
+            stack[-1].append(form)
+            stack.append(form)
+        elif t.text == ")":
+            if len(stack) == 1:
+                raise ParseError("unbalanced ')'", t.line, t.col)
+            stack.pop()
+        else:
+            stack[-1].append(t)
+    if len(stack) > 1:
+        raise ParseError("unbalanced '('", stack[-1].line, stack[-1].col)
+    return stack[0]
 
 
 def _head(form) -> str:
@@ -102,22 +105,13 @@ def _head(form) -> str:
     return ""
 
 
-def _loc(form) -> Tuple[int, int]:
-    f = form
-    while isinstance(f, list):
-        if not f:
-            return (0, 0)
-        f = f[0]
-    return (f.line, f.col)
-
-
 def _expect_atom(form, what: str) -> _Tok:
     if not isinstance(form, _Tok):
-        raise ParseError("expected %s" % what, *_loc(form))
+        raise ParseError("expected %s" % what, form.line, form.col)
     return form
 
 
-def _unwrap_define(forms, kind: str):
+def _unwrap_define(forms):
     """Accept either bare (:blocks …) forms or a (define (kind name) …) wrapper."""
     if len(forms) == 1 and _head(forms[0]) == "define":
         body = forms[0][1:]
@@ -130,55 +124,72 @@ def _unwrap_define(forms, kind: str):
     return "unnamed", forms
 
 
+def _var_list(items, where: str) -> dict:
+    """{?variable: index} of a list of distinct ?variables."""
+    var_ids = {}
+    for v in items:
+        t = _expect_atom(v, "a variable in %s" % where)
+        if not t.text.startswith("?") or t.text in var_ids:
+            raise ParseError("bad or duplicate variable %r in %s" % (t.text, where),
+                             t.line, t.col)
+        var_ids[t.text] = len(var_ids)
+    return var_ids
+
+
+def _lifted_atom(form, symbols: dict, var_ids: dict, where: str) -> tuple:
+    """``(name ?v …)`` as ``(id, *variable indices)``.  ``symbols`` maps each
+    declared name (predicate or schema) to its (id, arity); every argument must
+    be a ?variable of ``var_ids``."""
+    if not _head(form):
+        raise ParseError("expected an atom in %s" % where, form.line, form.col)
+    name = form[0]
+    if name.text not in symbols:
+        raise ParseError("undeclared %r in %s" % (name.text, where), name.line, name.col)
+    sid, arity = symbols[name.text]
+    args = []
+    for a in form[1:]:
+        t = _expect_atom(a, "a variable")
+        if t.text not in var_ids:
+            raise ParseError("%r is not a declared ?variable in %s" % (t.text, where),
+                             t.line, t.col)
+        args.append(var_ids[t.text])
+    if len(args) != arity:
+        raise ParseError("%r expects %d args, got %d" % (name.text, arity, len(args)),
+                         name.line, name.col)
+    return (sid,) + tuple(args)
+
+
+def _symbols(declared) -> dict:
+    """name -> (id, arity) of a domain's predicates or schemata."""
+    return {d.name: (i, d.arity) for i, d in enumerate(declared)}
+
+
 # ---------------------------------------------------------------------------
 # Domains
 # ---------------------------------------------------------------------------
 
-def _parse_lifted_atom(form, domain_preds, var_ids, where):
-    if not isinstance(form, list) or not form or not isinstance(form[0], _Tok):
-        raise ParseError("expected an atom in %s" % where, *_loc(form))
-    name = form[0].text
-    if name not in domain_preds:
-        raise ParseError("undeclared predicate %r in %s" % (name, where), form[0].line, form[0].col)
-    pid, arity = domain_preds[name]
-    args = []
-    for a in form[1:]:
-        t = _expect_atom(a, "a variable")
-        if not t.text.startswith("?"):
-            raise ParseError("expected a ?variable, got %r" % t.text, t.line, t.col)
-        if t.text not in var_ids:
-            raise ParseError("variable %s not among :parameters" % t.text, t.line, t.col)
-        args.append(var_ids[t.text])
-    if len(args) != arity:
-        raise ParseError("predicate %r expects %d args, got %d" % (name, arity, len(args)),
-                         form[0].line, form[0].col)
-    return (pid,) + tuple(args)
-
-
-def _parse_conj(form, domain_preds, var_ids, where):
+def _parse_conj(form, pred_ids, var_ids, where):
     """(and a…) | () | bare atom → list of lifted atoms."""
     if isinstance(form, list) and (not form or _head(form) == "and"):
-        items = form[1:] if form else []
-        return [_parse_lifted_atom(a, domain_preds, var_ids, where) for a in items]
-    return [_parse_lifted_atom(form, domain_preds, var_ids, where)]
+        return [_lifted_atom(a, pred_ids, var_ids, where) for a in form[1:]]
+    return [_lifted_atom(form, pred_ids, var_ids, where)]
 
 
-def _parse_effect_conj(form, domain_preds, var_ids):
+def _parse_effect_conj(form, pred_ids, var_ids):
     adds, dels = [], []
     items = form[1:] if _head(form) == "and" else [form]
     for item in items:
         if _head(item) == "not":
             if len(item) != 2:
-                raise ParseError("(not …) takes one atom", *_loc(item))
-            dels.append(_parse_lifted_atom(item[1], domain_preds, var_ids, ":effect"))
+                raise ParseError("(not …) takes one atom", item.line, item.col)
+            dels.append(_lifted_atom(item[1], pred_ids, var_ids, ":effect"))
         else:
-            adds.append(_parse_lifted_atom(item, domain_preds, var_ids, ":effect"))
+            adds.append(_lifted_atom(item, pred_ids, var_ids, ":effect"))
     return frozenset(adds), frozenset(dels)
 
 
 def parse_domain(text: str) -> Domain:
-    forms = _read_sexprs(text)
-    name, body = _unwrap_define(forms, "domain")
+    name, body = _unwrap_define(_read(_tokenize(text, 1, 1)))
     preds: List[Predicate] = []
     pred_ids = {}
     schemata: List[ActionSchema] = []
@@ -189,7 +200,7 @@ def parse_domain(text: str) -> Domain:
             saw_predicates = True
             for p in form[1:]:
                 if not isinstance(p, list) or not p:
-                    raise ParseError("malformed predicate declaration", *_loc(p))
+                    raise ParseError("malformed predicate declaration", p.line, p.col)
                 pname = _expect_atom(p[0], "a predicate name").text
                 if pname in pred_ids:
                     raise ParseError("duplicate predicate %r" % pname, p[0].line, p[0].col)
@@ -201,7 +212,7 @@ def parse_domain(text: str) -> Domain:
                 preds.append(Predicate(pname, len(p) - 1))
         elif h == ":action":
             if len(form) < 2 or not isinstance(form[1], _Tok):
-                raise ParseError("missing action name", *_loc(form))
+                raise ParseError("missing action name", form.line, form.col)
             aname = form[1].text
             sections = {}
             it = iter(form[2:])
@@ -219,28 +230,22 @@ def parse_domain(text: str) -> Domain:
                                      form[1].line, form[1].col)
             params = sections[":parameters"]
             if not isinstance(params, list):
-                raise ParseError(":parameters must be a list", *_loc(params))
-            var_names, var_ids = [], {}
-            for v in params:
-                t = _expect_atom(v, "a parameter variable")
-                if not t.text.startswith("?") or t.text in var_ids:
-                    raise ParseError("bad or duplicate parameter %r" % t.text, t.line, t.col)
-                var_ids[t.text] = len(var_names)
-                var_names.append(t.text)
+                raise ParseError(":parameters must be a list", params.line, params.col)
+            var_ids = _var_list(params, ":parameters")
             pre = frozenset(_parse_conj(sections[":precondition"], pred_ids, var_ids,
                                         ":precondition"))
             eff = sections[":effect"]
             if _head(eff) == "oneof":
                 outcomes = tuple(_parse_effect_conj(o, pred_ids, var_ids) for o in eff[1:])
                 if not outcomes:
-                    raise ParseError("(oneof …) needs at least one outcome", *_loc(eff))
+                    raise ParseError("(oneof …) needs at least one outcome", eff.line, eff.col)
             else:
                 outcomes = (_parse_effect_conj(eff, pred_ids, var_ids),)
-            schemata.append(ActionSchema(aname, tuple(var_names), pre, outcomes))
+            schemata.append(ActionSchema(aname, tuple(var_ids), pre, outcomes))
         elif h in ("domain",):
             continue
         else:
-            raise ParseError("unexpected top-level form %r" % (h or "?"), *_loc(form))
+            raise ParseError("unexpected top-level form %r" % (h or "?"), form.line, form.col)
     if not saw_predicates:
         raise ParseError("missing (:predicates …) block", 1, 1)
     try:
@@ -285,7 +290,7 @@ def serialize_domain(domain: Domain) -> str:
 
 def _parse_ground_fact(form, domain: Domain, objects: ObjectTable, declared: bool):
     if not isinstance(form, list) or not form or not isinstance(form[0], _Tok):
-        raise ParseError("expected a ground fact", *_loc(form))
+        raise ParseError("expected a ground fact", form.line, form.col)
     name = form[0].text
     args = []
     for a in form[1:]:
@@ -302,8 +307,7 @@ def _parse_ground_fact(form, domain: Domain, objects: ObjectTable, declared: boo
 
 
 def parse_problem(text: str, domain: Domain) -> HLProblem:
-    forms = _read_sexprs(text)
-    name, body = _unwrap_define(forms, "problem")
+    name, body = _unwrap_define(_read(_tokenize(text, 1, 1)))
     objects = ObjectTable()
     init, goal = [], []
     for form in body:
@@ -324,7 +328,7 @@ def parse_problem(text: str, domain: Domain) -> HLProblem:
                 items = items[0][1:]
             goal = [_parse_ground_fact(f, domain, objects, True) for f in items]
         else:
-            raise ParseError("unexpected problem form %r" % (h or "?"), *_loc(form))
+            raise ParseError("unexpected problem form %r" % (h or "?"), form.line, form.col)
     return HLProblem(domain, objects, frozenset(init), frozenset(goal), name)
 
 
@@ -357,7 +361,7 @@ class Demo:
 
 def _fact_names(s: str, line_no: int) -> tuple:
     try:
-        forms = _read_sexprs(s)
+        forms = _read(_tokenize(s, 1, 1))
     except ParseError as e:
         raise ParseError("bad fact %r in trace" % s, line_no, 1) from None
     if len(forms) != 1 or not isinstance(forms[0], list) or not forms[0] \
@@ -446,85 +450,65 @@ def serialize_traces(demos: Iterable[Demo]) -> str:
 # Policies
 # ---------------------------------------------------------------------------
 
-def _parse_rule_atom_group(forms, domain: Domain, var_ids: dict, line_no: int):
-    atoms = []
-    for form in forms:
-        if not isinstance(form, list) or not form or not isinstance(form[0], _Tok):
-            raise ParseError("expected an atom", line_no, 1)
-        name = form[0].text
-        pid = domain.pred_ids.get(name)
-        if pid is None:
-            raise ParseError("undeclared predicate %r in rule" % name, line_no, form[0].col)
-        args = []
-        for a in form[1:]:
-            t = _expect_atom(a, "a variable")
-            if not t.text.startswith("?"):
-                raise ParseError("rule atoms take ?variables only", line_no, t.col)
-            if t.text not in var_ids:
-                raise ParseError("variable %s not in :vars" % t.text, line_no, t.col)
-            args.append(var_ids[t.text])
-        if len(args) != domain.predicates[pid].arity:
-            raise ParseError("arity mismatch for %r in rule" % name, line_no, form[0].col)
-        atoms.append((pid,) + tuple(args))
-    return frozenset(atoms)
+def _parse_rule(toks: List[_Tok], preds: dict, schemata: dict) -> Rule:
+    """One rule from the tokens of its line:
+    ``<val>: (:vars …) (:state …) (:goal …) => (head …)``, sections in any order.
 
-
-def parse_rule_line(line: str, domain: Domain, line_no: int = 1) -> Rule:
-    if ":" not in line:
-        raise ParseError("rule line needs '<val>:' prefix", line_no, 1)
-    val_s, rest = line.split(":", 1)
+    The priority ends at the line's first ':' and the conditions at its first
+    '=>', which must be a token of its own.
+    """
+    first = toks[0]
+    val_s, colon, after = first.text.partition(":")
+    body = 1
+    if not colon and len(toks) > 1 and toks[1].text.startswith(":"):
+        colon, after, body = ":", toks[1].text[1:], 2
+    if not colon:
+        raise ParseError("rule line needs '<val>:' prefix", first.line, first.col)
     try:
-        val = int(val_s.strip()) - 1  # display priorities are 1-based
+        val = int(val_s) - 1  # display priorities are 1-based
     except ValueError:
-        raise ParseError("bad priority %r" % val_s.strip(), line_no, 1) from None
-    if "=>" not in rest:
-        raise ParseError("rule line needs '=>'", line_no, 1)
-    conds_s, head_s = rest.split("=>", 1)
-    forms = _read_sexprs(conds_s)
-    groups = {":vars": None, ":state": None, ":goal": None}
-    for form in forms:
+        raise ParseError("bad priority %r" % val_s, first.line, first.col) from None
+    if after:
+        t = toks[body - 1]
+        raise ParseError("unexpected %r after the priority" % after, t.line, t.col)
+    rest = toks[body:]
+    arrow = next((i for i, t in enumerate(rest) if "=>" in t.text), None)
+    if arrow is None:
+        raise ParseError("rule line needs '=>'", toks[-1].line, toks[-1].col)
+    sep = rest[arrow]
+    if sep.text != "=>":
+        raise ParseError("expected '=>', got %r" % sep.text, sep.line, sep.col)
+    sections = {":vars": None, ":state": None, ":goal": None}
+    for form in _read(rest[:arrow]):
         h = _head(form)
-        if h not in groups:
-            raise ParseError("unexpected rule section %r" % (h or "?"), line_no, 1)
-        if groups[h] is not None:
-            raise ParseError("duplicate rule section %r" % h, line_no, 1)
-        groups[h] = form[1:]
-    for k, v in groups.items():
+        if h not in sections:
+            raise ParseError("unexpected rule section %r" % (h or "?"), form.line, form.col)
+        if sections[h] is not None:
+            raise ParseError("duplicate rule section %r" % h, form.line, form.col)
+        sections[h] = form[1:]
+    for k, v in sections.items():
         if v is None:
-            raise ParseError("rule lacks %s section" % k, line_no, 1)
-    var_ids = {}
-    for v in groups[":vars"]:
-        t = _expect_atom(v, "a variable")
-        if not t.text.startswith("?") or t.text in var_ids:
-            raise ParseError("bad or duplicate variable %r" % t.text, line_no, t.col)
-        var_ids[t.text] = len(var_ids)
-    s_cond = _parse_rule_atom_group(groups[":state"], domain, var_ids, line_no)
-    g_cond = _parse_rule_atom_group(groups[":goal"], domain, var_ids, line_no)
-    head_forms = _read_sexprs(head_s)
-    if len(head_forms) != 1 or not isinstance(head_forms[0], list) or not head_forms[0]:
-        raise ParseError("malformed rule head", line_no, 1)
-    hname = _expect_atom(head_forms[0][0], "a schema name").text
-    sid = domain.schema_ids.get(hname)
-    if sid is None:
-        raise ParseError("undeclared schema %r in rule head" % hname, line_no, 1)
-    head_args = []
-    for a in head_forms[0][1:]:
-        t = _expect_atom(a, "a variable")
-        if not t.text.startswith("?") or t.text not in var_ids:
-            raise ParseError("rule head takes declared ?variables only", line_no, t.col)
-        head_args.append(var_ids[t.text])
-    if len(head_args) != domain.schemata[sid].arity:
-        raise ParseError("rule head arity mismatch for %r" % hname, line_no, 1)
-    return Rule(val, len(var_ids), s_cond, g_cond, sid, tuple(head_args))
+            raise ParseError("rule lacks %s section" % k, sep.line, sep.col)
+    var_ids = _var_list(sections[":vars"], ":vars")
+    s_cond = frozenset(_lifted_atom(f, preds, var_ids, ":state") for f in sections[":state"])
+    g_cond = frozenset(_lifted_atom(f, preds, var_ids, ":goal") for f in sections[":goal"])
+    head = _read(rest[arrow + 1:])
+    if len(head) != 1:
+        at = head[1] if head else sep
+        raise ParseError("expected one rule head after '=>'", at.line, at.col)
+    sid, *args = _lifted_atom(head[0], schemata, var_ids, "rule head")
+    return Rule(val, len(var_ids), s_cond, g_cond, sid, tuple(args))
 
 
 def parse_policy(text: str, domain: Domain) -> HLPolicy:
+    preds, schemata = _symbols(domain.predicates), _symbols(domain.schemata)
     rules = []
     for line_no, line in enumerate(text.splitlines(), start=1):
-        stripped = line.split(";", 1)[0].strip()
-        if not stripped:
-            continue
-        rules.append(parse_rule_line(stripped, domain, line_no))
+        code = line.split(";", 1)[0]
+        rule = code.strip()
+        if rule:
+            lead = len(code) - len(code.lstrip())
+            rules.append(_parse_rule(_tokenize(rule, line_no, lead + 1), preds, schemata))
     return HLPolicy(rules, domain)
 
 

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .core import (Atom, Domain, Fact, GroundAction, HLProblem, HLState,
-                   StructuralError, applicable, ground_outcomes, instantiate)
+                   StructuralError, applicable, check_atoms, ground_outcomes,
+                   instantiate)
 
 _BIG = 1 << 30  # sort placeholder for not-yet-renamed variables
 
@@ -38,22 +39,9 @@ class Rule:
 
 
 def validate_rule(rule: Rule, domain: Domain):
-    sch = domain.schemata[rule.head_schema]
-    if len(rule.head_args) != sch.arity:
-        raise StructuralError("rule head arity mismatch for %r" % sch.name)
-    for v in rule.head_args:
-        if not (0 <= v < rule.n_vars):
-            raise StructuralError("rule head variable out of range")
-    for _, atom in rule.atoms():
-        pid = atom[0]
-        if not (0 <= pid < len(domain.predicates)):
-            raise StructuralError("rule uses undeclared predicate")
-        if len(atom) - 1 != domain.predicates[pid].arity:
-            raise StructuralError("rule atom arity mismatch for %s"
-                                  % domain.predicates[pid].name)
-        for v in atom[1:]:
-            if not (0 <= v < rule.n_vars):
-                raise StructuralError("rule variable out of range")
+    check_atoms(domain.schemata, [(rule.head_schema,) + rule.head_args], rule.n_vars,
+                "rule head")
+    check_atoms(domain.predicates, rule.s_cond | rule.g_cond, rule.n_vars, "rule")
 
 
 def rule_is_dead(rule: Rule) -> bool:

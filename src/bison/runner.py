@@ -24,6 +24,8 @@ STRATEGIES = ("bison", "det_plan", "det_replan", "ndt_plan", "ndt_replan",
 
 FAILURE_KINDS = ("none", "no_hl_action", "step_cap", "plan_broken")
 
+PLAN_TIME_BUDGET = 30.0  # seconds per find_plan/find_policy call
+
 
 @dataclass
 class EpisodeResult:
@@ -55,8 +57,6 @@ class Executor:
     hl_policy: Optional[HLPolicy] = None
     gnn_params: Optional[object] = None
     ll_mode: str = "oracle"
-    plan_node_budget: int = 10 ** 6
-    plan_time_budget: float = 30.0
 
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
@@ -117,8 +117,7 @@ def _rule_selector(env, hls, executor) -> Callable:
 def _plan_cursor(env, hls, executor) -> Optional[Callable]:
     """Plan from hls, walked by index: the next action if its precondition
     holds, else the one after it (one-step lookahead), else None (broken)."""
-    plan = find_plan(_problem_from(env, hls), node_budget=executor.plan_node_budget,
-                     time_budget=executor.plan_time_budget)
+    plan = find_plan(_problem_from(env, hls), time_budget=PLAN_TIME_BUDGET)
     if plan is None:
         return None
     actions, domain, i = plan.actions, env.domain, 0
@@ -135,8 +134,7 @@ def _plan_cursor(env, hls, executor) -> Optional[Callable]:
 
 def _policy_lookup(env, hls, executor) -> Optional[Callable]:
     """AND-OR policy from hls, queried by state lookup (None when uncovered)."""
-    policy = find_policy(_problem_from(env, hls), node_budget=executor.plan_node_budget,
-                         time_budget=executor.plan_time_budget)
+    policy = find_policy(_problem_from(env, hls), time_budget=PLAN_TIME_BUDGET)
     return None if policy is None else policy.get
 
 

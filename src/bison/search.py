@@ -23,7 +23,7 @@ from .core import (GroundAction, HLProblem, HLState, applicable,
 from .rules import StateIndex, applicable_actions
 
 DEFAULT_NODE_BUDGET = 10 ** 6
-DEFAULT_GENERATED_CAP = 2 * 10 ** 6
+GENERATED_CAP = 2 * 10 ** 6
 
 
 @dataclass
@@ -49,7 +49,6 @@ def _goal_count(state: HLState, goal: frozenset) -> int:
 
 def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
               time_budget: Optional[float] = None,
-              generated_cap: int = DEFAULT_GENERATED_CAP,
               stats: SearchStats = None) -> Optional[Plan]:
     """Greedy best-first plan search; None on failure or budget exhaustion."""
     st = stats if stats is not None else SearchStats()
@@ -84,7 +83,7 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
         return Plan(acts, outs)
 
     while frontier:
-        if st.expanded >= node_budget or st.generated >= generated_cap:
+        if st.expanded >= node_budget or st.generated >= GENERATED_CAP:
             return finish("budget")
         if time_budget is not None and time.perf_counter() - t0 > time_budget:
             return finish("timeout")
@@ -119,10 +118,9 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
 class SearchPolicy:
     """Explicit finite state → action map extracted by AND-OR search."""
 
-    def __init__(self, mapping: dict, goal: frozenset, partial: bool = False):
+    def __init__(self, mapping: dict, goal: frozenset):
         self.mapping = mapping
         self.goal = goal
-        self.partial = partial
 
     def get(self, state: HLState) -> Optional[GroundAction]:
         return self.mapping.get(frozenset(state))

@@ -236,6 +236,31 @@ def test_eval_params_of_another_env_is_data_error(tmp_path, env):
     assert r.stdout == ""
 
 
+NEST = "(" * 3000 + ")" * 3000
+DEEP = {
+    "deep.bsp": "1: (:vars ?x) (:state %s) (:goal) => (pick ?x)\n" % NEST,
+    "deep.bsd": "(define (domain blocks) (:predicates %s))\n" % NEST,
+    "deep.bst": '{"goal":["%s"],"steps":[]}\n' % NEST,  # nested inside a goal string
+}
+
+
+@pytest.mark.parametrize("command,flag,name", [
+    ("check", "--policy", "deep.bsp"), ("learn-hl", "--domain", "deep.bsd"),
+    ("learn-hl", "--traces", "deep.bst"),
+])
+def test_deeply_nested_input_is_data_error(workdir, tmp_path, command, flag, name):
+    path = tmp_path / name
+    path.write_text(DEEP[name])
+    args = [command, "--env", "blocks", flag, str(path)]
+    if command == "learn-hl":
+        if flag != "--traces":
+            args += ["--traces", str(workdir / "demos.bst")]
+        args += ["--out", str(tmp_path / "out")]
+    r = run_cli(args)
+    assert r.returncode == 2, r.stderr
+    assert "internal error" not in r.stderr
+
+
 TRACES = {
     "narrow": ('{"goal":["(at b0 p0)"],"steps":[{"ego":[0.5,0.5,1],"objects":'
                '{"b0":[0.2,0.2,1],"p0":[0.7,0.7,1]},"action":[0,0,0]}]}\n'),

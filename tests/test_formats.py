@@ -180,6 +180,31 @@ def test_policy_round_trip_learned(blocks_policy, blocks_domain):
     assert len(again) == len(blocks_policy)
 
 
+def test_policy_error_on_line_three_reports_line_three():
+    dom = env_domain("pickplace")
+    bad = "2: (:vars ?x) (:state (hold ?x) (:goal) => (place ?x ?x)"
+    text = ("1: (:vars ?x ?l) (:state (hold ?x) (rAt ?l)) (:goal (at ?x ?l)) => (place ?x ?l)"
+            "\n; a comment\n" + bad + "\n")
+    with pytest.raises(ParseError) as ei:
+        parse_policy(text, dom)
+    assert (ei.value.line, ei.value.col) == (3, bad.index("(:state") + 1)  # the unclosed '('
+
+
+def test_policy_undeclared_predicate_reports_its_column():
+    dom = env_domain("pickplace")
+    bad = "  1: (:vars ?x ?l) (:state (hold ?x) (near ?l)) (:goal (at ?x ?l)) => (place ?x ?l)"
+    with pytest.raises(ParseError) as ei:
+        parse_policy("\n" + bad, dom)
+    assert (ei.value.line, ei.value.col) == (2, bad.index("near") + 1)
+
+
+def test_domain_empty_form_reports_its_position():
+    text = "(define (domain d) (:predicates (p ?x)) ())"
+    with pytest.raises(ParseError) as ei:
+        parse_domain(text)
+    assert (ei.value.line, ei.value.col) == (1, text.index("()") + 1)
+
+
 def test_policy_parse_errors():
     dom = env_domain("pickplace")
     with pytest.raises(ParseError):

@@ -18,8 +18,8 @@ from bison.core import (ActionSchema, Domain, GroundAction, HLProblem,
                         rename_action, rename_state, successors)
 from bison.envs import env_domain, make_labeller
 from bison.formats import (Demo, DemoStep, ParseError, parse_domain,
-                           parse_policy, parse_traces, serialize_domain,
-                           serialize_policy, serialize_traces)
+                           parse_policy, parse_problem, parse_traces,
+                           serialize_domain, serialize_policy, serialize_traces)
 from bison.learn import _explain_change, lift, regress
 from bison.rules import (HLPolicy, Rule, StateIndex, canonical_rule_str,
                          enum_matches, match_rule)
@@ -323,13 +323,33 @@ def test_traces_round_trip_property():
 def test_parser_totality_fuzz():
     rng = random.Random(909)
     alphabet = string.printable
+    gacha, blocks = env_domain("gacha"), env_domain("blocks")
+    parsers = (parse_domain, parse_traces, lambda text: parse_policy(text, gacha),
+               lambda text: parse_problem(text, blocks))
     for _ in range(N_CASES):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
-        for parser in (parse_domain, parse_traces):
+        for parser in parsers:
             try:
                 parser(text)
             except ParseError:
                 pass  # positioned error is the contract; crashes are not
+
+
+@pytest.mark.parametrize("depth", [3000, 100000])
+@pytest.mark.parametrize("kind", ["domain", "policy", "problem", "traces"])
+def test_parser_totality_deep_nesting(kind, depth):
+    nest = "(" * depth + ")" * depth
+    blocks = env_domain("blocks")
+    parse = {
+        "domain": lambda: parse_domain("(define (domain d) (:predicates %s))" % nest),
+        "policy": lambda: parse_policy("1: (:vars ?x) (:state %s) (:goal) => (pick ?x)"
+                                       % nest, blocks),
+        "problem": lambda: parse_problem("(define (problem p) (:domain blocks) (:init %s))"
+                                         % nest, blocks),
+        "traces": lambda: parse_traces('{"goal": ["%s"], "steps": []}' % nest),  # in a goal
+    }[kind]
+    with pytest.raises(ParseError):
+        parse()
 
 
 def test_canonicalization_renaming_invariance_property():
