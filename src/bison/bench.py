@@ -58,7 +58,7 @@ def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float = 60.0,
         problem = gen_blocks_hl_problem(n, seed)
         setup = time.perf_counter() - t0
         t0 = time.perf_counter()
-        res = solve_hl(policy, problem, step_cap=8 * n + 64)
+        res = solve_hl(policy, problem, step_cap=8 * n + 64, deadline=t0 + timeout)
         secs = time.perf_counter() - t0
         solved = res.solved and secs <= timeout
         rows.append(BenchRow(n, "policy", solved, res.steps, secs, setup))

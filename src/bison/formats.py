@@ -193,6 +193,7 @@ def parse_domain(text: str) -> Domain:
     preds: List[Predicate] = []
     pred_ids = {}
     schemata: List[ActionSchema] = []
+    schema_names = set()
     saw_predicates = False
     for form in body:
         h = _head(form)
@@ -214,6 +215,9 @@ def parse_domain(text: str) -> Domain:
             if len(form) < 2 or not isinstance(form[1], _Tok):
                 raise ParseError("missing action name", form.line, form.col)
             aname = form[1].text
+            if aname in schema_names:
+                raise ParseError("duplicate action schema %r" % aname, form[1].line, form[1].col)
+            schema_names.add(aname)
             sections = {}
             it = iter(form[2:])
             for key in it:
@@ -236,11 +240,16 @@ def parse_domain(text: str) -> Domain:
                                         ":precondition"))
             eff = sections[":effect"]
             if _head(eff) == "oneof":
-                outcomes = tuple(_parse_effect_conj(o, pred_ids, var_ids) for o in eff[1:])
-                if not outcomes:
+                effs = eff[1:]
+                if not effs:
                     raise ParseError("(oneof …) needs at least one outcome", eff.line, eff.col)
             else:
-                outcomes = (_parse_effect_conj(eff, pred_ids, var_ids),)
+                effs = [eff]
+            outcomes = tuple(_parse_effect_conj(o, pred_ids, var_ids) for o in effs)
+            for o, (add, dele) in zip(effs, outcomes):
+                if add & dele:
+                    raise ParseError("schema %r has an outcome with add ∩ del ≠ ∅" % aname,
+                                     o.line, o.col)
             schemata.append(ActionSchema(aname, tuple(var_ids), pre, outcomes))
         elif h in ("domain",):
             continue
@@ -309,7 +318,7 @@ def _parse_ground_fact(form, domain: Domain, objects: ObjectTable, declared: boo
 def parse_problem(text: str, domain: Domain) -> HLProblem:
     name, body = _unwrap_define(_read(_tokenize(text, 1, 1)))
     objects = ObjectTable()
-    init, goal = [], []
+    facts = {}  # ":init" / ":goal" -> its facts
     for form in body:
         h = _head(form)
         if h == ":domain":
@@ -320,16 +329,17 @@ def parse_problem(text: str, domain: Domain) -> HLProblem:
                 if t.text in objects:
                     raise ParseError("duplicate object %r" % t.text, t.line, t.col)
                 objects.intern(t.text)
-        elif h == ":init":
-            init = [_parse_ground_fact(f, domain, objects, True) for f in form[1:]]
-        elif h == ":goal":
+        elif h in (":init", ":goal"):
+            if h in facts:
+                raise ParseError("repeated (%s …) form" % h, form.line, form.col)
             items = form[1:]
-            if len(items) == 1 and _head(items[0]) == "and":
+            if h == ":goal" and len(items) == 1 and _head(items[0]) == "and":
                 items = items[0][1:]
-            goal = [_parse_ground_fact(f, domain, objects, True) for f in items]
+            facts[h] = [_parse_ground_fact(f, domain, objects, True) for f in items]
         else:
             raise ParseError("unexpected problem form %r" % (h or "?"), form.line, form.col)
-    return HLProblem(domain, objects, frozenset(init), frozenset(goal), name)
+    return HLProblem(domain, objects, frozenset(facts.get(":init", ())),
+                     frozenset(facts.get(":goal", ())), name)
 
 
 def serialize_problem(problem: HLProblem) -> str:

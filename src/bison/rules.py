@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
@@ -169,15 +170,20 @@ class FactIndex:
     """One indexed fact set: membership, per-predicate and per-argument buckets.
 
     Buckets are insertion-ordered dicts, so candidate enumeration follows the
-    order facts were added.
+    order facts were added.  A dict keeps a deleted key's slot until it grows,
+    and iteration walks those holes; a per-predicate bucket is therefore
+    compacted (copied, insertion order kept) once it holds more holes than
+    facts, which keeps enumerating it linear in its size at amortised O(1)
+    per removal.
     """
 
-    __slots__ = ("facts", "by_pred", "by_pos")
+    __slots__ = ("facts", "by_pred", "by_pos", "holes")
 
     def __init__(self):
         self.facts = {}
         self.by_pred = {}
         self.by_pos = {}
+        self.holes = {}  # predicate -> removals since its bucket was last copied
 
     def add(self, fact: Fact):
         if fact in self.facts:
@@ -191,9 +197,16 @@ class FactIndex:
         if fact not in self.facts:
             return
         del self.facts[fact]
-        del self.by_pred[fact[0]][fact]
+        pred = fact[0]
+        bucket = self.by_pred[pred]
+        del bucket[fact]
+        holes = self.holes.get(pred, 0) + 1
+        if holes > len(bucket):
+            self.by_pred[pred] = dict(bucket)
+            holes = 0
+        self.holes[pred] = holes
         for pos, o in enumerate(fact[1:]):
-            del self.by_pos[(fact[0], pos, o)][fact]
+            del self.by_pos[(pred, pos, o)][fact]
 
     def bucket(self, atom: Atom, binding: list):
         """Smallest candidate bucket for an atom under the current partial binding."""
@@ -279,7 +292,9 @@ def enum_matches(idx: StateIndex, atoms: list, binding: list):
         if instantiate(atom, binding) in sides[src].facts:
             yield from enum_matches(idx, rest, binding)
         return
-    for fact in list(best_bucket):
+    # no caller changes the index while a join is live, so the bucket is
+    # iterated in place
+    for fact in best_bucket:
         touched = []
         ok = True
         for v, o in zip(atom[1:], fact[1:]):
@@ -401,7 +416,7 @@ def adversarial_outcome(outcomes, idx: "StateIndex"):
 
 @dataclass
 class SolveResult:
-    status: str  # solved | no_action | cap_exceeded | defect
+    status: str  # solved | no_action | cap_exceeded | defect | timeout
     actions: list = field(default_factory=list)
     outcomes: list = field(default_factory=list)
     states: Optional[list] = None
@@ -413,10 +428,12 @@ class SolveResult:
 
 
 def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = None,
-             step_cap: int = 10 ** 6, record_states: bool = False) -> SolveResult:
+             step_cap: int = 10 ** 6, record_states: bool = False,
+             deadline: Optional[float] = None) -> SolveResult:
     """Run the policy on the HL model until the goal holds or it gets stuck.
 
     One successor per step, chosen by ``outcome_chooser`` (default: outcome 0).
+    ``deadline`` is a ``time.perf_counter()`` value checked before each step.
     Failures are returned as statuses, never raised.
     """
     if step_cap <= 0:
@@ -431,6 +448,9 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
     while not idx.solved():
         if res.steps >= step_cap:
             res.status = "cap_exceeded"
+            return res
+        if deadline is not None and time.perf_counter() > deadline:
+            res.status = "timeout"
             return res
         diag = SelectionDiagnostic()
         action = select_action(policy, idx, problem.goal, objects, domain, diag)

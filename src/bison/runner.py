@@ -1,10 +1,13 @@
 """Episode executors: the composed bilevel policy and the planner baselines.
 
-The bilevel loop re-queries the HL policy at every LL step (the composition is
+The bilevel loop queries the HL policy at every LL step (the composition is
 pointwise in the LL state), so exactly one HL query and one LL query happen
-per environment step.  Baselines follow the plan/policy bookkeeping of the
-replanning literature: track a plan index, advance when the next action's
-precondition holds, fail or replan when neither does.
+per environment step.  The rule policy answers a query from an earlier
+answer when the HL state, the goal and the object count are ones it has met
+in the episode, since rule selection is a pure function of those three.
+Baselines follow the plan/policy bookkeeping of the replanning literature:
+track a plan index, advance when the next action's precondition holds, fail
+or replan when neither does.
 """
 
 from __future__ import annotations
@@ -103,15 +106,28 @@ def _problem_from(env, hls):
 
 
 def _rule_selector(env, hls, executor) -> Callable:
-    """The rule policy (bison: hl_policy or the built-in one), queried afresh
-    at every state; None when no rule fires."""
+    """The rule policy (bison: hl_policy or the built-in one); None when no
+    rule fires.
+
+    Selection runs once per (state, goal, object count) the episode meets and
+    its answer is kept for the episode: factory reassigns env.goal, and
+    factory and gacha grow env.table, mid-episode.  The labelled state often
+    flickers between a few states while a skill runs, so answers are kept for
+    every key seen, not only the last one.
+    """
     from .envs import builtin_policy
 
     policy = executor.hl_policy
     if policy is None or executor.strategy == "oracle":
         policy = builtin_policy(env.config.kind)
-    return lambda hls: select_action(policy, hls, env.goal, range(len(env.table)),
-                                     env.domain)
+    chosen = {}
+
+    def select(hls):
+        key = (hls, env.goal, len(env.table))
+        if key not in chosen:
+            chosen[key] = select_action(policy, hls, env.goal, range(key[2]), env.domain)
+        return chosen[key]
+    return select
 
 
 def _plan_cursor(env, hls, executor) -> Optional[Callable]:

@@ -50,6 +50,21 @@ def test_parse_domain_rejects_overlapping_add_delete():
         parse_domain(text)
 
 
+def test_parse_domain_structural_errors_at_the_action():
+    dup = ("(define (domain d) (:predicates (p ?x))\n"
+           "  (:action a :parameters (?x) :precondition (p ?x) :effect (and))\n"
+           "  (:action a :parameters (?x) :precondition (p ?x) :effect (and)))")
+    with pytest.raises(ParseError, match="duplicate action schema") as e:
+        parse_domain(dup)
+    assert (e.value.line, e.value.col) == (3, 12)
+    overlap = ("(define (domain d) (:predicates (p ?x))\n"
+               "  (:action a :parameters (?x) :precondition (p ?x)\n"
+               "   :effect (oneof (and) (and (p ?x) (not (p ?x))))))")
+    with pytest.raises(ParseError, match="add ∩ del") as e:
+        parse_domain(overlap)
+    assert (e.value.line, e.value.col) == (3, 25)
+
+
 def test_parse_domain_positioned_errors():
     try:
         parse_domain("(define (domain d)\n  (:predicates (p ?x)\n")
@@ -80,6 +95,18 @@ def test_problem_round_trip():
     assert len(prob.init) == 3 and len(prob.goal) == 1
     again = parse_problem(serialize_problem(prob), dom)
     assert again.init == prob.init and again.goal == prob.goal
+
+
+@pytest.mark.parametrize("text,pos", [
+    ("(define (problem p) (:objects b0 p0)\n"
+     "  (:init (clear b0) (gripperFree)) (:init (clear p0)) (:goal (at b0 p0)))", (2, 36)),
+    ("(define (problem p) (:objects b0 p0)\n"
+     "  (:init (clear b0)) (:goal (at b0 p0))\n  (:goal))", (3, 3)),
+])
+def test_problem_repeated_section_is_positioned(text, pos):
+    with pytest.raises(ParseError, match="repeated") as e:
+        parse_problem(text, env_domain("blocks"))
+    assert (e.value.line, e.value.col) == pos
 
 
 def test_parse_traces_empty():

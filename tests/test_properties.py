@@ -474,3 +474,45 @@ def test_incremental_index_equals_rebuilt():
             atoms = random_atoms(rng, domain, n_vars)
             assert Counter(enum_matches(idx, atoms, [None] * n_vars)) == \
                 Counter(enum_matches(fresh, atoms, [None] * n_vars))
+
+
+def test_compacted_buckets_keep_insertion_order():
+    rng = random.Random(4141)
+    domains = [env_domain(k) for k in ("blocks", "pickplace", "gacha")]
+    compactions = 0
+    for case in range(N_CASES // 4):
+        domain = domains[case % 3]
+        n_obj = rng.randint(1, 4)
+        goal = random_state(rng, domain, n_obj)
+        init = random_state(rng, domain, n_obj)
+        idx = StateIndex(init, goal)
+        # each side's facts in insertion order; a re-added fact goes last
+        order = {"s": sorted(init), "g": sorted(goal - init)}
+        pool = sorted(random_state(rng, domain, n_obj) | goal | init)
+        for _ in range(300):
+            fact = rng.choice(pool)
+            buckets = {side: dict(idx.sides[side].by_pred) for side in "sg"}
+            if rng.random() < 0.5:
+                idx.add(fact)
+                if fact not in order["s"]:
+                    order["s"].append(fact)
+                if fact in order["g"]:
+                    order["g"].remove(fact)
+            else:
+                idx.remove(fact)
+                if fact in order["s"]:
+                    order["s"].remove(fact)
+                if fact in goal and fact not in order["g"]:
+                    order["g"].append(fact)
+            for side in "sg":
+                by_pred = idx.sides[side].by_pred
+                compactions += sum(by_pred[p] is not b for p, b in buckets[side].items())
+                for p, bucket in by_pred.items():
+                    assert list(bucket) == [f for f in order[side] if f[0] == p]
+            if rng.random() < 0.1:
+                fresh = StateIndex(idx.state(), goal)
+                n_vars = rng.randint(1, 3)
+                atoms = random_atoms(rng, domain, n_vars)
+                assert Counter(enum_matches(idx, atoms, [None] * n_vars)) == \
+                    Counter(enum_matches(fresh, atoms, [None] * n_vars))
+    assert compactions > 1000

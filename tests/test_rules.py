@@ -1,4 +1,5 @@
 import itertools
+import time
 
 import pytest
 
@@ -157,6 +158,13 @@ def test_solve_hl_step_cap(blocks_policy):
     prob = gen_blocks_hl_problem(2, seed=0)
     res = solve_hl(blocks_policy, prob, step_cap=1)
     assert not res.solved and res.status == "cap_exceeded"
+
+
+def test_solve_hl_past_deadline_times_out(blocks_policy):
+    prob = gen_blocks_hl_problem(2, seed=0)
+    res = solve_hl(blocks_policy, prob, deadline=time.perf_counter() - 1.0)
+    assert res.status == "timeout" and res.steps == 0 and not res.solved
+    assert solve_hl(blocks_policy, prob, deadline=time.perf_counter() + 60.0).solved
 
 
 def test_solve_hl_outcome_choosers():

@@ -57,14 +57,24 @@ def test_success_implies_goal_in_final_abstraction(blocks_policy):
 
 def test_one_hl_and_one_ll_query_per_step(monkeypatch, blocks_policy):
     import bison.runner as runner_mod
-    counts = {"hl": 0, "ll": 0}
+    counts = {"hl": 0, "ll": 0, "select": 0}
     real_select = runner_mod.select_action
+    real_selector = runner_mod._rule_selector
 
     def counting_select(*a, **kw):
-        counts["hl"] += 1
+        counts["select"] += 1
         return real_select(*a, **kw)
 
+    def counting_selector(env, hls, executor):
+        query = real_selector(env, hls, executor)
+
+        def counted(hls):
+            counts["hl"] += 1
+            return query(hls)
+        return counted
+
     monkeypatch.setattr(runner_mod, "select_action", counting_select)
+    monkeypatch.setattr(runner_mod, "_rule_selector", counting_selector)
     env = make_env(EnvConfig("blocks", 1, seed=2))
     real_skill = env.oracle_skill
 
@@ -77,6 +87,77 @@ def test_one_hl_and_one_ll_query_per_step(monkeypatch, blocks_policy):
                                     ll_mode="oracle"))
     assert res.success
     assert counts["hl"] == counts["ll"] == res.ll_steps
+    # rule selection runs once per HL state the episode meets
+    assert 0 < counts["select"] < counts["hl"]
+
+
+def _selecting_every_step(env, hls, executor):
+    """Reference selector: the rule policy queried afresh at every step."""
+    import bison.runner as runner_mod
+    from bison.envs import builtin_policy
+    policy = executor.hl_policy
+    if policy is None or executor.strategy == "oracle":
+        policy = builtin_policy(env.config.kind)
+    return lambda hls: runner_mod.select_action(policy, hls, env.goal,
+                                                range(len(env.table)), env.domain)
+
+
+def _episode(kind, n, strategy, seed):
+    env = make_env(EnvConfig(kind, n, seed=seed))
+    record = []
+    res = run_episode(env, Executor(strategy=strategy), record=record)
+    fields = (res.success, res.ll_steps, res.hl_actions_fired, res.replans,
+              res.failure_kind)
+    return fields, record
+
+
+def test_remembered_selection_equals_selecting_every_step(monkeypatch):
+    import bison.runner as runner_mod
+    from bison.envs import ENV_KINDS
+    cases = [(kind, n, strategy, 100 * n + i)
+             for i, kind in enumerate(ENV_KINDS) for n in range(1, 5)
+             for strategy in ("oracle", "bison")]
+    remembered = [_episode(*c) for c in cases]
+    monkeypatch.setattr(runner_mod, "_rule_selector", _selecting_every_step)
+    for case, (fields, record) in zip(cases, remembered):
+        ref_fields, ref_record = _episode(*case)
+        assert fields == ref_fields, case
+        assert len(record) == len(ref_record), case
+        for (lls, action), (ref_lls, ref_action) in zip(record, ref_record):
+            assert np.array_equal(lls.ego, ref_lls.ego), case
+            assert list(lls.objects) == list(ref_lls.objects), case
+            assert all(np.array_equal(lls.objects[k], ref_lls.objects[k])
+                       for k in lls.objects), case
+            assert np.array_equal(action, ref_action), case
+
+
+def test_selection_reruns_on_new_state_goal_or_object(monkeypatch):
+    import bison.runner as runner_mod
+    from bison.rules import select_action
+    calls = []
+
+    def counting_select(*a, **kw):
+        calls.append(a)
+        return select_action(*a, **kw)
+
+    monkeypatch.setattr(runner_mod, "select_action", counting_select)
+    env = make_env(EnvConfig("factory", 2, seed=4))
+    lls, _ = env.reset()
+    hls = env.label(lls)
+    query = runner_mod._rule_selector(env, hls, Executor(strategy="bison"))
+    first = query(hls)
+    assert query(frozenset(hls)) == first and len(calls) == 1
+    env.goal = env.goal - {next(iter(env.goal))}
+    query(hls)
+    assert len(calls) == 2 and calls[-1][2] == env.goal
+    env.table.intern("extra")
+    query(hls)
+    assert len(calls) == 3 and calls[-1][3] == range(len(env.table))
+    other = hls - {next(iter(hls))}
+    query(other)
+    assert len(calls) == 4 and calls[-1][1] == other
+    query(hls)  # a state met before is answered without selecting again
+    assert len(calls) == 4
 
 
 def test_det_plan_blocks_success():
