@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import logging
+import math
 import os
 import statistics
 import sys
@@ -219,6 +220,9 @@ def _run_eval_jobs(args, jobs, policy, params):
 
 
 def cmd_bench_hl(args):
+    if not (math.isfinite(args.timeout) and args.timeout > 0):
+        raise BisonError("--timeout must be a positive number of seconds, got %r"
+                         % args.timeout)
     policy = _load_policy_arg(args.policy, "blocks")
     n_list = _parse_range(args.n_list)
     rows = bench_hl(policy, n_list, timeout=args.timeout, seed=args.seed,

@@ -310,29 +310,37 @@ def enum_matches(idx: StateIndex, atoms: list, binding: list):
             binding[v] = None
 
 
-def applicable_actions(domain: Domain, idx: StateIndex, n_objects: int):
-    """All ground actions applicable in the indexed state, deterministically.
+def schema_actions(domain: Domain, sid: int, idx: StateIndex, n_objects: int):
+    """Ground actions of schema ``sid`` applicable in the indexed state.
 
-    Schemata come in declaration order; within one, precondition variables are
-    bound by the join (so bindings come in join order, not sorted) and
-    parameters that the precondition leaves free range over all objects.
+    Precondition variables are bound by the join (so bindings come in join
+    order, not sorted) and parameters that the precondition leaves free range
+    over all objects.
     """
-    for sid, sch in enumerate(domain.schemata):
-        atoms = [("s", a) for a in sch.pre]
-        seen = set()
-        for binding in enum_matches(idx, atoms, [None] * sch.arity):
-            if binding in seen:  # joins may revisit a binding via free atoms
-                continue
-            seen.add(binding)
-            free = [v for v in range(sch.arity) if binding[v] is None]
-            if not free:
-                yield GroundAction(sid, binding)
-            else:
-                for combo in itertools.product(range(n_objects), repeat=len(free)):
-                    b = list(binding)
-                    for v, o in zip(free, combo):
-                        b[v] = o
-                    yield GroundAction(sid, tuple(b))
+    sch = domain.schemata[sid]
+    atoms = [("s", a) for a in sch.pre]
+    seen = set()
+    for binding in enum_matches(idx, atoms, [None] * sch.arity):
+        if binding in seen:  # joins may revisit a binding via free atoms
+            continue
+        seen.add(binding)
+        free = [v for v in range(sch.arity) if binding[v] is None]
+        if not free:
+            yield GroundAction(sid, binding)
+        else:
+            for combo in itertools.product(range(n_objects), repeat=len(free)):
+                b = list(binding)
+                for v, o in zip(free, combo):
+                    b[v] = o
+                yield GroundAction(sid, tuple(b))
+
+
+def applicable_actions(domain: Domain, idx: StateIndex, n_objects: int):
+    """All ground actions applicable in the indexed state, deterministically:
+    schemata in declaration order, each one's actions as ``schema_actions``
+    yields them."""
+    for sid in range(len(domain.schemata)):
+        yield from schema_actions(domain, sid, idx, n_objects)
 
 
 def match_rule(rule: Rule, state, goal: frozenset, objects, domain: Domain = None):

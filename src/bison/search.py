@@ -6,8 +6,13 @@ deterministic action).  ``find_policy``: depth-bounded AND-OR search with
 memoization producing an explicit state → action map (weak/acyclic policies;
 the replanning executors compensate for uncovered states).
 
-Successor states are materialized lazily at expansion to keep memory bounded
-by the closed set.
+``find_plan`` and ``find_policy``'s lookahead count unmet goal facts
+incrementally: a successor's count is its parent's plus ``_goal_delta`` of
+the outcome's goal effects.  Successor states are materialized lazily at
+expansion to keep memory bounded by the closed set.  ``find_policy`` builds
+one canonically sorted ``StateIndex`` per expanded state, since its
+enumeration order decides which action is tried first; its lookahead reuses
+that index rather than building one per successor.
 """
 
 from __future__ import annotations
@@ -19,8 +24,8 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import (GroundAction, HLProblem, HLState, applicable,
-                   ground_outcomes)
-from .rules import StateIndex, applicable_actions
+                   ground_outcomes, instantiate)
+from .rules import StateIndex, applicable_actions, schema_actions
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 GENERATED_CAP = 2 * 10 ** 6
@@ -45,6 +50,18 @@ class SearchStats:
 
 def _goal_count(state: HLState, goal: frozenset) -> int:
     return sum(1 for f in goal if f not in state)
+
+
+def _goal_delta(add, dele, goal: frozenset, state) -> int:
+    """``_goal_count((state - dele) | add) - _goal_count(state)`` for ground
+    fact sets ``add`` and ``dele``.
+
+    A ground outcome may add and delete the same fact (two lifted atoms can
+    meet under a binding); it then holds afterwards, so only a deleted fact
+    that is not also added counts as lost.
+    """
+    return (sum(1 for f in dele if f in goal and f in state and f not in add)
+            - sum(1 for f in add if f in goal and f not in state))
 
 
 def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
@@ -103,8 +120,7 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
         idx = StateIndex(state, goal)
         for act in applicable_actions(domain, idx, n_obj):
             for j, (add, dele) in enumerate(ground_outcomes(domain, act)):
-                h2 = h + sum(1 for f in dele if f in goal and f in state) \
-                     - sum(1 for f in add if f in goal and f not in state)
+                h2 = h + _goal_delta(add, dele, goal, state)
                 heapq.heappush(frontier, (h2, seq, state, act, j))
                 seq += 1
                 st.generated += 1
@@ -143,6 +159,15 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     within the remaining depth.  OR-branches try actions ordered by the best
     outcome's goal count, so deterministic chains are found greedily.  Cycles
     are cut (states on the current path fail), yielding acyclic policies.
+
+    With 2 to 64 candidate actions, ties on that count are broken by a one-ply
+    lookahead: the least goal count two steps ahead.  It moves the expanded
+    state's index to each successor and back, counts only outcomes that add
+    a goal-predicate fact (no other outcome can lower the count), and skips a
+    schema whose largest such gain cannot beat the least count found so far.
+    Since only the minimum is kept, the order it enumerates in does not
+    matter; the candidates themselves come from a fresh, canonically sorted
+    index.
     """
     if depth_cap is None:
         depth_cap = default_depth_cap(problem)
@@ -152,10 +177,47 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     t0 = time.perf_counter()
     domain, goal = problem.domain, problem.goal
     n_obj = len(problem.objects)
+    # per schema, the outcomes that add a fact of a goal predicate, reduced to
+    # their goal-predicate atoms.  Only these can lower a lookahead's minimum:
+    # any other outcome leaves at least its successor's count, and the
+    # minimum starts at the least successor count.
+    goal_preds = {f[0] for f in goal}
+    gain_outcomes = []
+    for sch in domain.schemata:
+        outs = []
+        for add, dele in sch.outcomes:
+            add_g = tuple(a for a in add if a[0] in goal_preds)
+            if add_g:
+                outs.append((add_g, tuple(a for a in dele if a[0] in goal_preds)))
+        gain_outcomes.append(outs)
+    max_gain = [max((len(a) for a, _ in outs), default=0) for outs in gain_outcomes]
     solved_action = {}
     failed_at = {}  # state -> depth it failed with (retry only with more depth)
     on_path = set()
     aborted = []
+
+    def lookahead(idx: StateIndex, state: HLState, succs: list, look: int) -> int:
+        """Least goal count over the successors' successors, or ``look`` if
+        none is lower.  ``idx`` indexes ``state``; it is moved to each
+        successor and back, so it ends indexing ``state`` again, though its
+        buckets may enumerate in another order."""
+        for s2 in succs:
+            idx.apply(s2 - state, state - s2)
+            g2 = len(idx.unachieved.facts)
+            for sid, outs in enumerate(gain_outcomes):
+                # an outcome gains at most its goal-predicate adds
+                if g2 - max_gain[sid] >= look:
+                    continue
+                for a2 in schema_actions(domain, sid, idx, n_obj):
+                    args = a2.args
+                    for add_g, dele_g in outs:
+                        h = g2 + _goal_delta({instantiate(a, args) for a in add_g},
+                                             {instantiate(a, args) for a in dele_g},
+                                             goal, s2)
+                        if h < look:
+                            look = h
+            idx.apply(state - s2, s2 - state)
+        return look
 
     def solve(state: HLState, depth: int) -> bool:
         if goal <= state:
@@ -186,13 +248,8 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
             # actions whose successors enable no improvement
             ranked = []
             for best_h, i, act, succs in candidates:
-                look = best_h
-                for s2 in succs:
-                    idx2 = StateIndex(s2, goal)
-                    for a2 in applicable_actions(domain, idx2, n_obj):
-                        for add2, dele2 in ground_outcomes(domain, a2):
-                            look = min(look, _goal_count((s2 - dele2) | add2, goal))
-                ranked.append((best_h, look, i, act, succs))
+                ranked.append((best_h, lookahead(idx, state, succs, best_h),
+                               i, act, succs))
             ranked.sort(key=lambda c: (c[0], c[1], c[2]))
             candidates = [(b, i, a, s) for b, _, i, a, s in ranked]
         else:

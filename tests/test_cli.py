@@ -178,6 +178,13 @@ def test_bad_range_is_data_error(command, spec):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "0"])
+def test_bench_hl_timeout_must_be_positive_and_finite(timeout):
+    r = run_cli(["bench-hl", "--n-list", "3", "--timeout=" + timeout, "--out", "-"])
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+
+
 def test_jobs_only_accepted_by_eval():
     r = run_cli(["gen-demos", "--env", "blocks", "--objects", "1", "--count", "1",
                  "--jobs", "4", "--out", "-"])
@@ -218,6 +225,39 @@ def test_eval_truncated_params_is_data_error(tmp_path):
                  "--seeds", "1", "--out", "-"])
     assert r.returncode == 2, r.stderr
     assert "bad parameter file" in r.stderr
+
+
+def test_eval_byte_fuzzed_params_never_internal_error(tmp_path):
+    import random
+    from bison.envs import ACTION_DIM, EGO_DIM, env_domain, obj_dim
+    from bison.gnn import EncodingSpec, TrainConfig, init_params, load_params, \
+        save_params
+    from bison.core import BisonError
+    from test_gnn import mutate_bytes
+    spec = EncodingSpec.for_domain(env_domain("blocks"), EGO_DIM, obj_dim("blocks"),
+                                   ACTION_DIM)
+    path = tmp_path / "p.bsw"
+    save_params(init_params(spec, TrainConfig()), str(path))
+    blob = path.read_bytes()
+    # the first two mutants that load and the first two that are rejected
+    rng = random.Random(5)
+    picked = {True: [], False: []}
+    while min(len(v) for v in picked.values()) < 2:
+        data = mutate_bytes(blob, rng)
+        path.write_bytes(data)
+        try:
+            load_params(str(path))
+            loads = True
+        except BisonError:
+            loads = False
+        if len(picked[loads]) < 2:
+            picked[loads].append(data)
+    for k, data in enumerate(picked[True] + picked[False]):
+        path.write_bytes(data)
+        r = run_cli(["eval", "--env", "blocks", "--strategy", "bison", "--ll", "gnn",
+                     "--params", str(path), "--objects", "1", "--episodes", "1",
+                     "--seeds", "1", "--out", "-"])
+        assert r.returncode in (0, 2), (k, r.stderr)
 
 
 @pytest.mark.parametrize("env", ["gacha", "pickplace"])

@@ -1,4 +1,5 @@
 import json
+import random
 import struct
 
 import numpy as np
@@ -474,3 +475,36 @@ def test_load_params_accepts_rebuilt_file(tmp_path):
     path = tmp_path / "same.bsw"
     path.write_bytes(bsw_bytes(_with(header), payload))
     assert load_params(str(path)).count() == len(payload) // 8
+
+
+def mutate_bytes(blob: bytes, rng: random.Random) -> bytes:
+    """One to three random byte flips, truncations or insertions."""
+    for _ in range(rng.randint(1, 3)):
+        kind = rng.choice(("flip", "truncate", "insert"))
+        i = rng.randrange(len(blob) + 1)
+        if kind == "flip" and i < len(blob):
+            blob = blob[:i] + bytes([blob[i] ^ rng.randrange(1, 256)]) + blob[i + 1:]
+        elif kind == "truncate":
+            blob = blob[:i]
+        else:
+            blob = blob[:i] + bytes(rng.randrange(256) for _ in range(rng.randint(1, 8))) \
+                + blob[i:]
+    return blob
+
+
+def test_load_params_byte_fuzz(tmp_path):
+    _, _, blob = bsw_parts(tmp_path)
+    rng = random.Random(23)
+    path = tmp_path / "fuzz.bsw"
+    loaded = rejected = 0
+    for _ in range(400):
+        path.write_bytes(mutate_bytes(blob, rng))
+        try:
+            params = load_params(str(path))
+        except BisonError:
+            rejected += 1
+        else:
+            assert isinstance(params, GnnParams)
+            loaded += 1
+    # a flip inside the weights mostly still loads; a change of length never does
+    assert loaded >= 20 and rejected >= 200

@@ -23,6 +23,7 @@ from bison.formats import (Demo, DemoStep, ParseError, parse_domain,
 from bison.learn import _explain_change, lift, regress
 from bison.rules import (HLPolicy, Rule, StateIndex, canonical_rule_str,
                          enum_matches, match_rule)
+from bison.search import _goal_count, _goal_delta
 
 N_CASES = 200
 
@@ -516,3 +517,25 @@ def test_compacted_buckets_keep_insertion_order():
                 assert Counter(enum_matches(idx, atoms, [None] * n_vars)) == \
                     Counter(enum_matches(fresh, atoms, [None] * n_vars))
     assert compactions > 1000
+
+
+# ---------------------------------------------------------------------------
+# Incremental goal count
+# ---------------------------------------------------------------------------
+
+def test_goal_delta_equals_recount():
+    rng = random.Random(7)
+    overlaps = 0  # outcomes that add and delete a goal fact the state holds
+    for _ in range(3000):
+        domain = random_domain(rng)
+        n_obj = rng.randint(1, 3)
+        state = random_state(rng, domain, n_obj)
+        goal = random_state(rng, domain, n_obj) | frozenset(
+            rng.sample(sorted(state), min(len(state), rng.randint(0, 2))))
+        action = random_action(rng, domain, n_obj)
+        h = _goal_count(state, goal)
+        for add, dele in ground_outcomes(domain, action):
+            overlaps += bool(add & dele & goal & state)
+            assert h + _goal_delta(add, dele, goal, state) == \
+                _goal_count((state - dele) | add, goal)
+    assert overlaps >= 40
