@@ -80,9 +80,19 @@ def _load_policy_arg(arg, kind):
     return parse_policy(_read(arg), env_domain(kind))
 
 
+def _at_least(args, **lows):
+    """A count or seed below its least meaningful value is a data error."""
+    for name, low in lows.items():
+        value = getattr(args, name)
+        if value < low:
+            raise BisonError("--%s must be at least %d, got %d"
+                             % (name.replace("_", "-"), low, value))
+
+
 # -- subcommands -------------------------------------------------------------
 
 def cmd_gen_demos(args):
+    _at_least(args, count=0, seed=0)
     cfg = EnvConfig(kind=args.env, n_objects=args.objects, seed=args.seed)
     demos = generate_demos(cfg, args.count)
     if len(demos) < args.count:
@@ -113,6 +123,7 @@ def _domain_for(args):
 
 
 def cmd_learn_hl(args):
+    _at_least(args, subgoal_cap=0)
     domain = _domain_for(args)
     demos = _read_traces(args)
     report = LearnReport()
@@ -126,6 +137,7 @@ def cmd_learn_hl(args):
 
 
 def cmd_train_ll(args):
+    _at_least(args, seed=0)
     domain = _domain_for(args)
     demos = _read_traces(args)
     spec = _encoding_spec(args.env)
@@ -160,6 +172,8 @@ def _parse_range(spec: str):
 
 
 def cmd_eval(args):
+    # --summary reports over seeds, so it needs at least one
+    _at_least(args, episodes=0, seeds=1, jobs=1, seed=0)
     policy = None
     if args.strategy in ("bison", "pure_nn_stub"):
         policy = _load_policy_arg(args.policy, args.env)
@@ -223,6 +237,7 @@ def cmd_bench_hl(args):
     if not (math.isfinite(args.timeout) and args.timeout > 0):
         raise BisonError("--timeout must be a positive number of seconds, got %r"
                          % args.timeout)
+    _at_least(args, seed=0)
     policy = _load_policy_arg(args.policy, "blocks")
     n_list = _parse_range(args.n_list)
     rows = bench_hl(policy, n_list, timeout=args.timeout, seed=args.seed,

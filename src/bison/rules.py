@@ -7,10 +7,20 @@ most-constrained-atom-first join over per-predicate fact indexes; this is what
 makes policy execution at 10k-object scale possible.  The same join grounds
 action preconditions: it enumerates applicable actions for the planners and
 for explaining abstraction changes while learning.
+
+Each rule's condition atoms, and each schema's precondition, are compiled once
+into a join plan: per atom its side, predicate, argument variables, a variable
+bitmask and its (position, variable) pairs.  The join tracks bound variables as
+an int bitmask, tests an atom with one membership lookup as soon as its
+variables are all bound, and ranks only the atoms that still bind something,
+by the same rule as ever: bound argument positions descending, then candidate
+bucket size ascending, then declaration order.  A fully bound atom only
+filters, so checking it early leaves the order of the bindings unchanged.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import random
 import time
@@ -18,8 +28,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional
 
 from .core import (Atom, Domain, Fact, GroundAction, HLProblem, HLState,
-                   StructuralError, applicable, check_atoms, ground_outcomes,
-                   instantiate)
+                   StructuralError, applicable, check_atoms, ground_outcomes)
 
 _BIG = 1 << 30  # sort placeholder for not-yet-renamed variables
 
@@ -34,6 +43,10 @@ class Rule:
     g_cond: frozenset
     head_schema: int
     head_args: tuple  # tuple[int, ...] variable indices
+    plan: tuple = field(init=False, repr=False, compare=False)  # join plan of atoms()
+
+    def __post_init__(self):
+        object.__setattr__(self, "plan", _compile_plan(self.atoms()))
 
     def atoms(self):
         return [("s", a) for a in self.s_cond] + [("g", a) for a in self.g_cond]
@@ -208,20 +221,6 @@ class FactIndex:
         for pos, o in enumerate(fact[1:]):
             del self.by_pos[(pred, pos, o)][fact]
 
-    def bucket(self, atom: Atom, binding: list):
-        """Smallest candidate bucket for an atom under the current partial binding."""
-        best = self.by_pred.get(atom[0])
-        if best is None:
-            best = {}
-        for pos, v in enumerate(atom[1:]):
-            if binding[v] is not None:
-                b = self.by_pos.get((atom[0], pos, binding[v]))
-                if b is None:
-                    return {}
-                if len(b) < len(best):
-                    best = b
-        return best
-
 
 class StateIndex:
     """Indexed state facts plus incrementally tracked unachieved goals.
@@ -266,48 +265,138 @@ class StateIndex:
         return frozenset(self.held.facts)
 
 
-def enum_matches(idx: StateIndex, atoms: list, binding: list):
-    """Backtracking join yielding every satisfying binding as a tuple.
+def _compile_plan(atoms: Iterable) -> tuple:
+    """Join plan of ``(side, atom)`` pairs, kept in the given order.
 
-    Atom choice: maximal number of bound variables, then smallest candidate
-    bucket, then declaration order.  Candidates iterate in bucket insertion
-    order, which is canonical for the initial state, so enumeration is
-    deterministic.  Variables untouched by the atoms stay None.
+    Each entry is ``(side, predicate, argument variables, variable bitmask,
+    repeats, (position, variable) pairs)``; ``repeats`` holds ``(bit, k)`` for
+    a variable that fills k + 1 argument positions, so that the atom's bound
+    position count is ``(mask & bound).bit_count()`` plus those k.
+    """
+    plan = []
+    for side, atom in atoms:
+        args = atom[1:]
+        mask = 0
+        for v in args:
+            mask |= 1 << v
+        repeats = tuple((1 << v, args.count(v) - 1) for v in sorted(set(args))
+                        if args.count(v) > 1)
+        plan.append((side, atom[0], args, mask, repeats, tuple(enumerate(args))))
+    return tuple(plan)
+
+
+def _join(sides: dict, atoms: list, binding: list, bound: int, out: list,
+          first: bool) -> bool:
+    """Append to ``out`` every extension of ``binding`` satisfying ``atoms``.
+
+    ``bound`` has bit v set when ``binding[v]`` is set, and no atom in
+    ``atoms`` is fully bound.  Returns True when ``first`` and a binding was
+    found, which stops the search.
     """
     if not atoms:
-        yield tuple(binding)
-        return
-    sides = idx.sides
-    best_i, best_rank, best_bucket = -1, None, None
-    for i, (src, atom) in enumerate(atoms):
-        bound = sum(1 for v in atom[1:] if binding[v] is not None)
-        bucket = sides[src].bucket(atom, binding)
-        # spec join order: already-bound variables desc, selectivity asc
-        rank = (-bound, len(bucket), i)
-        if best_rank is None or rank < best_rank:
-            best_i, best_rank, best_bucket = i, rank, bucket
-    src, atom = atoms[best_i]
-    rest = atoms[:best_i] + atoms[best_i + 1:]
-    if all(binding[v] is not None for v in atom[1:]):
-        if instantiate(atom, binding) in sides[src].facts:
-            yield from enum_matches(idx, rest, binding)
-        return
-    # no caller changes the index while a join is live, so the bucket is
-    # iterated in place
+        out.append(tuple(binding))
+        return first
+    best, best_n, best_size, best_bucket = None, -1, 0, None
+    for atom in atoms:
+        side, pred, _, mask, repeats, pairs = atom
+        index = sides[side]
+        bucket = index.by_pred.get(pred)
+        if not bucket:
+            return False
+        n = (mask & bound).bit_count()
+        if n:
+            by_pos = index.by_pos
+            for pos, v in pairs:
+                if bound >> v & 1:
+                    b = by_pos.get((pred, pos, binding[v]))
+                    if not b:  # no candidate now, nor under any extension
+                        return False
+                    if len(b) < len(bucket):
+                        bucket = b
+            for bit, k in repeats:
+                if bound & bit:
+                    n += k
+        # rank: bound positions desc, bucket size asc, declaration order
+        size = len(bucket)
+        if n > best_n or n == best_n and size < best_size:
+            best, best_n, best_size, best_bucket = atom, n, size, bucket
+    bound2 = bound | best[3]
+    fresh, same = [], []  # (fact position, variable) to bind / to compare
+    seen = bound
+    for pos, v in best[5]:
+        if seen >> v & 1:
+            same.append((pos + 1, v))
+        else:
+            seen |= 1 << v
+            fresh.append((pos + 1, v))
+    # atoms this binding completes are tested at once; the rest stay ranked
+    checks, rest = [], []
+    for atom in atoms:
+        if atom is best:
+            continue
+        if atom[3] & ~bound2:
+            rest.append(atom)
+        else:
+            checks.append((sides[atom[0]].facts, atom[1], atom[2]))
+    # the join runs to completion before _matches returns, so nothing changes
+    # the index under it and the bucket is iterated in place
     for fact in best_bucket:
-        touched = []
-        ok = True
-        for v, o in zip(atom[1:], fact[1:]):
-            if binding[v] is None:
-                binding[v] = o
-                touched.append(v)
-            elif binding[v] != o:
-                ok = False
+        for p, v in fresh:
+            binding[v] = fact[p]
+        for p, v in same:
+            if fact[p] != binding[v]:
                 break
-        if ok:
-            yield from enum_matches(idx, rest, binding)
-        for v in touched:
-            binding[v] = None
+        else:
+            for facts, pred, args in checks:
+                if (pred, *[binding[v] for v in args]) not in facts:
+                    break
+            else:
+                if _join(sides, rest, binding, bound2, out, first):
+                    return True
+    for _, v in fresh:
+        binding[v] = None
+    return False
+
+
+def _matches(idx: StateIndex, plan: tuple, binding: list, first: bool = False) -> list:
+    """Satisfying bindings of a compiled plan, in join order (``first``: at
+    most one)."""
+    sides = idx.sides
+    bound = 0
+    for v, o in enumerate(binding):
+        if o is not None:
+            bound |= 1 << v
+    rest = []
+    for atom in plan:
+        side, pred, args, mask = atom[:4]
+        if mask & ~bound:
+            rest.append(atom)
+        elif (pred, *[binding[v] for v in args]) not in sides[side].facts:
+            return []
+    out = []
+    _join(sides, rest, binding, bound, out, first)
+    return out
+
+
+def enum_matches(idx: StateIndex, atoms: list, binding: list):
+    """Every binding extending ``binding`` that satisfies the ``(side, atom)``
+    list, each as a tuple, in join order.
+
+    The atoms are compiled into a plan and joined backtracking.  An atom is
+    tested with one membership lookup as soon as its variables are bound; of
+    the others, the join next enumerates the one with the most bound argument
+    positions, then the smallest candidate bucket, then the first declared.
+    Candidates iterate in bucket insertion order, which is canonical for the
+    initial state, so enumeration is deterministic.  Variables untouched by
+    the atoms stay None.
+    """
+    yield from _matches(idx, _compile_plan(atoms), binding)
+
+
+@functools.lru_cache(maxsize=64)
+def _precondition_plans(domain: Domain) -> tuple:
+    # Domain hashes by identity, so each domain's own frozensets fix the order
+    return tuple(_compile_plan(("s", a) for a in sch.pre) for sch in domain.schemata)
 
 
 def schema_actions(domain: Domain, sid: int, idx: StateIndex, n_objects: int):
@@ -317,14 +406,13 @@ def schema_actions(domain: Domain, sid: int, idx: StateIndex, n_objects: int):
     order, not sorted) and parameters that the precondition leaves free range
     over all objects.
     """
-    sch = domain.schemata[sid]
-    atoms = [("s", a) for a in sch.pre]
+    arity = domain.schemata[sid].arity
     seen = set()
-    for binding in enum_matches(idx, atoms, [None] * sch.arity):
+    for binding in _matches(idx, _precondition_plans(domain)[sid], [None] * arity):
         if binding in seen:  # joins may revisit a binding via free atoms
             continue
         seen.add(binding)
-        free = [v for v in range(sch.arity) if binding[v] is None]
+        free = [v for v in range(arity) if binding[v] is None]
         if not free:
             yield GroundAction(sid, binding)
         else:
@@ -347,21 +435,19 @@ def match_rule(rule: Rule, state, goal: frozenset, objects, domain: Domain = Non
     """First satisfying total binding for the rule, or None.
 
     ``state`` may be an HLState or a prebuilt StateIndex (goal must match).
-    Variables appearing in no condition atom range over ``objects`` in order.
+    Variables appearing in no condition atom take the first of ``objects``.
     """
     idx = state if isinstance(state, StateIndex) else StateIndex(state, goal)
-    found = next(enum_matches(idx, rule.atoms(), [None] * rule.n_vars), None)
-    if found is None:
+    found = _matches(idx, rule.plan, [None] * rule.n_vars, first=True)
+    if not found:
         return None
-    binding = list(found)
-    free = [v for v in range(rule.n_vars) if binding[v] is None]
-    if free:
-        objs = list(objects)
-        if not objs:
+    binding = found[0]
+    if None in binding:
+        first = next(iter(objects), None)
+        if first is None:
             return None
-        for v in free:
-            binding[v] = objs[0]
-    return tuple(binding)
+        binding = tuple(first if o is None else o for o in binding)
+    return binding
 
 
 @dataclass
@@ -410,15 +496,27 @@ def random_outcome(rng: random.Random) -> Callable:
     return chooser
 
 
+def _goal_delta(add, dele, goal: frozenset, state) -> int:
+    """Change in the unmet goal count when ground fact sets ``add`` and
+    ``dele`` are applied to ``state``: ``|goal - state'| - |goal - state|``
+    for ``state' = (state - dele) | add``.
+
+    A ground outcome may add and delete the same fact (two lifted atoms can
+    meet under a binding); it then holds afterwards, so only a deleted fact
+    that is not also added counts as lost.
+    """
+    return (sum(1 for f in dele if f in goal and f in state and f not in add)
+            - sum(1 for f in add if f in goal and f not in state))
+
+
 def adversarial_outcome(outcomes, idx: "StateIndex"):
     """Outcome leaving the most unachieved goal facts; first index on ties."""
+    unmet, held = len(idx.unachieved.facts), idx.held.facts
     worst, worst_n = 0, -1
     for i, (add, dele) in enumerate(outcomes):
-        un = set(idx.unachieved.facts)
-        un |= idx.goal & dele
-        un -= add
-        if len(un) > worst_n:
-            worst, worst_n = i, len(un)
+        n = unmet + _goal_delta(add, dele, idx.goal, held)
+        if n > worst_n:
+            worst, worst_n = i, n
     return worst
 
 

@@ -25,7 +25,7 @@ from typing import Optional
 
 from .core import (GroundAction, HLProblem, HLState, applicable,
                    ground_outcomes, instantiate)
-from .rules import StateIndex, applicable_actions, schema_actions
+from .rules import StateIndex, _goal_delta, applicable_actions, schema_actions
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 GENERATED_CAP = 2 * 10 ** 6
@@ -50,18 +50,6 @@ class SearchStats:
 
 def _goal_count(state: HLState, goal: frozenset) -> int:
     return sum(1 for f in goal if f not in state)
-
-
-def _goal_delta(add, dele, goal: frozenset, state) -> int:
-    """``_goal_count((state - dele) | add) - _goal_count(state)`` for ground
-    fact sets ``add`` and ``dele``.
-
-    A ground outcome may add and delete the same fact (two lifted atoms can
-    meet under a binding); it then holds afterwards, so only a deleted fact
-    that is not also added counts as lost.
-    """
-    return (sum(1 for f in dele if f in goal and f in state and f not in add)
-            - sum(1 for f in add if f in goal and f not in state))
 
 
 def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,

@@ -185,6 +185,22 @@ def test_bench_hl_timeout_must_be_positive_and_finite(timeout):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--env", "blocks", "--strategy", "oracle", "--objects", "1",
+     "--episodes", "-1"],
+    ["eval", "--env", "blocks", "--strategy", "oracle", "--objects", "1", "--seeds", "0"],
+    ["eval", "--env", "blocks", "--strategy", "oracle", "--objects", "1", "--jobs", "0"],
+    ["gen-demos", "--env", "blocks", "--objects", "1", "--count", "-2"],
+    ["gen-demos", "--env", "blocks", "--objects", "1", "--seed", "-1"],
+], ids=["episodes", "seeds", "jobs", "count", "seed"])
+def test_counts_below_their_least_value_are_data_errors(tmp_path, argv):
+    out = tmp_path / "out"
+    r = run_cli(argv + ["--out", str(out)])
+    assert r.returncode == 2, r.stderr
+    assert "must be at least" in r.stderr
+    assert not out.exists()
+
+
 def test_jobs_only_accepted_by_eval():
     r = run_cli(["gen-demos", "--env", "blocks", "--objects", "1", "--count", "1",
                  "--jobs", "4", "--out", "-"])
@@ -323,3 +339,49 @@ def test_traces_that_do_not_fit_the_env_are_data_errors(tmp_path, command, env, 
     r = run_cli(args)
     assert r.returncode == 2, r.stderr
     assert "internal error" not in r.stderr
+
+
+# option -> (its least valid value, or a kind for non-integer options)
+FUZZ_COMMANDS = {
+    "gen-demos": (["--env", "blocks", "--objects", "1", "--count", "1"],
+                  {"--objects": 1, "--count": 0, "--seed": 0}),
+    "eval": (["--env", "blocks", "--strategy", "oracle", "--objects", "1",
+              "--episodes", "1", "--seeds", "1"],
+             {"--objects": "range", "--episodes": 0, "--seeds": 1, "--jobs": 1,
+              "--seed": 0}),
+    "train-ll": (["--env", "blocks", "--traces", "{demos}", "--iterations", "1"],
+                 {"--iterations": 0, "--seed": 0}),
+    "learn-hl": (["--env", "blocks", "--traces", "{demos}"], {"--subgoal-cap": 0}),
+    "bench-hl": (["--n-list", "3", "--no-baseline"],
+                 {"--n-list": "range", "--timeout": "seconds", "--seed": 0}),
+}
+FUZZ_GARBAGE = {"int": ["x", "1.5", "", "2e3", "0x10", "--"],
+                "range": ["0", "-2", "3..1", "1..x", "", ",", "x"],
+                "seconds": ["nan", "inf", "-1", "0", "x", ""]}
+
+
+def test_bad_argument_values_are_usage_or_data_errors(workdir, tmp_path, capsys):
+    """Each case corrupts one or two options of a valid command line; it must
+    exit 1 (usage) or 2 (data), never 3 (internal).  --jobs is only ever drawn
+    non-positive, so no case starts a worker process."""
+    import random
+    from bison.cli import main
+    rng = random.Random(2024)
+    codes = []
+    for _ in range(60):
+        command = rng.choice(sorted(FUZZ_COMMANDS))
+        base, options = FUZZ_COMMANDS[command]
+        argv = [command] + [a.format(demos=workdir / "demos.bst") for a in base]
+        argv += ["--out", str(tmp_path / "out")]
+        for opt in rng.sample(sorted(options), rng.randint(1, min(2, len(options)))):
+            low = options[opt]
+            if isinstance(low, int) and (opt == "--jobs" or rng.random() < 0.6):
+                value = str(low - rng.randint(1, 3))
+            else:
+                value = rng.choice(FUZZ_GARBAGE[low if isinstance(low, str) else "int"])
+            argv += [opt, value]
+        code = main(argv)
+        capsys.readouterr()
+        assert code in (1, 2), argv
+        codes.append(code)
+    assert codes.count(1) >= 10 and codes.count(2) >= 20

@@ -21,9 +21,10 @@ from bison.formats import (Demo, DemoStep, ParseError, parse_domain,
                            parse_policy, parse_problem, parse_traces,
                            serialize_domain, serialize_policy, serialize_traces)
 from bison.learn import _explain_change, lift, regress
-from bison.rules import (HLPolicy, Rule, StateIndex, canonical_rule_str,
-                         enum_matches, match_rule)
-from bison.search import _goal_count, _goal_delta
+from bison.rules import (HLPolicy, Rule, StateIndex, _goal_delta,
+                         adversarial_outcome, canonical_rule_str, enum_matches,
+                         match_rule)
+from bison.search import _goal_count
 
 N_CASES = 200
 
@@ -539,3 +540,27 @@ def test_goal_delta_equals_recount():
             assert h + _goal_delta(add, dele, goal, state) == \
                 _goal_count((state - dele) | add, goal)
     assert overlaps >= 40
+
+
+def test_adversarial_outcome_equals_set_recount():
+    rng = random.Random(71)
+    picked_later = 0  # cases where the worst outcome is not the first
+    for _ in range(2000):
+        domain = random_domain(rng)
+        n_obj = rng.randint(1, 3)
+        goal = random_state(rng, domain, n_obj)
+        idx = StateIndex(random_state(rng, domain, n_obj), goal)
+        pool = sorted(random_state(rng, domain, n_obj) | goal)
+        for _ in range(rng.randint(0, 6)):
+            idx.apply(rng.sample(pool, rng.randint(0, min(2, len(pool)))),
+                      rng.sample(pool, rng.randint(0, min(2, len(pool)))))
+        # an outcome may add and delete the same fact
+        outcomes = [(frozenset(rng.sample(pool, rng.randint(0, min(3, len(pool))))),
+                     frozenset(rng.sample(pool, rng.randint(0, min(3, len(pool))))))
+                    for _ in range(rng.randint(1, 4))]
+        unmet = [len((set(idx.unachieved.facts) | (goal & dele)) - add)
+                 for add, dele in outcomes]
+        want = unmet.index(max(unmet))
+        assert adversarial_outcome(outcomes, idx) == want
+        picked_later += want > 0
+    assert picked_later >= 300
