@@ -49,9 +49,12 @@ class BenchRow:
 
 
 def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float = 60.0,
-             seed: int = 0, baseline: bool = True,
-             baseline_max_n: Optional[int] = None) -> List[BenchRow]:
-    """Wall clock measured around solving only; setup reported separately."""
+             seed: int = 0, baseline_max_n: Optional[int] = None) -> List[BenchRow]:
+    """Wall clock measured around solving only; setup reported separately.
+
+    The search baseline runs at every n up to ``baseline_max_n`` (every n when
+    None, none when 0).
+    """
     rows = []
     for n in n_list:
         t0 = time.perf_counter()
@@ -62,7 +65,7 @@ def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float = 60.0,
         secs = time.perf_counter() - t0
         solved = res.solved and secs <= timeout
         rows.append(BenchRow(n, "policy", solved, res.steps, secs, setup))
-        if baseline and (baseline_max_n is None or n <= baseline_max_n):
+        if baseline_max_n is None or n <= baseline_max_n:
             t0 = time.perf_counter()
             stats = SearchStats()
             plan = find_plan(problem, time_budget=timeout, stats=stats)
@@ -75,11 +78,9 @@ def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float = 60.0,
 BENCH_CSV_HEADER = "n,method,solved,hl_steps,seconds,setup_seconds"
 
 
-def bench_rows_csv(rows: Iterable[BenchRow], timing: bool = True) -> str:
+def bench_rows_csv(rows: Iterable[BenchRow]) -> str:
     out = [BENCH_CSV_HEADER]
     for r in rows:
-        secs = "%.6f" % r.seconds if timing else "0.000000"
-        setup = "%.6f" % r.setup_seconds if timing else "0.000000"
-        out.append("%d,%s,%d,%d,%s,%s" % (r.n, r.method, int(r.solved),
-                                          r.hl_steps, secs, setup))
+        out.append("%d,%s,%d,%d,%.6f,%.6f" % (r.n, r.method, int(r.solved),
+                                              r.hl_steps, r.seconds, r.setup_seconds))
     return "\n".join(out) + "\n"

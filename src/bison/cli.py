@@ -1,6 +1,9 @@
 """Command-line harness: demo generation, learning, training, evaluation.
 
 Subcommands: gen-demos, learn-hl, train-ll, eval, bench-hl, check.
+learn-hl, train-ll and check use the --env's built-in domain, the vocabulary
+its labelling is bound to.  bench-hl runs the search baseline up to
+--baseline-max-n objects (all sizes by default, none with 0).
 Exit codes: 0 ok, 1 usage, 2 data error, 3 internal error.  Log level via the
 BISON_LOG environment variable.  Fixed seeds give byte-identical outputs; the
 eval wall_time column is zeroed unless --timing wall is passed (measured times
@@ -28,7 +31,7 @@ from .gnn import EncodingSpec, TrainConfig, build_dataset, load_params, \
 from .learn import AbstractionGapError, LearnReport, extract_hl_trace, \
     learn_hl_policy
 from .runner import STRATEGIES, Executor, run_episode
-from .rules import rule_is_dead, unconstrained_vars
+from .rules import unconstrained_vars
 
 log = logging.getLogger("bison")
 
@@ -101,33 +104,11 @@ def cmd_gen_demos(args):
     return EXIT_OK
 
 
-def _domain_for(args):
-    """The env's domain, or a .bsd file checked to declare the same symbols.
-
-    Labelling functions are bound to the env vocabularies, so a custom domain
-    must agree on predicates and schemata (it may reword nothing else).
-    """
-    domain = env_domain(args.env)
-    if getattr(args, "domain", None):
-        from .formats import parse_domain
-        custom = parse_domain(_read(args.domain))
-        same = ([(p.name, p.arity) for p in custom.predicates]
-                == [(p.name, p.arity) for p in domain.predicates]
-                and [(s.name, s.var_names, s.pre, s.outcomes) for s in custom.schemata]
-                == [(s.name, s.var_names, s.pre, s.outcomes) for s in domain.schemata])
-        if not same:
-            raise BisonError("--domain must match the %s environment's domain "
-                             "(its labelling is bound to that vocabulary)" % args.env)
-        return custom
-    return domain
-
-
 def cmd_learn_hl(args):
     _at_least(args, subgoal_cap=0)
-    domain = _domain_for(args)
     demos = _read_traces(args)
     report = LearnReport()
-    policy = learn_hl_policy(demos, domain, make_labeller(args.env),
+    policy = learn_hl_policy(demos, env_domain(args.env), make_labeller(args.env),
                              subgoal_cap=args.subgoal_cap, report=report)
     log.info("learned %d rules from %d demos (%d skipped, %d unreached goals)",
              len(policy), report.demos_used, report.demos_skipped,
@@ -138,11 +119,10 @@ def cmd_learn_hl(args):
 
 def cmd_train_ll(args):
     _at_least(args, seed=0)
-    domain = _domain_for(args)
     demos = _read_traces(args)
     spec = _encoding_spec(args.env)
     config = TrainConfig(iterations=args.iterations, seed=args.seed)
-    samples = build_dataset(demos, domain, make_labeller(args.env), spec)
+    samples = build_dataset(demos, env_domain(args.env), make_labeller(args.env), spec)
     if not samples:
         raise BisonError("no trainable samples in %s" % args.traces)
     result = train(samples, spec, config)
@@ -241,7 +221,6 @@ def cmd_bench_hl(args):
     policy = _load_policy_arg(args.policy, "blocks")
     n_list = _parse_range(args.n_list)
     rows = bench_hl(policy, n_list, timeout=args.timeout, seed=args.seed,
-                    baseline=not args.no_baseline,
                     baseline_max_n=args.baseline_max_n)
     for r in rows:
         log.info("bench n=%d %s solved=%s steps=%d %.3fs (setup %.3fs)",
@@ -256,7 +235,7 @@ def cmd_check(args):
     labeller = make_labeller(args.env)
     problems = 0
     for i, rule in enumerate(policy.rules):
-        if rule_is_dead(rule):
+        if policy.dead[i]:
             print("policy: rule %d is statically unsatisfiable "
                   "(shared state/goal atom)" % (i + 1))
         uv = unconstrained_vars(rule)
@@ -307,14 +286,12 @@ def build_parser() -> _Parser:
     sp = sub.add_parser("learn-hl", help="learn an HL rule policy from traces")
     common(sp, seed=False)
     sp.add_argument("--traces", required=True)
-    sp.add_argument("--domain", default=None, help="optional .bsd file")
     sp.add_argument("--subgoal-cap", type=int, default=256)
     sp.set_defaults(func=cmd_learn_hl)
 
     sp = sub.add_parser("train-ll", help="behaviour-clone the LL GNN policy")
     common(sp)
     sp.add_argument("--traces", required=True)
-    sp.add_argument("--domain", default=None, help="optional .bsd file")
     sp.add_argument("--iterations", type=int, default=200)
     sp.set_defaults(func=cmd_train_ll)
 
@@ -339,8 +316,8 @@ def build_parser() -> _Parser:
     sp.add_argument("--policy", default=None)
     sp.add_argument("--n-list", default="3,10,100,1000,10000")
     sp.add_argument("--timeout", type=float, default=60.0)
-    sp.add_argument("--no-baseline", action="store_true")
-    sp.add_argument("--baseline-max-n", type=int, default=None)
+    sp.add_argument("--baseline-max-n", type=int, default=None,
+                    help="run the search baseline only up to this n (0: never)")
     sp.set_defaults(func=cmd_bench_hl)
 
     sp = sub.add_parser("check", help="NDRP and policy validation diagnostics")

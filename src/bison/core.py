@@ -362,7 +362,7 @@ def check_ndrp(transitions, labeller, table: ObjectTable, hl_policy, domain: Dom
         a2 = labeller(s2, table)
         if a1 == a2:
             continue
-        act = select_action(hl_policy, a1, goal, range(len(table)), domain)
+        act = select_action(hl_policy, a1, goal, range(len(table)))
         if act is None:
             return NdrpReport(False, i, "policy returned no action at a changing state")
         if not applicable(domain, a1, act):

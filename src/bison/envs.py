@@ -341,11 +341,11 @@ class SimEnv:
     def fact(self, pred: str, *names: str) -> Fact:
         return self.domain.ground_fact(pred, names, self.table)
 
-    def _goto(self, target, gain: float = 6.0) -> np.ndarray:
-        # proportional control decelerating within gain·DELTA of the target;
+    def _goto(self, target) -> np.ndarray:
+        # proportional control decelerating within 6·DELTA of the target;
         # the smooth profile is what makes the skill cloneable by MSE
         d = np.asarray(target) - self.grip
-        a = np.clip(d / (gain * DELTA), -1.0, 1.0)
+        a = np.clip(d / (6.0 * DELTA), -1.0, 1.0)
         return np.array([a[0], a[1], 0.0])
 
     def _dist(self, target) -> float:

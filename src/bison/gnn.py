@@ -30,22 +30,19 @@ from .formats import Demo
 
 PARAM_BUDGET = 33000
 
+# the one training recipe: network size and the Adam schedule
+HIDDEN, LAYERS = 64, 2
+LR, BATCH_SIZE = 1e-3, 128
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 @dataclass
 class TrainConfig:
     iterations: int = 200
-    lr: float = 1e-3
-    batch_size: int = 128
-    beta1: float = 0.9
-    beta2: float = 0.999
-    adam_eps: float = 1e-8
-    hidden: int = 64
-    layers: int = 2
     seed: int = 0
 
     def __post_init__(self):
-        if self.iterations < 0 or self.batch_size <= 0 or self.hidden <= 0 \
-                or self.layers <= 0 or self.lr <= 0:
+        if self.iterations < 0:
             raise BisonError("invalid training configuration")
 
 
@@ -160,7 +157,7 @@ class GnnParams:
         self.w_a = ts[3 + layers:3 + 2 * layers]
         self.w_o = ts[3 + 2 * layers:3 + 3 * layers]
         self.r_w1, self.r_b1, self.r_w2, self.r_b2 = ts[3 + 3 * layers:]
-        if hidden == 64 and layers == 2 and self.count() >= PARAM_BUDGET:
+        if (hidden, layers) == (HIDDEN, LAYERS) and self.count() >= PARAM_BUDGET:
             raise BisonError("parameter count %d exceeds the %d budget"
                              % (self.count(), PARAM_BUDGET))
 
@@ -176,7 +173,7 @@ class GnnParams:
 
 def init_params(spec: EncodingSpec, config: TrainConfig) -> GnnParams:
     rng = np.random.default_rng(config.seed)
-    return GnnParams(spec, config.hidden, config.layers, config.seed, rng)
+    return GnnParams(spec, HIDDEN, LAYERS, config.seed, rng)
 
 
 def forward(params: GnnParams, inp: GnnInput, cache: dict = None) -> np.ndarray:
@@ -309,7 +306,7 @@ class LLSample:
 
 
 def build_dataset(demos: Iterable[Demo], domain: Domain, labeller: Callable,
-                  spec: EncodingSpec, zero_action: bool = False) -> List[LLSample]:
+                  spec: EncodingSpec) -> List[LLSample]:
     """Pair every LL step with the HL action of its abstraction segment.
 
     Steps between abstraction changes pair with the action explaining the next
@@ -333,7 +330,7 @@ def build_dataset(demos: Iterable[Demo], domain: Domain, labeller: Callable,
                 seg = min(seg + 1, len(trace.actions))
             act_i = min(seg, len(trace.actions) - 1)
             inp = encode(spec, domain, step, trace.actions[act_i], trace.goal,
-                         hl_states[i], trace.table, zero_action=zero_action)
+                         hl_states[i], trace.table)
             samples.append(LLSample(inp, np.asarray(step.action, dtype=float)))
     return samples
 
@@ -491,7 +488,7 @@ def train(samples: List[LLSample], spec: EncodingSpec,
     losses = []
     for it in range(config.iterations):
         picks = []
-        need = config.batch_size
+        need = BATCH_SIZE
         while need:
             if cursor >= len(order):
                 order = rng.permutation(len(samples))
@@ -502,14 +499,14 @@ def train(samples: List[LLSample], spec: EncodingSpec,
             need -= len(take)
         grads, loss = batch_backward(params, data.take(np.concatenate(picks)))
         losses.append(loss)
-        lr = cosine_lr(config.lr, it, config.iterations)
+        lr = cosine_lr(LR, it, config.iterations)
         t_adam = it + 1
         for k, (tens, grad) in enumerate(zip(tensors, grads)):
-            m[k] = config.beta1 * m[k] + (1 - config.beta1) * grad
-            v[k] = config.beta2 * v[k] + (1 - config.beta2) * grad * grad
-            m_hat = m[k] / (1 - config.beta1 ** t_adam)
-            v_hat = v[k] / (1 - config.beta2 ** t_adam)
-            tens -= lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            m[k] = BETA1 * m[k] + (1 - BETA1) * grad
+            v[k] = BETA2 * v[k] + (1 - BETA2) * grad * grad
+            m_hat = m[k] / (1 - BETA1 ** t_adam)
+            v_hat = v[k] / (1 - BETA2 ** t_adam)
+            tens -= lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return TrainResult(params, losses)
 
 

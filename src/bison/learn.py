@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, List
 
 from .core import (BisonError, Domain, GroundAction, HLState, ObjectTable,
-                   ground_outcomes, instantiate)
+                   ground_outcomes, ground_pre)
 from .formats import Demo
 from .rules import HLPolicy, Rule, StateIndex, applicable_actions
 
@@ -91,8 +91,7 @@ def regress(domain: Domain, goal: frozenset, action: GroundAction) -> List[froze
         if dele & goal:
             return []
         if pre is None:
-            sch = domain.schemata[action.schema_id]
-            pre = frozenset(instantiate(a, action.args) for a in sch.pre)
+            pre = ground_pre(domain, action)
         results.append((goal - add) | pre)
     return results
 

@@ -165,8 +165,6 @@ class HLPolicy:
         self.rules = tuple(r for _, _, r in sorted((r.val, body, r)
                                                     for body, r in seen.items()))
         self.dead = tuple(rule_is_dead(r) for r in self.rules)
-        self.flagged_unconstrained = tuple(i for i, r in enumerate(self.rules)
-                                           if unconstrained_vars(r))
 
     def __len__(self):
         return len(self.rules)
@@ -187,7 +185,8 @@ class FactIndex:
     and iteration walks those holes; a per-predicate bucket is therefore
     compacted (copied, insertion order kept) once it holds more holes than
     facts, which keeps enumerating it linear in its size at amortised O(1)
-    per removal.
+    per removal.  A per-argument bucket is deleted when it empties, so the
+    index holds buckets only for the facts it holds.
     """
 
     __slots__ = ("facts", "by_pred", "by_pos", "holes")
@@ -219,7 +218,11 @@ class FactIndex:
             holes = 0
         self.holes[pred] = holes
         for pos, o in enumerate(fact[1:]):
-            del self.by_pos[(pred, pos, o)][fact]
+            key = (pred, pos, o)
+            bucket = self.by_pos[key]
+            del bucket[fact]
+            if not bucket:
+                del self.by_pos[key]
 
 
 class StateIndex:
@@ -431,7 +434,7 @@ def applicable_actions(domain: Domain, idx: StateIndex, n_objects: int):
         yield from schema_actions(domain, sid, idx, n_objects)
 
 
-def match_rule(rule: Rule, state, goal: frozenset, objects, domain: Domain = None):
+def match_rule(rule: Rule, state, goal: frozenset, objects):
     """First satisfying total binding for the rule, or None.
 
     ``state`` may be an HLState or a prebuilt StateIndex (goal must match).
@@ -456,26 +459,26 @@ class SelectionDiagnostic:
     rule_index: int = -1
 
 
-def select_action(policy: HLPolicy, state, goal: frozenset, objects,
-                  domain: Domain = None, diag: SelectionDiagnostic = None):
+def select_action(policy: HLPolicy, state, goal: frozenset, objects, *,
+                  diag: SelectionDiagnostic = None):
     """Lowest-val applicable ground rule's head, or None.
 
     Realizes the 0/1 indicator distribution over ground HL actions.  If the
     selected head's precondition does not hold the action is still returned
     and the diagnostic is marked (the executor decides what to do).
     """
-    domain = domain or policy.domain
     idx = state if isinstance(state, StateIndex) else StateIndex(state, goal)
     for i, rule in enumerate(policy.rules):
         if policy.dead[i]:
             continue
-        binding = match_rule(rule, idx, goal, objects, domain)
+        binding = match_rule(rule, idx, goal, objects)
         if binding is not None:
             action = GroundAction(rule.head_schema,
                                   tuple(binding[v] for v in rule.head_args))
             if diag is not None:
                 diag.rule_index = i
-                diag.inapplicable = not applicable(domain, idx.held.facts, action)
+                diag.inapplicable = not applicable(policy.domain, idx.held.facts,
+                                                   action)
             return action
     return None
 
@@ -559,7 +562,7 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
             res.status = "timeout"
             return res
         diag = SelectionDiagnostic()
-        action = select_action(policy, idx, problem.goal, objects, domain, diag)
+        action = select_action(policy, idx, problem.goal, objects, diag=diag)
         if action is None:
             res.status = "no_action"
             return res

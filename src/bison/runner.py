@@ -125,7 +125,7 @@ def _rule_selector(env, hls, executor) -> Callable:
     def select(hls):
         key = (hls, env.goal, len(env.table))
         if key not in chosen:
-            chosen[key] = select_action(policy, hls, env.goal, range(key[2]), env.domain)
+            chosen[key] = select_action(policy, hls, env.goal, range(key[2]))
         return chosen[key]
     return select
 

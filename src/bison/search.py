@@ -6,9 +6,8 @@ deterministic action).  ``find_policy``: depth-bounded AND-OR search with
 memoization producing an explicit state → action map (weak/acyclic policies;
 the replanning executors compensate for uncovered states).
 
-``find_plan`` and ``find_policy``'s lookahead count unmet goal facts
-incrementally: a successor's count is its parent's plus ``_goal_delta`` of
-the outcome's goal effects.  Successor states are materialized lazily at
+Both searches count unmet goal facts incrementally: a successor's count is
+its parent's plus ``_goal_delta`` of the outcome's goal effects.  Successor states are materialized lazily at
 expansion to keep memory bounded by the closed set.  ``find_policy`` builds
 one canonically sorted ``StateIndex`` per expanded state, since its
 enumeration order decides which action is tried first; its lookahead reuses
@@ -48,10 +47,6 @@ class SearchStats:
     seconds: float = 0.0
 
 
-def _goal_count(state: HLState, goal: frozenset) -> int:
-    return sum(1 for f in goal if f not in state)
-
-
 def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
               time_budget: Optional[float] = None,
               stats: SearchStats = None) -> Optional[Plan]:
@@ -63,7 +58,7 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
     init = frozenset(problem.init)
     # frontier entries: (h, seq, parent_state, action, outcome_idx); the root
     # is (h, 0, init, None, -1).  States materialize at pop time.
-    frontier = [(_goal_count(init, goal), 0, init, None, -1)]
+    frontier = [(len(goal - init), 0, init, None, -1)]
     closed = {}  # state -> (parent_state, action, outcome_idx)
     seq = 1
 
@@ -225,10 +220,12 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         st.expanded += 1
         on_path.add(state)
         idx = StateIndex(state, goal)
+        unmet = len(idx.unachieved.facts)
         candidates = []
         for act in applicable_actions(domain, idx, n_obj):
-            succs = [(state - dele) | add for add, dele in ground_outcomes(domain, act)]
-            best_h = min(_goal_count(s2, goal) for s2 in succs)
+            outs = list(ground_outcomes(domain, act))
+            succs = [(state - dele) | add for add, dele in outs]
+            best_h = unmet + min(_goal_delta(add, dele, goal, state) for add, dele in outs)
             candidates.append((best_h, len(candidates), act, succs))
             st.generated += len(succs)
         if 1 < len(candidates) <= 64:

@@ -69,7 +69,7 @@ def test_criterion_1_example2_reproduction():
 def test_criterion_2_hl_scalability(corpus):
     _, dom, policy = corpus
     rows = bench_hl(policy, [3, 10, 100, 1000, 10000], timeout=60.0, seed=0,
-                    baseline=False)
+                    baseline_max_n=0)
     solved = {r.n: (r.solved, r.seconds) for r in rows}
     ok = all(solved[n][0] for n in (3, 10, 100, 1000, 10000))
     big_secs = solved[10000][1]

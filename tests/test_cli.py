@@ -147,20 +147,29 @@ def test_eval_with_gnn_params(workdir):
     assert len(lines) == 2  # header + one episode (success not required here)
 
 
-def test_learn_hl_with_domain_file(workdir):
+@pytest.mark.parametrize("argv", [
+    ["learn-hl", "--env", "blocks", "--traces", "{demos}", "--domain", "{bsd}"],
+    ["train-ll", "--env", "blocks", "--traces", "{demos}", "--domain", "{bsd}"],
+    ["bench-hl", "--n-list", "3", "--no-baseline"],
+], ids=["learn-hl-domain", "train-ll-domain", "bench-hl-no-baseline"])
+def test_removed_options_are_usage_errors(workdir, tmp_path, argv):
     from bison.envs import BLOCKS_DOMAIN_TEXT
-    (workdir / "blocks.bsd").write_text(BLOCKS_DOMAIN_TEXT)
-    r = run_cli(["learn-hl", "--env", "blocks", "--domain",
-                 str(workdir / "blocks.bsd"), "--traces",
-                 str(workdir / "demos.bst"), "--out", str(workdir / "pol2.bsp")])
-    assert r.returncode == 0, r.stderr
-    assert (workdir / "pol2.bsp").read_bytes() == (workdir / "pol.bsp").read_bytes()
-    # a mismatched domain is a data error
-    (workdir / "bad.bsd").write_text("(define (domain x) (:predicates (zzz ?a)))")
-    r = run_cli(["learn-hl", "--env", "blocks", "--domain",
-                 str(workdir / "bad.bsd"), "--traces", str(workdir / "demos.bst"),
+    bsd = tmp_path / "blocks.bsd"
+    bsd.write_text(BLOCKS_DOMAIN_TEXT)
+    out = tmp_path / "out"
+    r = run_cli([a.format(demos=workdir / "demos.bst", bsd=bsd) for a in argv]
+                + ["--out", str(out)])
+    assert r.returncode == 1, r.stderr
+    assert not out.exists()
+
+
+def test_bench_hl_baseline_max_n_zero_runs_the_policy_alone():
+    r = run_cli(["bench-hl", "--n-list", "1,3,10", "--baseline-max-n", "0",
                  "--out", "-"])
-    assert r.returncode == 2
+    assert r.returncode == 0, r.stderr
+    rows = [l.split(",") for l in r.stdout.splitlines()[1:]]
+    assert [(row[0], row[1], row[2]) for row in rows] == [
+        ("1", "policy", "1"), ("3", "policy", "1"), ("10", "policy", "1")]
 
 
 @pytest.mark.parametrize("command,spec", [
@@ -295,22 +304,18 @@ def test_eval_params_of_another_env_is_data_error(tmp_path, env):
 NEST = "(" * 3000 + ")" * 3000
 DEEP = {
     "deep.bsp": "1: (:vars ?x) (:state %s) (:goal) => (pick ?x)\n" % NEST,
-    "deep.bsd": "(define (domain blocks) (:predicates %s))\n" % NEST,
     "deep.bst": '{"goal":["%s"],"steps":[]}\n' % NEST,  # nested inside a goal string
 }
 
 
 @pytest.mark.parametrize("command,flag,name", [
-    ("check", "--policy", "deep.bsp"), ("learn-hl", "--domain", "deep.bsd"),
-    ("learn-hl", "--traces", "deep.bst"),
+    ("check", "--policy", "deep.bsp"), ("learn-hl", "--traces", "deep.bst"),
 ])
-def test_deeply_nested_input_is_data_error(workdir, tmp_path, command, flag, name):
+def test_deeply_nested_input_is_data_error(tmp_path, command, flag, name):
     path = tmp_path / name
     path.write_text(DEEP[name])
     args = [command, "--env", "blocks", flag, str(path)]
     if command == "learn-hl":
-        if flag != "--traces":
-            args += ["--traces", str(workdir / "demos.bst")]
         args += ["--out", str(tmp_path / "out")]
     r = run_cli(args)
     assert r.returncode == 2, r.stderr
@@ -352,7 +357,7 @@ FUZZ_COMMANDS = {
     "train-ll": (["--env", "blocks", "--traces", "{demos}", "--iterations", "1"],
                  {"--iterations": 0, "--seed": 0}),
     "learn-hl": (["--env", "blocks", "--traces", "{demos}"], {"--subgoal-cap": 0}),
-    "bench-hl": (["--n-list", "3", "--no-baseline"],
+    "bench-hl": (["--n-list", "3", "--baseline-max-n", "0"],
                  {"--n-list": "range", "--timeout": "seconds", "--seed": 0}),
 }
 FUZZ_GARBAGE = {"int": ["x", "1.5", "", "2e3", "0x10", "--"],

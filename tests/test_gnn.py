@@ -8,6 +8,7 @@ import pytest
 from bison.core import BisonError, GroundAction, ObjectTable
 from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, env_domain, make_env,
                         make_labeller, obj_dim)
+from bison import gnn
 from bison.gnn import (EncodingSpec, GnnInput, GnnParams, LLSample, TrainConfig,
                        batch_backward, build_dataset, cosine_lr, encode, forward,
                        init_params, load_params, pad_batch, save_params, backward,
@@ -165,8 +166,8 @@ def test_gradcheck_random_configs():
 
 def test_cosine_schedule_endpoints():
     cfg = TrainConfig()
-    assert cosine_lr(cfg.lr, 0, cfg.iterations) == pytest.approx(1e-3)
-    assert cosine_lr(cfg.lr, cfg.iterations - 1, cfg.iterations) <= 1e-6
+    assert cosine_lr(gnn.LR, 0, cfg.iterations) == pytest.approx(1e-3)
+    assert cosine_lr(gnn.LR, cfg.iterations - 1, cfg.iterations) <= 1e-6
 
 
 def test_parameter_budget_blocks():
@@ -358,7 +359,7 @@ def reference_train(samples, spec, config):
     losses = []
     for it in range(config.iterations):
         batch = []
-        while len(batch) < config.batch_size:
+        while len(batch) < gnn.BATCH_SIZE:
             if cursor >= len(order):
                 order = rng.permutation(len(samples))
                 cursor = 0
@@ -372,14 +373,14 @@ def reference_train(samples, spec, config):
                 ai += gi
             total += loss
         losses.append(total / len(batch))
-        lr = cosine_lr(config.lr, it, config.iterations)
+        lr = cosine_lr(gnn.LR, it, config.iterations)
         for k, (tens, grad) in enumerate(zip(tensors, acc)):
             grad = grad / len(batch)
-            m[k] = config.beta1 * m[k] + (1 - config.beta1) * grad
-            v[k] = config.beta2 * v[k] + (1 - config.beta2) * grad * grad
-            m_hat = m[k] / (1 - config.beta1 ** (it + 1))
-            v_hat = v[k] / (1 - config.beta2 ** (it + 1))
-            tens -= lr * m_hat / (np.sqrt(v_hat) + config.adam_eps)
+            m[k] = gnn.BETA1 * m[k] + (1 - gnn.BETA1) * grad
+            v[k] = gnn.BETA2 * v[k] + (1 - gnn.BETA2) * grad * grad
+            m_hat = m[k] / (1 - gnn.BETA1 ** (it + 1))
+            v_hat = v[k] / (1 - gnn.BETA2 ** (it + 1))
+            tens -= lr * m_hat / (np.sqrt(v_hat) + gnn.ADAM_EPS)
     return params, losses
 
 

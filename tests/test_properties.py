@@ -24,7 +24,6 @@ from bison.learn import _explain_change, lift, regress
 from bison.rules import (HLPolicy, Rule, StateIndex, _goal_delta,
                          adversarial_outcome, canonical_rule_str, enum_matches,
                          match_rule)
-from bison.search import _goal_count
 
 N_CASES = 200
 
@@ -74,6 +73,11 @@ def random_state(rng, domain, n_objects):
         arity = domain.predicates[p].arity
         facts.add((p,) + tuple(rng.randrange(n_objects) for _ in range(arity)))
     return frozenset(facts)
+
+
+def goal_count(state, goal) -> int:
+    """Unmet goal facts, counted afresh."""
+    return sum(1 for f in goal if f not in state)
 
 
 def random_action(rng, domain, n_objects):
@@ -238,7 +242,7 @@ def test_match_agrees_with_bruteforce():
         state = random_state(rng, domain, n_obj)
         goal = random_state(rng, domain, n_obj)
         objects = range(n_obj)
-        got = match_rule(rule, state, goal, objects, domain)
+        got = match_rule(rule, state, goal, objects)
         brute_exists = False
         for combo in itertools.product(objects, repeat=rule.n_vars):
             ok = all(instantiate(a, combo) in state for a in rule.s_cond) and \
@@ -375,7 +379,6 @@ def test_selection_val_invariant_under_renaming(blocks_policy):
     from bison.bench import gen_blocks_hl_problem
     from bison.rules import SelectionDiagnostic, select_action
     rng = random.Random(212)
-    domain = env_domain("blocks")
     for case in range(N_CASES):
         prob = gen_blocks_hl_problem(rng.randint(1, 3), seed=case)
         n = len(prob.objects)
@@ -383,11 +386,9 @@ def test_selection_val_invariant_under_renaming(blocks_policy):
         rng.shuffle(perm)
         mapping = dict(enumerate(perm))
         d1, d2 = SelectionDiagnostic(), SelectionDiagnostic()
-        a1 = select_action(blocks_policy, prob.init, prob.goal, range(n),
-                           domain, d1)
+        a1 = select_action(blocks_policy, prob.init, prob.goal, range(n), diag=d1)
         a2 = select_action(blocks_policy, rename_state(prob.init, mapping),
-                           rename_state(prob.goal, mapping), range(n),
-                           domain, d2)
+                           rename_state(prob.goal, mapping), range(n), diag=d2)
         assert (a1 is None) == (a2 is None)
         if a1 is not None:
             assert blocks_policy.rules[d1.rule_index].val == \
@@ -534,11 +535,11 @@ def test_goal_delta_equals_recount():
         goal = random_state(rng, domain, n_obj) | frozenset(
             rng.sample(sorted(state), min(len(state), rng.randint(0, 2))))
         action = random_action(rng, domain, n_obj)
-        h = _goal_count(state, goal)
+        h = goal_count(state, goal)
         for add, dele in ground_outcomes(domain, action):
             overlaps += bool(add & dele & goal & state)
             assert h + _goal_delta(add, dele, goal, state) == \
-                _goal_count((state - dele) | add, goal)
+                goal_count((state - dele) | add, goal)
     assert overlaps >= 40
 
 

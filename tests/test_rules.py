@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from bison.core import GroundAction, HLProblem, ObjectTable
+from bison.core import GroundAction, HLProblem, ObjectTable, ground_outcomes
 from bison.envs import builtin_policy, env_domain
 from bison.formats import parse_policy
 from bison.learn import learn_hl_policy
@@ -26,7 +26,7 @@ def test_match_rule_example_binding():
     rule = builtin_policy("pickplace").rules[0]  # hold(x) ∧ rAt(l) ∧ ĝ at(x,l)
     state = frozenset({f("hold", "b1"), f("rAt", "p2")})
     goal = frozenset({f("at", "b1", "p2")})
-    binding = match_rule(rule, state, goal, range(len(table)), dom)
+    binding = match_rule(rule, state, goal, range(len(table)))
     assert binding is not None
     head = tuple(binding[v] for v in rule.head_args)
     assert head == (table.id("b1"), table.id("p2"))
@@ -37,7 +37,7 @@ def test_match_rule_rejects_achieved_goal_atom():
     rule = builtin_policy("pickplace").rules[0]
     state = frozenset({f("hold", "b1"), f("rAt", "p2"), f("at", "b1", "p2")})
     goal = frozenset({f("at", "b1", "p2")})
-    assert match_rule(rule, state, goal, range(len(table)), dom) is None
+    assert match_rule(rule, state, goal, range(len(table))) is None
 
 
 def test_match_rule_unconstrained_variable():
@@ -46,7 +46,7 @@ def test_match_rule_unconstrained_variable():
     move = dom.schema_ids["move"]
     rule = Rule(0, 2, frozenset({(dom.pred_ids["rAt"], 0)}), frozenset(), move, (0, 1))
     state = frozenset({f("rAt", "p1")})
-    binding = match_rule(rule, state, frozenset(), [table.id("b1")], dom)
+    binding = match_rule(rule, state, frozenset(), [table.id("b1")])
     assert binding == (table.id("p1"), table.id("b1"))
     assert unconstrained_vars(rule) == (1,)
 
@@ -58,7 +58,7 @@ def test_match_agrees_with_bruteforce_small():
     goal = frozenset({f("at", "b1", "p2")})
     objs = range(len(table))
     for rule in policy.rules:
-        got = match_rule(rule, state, goal, objs, dom)
+        got = match_rule(rule, state, goal, objs)
         brute = None
         for combo in itertools.product(objs, repeat=rule.n_vars):
             ok = all((a[0],) + tuple(combo[v] for v in a[1:]) in state
@@ -82,7 +82,7 @@ def test_select_action_blocks_initial_pick(blocks_policy):
     f = lambda n, *a: dom.ground_fact(n, a, table)
     state = frozenset({f("clear", "b0"), f("clear", "p0"), f("gripperFree")})
     goal = frozenset({f("at", "b0", "p0")})
-    act = select_action(blocks_policy, state, goal, range(2), dom)
+    act = select_action(blocks_policy, state, goal, range(2))
     assert act is not None
     assert dom.schemata[act.schema_id].name == "pick"
     assert act.args == (table.id("b0"),)
@@ -94,7 +94,7 @@ def test_select_action_none_when_solved(blocks_policy):
     f = lambda n, *a: dom.ground_fact(n, a, table)
     state = frozenset({f("at", "b0", "p0"), f("clear", "b0"), f("gripperFree")})
     goal = frozenset({f("at", "b0", "p0")})
-    assert select_action(blocks_policy, state, goal, range(2), dom) is None
+    assert select_action(blocks_policy, state, goal, range(2)) is None
 
 
 def test_select_action_tie_break_deterministic():
@@ -106,7 +106,7 @@ def test_select_action_tie_break_deterministic():
     r2 = Rule(0, 2, frozenset({(rat, 1)}), frozenset(), move, (1, 0))
     pol = HLPolicy([r1, r2], dom)
     state = frozenset({(rat, 0), (rat, 1)})
-    picks = {select_action(pol, state, frozenset(), range(2), dom) for _ in range(5)}
+    picks = {select_action(pol, state, frozenset(), range(2)) for _ in range(5)}
     assert len(picks) == 1  # canonical rule order breaks the val tie
 
 
@@ -118,7 +118,7 @@ def test_selected_rule_recheck_exhaustive(blocks_policy):
     idx = StateIndex(prob.init, prob.goal)
     diag = SelectionDiagnostic()
     act = select_action(blocks_policy, idx, prob.goal, range(len(prob.objects)),
-                        dom, diag)
+                        diag=diag)
     assert act is not None and not diag.inapplicable
     for i in range(diag.rule_index):
         if blocks_policy.dead[i]:
@@ -222,12 +222,30 @@ def test_empty_gcond_is_vacuously_true():
     rule = Rule(0, 2, frozenset({(rat, 0)}), frozenset(), move, (0, 1))
     pol = HLPolicy([rule], dom)
     state = frozenset({(rat, 1)})
-    act = select_action(pol, state, frozenset(), range(2), dom)
+    act = select_action(pol, state, frozenset(), range(2))
     assert act is not None  # fires with no goal condition at all
 
 
 def test_unconstrained_vars_flagged_at_load():
     pol = builtin_policy("gacha")
-    assert pol.flagged_unconstrained  # the roll rule's ?b ranges over objects
-    flagged = [pol.rules[i] for i in pol.flagged_unconstrained]
+    flagged = [r for r in pol.rules if unconstrained_vars(r)]
+    assert flagged  # the roll rule's ?b ranges over objects
     assert any(pol.domain.schemata[r.head_schema].name == "roll" for r in flagged)
+
+
+def test_replay_leaves_no_empty_position_buckets(blocks_policy):
+    # a bucket that empties is deleted, so after a whole solve each side
+    # holds per-argument buckets only for the facts it still holds
+    prob = gen_blocks_hl_problem(1000, seed=0)
+    res = solve_hl(blocks_policy, prob, step_cap=8 * 1000 + 64)
+    assert res.solved
+    idx = StateIndex(prob.init, prob.goal)
+    for action, k in zip(res.actions, res.outcomes):
+        add, dele = list(ground_outcomes(prob.domain, action))[k]
+        idx.apply(add, dele)
+    assert idx.solved()
+    for side in (idx.held, idx.unachieved):
+        assert all(side.by_pos.values())
+        assert set(side.by_pos) == {(f[0], pos, o) for f in side.facts
+                                    for pos, o in enumerate(f[1:])}
+    assert not idx.unachieved.by_pos

@@ -99,7 +99,7 @@ def _selecting_every_step(env, hls, executor):
     if policy is None or executor.strategy == "oracle":
         policy = builtin_policy(env.config.kind)
     return lambda hls: runner_mod.select_action(policy, hls, env.goal,
-                                                range(len(env.table)), env.domain)
+                                                range(len(env.table)))
 
 
 def _episode(kind, n, strategy, seed):

@@ -8,7 +8,7 @@ from bison.core import HLProblem, ObjectTable, ground_outcomes, instantiate
 from bison.envs import EnvConfig, env_domain, make_env
 from bison.formats import parse_domain
 from bison.rules import StateIndex, applicable_actions
-from bison.search import (SearchStats, _goal_count, default_depth_cap,
+from bison.search import (SearchStats, default_depth_cap,
                           find_plan, find_policy, validate_plan,
                           validate_policy)
 from bison.bench import gen_blocks_hl_problem
@@ -179,7 +179,7 @@ def reference_find_policy(problem, depth_cap, node_budget):
         candidates = []
         for act in applicable_actions(domain, idx, n_obj):
             succs = [(state - dele) | add for add, dele in ground_outcomes(domain, act)]
-            best_h = min(_goal_count(s2, goal) for s2 in succs)
+            best_h = min(props.goal_count(s2, goal) for s2 in succs)
             candidates.append((best_h, len(candidates), act, succs))
             st.generated += len(succs)
         if 1 < len(candidates) <= 64:
@@ -190,7 +190,8 @@ def reference_find_policy(problem, depth_cap, node_budget):
                     idx2 = StateIndex(s2, goal)
                     for a2 in applicable_actions(domain, idx2, n_obj):
                         for add2, dele2 in ground_outcomes(domain, a2):
-                            look = min(look, _goal_count((s2 - dele2) | add2, goal))
+                            look = min(look, props.goal_count((s2 - dele2) | add2,
+                                                              goal))
                 ranked.append((best_h, look, i, act, succs))
             ranked.sort(key=lambda c: (c[0], c[1], c[2]))
             candidates = [(b, i, a, s) for b, _, i, a, s in ranked]
