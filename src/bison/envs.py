@@ -15,6 +15,7 @@ at(block, fixture) and each family's labeller adds only its own facts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from functools import cached_property
 from typing import Callable, Optional
@@ -60,8 +61,8 @@ class EnvConfig:
 
 @dataclass
 class LLState:
-    ego: np.ndarray                 # [x, y, grip-openness]
-    objects: dict                   # name -> feature vector, table order
+    ego: list                       # [x, y, grip-openness] as floats
+    objects: dict                   # name -> feature vector (float list), table order
 
 
 # ---------------------------------------------------------------------------
@@ -175,11 +176,15 @@ def _near(p, q):
     return max(abs(p[0] - q[0]), abs(p[1] - q[1])) < EPS
 
 
+def _clip(v: float, lo: float, hi: float) -> float:
+    return lo if v < lo else hi if v > hi else v  # min/max calls cost 5x more
+
+
 def _split(objects: dict, wide: bool):
     """One pass by type flag: (held, blocks, fixtures, box, colours).  Resting
-    blocks and fixtures are (name, x, y, vec), x and y plain floats for speed;
-    the rest (name, vec) or None, box and colours only in the ``wide`` gacha
-    layout.  All-zero vectors (hidden capsules) land nowhere: no facts."""
+    blocks and fixtures are (name, x, y, vec); the rest (name, vec) or None,
+    box and colours only in the ``wide`` gacha layout.  All-zero vectors
+    (hidden capsules) land nowhere: no facts."""
     held = box = None
     blocks, fixtures, colours = [], [], []
     for name, vec in objects.items():
@@ -187,9 +192,9 @@ def _split(objects: dict, wide: bool):
             if vec[B_HELD] > 0.5:
                 held = (name, vec)
             else:
-                blocks.append((name, float(vec[0]), float(vec[1]), vec))
+                blocks.append((name, vec[0], vec[1], vec))
         elif vec[B_PAD] > 0.5:
-            fixtures.append((name, float(vec[0]), float(vec[1]), vec))
+            fixtures.append((name, vec[0], vec[1], vec))
         elif wide:
             if vec[G_BOX] > 0.5:
                 box = (name, vec)
@@ -307,7 +312,10 @@ def label_gacha(step, table: ObjectTable) -> frozenset:
 
 class SimEnv:
     """Shared kinematics, render, labelling and pick and carry-to-fixture skills;
-    subclasses add layout, dynamics, object features and other skills."""
+    subclasses add layout, dynamics, object features and other skills.
+
+    Positions are (x, y) float pairs and each step works on plain floats: the
+    state is a handful of numbers, too few for array operations to pay."""
 
     def __init__(self, config: EnvConfig):
         family = _family(config.kind)
@@ -317,7 +325,7 @@ class SimEnv:
         self.obj_dim = family.obj_dim
         self._labeller = make_labeller(config.kind)
         self.table = ObjectTable()
-        self.grip = np.array([0.5, 0.5])
+        self.grip = (0.5, 0.5)
         self.held: Optional[str] = None
         self.block_pos: dict = {}
         self.fixture_pos: dict = {}
@@ -331,9 +339,9 @@ class SimEnv:
         points = list(self.block_pos.values()) + list(self.fixture_pos.values())
         sep = MIN_SEP
         for attempt in range(1200):
-            p = self.rng.uniform(0.1, 0.9, 2)
-            if all(np.max(np.abs(p - np.asarray(q))) >= sep for q in points):
-                return p
+            x, y = self.rng.uniform(0.1, 0.9, 2).tolist()
+            if all(max(abs(x - qx), abs(y - qy)) >= sep for qx, qy in points):
+                return x, y
             if attempt % 400 == 399:  # dense layouts: relax rather than fail
                 sep *= 0.8
         raise BisonError("layout sampling failed; too many objects")
@@ -341,15 +349,17 @@ class SimEnv:
     def fact(self, pred: str, *names: str) -> Fact:
         return self.domain.ground_fact(pred, names, self.table)
 
-    def _goto(self, target) -> np.ndarray:
+    def _goto(self, target, grip_cmd: float) -> np.ndarray:
         # proportional control decelerating within 6·DELTA of the target;
         # the smooth profile is what makes the skill cloneable by MSE
-        d = np.asarray(target) - self.grip
-        a = np.clip(d / (6.0 * DELTA), -1.0, 1.0)
-        return np.array([a[0], a[1], 0.0])
+        gx, gy = self.grip
+        return np.array([_clip((target[0] - gx) / (6.0 * DELTA), -1.0, 1.0),
+                         _clip((target[1] - gy) / (6.0 * DELTA), -1.0, 1.0),
+                         grip_cmd])
 
     def _dist(self, target) -> float:
-        return float(np.max(np.abs(np.asarray(target) - self.grip)))
+        gx, gy = self.grip
+        return max(abs(target[0] - gx), abs(target[1] - gy))
 
     def _approach_grasp(self, target) -> np.ndarray:
         """Approach with the grip command ramping up over the grasp shell.
@@ -360,12 +370,10 @@ class SimEnv:
         nearest in-range block at that point is necessarily the target, so
         passing over other blocks never grasps them.
         """
-        a = self._goto(target)
         d = self._dist(target)
-        shallow = np.clip((2.6 * EPS - d) / (1.2 * EPS), 0.0, 1.0)
-        steep = np.clip((1.5 * EPS - d) / (0.8 * EPS), 0.0, 1.0)
-        a[2] = float(0.22 * shallow + 0.78 * steep)
-        return a
+        shallow = _clip((2.6 * EPS - d) / (1.2 * EPS), 0.0, 1.0)
+        steep = _clip((1.5 * EPS - d) / (0.8 * EPS), 0.0, 1.0)
+        return self._goto(target, 0.22 * shallow + 0.78 * steep)
 
     def _carry_release(self, target) -> np.ndarray:
         """Carry toward the target; release fires only inside the drop shell.
@@ -375,12 +383,10 @@ class SimEnv:
         steep final drop crosses the actuation threshold only once the held
         block is well inside the at() radius of its destination.
         """
-        a = self._goto(target)
         d = self._dist(target)
-        shallow = np.clip((2.5 * EPS - d) / (1.5 * EPS), 0.0, 1.0)
-        steep = np.clip((0.9 * EPS - d) / (0.3 * EPS), 0.0, 1.0)
-        a[2] = -float(0.22 * shallow + 0.78 * steep)
-        return a
+        shallow = _clip((2.5 * EPS - d) / (1.5 * EPS), 0.0, 1.0)
+        steep = _clip((0.9 * EPS - d) / (0.3 * EPS), 0.0, 1.0)
+        return self._goto(target, -(0.22 * shallow + 0.78 * steep))
 
     def _approach_actuate(self, target) -> np.ndarray:
         """Tight actuation ramp for fixture zones (lids, levers).
@@ -388,11 +394,10 @@ class SimEnv:
         Actuation is edge-triggered, so the command withdraws after a high
         frame; repeated attempts (e.g. re-pulling a jammed lever) re-arm.
         """
-        a = self._goto(target)
         if self.prev_grip_cmd > GRIP_ON:
-            return a
-        a[2] = float(np.clip((1.2 * EPS - self._dist(target)) / (0.6 * EPS), 0.0, 1.0))
-        return a
+            return self._goto(target, 0.0)
+        return self._goto(target, _clip((1.2 * EPS - self._dist(target)) / (0.6 * EPS),
+                                        0.0, 1.0))
 
     def _carry(self, name: str, target) -> np.ndarray:
         """Carry the held block name to target (idle if not held or no target)."""
@@ -418,21 +423,20 @@ class SimEnv:
         return self._labeller(lls, self.table)
 
     def render(self) -> LLState:
-        ego = np.array([self.grip[0], self.grip[1],
-                        0.0 if self.held is not None else 1.0])
+        gx, gy = self.grip
         objs = {}
         for name in self.table.names:
-            vec = np.zeros(self.obj_dim)
+            vec = [0.0] * self.obj_dim
             pos = self._features(name, vec)
             if pos is not None:
-                rel = pos - self.grip
-                vec[:2] = pos
-                vec[2:4] = rel
-                vec[B_DIST] = max(abs(rel[0]), abs(rel[1]))
+                x, y = pos
+                rx, ry = x - gx, y - gy
+                dx, dy = abs(rx), abs(ry)
+                vec[:5] = x, y, rx, ry, dx if dx > dy else dy
             objs[name] = vec
-        return LLState(ego, objs)
+        return LLState([gx, gy, 0.0 if self.held is not None else 1.0], objs)
 
-    def _features(self, name: str, vec: np.ndarray):
+    def _features(self, name: str, vec: list):
         """Set name's flag channels in vec; return its position, or None when
         it has no geometry.  Blocks and pads here."""
         pos = self.block_pos.get(name)
@@ -459,14 +463,23 @@ class SimEnv:
         """The family's other skills; the zero action when it has none."""
         return np.zeros(ACTION_DIM)
 
-    def _move_gripper(self, action):
-        a = np.clip(np.asarray(action, dtype=float), -1.0, 1.0)
-        if not np.all(np.isfinite(a)):
+    def _move_gripper(self, action) -> tuple:
+        """Check the action, move by its clipped x and y; return it clipped,
+        as an (x, y, grip) float triple."""
+        a = np.asarray(action, dtype=float)
+        if a.shape != (ACTION_DIM,):
+            raise BisonError("LL action must have shape (%d,), got %s"
+                             % (ACTION_DIM, a.shape))
+        x, y, g = a.tolist()
+        if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(g)):
             raise BisonError("non-finite LL action")
-        self.grip = np.clip(self.grip + a[:2] * DELTA, ARENA_LO, ARENA_HI)
+        x, y, g = _clip(x, -1.0, 1.0), _clip(y, -1.0, 1.0), _clip(g, -1.0, 1.0)
+        gx, gy = self.grip
+        self.grip = (_clip(gx + x * DELTA, ARENA_LO, ARENA_HI),
+                     _clip(gy + y * DELTA, ARENA_LO, ARENA_HI))
         if self.held is not None:
-            self.block_pos[self.held] = self.grip.copy()
-        return a
+            self.block_pos[self.held] = self.grip
+        return x, y, g
 
     def _grasp_nearest(self, a, graspable=None):
         """Close on the nearest in-range block once the command has dwelled.
@@ -483,16 +496,17 @@ class SimEnv:
         self.grasp_count += 1
         if self.grasp_count < GRIP_DWELL:
             return
+        gx, gy = self.grip
         best, best_d = None, EPS
-        for name, pos in self.block_pos.items():
+        for name, (x, y) in self.block_pos.items():
             if graspable is not None and not graspable(name):
                 continue
-            d = float(np.max(np.abs(pos - self.grip)))
+            d = max(abs(x - gx), abs(y - gy))
             if d < best_d:
                 best, best_d = name, d
         if best is not None:
             self.held = best
-            self.block_pos[best] = self.grip.copy()
+            self.block_pos[best] = self.grip
             self.grasp_count = 0
             self.release_count = 0
 
@@ -534,7 +548,7 @@ class BlocksEnv(SimEnv):
         self.goal_pad = {names_b[i]: names_p[perm[i]] for i in range(n)}
         self.goal = frozenset(self.fact("at", b, p) for b, p in self.goal_pad.items())
         self.spawn_pending = list(names_b) if self.config.kind == "factory" else []
-        self.grip = self.rng.uniform(0.2, 0.8, 2)
+        self.grip = tuple(self.rng.uniform(0.2, 0.8, 2).tolist())
         return self.render(), self.goal
 
     # own attributes: perfbench/tracing.py wraps them for this class alone
@@ -589,7 +603,7 @@ class PickPlaceEnv(SimEnv):
         for name in names_o + names_l:
             self.table.intern(name)
         for i, name in enumerate(names_l):
-            self.fixture_pos[name] = np.asarray(self.PAD_SPOTS[i], dtype=float)
+            self.fixture_pos[name] = self.PAD_SPOTS[i]
         if self.config.start_at_block is True:
             start_pad = names_l[1]
         elif self.config.start_at_block is False:
@@ -601,20 +615,21 @@ class PickPlaceEnv(SimEnv):
         goals = {}
         for i, name in enumerate(names_o):
             home = names_l[(i + 1) % k]
-            jitter = self.rng.uniform(-EPS / 4, EPS / 4, 2)
-            self.block_pos[name] = self.fixture_pos[home] + jitter
+            hx, hy = self.fixture_pos[home]
+            jx, jy = self.rng.uniform(-EPS / 4, EPS / 4, 2).tolist()
+            self.block_pos[name] = (hx + jx, hy + jy)
             choices = [l for l in names_l if l != home and l not in goals.values()]
             if len(choices) > 1 and start_pad in choices:
                 choices.remove(start_pad)
             goals[name] = choices[int(self.rng.integers(len(choices)))]
         self.goal = frozenset(self.fact("at", o, l) for o, l in goals.items())
-        self.grip = self.fixture_pos[start_pad].copy()
+        self.grip = self.fixture_pos[start_pad]
         return self.render(), self.goal
 
     def _skill(self, sch: str, names: list) -> np.ndarray:
         # the domain is untyped: a planner may bind move's location to a block
         target = self.fixture_pos.get(names[1]) if sch == "move" else None
-        return np.zeros(ACTION_DIM) if target is None else self._goto(target)
+        return np.zeros(ACTION_DIM) if target is None else self._goto(target, 0.0)
 
 
 class GachaEnv(SimEnv):
@@ -626,9 +641,9 @@ class GachaEnv(SimEnv):
     no facts.  Opening the lid reveals it.
     """
 
-    BOX = np.array([0.15, 0.5])
-    LID = np.array([0.15, 0.62])
-    LEVER = np.array([0.15, 0.38])
+    BOX = (0.15, 0.5)
+    LID = (0.15, 0.62)
+    LEVER = (0.15, 0.38)
     DISCARD = [(0.30, 0.08), (0.42, 0.08), (0.54, 0.08), (0.66, 0.08),
                (0.45, 0.92), (0.60, 0.92)]
 
@@ -644,17 +659,17 @@ class GachaEnv(SimEnv):
         n = self.config.n_objects
         k = self.n_colours
         self.table.intern("box0")
-        self.fixture_pos["box0"] = self.BOX.copy()
+        self.fixture_pos["box0"] = self.BOX
         for i in range(k):
             self.table.intern("c%d" % i)
         for i in range(k):
             self.table.intern("t%d" % i)
-            self.fixture_pos["t%d" % i] = np.array([0.85, 0.2 + 0.15 * i])
+            self.fixture_pos["t%d" % i] = (0.85, 0.2 + 0.15 * i)
         self.goal = frozenset(self.fact("achievedGoal", "c%d" % i) for i in range(n))
-        self.grip = np.array([0.5, 0.5])
+        self.grip = (0.5, 0.5)
         return self.render(), self.goal
 
-    def _features(self, name: str, vec: np.ndarray):
+    def _features(self, name: str, vec: list):
         if name in self.block_pos:
             if name == self.capsule and not self.lid_open:
                 return None  # hidden in the closed box: an all-zero vector
@@ -683,7 +698,7 @@ class GachaEnv(SimEnv):
                     name = "g%d" % self.roll_count
                     self.roll_count += 1
                     self.table.intern(name)
-                    self.block_pos[name] = self.BOX.copy()
+                    self.block_pos[name] = self.BOX
                     self.block_colour[name] = int(self.rng.integers(self.n_colours))
                     self.capsule = name
         elif not (_near(self.grip, self.LID) or _near(self.grip, self.LEVER)):
@@ -691,7 +706,7 @@ class GachaEnv(SimEnv):
             if self.held == self.capsule:
                 self.capsule = None
         self._maybe_release(a)
-        self.prev_grip_cmd = float(a[2])
+        self.prev_grip_cmd = a[2]
         return self.render()
 
     def _skill(self, sch: str, names: list) -> np.ndarray:
@@ -701,7 +716,7 @@ class GachaEnv(SimEnv):
             return self._approach_actuate(self.LEVER)
         if sch == "discard":
             slot = int(names[0][1:]) if names[0][1:].isdigit() else 0
-            return self._carry(names[0], np.asarray(self.DISCARD[slot % len(self.DISCARD)]))
+            return self._carry(names[0], self.DISCARD[slot % len(self.DISCARD)])
         return np.zeros(ACTION_DIM)
 
 
@@ -806,9 +821,6 @@ def generate_demos(config: EnvConfig, count: int):
                 tuple([env.domain.predicates[f[0]].name]
                       + [env.table.names[o] for o in f[1:]])
                 for f in sorted(env.goal))
-            steps = [DemoStep(list(map(float, lls.ego)),
-                              {k: list(map(float, v)) for k, v in lls.objects.items()},
-                              list(map(float, act)))
-                     for lls, act in record]
+            steps = [DemoStep(lls.ego, lls.objects, act.tolist()) for lls, act in record]
             demos.append(Demo(goal_names, steps))
     return demos

@@ -95,7 +95,7 @@ def encode(spec: EncodingSpec, domain: Domain, lls, hla: GroundAction,
     """
     np_, ns, m = spec.n_pred, spec.n_schema, spec.max_arity
     g = np.zeros(spec.g_dim)
-    g[:spec.ego_dim] = np.asarray(lls.ego, dtype=float)
+    g[:spec.ego_dim] = lls.ego
     for fact in hls:
         if len(fact) == 1:
             g[spec.ego_dim + fact[0]] += 1.0
@@ -112,7 +112,7 @@ def encode(spec: EncodingSpec, domain: Domain, lls, hla: GroundAction,
         if vec is None:
             raise BisonError("action references unknown object %r" % name)
         row = np.zeros(spec.o_dim)
-        row[:spec.obj_feat_dim] = np.asarray(vec, dtype=float)
+        row[:spec.obj_feat_dim] = vec
         base = spec.obj_feat_dim
         for fact in hls:
             if len(fact) == 2 and fact[1] == oid:

@@ -1,3 +1,5 @@
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -47,7 +49,8 @@ def test_step_zero_action_noop():
 def test_step_grasp_within_radius():
     env = make_env(EnvConfig("blocks", 1, seed=0))
     env.reset()
-    env.grip = env.block_pos["b0"].copy() + 0.01
+    x, y = env.block_pos["b0"]
+    env.grip = (x + 0.01, y + 0.01)
     for _ in range(10):
         lls = env.step(np.array([0.0, 0.0, 1.0]))
     assert env.held == "b0"
@@ -58,8 +61,12 @@ def test_step_grasp_within_radius():
 def test_step_rejects_non_finite():
     env = make_env(EnvConfig("blocks", 1, seed=0))
     env.reset()
-    with pytest.raises(BisonError):
-        env.step(np.array([np.nan, 0.0, 0.0]))
+    grip = env.grip
+    for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0],
+                [0.0, 0.0, np.inf], [0.5, 0.5], [0.0, 0.0, 0.0, 0.0]):
+        with pytest.raises(BisonError):
+            env.step(np.array(bad))
+    assert env.grip == grip
 
 
 def test_noisy_with_zero_prob_equals_deterministic():
@@ -107,7 +114,7 @@ def test_at_most_one_held_and_tracks_gripper():
 def test_labelling_block_on_pad():
     env = make_env(EnvConfig("blocks", 1, seed=0))
     env.reset()
-    env.block_pos["b0"] = env.fixture_pos["p0"].copy()
+    env.block_pos["b0"] = env.fixture_pos["p0"]
     hls = env.label(env.render())
     assert "(at b0 p0)" in fact_strs(env, hls)
 
@@ -116,7 +123,7 @@ def test_labelling_held_block():
     env = make_env(EnvConfig("blocks", 1, seed=0))
     env.reset()
     env.held = "b0"
-    env.block_pos["b0"] = env.grip.copy()
+    env.block_pos["b0"] = env.grip
     strs = fact_strs(env, env.label(env.render()))
     assert "(holding b0)" in strs
     assert "(gripperFree)" not in strs
@@ -126,7 +133,7 @@ def test_labelling_constant_during_free_transit():
     env = make_env(EnvConfig("blocks", 2, seed=6))
     lls, _ = env.reset()
     # scripted transit far from all objects: abstraction must not change
-    env.grip = np.array([0.5, 0.95])
+    env.grip = (0.5, 0.95)
     base = env.label(env.render())
     for _ in range(20):
         lls = env.step(np.array([1.0, 0.0, 0.0]))
@@ -284,6 +291,21 @@ def test_oracle_success_small_sweep():
     for n in (1, 4, 7, 10):
         env = make_env(EnvConfig("blocks", n, seed=40 + n))
         assert run_episode(env, Executor(strategy="oracle")).success
+
+
+# sha256 of serialize_traces(generate_demos(EnvConfig(kind, n, seed=11), 3)):
+# the simulator's output for every kind, from layout sampling to the skills
+@pytest.mark.parametrize("kind, n, digest", [
+    ("blocks", 4, "f5102a16559460d03d529f3169a73f7c4eefbe36927716c5e8f0fa17371c2355"),
+    ("blocks-noisy", 4, "4bf50a3e90bb648d5a96ce0feaa2b5d820fe768f8f66a9212e06d0355c5983f8"),
+    ("factory", 3, "d2cad2ca5659c05871df508675cab7d5fef52cb504a5e63306f9ec3582b0e04e"),
+    ("gacha", 2, "f5341f5dbc44283f17252a9be58cf41527a51786801451a3615166f8255ffb1d"),
+    ("pickplace", 3, "0b02c3ff695bb508ebd989e16b74d4d0158b56c18e8404ad5006b4df9509bb1e"),
+])
+def test_demo_corpus_digest(kind, n, digest):
+    from bison.formats import serialize_traces
+    text = serialize_traces(generate_demos(EnvConfig(kind, n, seed=11), 3))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest
 
 
 def test_episode_seed_derivation():

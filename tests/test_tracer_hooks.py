@@ -51,3 +51,17 @@ def test_tracer_sees_rule_selection_and_the_network():
     # solve_hl selects once per step; the episode selects at least once
     assert tracer.counts["rules.selections"] > res.steps
     assert tracer.counts["rules.match_rule"] >= tracer.counts["rules.selections"]
+
+
+def test_tracer_sees_the_simulator_in_an_oracle_episode():
+    tracer = load_tracer()
+    with tracer.installed():
+        env = make_env(EnvConfig("blocks", 2, seed=0))  # binds the traced labeller
+        episode = runner.run_episode(env, Executor("oracle"))
+    assert episode.success
+    spans = [span[0] for span in tracer.spans]
+    steps = episode.ll_steps
+    assert spans.count("envs.oracle_skill") == steps
+    assert spans.count("envs.step") == steps
+    assert spans.count("envs.label") == steps + 1  # the goal state is labelled too
+    assert spans.count("envs.render") == steps + 1  # reset renders too
