@@ -22,6 +22,6 @@ from .rules import (HLPolicy, Rule, StateIndex, adversarial_outcome,
                     canonical_rule_str, fixed_outcome, match_rule,
                     random_outcome, select_action, solve_hl)
 from .runner import EpisodeResult, Executor, run_episode
-from .search import Plan, SearchPolicy, SearchStats, find_plan, find_policy
+from .search import Plan, SearchStats, find_plan, find_policy
 
 __version__ = "0.1.0"

@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional
 from .core import HLProblem, ObjectTable
 from .envs import env_domain
 from .rules import HLPolicy, solve_hl
-from .search import SearchStats, find_plan
+from .search import find_plan
 
 
 def gen_blocks_hl_problem(n: int, seed: int = 0) -> HLProblem:
@@ -67,8 +67,7 @@ def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float = 60.0,
         rows.append(BenchRow(n, "policy", solved, res.steps, secs, setup))
         if baseline_max_n is None or n <= baseline_max_n:
             t0 = time.perf_counter()
-            stats = SearchStats()
-            plan = find_plan(problem, time_budget=timeout, stats=stats)
+            plan = find_plan(problem, time_budget=timeout)
             secs = time.perf_counter() - t0
             rows.append(BenchRow(n, "internal-baseline", plan is not None,
                                  len(plan.actions) if plan else 0, secs, setup))

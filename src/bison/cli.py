@@ -113,6 +113,9 @@ def cmd_learn_hl(args):
     log.info("learned %d rules from %d demos (%d skipped, %d unreached goals)",
              len(policy), report.demos_used, report.demos_skipped,
              report.unreached_goals)
+    if report.demos_skipped:
+        log.warning("skipped %d of %d demos: an abstraction change no modelled "
+                    "action explains", report.demos_skipped, len(demos))
     _write(args.out, serialize_policy(policy))
     return EXIT_OK
 
@@ -167,6 +170,8 @@ def cmd_eval(args):
                          % (args.strategy, args.ll))
     rows = []
     n_list = _parse_range(args.objects_range)
+    for n in n_list:  # an n the env has no room for fails before any episode
+        EnvConfig(kind=args.env, n_objects=n)
     jobs = []
     for n in n_list:
         for seed_i in range(args.seeds):
@@ -230,9 +235,7 @@ def cmd_bench_hl(args):
 
 
 def cmd_check(args):
-    domain = env_domain(args.env)
     policy = _load_policy_arg(args.policy, args.env)
-    labeller = make_labeller(args.env)
     problems = 0
     for i, rule in enumerate(policy.rules):
         if policy.dead[i]:
@@ -240,20 +243,18 @@ def cmd_check(args):
                   "(shared state/goal atom)" % (i + 1))
         uv = unconstrained_vars(rule)
         if uv:
-            print("policy: rule %d has %d unconstrained variable(s); grounding "
-                  "them scans all objects" % (i + 1, len(uv)))
+            print("policy: rule %d has %d unconstrained variable(s); each is "
+                  "bound to the first object" % (i + 1, len(uv)))
     if args.traces:
         demos = _read_traces(args)
         for k, demo in enumerate(demos):
             try:
-                trace = extract_hl_trace(demo, domain, labeller)
+                trace = extract_hl_trace(demo, policy.domain, make_labeller(args.env))
             except AbstractionGapError as e:
                 print("demo %d: abstraction gap: %s" % (k, e))
                 problems += 1
                 continue
-            transitions = list(zip(demo.steps, demo.steps[1:]))
-            rep = check_ndrp(transitions, labeller, trace.table, policy, domain,
-                             trace.goal)
+            rep = check_ndrp(trace.step_states, policy, trace.goal, len(trace.table))
             if not rep.ok:
                 print("demo %d: NDRP violation at step %d: %s"
                       % (k, rep.step, rep.reason))

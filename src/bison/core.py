@@ -346,27 +346,26 @@ class NdrpReport:
     reason: str = ""
 
 
-def check_ndrp(transitions, labeller, table: ObjectTable, hl_policy, domain: Domain,
-               goal: frozenset) -> NdrpReport:
-    """Check Def.-1 downward refinement over LL transitions.
+def check_ndrp(labels: Sequence[HLState], hl_policy, goal: frozenset,
+               n_objects: int) -> NdrpReport:
+    """Check Def.-1 downward refinement over the labels of consecutive LL steps.
 
     For every LL transition s → s', either the abstraction is preserved or
-    λ(s') is a successor of the policy-selected action at λ(s).  A policy that
-    returns no action at a changing abstract state is reported as a violation
-    with the offending step index.
+    λ(s') is a successor of the policy-selected action at λ(s), where
+    ``labels[i]`` is λ of step i.  A policy that returns no action at a
+    changing abstract state is reported as a violation with the offending
+    step index.
     """
     from .rules import select_action  # local import to avoid a cycle
 
-    for i, (s, s2) in enumerate(transitions):
-        a1 = labeller(s, table)
-        a2 = labeller(s2, table)
+    for i, (a1, a2) in enumerate(zip(labels, labels[1:])):
         if a1 == a2:
             continue
-        act = select_action(hl_policy, a1, goal, range(len(table)))
+        act = select_action(hl_policy, a1, goal, range(n_objects))
         if act is None:
             return NdrpReport(False, i, "policy returned no action at a changing state")
-        if not applicable(domain, a1, act):
+        if not applicable(hl_policy.domain, a1, act):
             return NdrpReport(False, i, "selected action inapplicable")
-        if a2 not in successors(domain, a1, act):
+        if a2 not in successors(hl_policy.domain, a1, act):
             return NdrpReport(False, i, "abstract jump not among successors of selected action")
     return NdrpReport(True)

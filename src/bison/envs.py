@@ -46,9 +46,12 @@ class EnvConfig:
     start_at_block: Optional[bool] = None  # pickplace: force robot start pad
 
     def __post_init__(self):
-        _family(self.kind)  # unknown kinds raise
+        limit = _family(self.kind).env_class.max_objects  # unknown kinds raise
         if self.n_objects < 1:
             raise BisonError("n_objects must be >= 1")
+        if limit is not None and self.n_objects > limit:
+            raise BisonError("%s has room for at most %d objects, got %d"
+                             % (self.kind, limit, self.n_objects))
         if self.teleport_prob is None:
             self.teleport_prob = 0.001 if self.kind == "blocks-noisy" else 0.0
         if not (0.0 <= self.teleport_prob <= 1.0):
@@ -315,7 +318,11 @@ class SimEnv:
     subclasses add layout, dynamics, object features and other skills.
 
     Positions are (x, y) float pairs and each step works on plain floats: the
-    state is a handful of numbers, too few for array operations to pay."""
+    state is a handful of numbers, too few for array operations to pay.
+    ``max_objects`` is the most objects the layout has room for (None: no
+    limit)."""
+
+    max_objects: Optional[int] = None
 
     def __init__(self, config: EnvConfig):
         family = _family(config.kind)
@@ -594,6 +601,8 @@ class PickPlaceEnv(SimEnv):
     # Voronoi cells (keeps HL traces minimal)
     PAD_SPOTS = [(0.2, 0.2), (0.5, 0.8), (0.8, 0.2), (0.15, 0.55), (0.85, 0.55),
                  (0.5, 0.33), (0.2, 0.85), (0.8, 0.85)]
+    # the last object's goal must avoid its own pad and n - 1 other goals
+    max_objects = len(PAD_SPOTS) - 1
 
     def reset(self):
         n = self.config.n_objects
@@ -646,6 +655,9 @@ class GachaEnv(SimEnv):
     LEVER = (0.15, 0.38)
     DISCARD = [(0.30, 0.08), (0.42, 0.08), (0.54, 0.08), (0.66, 0.08),
                (0.45, 0.92), (0.60, 0.92)]
+    TRAY_X, TRAY_Y0, TRAY_DY = 0.85, 0.2, 0.15  # tray i sits at y = Y0 + i * DY
+    # goal colour i is trayed on tray i, so the n goal trays must fit the arena
+    max_objects = int((ARENA_HI - TRAY_Y0) / TRAY_DY) + 1
 
     def __init__(self, config: EnvConfig):
         super().__init__(config)
@@ -664,7 +676,7 @@ class GachaEnv(SimEnv):
             self.table.intern("c%d" % i)
         for i in range(k):
             self.table.intern("t%d" % i)
-            self.fixture_pos["t%d" % i] = (0.85, 0.2 + 0.15 * i)
+            self.fixture_pos["t%d" % i] = (self.TRAY_X, self.TRAY_Y0 + self.TRAY_DY * i)
         self.goal = frozenset(self.fact("achievedGoal", "c%d" % i) for i in range(n))
         self.grip = (0.5, 0.5)
         return self.render(), self.goal

@@ -123,7 +123,6 @@ def lift(domain: Domain, action: GroundAction, state_cond: frozenset,
 
 @dataclass
 class LearnReport:
-    policy: HLPolicy = None
     demos_used: int = 0
     demos_skipped: int = 0
     unreached_goals: int = 0
@@ -177,9 +176,7 @@ def learn_hl_policy(demos: Iterable[Demo], domain: Domain, labeller: Callable,
                 nxt = nxt[:subgoal_cap]
             subgoals = nxt
         rep.demos_used += 1
-    policy = HLPolicy(rules, domain)
-    rep.policy = policy
-    return policy
+    return HLPolicy(rules, domain)
 
 
 def coverage_bound(domain: Domain, c: int) -> int:

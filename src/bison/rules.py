@@ -16,6 +16,10 @@ variables are all bound, and ranks only the atoms that still bind something,
 by the same rule as ever: bound argument positions descending, then candidate
 bucket size ascending, then declaration order.  A fully bound atom only
 filters, so checking it early leaves the order of the bindings unchanged.
+Each join level binds at least one fresh variable from distinct facts of one
+bucket, so the join never yields a binding twice and ``schema_actions``
+passes its bindings on as they come.  An ``HLPolicy`` canonicalises each rule
+once, when it is built, and serializes from those canonical forms.
 """
 
 from __future__ import annotations
@@ -151,7 +155,10 @@ def canonical_rule_str(rule: Rule, domain: Domain) -> str:
 
 
 class HLPolicy:
-    """Rules kept sorted by (val, canonical serialization), duplicates removed."""
+    """Rules kept sorted by (val, canonical serialization), duplicates removed.
+
+    Each rule is canonicalised once, here; ``serialize`` reuses the bodies.
+    """
 
     def __init__(self, rules: Iterable[Rule], domain: Domain):
         self.domain = domain
@@ -162,15 +169,17 @@ class HLPolicy:
             if body not in seen or r.val < seen[body].val:
                 seen[body] = r
         # (val, body) orders as (val, full serialization): equal vals share a prefix
-        self.rules = tuple(r for _, _, r in sorted((r.val, body, r)
-                                                    for body, r in seen.items()))
+        kept = sorted((r.val, body, r) for body, r in seen.items())
+        self.rules = tuple(r for _, _, r in kept)
+        self._bodies = tuple(body for _, body, _ in kept)
         self.dead = tuple(rule_is_dead(r) for r in self.rules)
 
     def __len__(self):
         return len(self.rules)
 
     def serialize(self) -> str:
-        return "".join(canonical_rule_str(r, self.domain) + "\n" for r in self.rules)
+        return "".join("%d: %s\n" % (r.val + 1, body)
+                       for r, body in zip(self.rules, self._bodies))
 
 
 # ---------------------------------------------------------------------------
@@ -407,14 +416,12 @@ def schema_actions(domain: Domain, sid: int, idx: StateIndex, n_objects: int):
 
     Precondition variables are bound by the join (so bindings come in join
     order, not sorted) and parameters that the precondition leaves free range
-    over all objects.
+    over all objects.  The join yields each binding once: fully bound atoms
+    only filter, and every join level binds a fresh variable from distinct
+    facts of one bucket, so no action repeats.
     """
     arity = domain.schemata[sid].arity
-    seen = set()
     for binding in _matches(idx, _precondition_plans(domain)[sid], [None] * arity):
-        if binding in seen:  # joins may revisit a binding via free atoms
-            continue
-        seen.add(binding)
         free = [v for v in range(arity) if binding[v] is None]
         if not free:
             yield GroundAction(sid, binding)
@@ -528,7 +535,6 @@ class SolveResult:
     status: str  # solved | no_action | cap_exceeded | defect | timeout
     actions: list = field(default_factory=list)
     outcomes: list = field(default_factory=list)
-    states: Optional[list] = None
     steps: int = 0
 
     @property
@@ -537,8 +543,7 @@ class SolveResult:
 
 
 def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = None,
-             step_cap: int = 10 ** 6, record_states: bool = False,
-             deadline: Optional[float] = None) -> SolveResult:
+             step_cap: int = 10 ** 6, deadline: Optional[float] = None) -> SolveResult:
     """Run the policy on the HL model until the goal holds or it gets stuck.
 
     One successor per step, chosen by ``outcome_chooser`` (default: outcome 0).
@@ -552,8 +557,6 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
     idx = StateIndex(problem.init, problem.goal)
     objects = range(len(problem.objects))
     res = SolveResult("solved")
-    if record_states:
-        res.states = [idx.state()]
     while not idx.solved():
         if res.steps >= step_cap:
             res.status = "cap_exceeded"
@@ -577,6 +580,4 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
         res.actions.append(action)
         res.outcomes.append(k)
         res.steps += 1
-        if record_states:
-            res.states.append(idx.state())
     return res

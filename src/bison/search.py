@@ -3,15 +3,16 @@
 ``find_plan``: greedy best-first search with a goal-count heuristic on the
 all-outcomes determinisation (every nondeterministic outcome becomes its own
 deterministic action).  ``find_policy``: depth-bounded AND-OR search with
-memoization producing an explicit state → action map (weak/acyclic policies;
-the replanning executors compensate for uncovered states).
+memoization returning an explicit state → action ``dict`` keyed by frozenset
+HL states (weak/acyclic policies; the replanning executors compensate for
+uncovered states).
 
 Both searches count unmet goal facts incrementally: a successor's count is
-its parent's plus ``_goal_delta`` of the outcome's goal effects.  Successor states are materialized lazily at
-expansion to keep memory bounded by the closed set.  ``find_policy`` builds
-one canonically sorted ``StateIndex`` per expanded state, since its
-enumeration order decides which action is tried first; its lookahead reuses
-that index rather than building one per successor.
+its parent's plus ``_goal_delta`` of the outcome's goal effects.  Successor
+states are materialized lazily at expansion to keep memory bounded by the
+closed set.  ``find_policy`` builds one canonically sorted ``StateIndex`` per
+expanded state, since its enumeration order decides which action is tried
+first; its lookahead reuses that index rather than building one per successor.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (GroundAction, HLProblem, HLState, applicable,
-                   ground_outcomes, instantiate)
+from .core import (HLProblem, HLState, applicable, ground_outcomes,
+                   instantiate)
 from .rules import StateIndex, _goal_delta, applicable_actions, schema_actions
 
 DEFAULT_NODE_BUDGET = 10 ** 6
@@ -114,20 +115,6 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
 # AND-OR policy search
 # ---------------------------------------------------------------------------
 
-class SearchPolicy:
-    """Explicit finite state → action map extracted by AND-OR search."""
-
-    def __init__(self, mapping: dict, goal: frozenset):
-        self.mapping = mapping
-        self.goal = goal
-
-    def get(self, state: HLState) -> Optional[GroundAction]:
-        return self.mapping.get(frozenset(state))
-
-    def __len__(self):
-        return len(self.mapping)
-
-
 def default_depth_cap(problem: HLProblem) -> int:
     return max(1, 4 * max(1, len(problem.goal)) * max(1, len(problem.objects)))
 
@@ -135,8 +122,8 @@ def default_depth_cap(problem: HLProblem) -> int:
 def find_policy(problem: HLProblem, depth_cap: int = None,
                 node_budget: int = DEFAULT_NODE_BUDGET,
                 time_budget: Optional[float] = None,
-                stats: SearchStats = None) -> Optional[SearchPolicy]:
-    """Depth-bounded AND-OR search with memoization.
+                stats: SearchStats = None) -> Optional[dict]:
+    """Depth-bounded AND-OR search with memoization: a state → action map.
 
     A state is solved if some applicable action has every outcome solved
     within the remaining depth.  OR-branches try actions ordered by the best
@@ -263,7 +250,7 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         st.status = aborted[0] if aborted else "exhausted"
         return None
     st.status = "solved"
-    return SearchPolicy(solved_action, goal)
+    return solved_action
 
 
 def validate_plan(problem: HLProblem, plan: Plan) -> bool:
@@ -278,7 +265,7 @@ def validate_plan(problem: HLProblem, plan: Plan) -> bool:
     return problem.goal <= state
 
 
-def validate_policy(problem: HLProblem, policy: SearchPolicy,
+def validate_policy(problem: HLProblem, policy: dict,
                     max_states: int = 100000) -> bool:
     """Closedness: every state reachable under the map has an entry or is a goal."""
     domain, goal = problem.domain, problem.goal

@@ -390,3 +390,80 @@ def test_bad_argument_values_are_usage_or_data_errors(workdir, tmp_path, capsys)
         assert code in (1, 2), argv
         codes.append(code)
     assert codes.count(1) >= 10 and codes.count(2) >= 20
+
+
+# `bison check` stdout, pinned: the blocks lines list a learned policy's dead
+# rules, the pickplace ones its unconstrained variables and NDRP violations
+CHECK_BLOCKS = """\
+policy: rule 1 is statically unsatisfiable (shared state/goal atom)
+policy: rule 2 is statically unsatisfiable (shared state/goal atom)
+policy: rule 3 is statically unsatisfiable (shared state/goal atom)
+policy: rule 4 is statically unsatisfiable (shared state/goal atom)
+checked 6 demos, 0 problem(s)
+"""
+CHECK_PICKPLACE_LEARNED = """\
+policy: rule 1 is statically unsatisfiable (shared state/goal atom)
+policy: rule 2 is statically unsatisfiable (shared state/goal atom)
+policy: rule 3 is statically unsatisfiable (shared state/goal atom)
+policy: rule 4 is statically unsatisfiable (shared state/goal atom)
+policy: rule 4 has 1 unconstrained variable(s); each is bound to the first object
+policy: rule 5 is statically unsatisfiable (shared state/goal atom)
+policy: rule 5 has 1 unconstrained variable(s); each is bound to the first object
+policy: rule 6 is statically unsatisfiable (shared state/goal atom)
+policy: rule 7 is statically unsatisfiable (shared state/goal atom)
+policy: rule 9 is statically unsatisfiable (shared state/goal atom)
+policy: rule 11 is statically unsatisfiable (shared state/goal atom)
+demo 0: NDRP violation at step 56: policy returned no action at a changing state
+demo 1: NDRP violation at step 89: policy returned no action at a changing state
+demo 2: NDRP violation at step 63: policy returned no action at a changing state
+checked 3 demos, 3 problem(s)
+"""
+CHECK_PICKPLACE_BUILTIN = """\
+demo 0: NDRP violation at step 14: abstract jump not among successors of selected action
+demo 2: NDRP violation at step 63: abstract jump not among successors of selected action
+checked 3 demos, 2 problem(s)
+"""
+
+
+def test_check_stdout_is_pinned(workdir, tmp_path):
+    r = run_cli(["check", "--env", "blocks", "--policy", str(workdir / "pol.bsp"),
+                 "--traces", str(workdir / "demos.bst")])
+    assert (r.returncode, r.stdout) == (0, CHECK_BLOCKS), r.stderr
+    demos, pol = str(tmp_path / "p.bst"), str(tmp_path / "p.bsp")
+    for argv in (["gen-demos", "--objects", "2", "--count", "3", "--seed", "2",
+                  "--out", demos],
+                 ["learn-hl", "--traces", demos, "--out", pol]):
+        assert run_cli(argv[:1] + ["--env", "pickplace"] + argv[1:]).returncode == 0
+    r = run_cli(["check", "--env", "pickplace", "--policy", pol, "--traces", demos])
+    assert (r.returncode, r.stdout) == (2, CHECK_PICKPLACE_LEARNED), r.stderr
+    r = run_cli(["check", "--env", "pickplace", "--traces", demos])
+    assert (r.returncode, r.stdout) == (2, CHECK_PICKPLACE_BUILTIN), r.stderr
+
+
+def test_learn_hl_warns_about_skipped_demos(tmp_path):
+    # no modelled gacha action explains its demos' abstraction changes
+    demos, pol = tmp_path / "d.bst", tmp_path / "p.bsp"
+    r = run_cli(["gen-demos", "--env", "gacha", "--objects", "1", "--count", "2",
+                 "--out", str(demos)])
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["learn-hl", "--env", "gacha", "--traces", str(demos), "--out", str(pol)])
+    assert r.returncode == 0, r.stderr
+    assert "WARNING bison: skipped 2 of 2 demos" in r.stderr
+    assert pol.read_text() == ""
+
+
+@pytest.mark.parametrize("env,limit", [("pickplace", 7), ("gacha", 6)])
+@pytest.mark.parametrize("command", ["gen-demos", "eval"])
+def test_objects_above_the_env_limit_are_data_errors(tmp_path, env, limit, command):
+    out = tmp_path / "out"
+    if command == "gen-demos":
+        argv = ["gen-demos", "--objects", str(limit + 1), "--count", "1"]
+    else:  # every n is checked before the first episode runs
+        argv = ["eval", "--strategy", "oracle", "--objects", "1,%d" % (limit + 1),
+                "--episodes", "1", "--seeds", "1"]
+    r = run_cli(argv[:1] + ["--env", env] + argv[1:] + ["--out", str(out)],
+                env=dict(os.environ, BISON_LOG="info"))
+    assert r.returncode == 2, r.stderr
+    assert "episode" not in r.stderr
+    assert "room for at most %d objects" % limit in r.stderr
+    assert not out.exists()

@@ -153,9 +153,8 @@ def test_check_ndrp_constant_abstraction():
     import numpy as np
     for _ in range(3):
         steps.append(env.step(np.zeros(3)))
-    transitions = list(zip(steps, steps[1:]))
-    rep = check_ndrp(transitions, make_labeller("blocks"), env.table, None,
-                     env.domain, goal)
+    lab = make_labeller("blocks")
+    rep = check_ndrp([lab(s, env.table) for s in steps], None, goal, len(env.table))
     assert rep.ok
 
 
@@ -167,9 +166,9 @@ def test_check_ndrp_oracle_demo_against_learned_policy(blocks_demos, blocks_doma
         table.intern(name)
     goal = frozenset(blocks_domain.ground_fact(g[0], g[1:], table)
                      for g in demo.goal)
-    transitions = list(zip(demo.steps, demo.steps[1:]))
-    rep = check_ndrp(transitions, make_labeller("blocks"), table, blocks_policy,
-                     blocks_domain, goal)
+    lab = make_labeller("blocks")
+    rep = check_ndrp([lab(s, table) for s in demo.steps], blocks_policy, goal,
+                     len(table))
     assert rep.ok, rep.reason
 
 
@@ -181,8 +180,8 @@ def test_check_ndrp_flags_injected_jump(blocks_demos, blocks_domain, blocks_poli
     goal = frozenset(blocks_domain.ground_fact(g[0], g[1:], table)
                      for g in demo.goal)
     # skip an HL state: jump straight from the first step to a much later one
-    transitions = [(demo.steps[0], demo.steps[-1])]
-    rep = check_ndrp(transitions, make_labeller("blocks"), table, blocks_policy,
-                     blocks_domain, goal)
+    lab = make_labeller("blocks")
+    labels = [lab(demo.steps[0], table), lab(demo.steps[-1], table)]
+    rep = check_ndrp(labels, blocks_policy, goal, len(table))
     assert not rep.ok
     assert rep.step == 0

@@ -315,3 +315,22 @@ def test_episode_seed_derivation():
 
 def test_max_steps_cap():
     assert EnvConfig("blocks", 4, seed=0).max_steps == 2048 * 4
+
+
+@pytest.mark.parametrize("kind,limit", [("pickplace", 7), ("gacha", 6)])
+def test_layouts_fit_up_to_the_object_limit(kind, limit):
+    with pytest.raises(BisonError, match="room for at most %d" % limit):
+        EnvConfig(kind, limit + 1)
+    inside = lambda p: all(envs.ARENA_LO <= c <= envs.ARENA_HI for c in p)
+    for seed in range(200):
+        env = make_env(EnvConfig(kind, limit, seed=seed))
+        env.reset()
+        names = env.table.names
+        if kind == "pickplace":  # at(object, pad)
+            fixtures = [names[f[2]] for f in env.goal]
+        else:  # achievedGoal(colour i) is met on tray i
+            fixtures = ["t" + names[f[1]][1:] for f in env.goal]
+        assert len(fixtures) == limit
+        assert all(inside(env.fixture_pos[name]) for name in fixtures), seed
+    for other in ("blocks", "blocks-noisy", "factory"):  # no limit
+        EnvConfig(other, 50)

@@ -17,8 +17,9 @@ from bison.core import (ActionSchema, Domain, GroundAction, HLProblem,
                         ObjectTable, Predicate, applicable, ground_outcomes,
                         instantiate)
 from bison.envs import builtin_policy
-from bison.rules import (HLPolicy, StateIndex, adversarial_outcome,
-                         enum_matches, match_rule, schema_actions, solve_hl)
+from bison.rules import (HLPolicy, StateIndex, _compile_plan, _matches,
+                         adversarial_outcome, enum_matches, match_rule,
+                         schema_actions, solve_hl)
 
 import test_properties as props
 
@@ -287,3 +288,31 @@ def test_solve_hl_equals_reference_selector(blocks_policy):
                 reference_solve(policy, prob, adversarial, 12)
             cases += res.steps > 1
     assert cases >= 100
+
+
+def test_join_yields_each_binding_once():
+    """No binding repeats, which is why ``schema_actions`` keeps no seen-set: a
+    fully bound atom only filters, and every join level binds a fresh variable
+    from distinct facts of one bucket while comparing every bound position."""
+    rng = random.Random(811)
+    seen = dict.fromkeys(("prebound", "repeated", "actions"), 0)
+    for _ in range(3000):
+        preds = random_preds(rng)
+        n_obj = rng.randint(2, 5)
+        idx, _ = mutated_index(rng, preds, n_obj)
+        for _ in range(4):
+            atoms, binding = random_join(rng, preds, n_obj)
+            out = _matches(idx, _compile_plan(atoms), list(binding))
+            assert len(set(out)) == len(out), (atoms, binding)
+            if len(out) > 1:
+                seen["prebound"] += any(o is not None for o in binding)
+                seen["repeated"] += any(len(set(a[1:])) < len(a) - 1 for _, a in atoms)
+    for _ in range(400):
+        domain = props.random_domain(rng)
+        n_obj = rng.randint(1, 4)
+        idx, _ = mutated_index(rng, domain.predicates, n_obj)
+        for sid in range(len(domain.schemata)):
+            got = list(schema_actions(domain, sid, idx, n_obj))
+            assert len(set(got)) == len(got)
+            seen["actions"] += len(got) > 1
+    assert min(seen.values()) >= 100, seen

@@ -269,9 +269,8 @@ def test_ndrp_on_oracle_demos(blocks_demos, blocks_domain, blocks_policy):
             table.intern(name)
         goal = frozenset(blocks_domain.ground_fact(g[0], g[1:], table)
                          for g in demo.goal)
-        transitions = list(zip(demo.steps, demo.steps[1:]))
-        rep = check_ndrp(transitions, lab, table, blocks_policy, blocks_domain,
-                         goal)
+        rep = check_ndrp([lab(s, table) for s in demo.steps], blocks_policy, goal,
+                         len(table))
         assert rep.ok, "demo violates NDRP at step %d: %s" % (rep.step, rep.reason)
 
 

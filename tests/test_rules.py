@@ -148,10 +148,15 @@ def test_solve_hl_empty_on_solved(blocks_policy):
 
 def test_solve_hl_three_blocks(blocks_policy):
     prob = gen_blocks_hl_problem(3, seed=7)
-    res = solve_hl(blocks_policy, prob, record_states=True)
+    res = solve_hl(blocks_policy, prob)
     assert res.solved
     assert res.steps <= 4 * 3
-    assert len(set(res.states)) == len(res.states)  # never revisits an HL state
+    # replay the chosen outcomes: the run never revisits an HL state
+    states = [prob.init]
+    for act, k in zip(res.actions, res.outcomes):
+        add, dele = list(ground_outcomes(prob.domain, act))[k]
+        states.append((states[-1] - dele) | add)
+    assert len(set(states)) == len(states)
 
 
 def test_solve_hl_step_cap(blocks_policy):

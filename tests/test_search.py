@@ -225,7 +225,7 @@ def assert_same_as_reference(problem, depth_cap, node_budget):
     policy = find_policy(problem, depth_cap=depth_cap, node_budget=node_budget,
                          stats=stats)
     ref_mapping, ref = reference_find_policy(problem, depth_cap, node_budget)
-    assert (None if policy is None else policy.mapping) == ref_mapping
+    assert policy == ref_mapping
     assert (stats.status, stats.expanded, stats.generated) == \
         (ref.status, ref.expanded, ref.generated)
 
