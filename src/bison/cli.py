@@ -23,7 +23,7 @@ from .bench import bench_hl, bench_rows_csv
 from .core import BisonError, check_ndrp
 from .envs import (ENV_KINDS, EGO_DIM, ACTION_DIM, EnvConfig, builtin_policy,
                    env_domain, episode_seed, generate_demos, make_env,
-                   make_labeller, obj_dim)
+                   make_labeller, max_objects, obj_dim)
 from .formats import ParseError, parse_policy, parse_traces, serialize_policy, \
     serialize_traces
 from .gnn import EncodingSpec, TrainConfig, build_dataset, load_params, \
@@ -169,7 +169,11 @@ def cmd_eval(args):
         raise BisonError("--strategy %s --ll %s requires --params"
                          % (args.strategy, args.ll))
     rows = []
-    n_list = _parse_range(args.objects_range)
+    if args.objects_range is None:  # the default 1..10, within the layout's room
+        limit = max_objects(args.env)
+        n_list = list(range(1, (10 if limit is None else min(10, limit)) + 1))
+    else:
+        n_list = _parse_range(args.objects_range)
     for n in n_list:  # an n the env has no room for fails before any episode
         EnvConfig(kind=args.env, n_objects=n)
     jobs = []
@@ -300,8 +304,9 @@ def build_parser() -> _Parser:
     common(sp)
     sp.add_argument("--strategy", required=True, choices=STRATEGIES)
     sp.add_argument("--jobs", type=int, default=1)
-    sp.add_argument("--objects", dest="objects_range", default="1..10",
-                    help="object counts, e.g. 3 or 1..10 or 2,4,8")
+    sp.add_argument("--objects", dest="objects_range", default=None,
+                    help="object counts, e.g. 3 or 1..10 or 2,4,8 (default: 1..10, "
+                         "capped at the kind's most objects)")
     sp.add_argument("--episodes", type=int, default=10)
     sp.add_argument("--seeds", type=int, default=3)
     sp.add_argument("--ll", default="oracle", choices=("oracle", "gnn"))

@@ -46,7 +46,7 @@ class EnvConfig:
     start_at_block: Optional[bool] = None  # pickplace: force robot start pad
 
     def __post_init__(self):
-        limit = _family(self.kind).env_class.max_objects  # unknown kinds raise
+        limit = max_objects(self.kind)  # unknown kinds raise
         if self.n_objects < 1:
             raise BisonError("n_objects must be >= 1")
         if limit is not None and self.n_objects > limit:
@@ -185,7 +185,7 @@ def _clip(v: float, lo: float, hi: float) -> float:
 
 def _split(objects: dict, wide: bool):
     """One pass by type flag: (held, blocks, fixtures, box, colours).  Resting
-    blocks and fixtures are (name, x, y, vec); the rest (name, vec) or None,
+    blocks and fixtures are (name, x, y); the rest (name, vec) or None,
     box and colours only in the ``wide`` gacha layout.  All-zero vectors
     (hidden capsules) land nowhere: no facts."""
     held = box = None
@@ -195,9 +195,9 @@ def _split(objects: dict, wide: bool):
             if vec[B_HELD] > 0.5:
                 held = (name, vec)
             else:
-                blocks.append((name, vec[0], vec[1], vec))
+                blocks.append((name, vec[0], vec[1]))
         elif vec[B_PAD] > 0.5:
-            fixtures.append((name, vec[0], vec[1], vec))
+            fixtures.append((name, vec[0], vec[1]))
         elif wide:
             if vec[G_BOX] > 0.5:
                 box = (name, vec)
@@ -214,39 +214,64 @@ def _gripper_facts(held, table: ObjectTable, p_free, p_hold, p_clear) -> set:
     return {(p_hold, hid)} if p_clear is None else {(p_hold, hid), (p_clear, hid)}
 
 
-def _block_facts(facts: set, blocks, fixtures, table: ObjectTable, p_clear, p_at,
+def _block_facts(add: Callable, blocks, fixtures, table: ObjectTable, p_clear, p_at,
                  extra: Callable = None) -> list:
-    """Add clear(block) (unless ``p_clear`` is None) for each resting block with
-    no other within EPS, at(block, fixture) for each fixture within EPS (∞-norm,
-    strict) and a family's ``extra(oid, block)`` facts.  Interning goes block by
-    block: the block if it gets per-block facts, their objects, then at's block
-    and fixture.  Returns the at facts' (block, fixture) pairs."""
+    """``add`` clear(block) (unless ``p_clear`` is None) for each resting block
+    with no other within EPS, at(block, fixture) for each fixture within EPS
+    (∞-norm, strict) and a family's ``extra(oid, block)`` facts.  Interning goes
+    block by block: the block if it gets per-block facts, their objects, then
+    at's block and fixture.  Returns the at facts' (block, fixture) pairs."""
     intern = table.intern
     pairs = []
     for block in blocks:
-        name, x, y, _ = block
+        name, x, y = block
         if p_clear is not None:
             oid = intern(name)
             if not any(abs(x - b[1]) < EPS and abs(y - b[2]) < EPS
                        for b in blocks if b is not block):
-                facts.add((p_clear, oid))
+                add((p_clear, oid))
             if extra is not None:
                 extra(oid, block)
         for fixture in fixtures:
             if abs(x - fixture[1]) < EPS and abs(y - fixture[2]) < EPS:
-                facts.add((p_at, intern(name), intern(fixture[0])))
+                add((p_at, intern(name), intern(fixture[0])))
                 pairs.append((block, fixture))
     return pairs
 
 
+# label_blocks' last resting part: (table, label ids, the resting blocks' and
+# pads' (name, x, y) lists, their facts in insertion order).  One tuple, read
+# into a local once, so no reader sees half of an update.
+_resting = None
+
+
 def label_blocks(step, table: ObjectTable) -> frozenset:
-    """The core's facts plus clear for every empty pad."""
-    p_free, p_hold, p_clear, p_at = _BLOCKS.label_ids
+    """The core's facts plus clear for every empty pad.
+
+    Between steps only the gripper and the held block move, so the facts of
+    resting blocks and pads are reused from the last call while the table, the
+    label ids and every resting (name, x, y) stay the same.  A table only grows
+    and never renumbers, so on a hit every name is interned under the same id:
+    the call returns, and leaves the table, as a fresh one would.  The reused
+    facts are added in their first insertion order, so the frozenset iterates
+    in the same order too."""
+    global _resting
+    ids = _BLOCKS.label_ids
+    p_free, p_hold, p_clear, p_at = ids
     held, blocks, pads, _, _ = _split(step.objects, False)
     facts = _gripper_facts(held, table, p_free, p_hold, p_clear)
-    covered = {pad[0] for _, pad in _block_facts(facts, blocks, pads, table,
-                                                  p_clear, p_at)}
-    facts.update((p_clear, table.intern(pad[0])) for pad in pads if pad[0] not in covered)
+    last = _resting
+    if (last is not None and last[0] is table and last[1] == ids
+            and last[2] == blocks and last[3] == pads):
+        rest = last[4]
+    else:
+        rest = []
+        covered = {pad[0] for _, pad in _block_facts(rest.append, blocks, pads, table,
+                                                      p_clear, p_at)}
+        rest.extend((p_clear, table.intern(pad[0])) for pad in pads
+                    if pad[0] not in covered)
+        _resting = (table, ids, blocks, pads, rest)
+    facts.update(rest)
     return frozenset(facts)
 
 
@@ -261,7 +286,7 @@ def label_pickplace(step, table: ObjectTable) -> frozenset:
     nearest = min(pads, key=lambda pad: (max(abs(pad[1] - ex), abs(pad[2] - ey)),
                                          pad[0]))
     facts.add((p_rat, table.intern(nearest[0])))
-    _block_facts(facts, blocks, pads, table, None, p_at)
+    _block_facts(facts.add, blocks, pads, table, None, p_at)
     return frozenset(facts)
 
 
@@ -270,7 +295,8 @@ def label_gacha(step, table: ObjectTable) -> frozenset:
     the open box and achievedGoal of each colour resting on its own tray."""
     (p_free, p_hold, p_clear, p_at, p_colour, p_tray, p_in, p_opened, p_closed,
      p_goal) = _GACHA.label_ids
-    held, blocks, trays, box, colours = _split(step.objects, True)
+    objects = step.objects
+    held, blocks, trays, box, colours = _split(objects, True)
     colour_name = {int(round(vec[G_CIDX])): name for name, vec in colours}
     intern = table.intern
 
@@ -289,22 +315,22 @@ def label_gacha(step, table: ObjectTable) -> frozenset:
         facts.add((p_opened if lid_open else p_closed, bid))
         if not bstate & 2:
             facts.add((p_clear, bid))
-    for tname, _, _, tvec in trays:
-        cname = colour(tvec)
+    for tname, _, _ in trays:
+        cname = colour(objects[tname])
         if cname is not None:
             facts.add((p_tray, intern(tname), intern(cname)))
 
     def capsule_facts(oid, block):
-        cname = colour(block[3])
+        cname = colour(objects[block[0]])
         if cname is not None:
             facts.add((p_colour, oid, intern(cname)))
         if lid_open and _near(block[1:3], box[1]):
             facts.add((p_in, oid, intern(box[0])))
 
-    for block, tray in _block_facts(facts, blocks, trays, table, p_clear, p_at,
+    for block, tray in _block_facts(facts.add, blocks, trays, table, p_clear, p_at,
                                     capsule_facts):
-        cname = colour(block[3])
-        if cname is not None and colour(tray[3]) == cname:
+        cname = colour(objects[block[0]])
+        if cname is not None and colour(objects[tray[0]]) == cname:
             facts.add((p_goal, intern(cname)))
     return frozenset(facts)
 
@@ -796,6 +822,11 @@ def make_labeller(kind: str) -> Callable:
 
 def obj_dim(kind: str) -> int:
     return _family(kind).obj_dim
+
+
+def max_objects(kind: str) -> Optional[int]:
+    """The most objects the kind's layout has room for (None: no limit)."""
+    return _family(kind).env_class.max_objects
 
 
 def make_env(config: EnvConfig) -> SimEnv:

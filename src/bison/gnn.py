@@ -9,9 +9,10 @@ behaviour cloning runs under Adam with a cosine-annealed learning rate.
 
 All tensor math is plain dense numpy; reverse-mode accumulation is written out
 explicitly for this fixed graph (max routes gradient to the argmax element,
-first index on ties; ReLU gradient is zero at 0).  ``forward``/``backward``
-handle one sample (inference and the gradient reference); training runs the
-same math once per batch over object rows padded under a mask
+first index on ties; ReLU gradient is zero at 0).  ``forward`` is the
+inference path: one sample, no intermediates kept.  ``backward`` is the
+per-sample gradient reference and computes its own intermediates; training
+runs the same math once per batch over object rows padded under a mask
 (``batch_backward``).
 """
 
@@ -176,8 +177,41 @@ def init_params(spec: EncodingSpec, config: TrainConfig) -> GnnParams:
     return GnnParams(spec, HIDDEN, LAYERS, config.seed, rng)
 
 
-def forward(params: GnnParams, inp: GnnInput, cache: dict = None) -> np.ndarray:
-    """Predict an LL action; optionally fill ``cache`` for the backward pass."""
+def forward(params: GnnParams, inp: GnnInput) -> np.ndarray:
+    """Predict an LL action (the inference path; ``backward`` keeps its own
+    intermediates).  The max aggregation keeps the first row on ties, as the
+    argmax of ``backward`` does, so signed zeros aggregate alike."""
+    n = inp.h_objects.shape[0]
+    g = params.w_g0 @ inp.h_global
+    a = params.w_a0 @ inp.h_action
+    objs = inp.h_objects @ params.w_o0.T if n else None
+    for l in range(params.layers):
+        ga = g + a
+        agg = _max_rows(objs) if n else np.zeros(params.hidden)
+        g = params.w_g[l] @ (ga + agg)
+        np.maximum(g, 0.0, out=g)
+        ga = g + a
+        a = params.w_a[l] @ (ga + agg)
+        np.maximum(a, 0.0, out=a)
+        if n:
+            objs = (ga + objs) @ params.w_o[l].T
+            np.maximum(objs, 0.0, out=objs)
+    fin = _max_rows(objs) if n else np.zeros(params.hidden)
+    z1 = params.r_w1 @ (g + a + fin) + params.r_b1
+    np.maximum(z1, 0.0, out=z1)
+    return params.r_w2 @ z1 + params.r_b2
+
+
+def _max_rows(objs: np.ndarray) -> np.ndarray:
+    """Column max over the rows of ``objs``, the first row on ties."""
+    best = objs[0]
+    for row in objs[1:]:
+        best = np.where(row > best, row, best)
+    return best
+
+
+def _intermediates(params: GnnParams, inp: GnnInput) -> dict:
+    """``forward``'s values with every intermediate ``backward`` needs."""
     h = params.hidden
     n = inp.h_objects.shape[0]
     g = params.w_g0 @ inp.h_global
@@ -215,10 +249,8 @@ def forward(params: GnnParams, inp: GnnInput, cache: dict = None) -> np.ndarray:
     z1 = params.r_w1 @ r + params.r_b1
     h1 = np.maximum(z1, 0.0)
     y = params.r_w2 @ h1 + params.r_b2
-    if cache is not None:
-        cache.update(n=n, layers=layers, g=g, a=a, objs=objs, fin_idx=fin_idx,
-                     r=r, z1=z1, h1=h1, y=y)
-    return y
+    return dict(n=n, layers=layers, g=g, a=a, objs=objs, fin_idx=fin_idx,
+                r=r, z1=z1, h1=h1, y=y)
 
 
 def backward(params: GnnParams, inp: GnnInput, target: np.ndarray):
@@ -226,8 +258,8 @@ def backward(params: GnnParams, inp: GnnInput, target: np.ndarray):
     target = np.asarray(target, dtype=float)
     if target.shape != (params.spec.out_dim,):
         raise BisonError("target dimension mismatch")
-    cache = {}
-    y = forward(params, inp, cache)
+    cache = _intermediates(params, inp)
+    y = cache["y"]
     d = params.spec.out_dim
     diff = y - target
     loss = float(np.mean(diff ** 2))

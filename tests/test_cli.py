@@ -453,6 +453,16 @@ def test_learn_hl_warns_about_skipped_demos(tmp_path):
 
 
 @pytest.mark.parametrize("env,limit", [("pickplace", 7), ("gacha", 6)])
+def test_eval_default_objects_stop_at_the_env_limit(tmp_path, env, limit):
+    out = tmp_path / "eval.csv"
+    r = run_cli(["eval", "--env", env, "--strategy", "oracle", "--episodes", "1",
+                 "--seeds", "1", "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    rows = out.read_text().splitlines()[1:]
+    assert [int(row.split(",")[2]) for row in rows] == list(range(1, limit + 1))
+
+
+@pytest.mark.parametrize("env,limit", [("pickplace", 7), ("gacha", 6)])
 @pytest.mark.parametrize("command", ["gen-demos", "eval"])
 def test_objects_above_the_env_limit_are_data_errors(tmp_path, env, limit, command):
     out = tmp_path / "out"

@@ -334,3 +334,109 @@ def test_layouts_fit_up_to_the_object_limit(kind, limit):
         assert all(inside(env.fixture_pos[name]) for name in fixtures), seed
     for other in ("blocks", "blocks-noisy", "factory"):  # no limit
         EnvConfig(other, 50)
+
+
+# ---------------------------------------------------------------------------
+# label_blocks reuses the resting facts of its last call
+# ---------------------------------------------------------------------------
+
+def _reference_block_facts(facts, blocks, fixtures, table, p_clear, p_at):
+    pairs = []
+    for block in blocks:
+        name, x, y = block
+        oid = table.intern(name)
+        if not any(abs(x - b[1]) < EPS and abs(y - b[2]) < EPS
+                   for b in blocks if b is not block):
+            facts.add((p_clear, oid))
+        for fixture in fixtures:
+            if abs(x - fixture[1]) < EPS and abs(y - fixture[2]) < EPS:
+                facts.add((p_at, table.intern(name), table.intern(fixture[0])))
+                pairs.append((block, fixture))
+    return pairs
+
+
+def reference_label_blocks(step, table):
+    """``label_blocks`` as it was before it kept its last resting facts."""
+    p_free, p_hold, p_clear, p_at = envs._BLOCKS.label_ids
+    held, blocks, pads, _, _ = envs._split(step.objects, False)
+    if held is None:
+        facts = {(p_free,)}
+    else:
+        hid = table.intern(held[0])
+        facts = {(p_hold, hid), (p_clear, hid)}
+    covered = {pad[0] for _, pad in _reference_block_facts(facts, blocks, pads, table,
+                                                            p_clear, p_at)}
+    facts.update((p_clear, table.intern(pad[0])) for pad in pads if pad[0] not in covered)
+    return frozenset(facts)
+
+
+def _resting(step):
+    """The resting blocks' and pads' (name, x, y), the memo's key."""
+    _, blocks, pads, _, _ = envs._split(step.objects, False)
+    return blocks, pads
+
+
+def _label_both(step, table, ref_table):
+    """Label with the memo and the reference; True on a memo hit."""
+    before = envs._resting
+    facts = envs.label_blocks(step, table)
+    assert list(facts) == list(reference_label_blocks(step, ref_table))
+    assert table.names == ref_table.names
+    return envs._resting is before
+
+
+@pytest.mark.parametrize("kind, n, teleport_prob", [
+    ("blocks", 4, None), ("blocks-noisy", 4, 0.01), ("factory", 3, None)])
+def test_label_memo_matches_reference_on_oracle_demos(kind, n, teleport_prob):
+    demos = generate_demos(EnvConfig(kind, n, seed=12, teleport_prob=teleport_prob), 3)
+    hits = misses = exogenous = 0
+    for demo in demos:
+        table, ref_table = ObjectTable(), ObjectTable()
+        prev = last = None
+        for step in demo.steps:
+            hit = _label_both(step, table, ref_table)
+            key = _resting(step)
+            assert hit == (key == last)  # a hit exactly when nothing resting moved
+            hits, misses = hits + hit, misses + (not hit)
+            if last is not None and key != last:
+                # a spawn, or a resting block that moved with no grasp or release
+                exogenous += (len(step.objects) > len(prev.objects)
+                              or [b[0] for b in key[0]] == [b[0] for b in last[0]])
+            prev, last = step, key
+    assert hits > 10 * misses
+    assert (exogenous > 0) == (kind != "blocks")
+
+
+def test_label_memo_keeps_tables_apart():
+    # the same steps on two tables that intern in different orders, call by call
+    demo = generate_demos(EnvConfig("blocks", 3, seed=13), 1)[0]
+    names = list(demo.steps[0].objects)
+    tables = [ObjectTable(), ObjectTable(names[::-1])]
+    refs = [ObjectTable(), ObjectTable(names[::-1])]
+    for step in demo.steps:
+        for table, ref in zip(tables, refs):
+            assert not _label_both(step, table, ref)
+            assert envs._resting[0] is table
+    assert tables[0].names != tables[1].names
+
+
+def test_label_memo_hits_on_gripper_moves_and_misses_on_resting_changes():
+    env = make_env(EnvConfig("blocks", 3, seed=6))
+    lls, _ = env.reset()
+    ref = ObjectTable(env.table.names)
+    assert not _label_both(lls, env.table, ref)
+    env.grip = (0.5, 0.95)
+    assert _label_both(env.render(), env.table, ref)  # the gripper moved
+    assert _label_both(env.step(np.array([1.0, 0.0, 0.0])), env.table, ref)
+    env.held = "b0"  # grasp
+    env.block_pos["b0"] = env.grip
+    assert not _label_both(env.render(), env.table, ref)
+    env.grip = (0.45, 0.9)  # carry: the held block moves, nothing resting does
+    env.block_pos["b0"] = env.grip
+    assert _label_both(env.render(), env.table, ref)
+    env.held = None  # release
+    assert not _label_both(env.render(), env.table, ref)
+    env.fixture_pos["p1"] = (0.45, 0.9)  # a fixture moves under the block
+    assert not _label_both(env.render(), env.table, ref)
+    facts = fact_strs(env, env.label(env.render()))
+    assert "(at b0 p1)" in facts and "(clear p1)" not in facts

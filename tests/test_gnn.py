@@ -1,6 +1,7 @@
 import json
 import random
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from bison.core import BisonError, GroundAction, ObjectTable
 from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, env_domain, make_env,
                         make_labeller, obj_dim)
+from bison.formats import parse_policy
 from bison import gnn
 from bison.gnn import (EncodingSpec, GnnInput, GnnParams, LLSample, TrainConfig,
                        batch_backward, build_dataset, cosine_lr, encode, forward,
@@ -136,8 +138,7 @@ def grad_check(params, inp, target, h=1e-5, tol=1e-4, per_tensor=6, rng=None):
 
 def kink_margin(params, inp):
     """Minimum |pre-activation| and max-tie gap across the forward pass."""
-    cache = {}
-    forward(params, inp, cache)
+    cache = gnn._intermediates(params, inp)
     margins = [np.min(np.abs(cache["z1"]))]
     for (_, _, objs, _, _, zg, _, za, _, zo) in cache["layers"]:
         margins.append(np.min(np.abs(zg)))
@@ -280,8 +281,7 @@ def per_sample_mean(params, samples):
 
 def has_zero_tie(params, inp):
     """Two object rows both zero after a ReLU on some unit, where max ties."""
-    cache = {}
-    forward(params, inp, cache)
+    cache = gnn._intermediates(params, inp)
     later = [layer[2] for layer in cache["layers"][1:]] + [cache["objs"]]
     return any(objs.shape[0] > 1 and np.any(np.sum(objs == 0.0, axis=0) > 1)
                for objs in later)
@@ -396,6 +396,107 @@ def test_train_matches_per_sample_reference(blocks_demos):
     assert np.allclose(res.losses, ref_losses, rtol=1e-9, atol=0.0)
     for a, b in zip(res.params.tensors(), ref_params.tensors()):
         assert np.max(np.abs(a - b)) <= 1e-9 * np.max(np.abs(b))
+
+
+# ---------------------------------------------------------------------------
+# forward against the argmax-gather forward it replaced
+# ---------------------------------------------------------------------------
+
+def reference_forward(params, inp):
+    """The previous ``forward``: max aggregation by an argmax gather (first
+    index on ties), every intermediate its own array."""
+    h = params.hidden
+    n = inp.h_objects.shape[0]
+    g = params.w_g0 @ inp.h_global
+    a = params.w_a0 @ inp.h_action
+    objs = inp.h_objects @ params.w_o0.T if n else np.zeros((0, h))
+    for l in range(params.layers):
+        agg = objs[np.argmax(objs, axis=0), np.arange(h)] if n else np.zeros(h)
+        ug = g + a + agg
+        zg = params.w_g[l] @ ug
+        g2 = np.maximum(zg, 0.0)
+        ua = g2 + a + agg
+        za = params.w_a[l] @ ua
+        a2 = np.maximum(za, 0.0)
+        if n:
+            uo = g2[None, :] + a[None, :] + objs
+            zo = uo @ params.w_o[l].T
+            objs = np.maximum(zo, 0.0)
+        g, a = g2, a2
+    fin = objs[np.argmax(objs, axis=0), np.arange(h)] if n else np.zeros(h)
+    r = g + a + fin
+    z1 = params.r_w1 @ r + params.r_b1
+    h1 = np.maximum(z1, 0.0)
+    return params.r_w2 @ h1 + params.r_b2
+
+
+def assert_same_bytes(params, inp):
+    y = forward(params, inp)
+    assert y.tobytes() == reference_forward(params, inp).tobytes()
+    assert y.tobytes() == gnn._intermediates(params, inp)["y"].tobytes()
+
+
+def test_forward_matches_reference_on_random_inputs():
+    rng = np.random.default_rng(50)
+    spec = arity3_spec()
+    for i in range(600):
+        params = GnnParams(spec, hidden=int(rng.integers(3, 65)),
+                           layers=int(rng.integers(1, 4)), init_rng=rng)
+        objs = rng.normal(size=(i % 4, spec.o_dim))
+        if i % 3 == 1:
+            objs[:, rng.random(spec.o_dim) < 0.5] = 0.0  # rows half zeros
+        assert_same_bytes(params, GnnInput(rng.normal(size=spec.g_dim),
+                                           rng.normal(size=spec.a_dim), objs))
+
+
+def test_forward_matches_reference_on_max_ties_and_signed_zeros():
+    rng = np.random.default_rng(51)
+    spec = arity3_spec()
+    zero_ties = 0
+    for i in range(600):
+        params = GnnParams(spec, hidden=int(rng.integers(3, 17)),
+                           layers=int(rng.integers(1, 4)), init_rng=rng)
+        if i % 4 == 1:
+            params.w_o0[...] = 0.0
+        elif i % 4 == 2:
+            params.w_o0[...] = -0.0  # layer-0 rows of -0.0 and 0.0 tie
+        objs = rng.normal(size=(2 + i % 2, spec.o_dim))
+        if i % 3 == 0:
+            objs[1:] = objs[0]  # duplicated rows: every max ties
+        elif i % 3 == 1:
+            objs = np.where(rng.random(objs.shape) < 0.5, -0.0, 0.0)
+        inp = GnnInput(rng.normal(size=spec.g_dim), rng.normal(size=spec.a_dim), objs)
+        assert_same_bytes(params, inp)
+        zero_ties += has_zero_tie(params, inp)
+        # a ReLU maps -0.0 to 0.0, so y cannot show which tied zero the max
+        # took; the aggregate itself must be the argmax gather's, bit for bit
+        rows = np.where(rng.random((len(objs), params.hidden)) < 0.5, -0.0, 0.0)
+        gather = rows[np.argmax(rows, axis=0), np.arange(params.hidden)]
+        assert gnn._max_rows(rows).tobytes() == gather.tobytes()
+    assert zero_ties > 100
+
+
+def test_forward_matches_reference_on_eval_bilevel_inputs(monkeypatch):
+    # the frozen rules and network of the benchmark's eval-bilevel workload
+    from bison.runner import Executor, run_episode
+    fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+    params = load_params(str(fixtures / "params.bsw"))
+    policy = parse_policy((fixtures / "policy.bsp").read_text(encoding="utf-8"),
+                          env_domain("blocks"))
+    inputs = []
+
+    def recording(params, inp):
+        inputs.append(inp)
+        return forward(params, inp)
+
+    monkeypatch.setattr(gnn, "forward", recording)
+    for n in (1, 3, 6, 10):
+        run_episode(make_env(EnvConfig("blocks", n, seed=n)),
+                    Executor("bison", hl_policy=policy, gnn_params=params,
+                             ll_mode="gnn"), step_cap=400)
+    assert len(inputs) > 800
+    for inp in inputs:
+        assert_same_bytes(params, inp)
 
 
 # ---------------------------------------------------------------------------
