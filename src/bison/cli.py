@@ -215,9 +215,10 @@ def _eval_one(packed):
 def _run_eval_jobs(args, jobs, policy, params):
     packed = [({"env": args.env, "strategy": args.strategy, "ll": args.ll},
                n, seed, ep, policy, params) for (n, seed, ep) in jobs]
-    if args.jobs > 1:
+    workers = min(args.jobs, len(packed))  # no idle workers
+    if workers > 1:
         import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(workers) as pool:
             return pool.map(_eval_one, packed)
     return [_eval_one(p) for p in packed]
 

@@ -356,12 +356,12 @@ def check_ndrp(labels: Sequence[HLState], hl_policy, goal: frozenset,
     changing abstract state is reported as a violation with the offending
     step index.
     """
-    from .rules import select_action  # local import to avoid a cycle
+    from .rules import StateIndex, select_action  # local import to avoid a cycle
 
     for i, (a1, a2) in enumerate(zip(labels, labels[1:])):
         if a1 == a2:
             continue
-        act = select_action(hl_policy, a1, goal, range(n_objects))
+        act = select_action(hl_policy, StateIndex(a1, goal), n_objects)
         if act is None:
             return NdrpReport(False, i, "policy returned no action at a changing state")
         if not applicable(hl_policy.domain, a1, act):

@@ -85,9 +85,8 @@ class GnnInput:
     h_objects: np.ndarray  # (n_objects, o_dim); n_objects >= 0
 
 
-def encode(spec: EncodingSpec, domain: Domain, lls, hla: GroundAction,
-           goal: frozenset, hls: frozenset, table: ObjectTable,
-           zero_action: bool = False) -> GnnInput:
+def encode(spec: EncodingSpec, lls, hla: GroundAction, goal: frozenset,
+           hls: frozenset, table: ObjectTable, zero_action: bool = False) -> GnnInput:
     """Build input embeddings from an LL state, HL action, goal and abstraction.
 
     Only nullary and unary facts contribute one-hots; higher arities carry no
@@ -179,15 +178,17 @@ def init_params(spec: EncodingSpec, config: TrainConfig) -> GnnParams:
 
 def forward(params: GnnParams, inp: GnnInput) -> np.ndarray:
     """Predict an LL action (the inference path; ``backward`` keeps its own
-    intermediates).  The max aggregation keeps the first row on ties, as the
-    argmax of ``backward`` does, so signed zeros aggregate alike."""
+    intermediates).  The max aggregation is numpy's, which propagates a NaN
+    as ``backward``'s argmax gather does; on a tie of signed zeros the two
+    may pick differently, but every aggregate passes a ReLU, which maps -0.0
+    to 0.0, so the output bytes agree."""
     n = inp.h_objects.shape[0]
     g = params.w_g0 @ inp.h_global
     a = params.w_a0 @ inp.h_action
     objs = inp.h_objects @ params.w_o0.T if n else None
     for l in range(params.layers):
         ga = g + a
-        agg = _max_rows(objs) if n else np.zeros(params.hidden)
+        agg = objs.max(axis=0) if n else np.zeros(params.hidden)
         g = params.w_g[l] @ (ga + agg)
         np.maximum(g, 0.0, out=g)
         ga = g + a
@@ -196,18 +197,10 @@ def forward(params: GnnParams, inp: GnnInput) -> np.ndarray:
         if n:
             objs = (ga + objs) @ params.w_o[l].T
             np.maximum(objs, 0.0, out=objs)
-    fin = _max_rows(objs) if n else np.zeros(params.hidden)
+    fin = objs.max(axis=0) if n else np.zeros(params.hidden)
     z1 = params.r_w1 @ (g + a + fin) + params.r_b1
     np.maximum(z1, 0.0, out=z1)
     return params.r_w2 @ z1 + params.r_b2
-
-
-def _max_rows(objs: np.ndarray) -> np.ndarray:
-    """Column max over the rows of ``objs``, the first row on ties."""
-    best = objs[0]
-    for row in objs[1:]:
-        best = np.where(row > best, row, best)
-    return best
 
 
 def _intermediates(params: GnnParams, inp: GnnInput) -> dict:
@@ -237,7 +230,7 @@ def _intermediates(params: GnnParams, inp: GnnInput) -> dict:
             objs2 = np.maximum(zo, 0.0)
         else:
             uo = zo = objs2 = objs
-        layers.append((g, a, objs, agg_idx, ug, zg, ua, za, uo, zo))
+        layers.append((objs, agg_idx, ug, zg, ua, za, uo, zo))
         g, a, objs = g2, a2, objs2
     if n:
         fin_idx = np.argmax(objs, axis=0)
@@ -266,24 +259,18 @@ def backward(params: GnnParams, inp: GnnInput, target: np.ndarray):
     dy = 2.0 * diff / d
     h = params.hidden
     n = cache["n"]
-    grads = {"w_g0": np.zeros_like(params.w_g0), "w_a0": np.zeros_like(params.w_a0),
-             "w_o0": np.zeros_like(params.w_o0),
-             "w_g": [np.zeros_like(t) for t in params.w_g],
-             "w_a": [np.zeros_like(t) for t in params.w_a],
-             "w_o": [np.zeros_like(t) for t in params.w_o]}
-    grads["r_w2"] = np.outer(dy, cache["h1"])
-    grads["r_b2"] = dy.copy()
+    layers = params.layers
+    gw = [np.zeros_like(t) for t in params.w_g + params.w_a + params.w_o]
+    gw_g, gw_a, gw_o = gw[:layers], gw[layers:2 * layers], gw[2 * layers:]
     dh1 = params.r_w2.T @ dy
     dz1 = dh1 * (cache["z1"] > 0)
-    grads["r_w1"] = np.outer(dz1, cache["r"])
-    grads["r_b1"] = dz1.copy()
     dr = params.r_w1.T @ dz1
-    dg, da = dr.copy(), dr.copy()
+    dg, da = dr, dr
     dobjs = np.zeros((n, h))
     if n:
         dobjs[cache["fin_idx"], np.arange(h)] += dr
-    for l in range(params.layers - 1, -1, -1):
-        g_l, a_l, objs_l, agg_idx, ug, zg, ua, za, uo, zo = cache["layers"][l]
+    for l in range(layers - 1, -1, -1):
+        objs_l, agg_idx, ug, zg, ua, za, uo, zo = cache["layers"][l]
         dg2, da2, dobjs2 = dg, da, dobjs
         dg_new = np.zeros(h)
         da_new = np.zeros(h)
@@ -291,19 +278,19 @@ def backward(params: GnnParams, inp: GnnInput, target: np.ndarray):
         dagg = np.zeros(h)
         if n:
             dzo = dobjs2 * (zo > 0)
-            grads["w_o"][l] += dzo.T @ uo
+            gw_o[l] += dzo.T @ uo
             duo = dzo @ params.w_o[l]
             dg2 = dg2 + duo.sum(axis=0)
             da_new += duo.sum(axis=0)
             dobjs_new += duo
         dza = da2 * (za > 0)
-        grads["w_a"][l] += np.outer(dza, ua)
+        gw_a[l] += np.outer(dza, ua)
         dua = params.w_a[l].T @ dza
         dg2 = dg2 + dua
         da_new += dua
         dagg += dua
         dzg = dg2 * (zg > 0)
-        grads["w_g"][l] += np.outer(dzg, ug)
+        gw_g[l] += np.outer(dzg, ug)
         dug = params.w_g[l].T @ dzg
         dg_new += dug
         da_new += dug
@@ -311,14 +298,10 @@ def backward(params: GnnParams, inp: GnnInput, target: np.ndarray):
         if n:
             dobjs_new[agg_idx, np.arange(h)] += dagg
         dg, da, dobjs = dg_new, da_new, dobjs_new
-    grads["w_g0"] = np.outer(dg, inp.h_global)
-    grads["w_a0"] = np.outer(da, inp.h_action)
-    if n:
-        grads["w_o0"] = dobjs.T @ inp.h_objects
-    flat = [grads["w_g0"], grads["w_a0"], grads["w_o0"]]
-    flat += grads["w_g"] + grads["w_a"] + grads["w_o"]
-    flat += [grads["r_w1"], grads["r_b1"], grads["r_w2"], grads["r_b2"]]
-    return flat, loss
+    gw_o0 = dobjs.T @ inp.h_objects if n else np.zeros_like(params.w_o0)
+    grads = [np.outer(dg, inp.h_global), np.outer(da, inp.h_action), gw_o0] + gw
+    grads += [np.outer(dz1, cache["r"]), dz1, np.outer(dy, cache["h1"]), dy]
+    return grads, loss
 
 
 def cosine_lr(base: float, iteration: int, total: int) -> float:
@@ -361,8 +344,8 @@ def build_dataset(demos: Iterable[Demo], domain: Domain, labeller: Callable,
             if i > 0 and hl_states[i] != hl_states[i - 1]:
                 seg = min(seg + 1, len(trace.actions))
             act_i = min(seg, len(trace.actions) - 1)
-            inp = encode(spec, domain, step, trace.actions[act_i], trace.goal,
-                         hl_states[i], trace.table)
+            inp = encode(spec, step, trace.actions[act_i], trace.goal, hl_states[i],
+                         trace.table)
             samples.append(LLSample(inp, np.asarray(step.action, dtype=float)))
     return samples
 

@@ -96,8 +96,8 @@ def regress(domain: Domain, goal: frozenset, action: GroundAction) -> List[froze
     return results
 
 
-def lift(domain: Domain, action: GroundAction, state_cond: frozenset,
-         goal_cond: frozenset, val: int = 0) -> Rule:
+def lift(action: GroundAction, state_cond: frozenset, goal_cond: frozenset,
+         val: int = 0) -> Rule:
     """Replace objects by fresh variables in first-occurrence order.
 
     Occurrence order: action arguments, then state condition facts in
@@ -167,7 +167,7 @@ def learn_hl_policy(demos: Iterable[Demo], domain: Domain, labeller: Callable,
                         nxt.append(goal_set)
                     continue
                 for cond in regressed:
-                    rules.append(lift(domain, action, cond, achieved, val=m - j))
+                    rules.append(lift(action, cond, achieved, val=m - j))
                     if cond not in seen:
                         seen.add(cond)
                         nxt.append(cond)

@@ -12,14 +12,14 @@ Each rule's condition atoms, and each schema's precondition, are compiled once
 into a join plan: per atom its side, predicate, argument variables, a variable
 bitmask and its (position, variable) pairs.  The join tracks bound variables as
 an int bitmask, tests an atom with one membership lookup as soon as its
-variables are all bound, and ranks only the atoms that still bind something,
-by the same rule as ever: bound argument positions descending, then candidate
-bucket size ascending, then declaration order.  A fully bound atom only
-filters, so checking it early leaves the order of the bindings unchanged.
-Each join level binds at least one fresh variable from distinct facts of one
-bucket, so the join never yields a binding twice and ``schema_actions``
-passes its bindings on as they come.  An ``HLPolicy`` canonicalises each rule
-once, when it is built, and serializes from those canonical forms.
+variables are all bound, and ranks only the atoms that still bind something:
+bound argument positions descending, then candidate bucket size ascending,
+then declaration order.  A fully bound atom only filters, so checking it early
+leaves the order of the bindings unchanged.  Each join level binds at least
+one fresh variable from distinct facts of one bucket, so the join never yields
+a binding twice and ``schema_actions`` passes its bindings on as they come.
+An ``HLPolicy`` canonicalises each rule once, when it is built, and serializes
+from those canonical forms.
 """
 
 from __future__ import annotations
@@ -441,22 +441,21 @@ def applicable_actions(domain: Domain, idx: StateIndex, n_objects: int):
         yield from schema_actions(domain, sid, idx, n_objects)
 
 
-def match_rule(rule: Rule, state, goal: frozenset, objects):
-    """First satisfying total binding for the rule, or None.
+def match_rule(rule: Rule, idx: StateIndex, n_objects: int):
+    """First satisfying total binding for the rule in the indexed state, or
+    None.
 
-    ``state`` may be an HLState or a prebuilt StateIndex (goal must match).
-    Variables appearing in no condition atom take the first of ``objects``.
+    Variables appearing in no condition atom take object 0, so with no
+    objects such a binding is None.
     """
-    idx = state if isinstance(state, StateIndex) else StateIndex(state, goal)
     found = _matches(idx, rule.plan, [None] * rule.n_vars, first=True)
     if not found:
         return None
     binding = found[0]
     if None in binding:
-        first = next(iter(objects), None)
-        if first is None:
+        if not n_objects:
             return None
-        binding = tuple(first if o is None else o for o in binding)
+        binding = tuple(0 if o is None else o for o in binding)
     return binding
 
 
@@ -466,19 +465,18 @@ class SelectionDiagnostic:
     rule_index: int = -1
 
 
-def select_action(policy: HLPolicy, state, goal: frozenset, objects, *,
+def select_action(policy: HLPolicy, idx: StateIndex, n_objects: int, *,
                   diag: SelectionDiagnostic = None):
-    """Lowest-val applicable ground rule's head, or None.
+    """Lowest-val applicable ground rule's head in the indexed state, or None.
 
     Realizes the 0/1 indicator distribution over ground HL actions.  If the
     selected head's precondition does not hold the action is still returned
     and the diagnostic is marked (the executor decides what to do).
     """
-    idx = state if isinstance(state, StateIndex) else StateIndex(state, goal)
     for i, rule in enumerate(policy.rules):
         if policy.dead[i]:
             continue
-        binding = match_rule(rule, idx, goal, objects)
+        binding = match_rule(rule, idx, n_objects)
         if binding is not None:
             action = GroundAction(rule.head_schema,
                                   tuple(binding[v] for v in rule.head_args))
@@ -555,7 +553,7 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
     domain = problem.domain
     chooser = outcome_chooser or fixed_outcome(0)
     idx = StateIndex(problem.init, problem.goal)
-    objects = range(len(problem.objects))
+    n_objects = len(problem.objects)
     res = SolveResult("solved")
     while not idx.solved():
         if res.steps >= step_cap:
@@ -565,7 +563,7 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
             res.status = "timeout"
             return res
         diag = SelectionDiagnostic()
-        action = select_action(policy, idx, problem.goal, objects, diag=diag)
+        action = select_action(policy, idx, n_objects, diag=diag)
         if action is None:
             res.status = "no_action"
             return res

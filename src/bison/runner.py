@@ -19,7 +19,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .core import HLProblem, ground_pre
-from .rules import HLPolicy, select_action
+from .rules import HLPolicy, StateIndex, select_action
 from .search import find_plan, find_policy
 
 STRATEGIES = ("bison", "det_plan", "det_replan", "ndt_plan", "ndt_replan",
@@ -78,7 +78,7 @@ def _make_ll(executor: Executor, env) -> Callable:
             raise ValueError("gnn LL mode requires trained parameters")
 
         def ll(lls, hla, goal, hls):
-            inp = encode(params.spec, env.domain, lls, hla, goal, hls, env.table,
+            inp = encode(params.spec, lls, hla, goal, hls, env.table,
                          zero_action=zero)
             return np.clip(forward(params, inp), -1.0, 1.0)
         return ll
@@ -125,7 +125,7 @@ def _rule_selector(env, hls, executor) -> Callable:
     def select(hls):
         key = (hls, env.goal, len(env.table))
         if key not in chosen:
-            chosen[key] = select_action(policy, hls, env.goal, range(key[2]))
+            chosen[key] = select_action(policy, StateIndex(hls, env.goal), key[2])
         return chosen[key]
     return select
 

@@ -136,6 +136,36 @@ def test_eval_jobs_parallel_identical(workdir):
     assert outs[0] == outs[1]
 
 
+def test_eval_jobs_start_at_most_one_worker_per_episode(tmp_path, monkeypatch):
+    import multiprocessing
+    from bison import cli
+    sizes = []
+
+    class SerialPool:  # records its size and starts no process
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(x) for x in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    outs = []
+    for jobs in ("1", "64"):
+        out = tmp_path / ("jobs%s.csv" % jobs)
+        assert cli.main(["eval", "--env", "blocks", "--strategy", "oracle",
+                         "--objects", "1", "--episodes", "2", "--seeds", "1",
+                         "--seed", "11", "--jobs", jobs, "--out", str(out)]) == 0
+        outs.append(out.read_bytes())
+    assert sizes == [2]  # two episodes: two workers, and none for --jobs 1
+    assert outs[0] == outs[1]
+
+
 def test_eval_with_gnn_params(workdir):
     r = run_cli(["eval", "--env", "blocks", "--strategy", "bison",
                  "--policy", str(workdir / "pol.bsp"), "--ll", "gnn",

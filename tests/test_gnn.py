@@ -42,7 +42,7 @@ def test_encode_blocks_state():
     spec = EncodingSpec.for_domain(dom, EGO_DIM, obj_dim("blocks"), ACTION_DIM)
     hls = env.label(lls)
     act = dom.ground_action("place", ("b0", "p0"), env.table)
-    inp = encode(spec, dom, lls, act, goal, hls, env.table)
+    inp = encode(spec, lls, act, goal, hls, env.table)
     assert inp.h_objects.shape == (2, spec.o_dim)
     # positional one-hots e_1, e_2 attached per argument slot
     base = spec.obj_feat_dim + 2 * spec.n_pred
@@ -62,7 +62,7 @@ def test_encode_unknown_object_errors():
     env.table.intern("ghost")
     act = dom.ground_action("pick", ("ghost",), env.table)
     with pytest.raises(BisonError):
-        encode(spec, dom, lls, act, goal, env.label(lls), env.table)
+        encode(spec, lls, act, goal, env.label(lls), env.table)
 
 
 def test_forward_zero_weights_zero_output():
@@ -140,7 +140,7 @@ def kink_margin(params, inp):
     """Minimum |pre-activation| and max-tie gap across the forward pass."""
     cache = gnn._intermediates(params, inp)
     margins = [np.min(np.abs(cache["z1"]))]
-    for (_, _, objs, _, _, zg, _, za, _, zo) in cache["layers"]:
+    for (objs, _, _, zg, _, za, _, zo) in cache["layers"]:
         margins.append(np.min(np.abs(zg)))
         margins.append(np.min(np.abs(za)))
         if len(zo):
@@ -192,7 +192,7 @@ def test_output_dim_matches_action_dim():
     spec = EncodingSpec.for_domain(dom, EGO_DIM, obj_dim("blocks"), ACTION_DIM)
     params = init_params(spec, TrainConfig())
     act = dom.ground_action("pick", ("b0",), env.table)
-    inp = encode(spec, dom, lls, act, goal, env.label(lls), env.table)
+    inp = encode(spec, lls, act, goal, env.label(lls), env.table)
     assert forward(params, inp).shape == (ACTION_DIM,)
 
 
@@ -282,7 +282,7 @@ def per_sample_mean(params, samples):
 def has_zero_tie(params, inp):
     """Two object rows both zero after a ReLU on some unit, where max ties."""
     cache = gnn._intermediates(params, inp)
-    later = [layer[2] for layer in cache["layers"][1:]] + [cache["objs"]]
+    later = [layer[0] for layer in cache["layers"][1:]] + [cache["objs"]]
     return any(objs.shape[0] > 1 and np.any(np.sum(objs == 0.0, axis=0) > 1)
                for objs in later)
 
@@ -468,12 +468,20 @@ def test_forward_matches_reference_on_max_ties_and_signed_zeros():
         inp = GnnInput(rng.normal(size=spec.g_dim), rng.normal(size=spec.a_dim), objs)
         assert_same_bytes(params, inp)
         zero_ties += has_zero_tie(params, inp)
-        # a ReLU maps -0.0 to 0.0, so y cannot show which tied zero the max
-        # took; the aggregate itself must be the argmax gather's, bit for bit
-        rows = np.where(rng.random((len(objs), params.hidden)) < 0.5, -0.0, 0.0)
-        gather = rows[np.argmax(rows, axis=0), np.arange(params.hidden)]
-        assert gnn._max_rows(rows).tobytes() == gather.tobytes()
     assert zero_ties > 100
+
+
+def test_forward_and_backward_agree_on_a_nan_object_row():
+    # forward's max and backward's argmax gather both carry the NaN through
+    rng = np.random.default_rng(52)
+    spec = arity3_spec()
+    for n in (2, 3):
+        params = GnnParams(spec, hidden=16, layers=2, init_rng=rng)
+        objs = rng.normal(size=(n, spec.o_dim))
+        objs[1, 0] = np.nan
+        inp = GnnInput(rng.normal(size=spec.g_dim), rng.normal(size=spec.a_dim), objs)
+        assert np.all(np.isnan(forward(params, inp)))
+        assert np.all(np.isnan(gnn._intermediates(params, inp)["y"]))
 
 
 def test_forward_matches_reference_on_eval_bilevel_inputs(monkeypatch):

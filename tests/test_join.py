@@ -230,7 +230,7 @@ def test_match_rule_is_reference_first_binding():
         if want is not None and None in want:
             want = None if not objects else tuple(objects[0] if o is None else o
                                                   for o in want)
-        got = match_rule(rule, idx, idx.goal, objects)
+        got = match_rule(rule, idx, len(objects))
         assert got == want
         firsts += want is not None
     assert firsts >= 100

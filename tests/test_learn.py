@@ -81,7 +81,7 @@ def test_lift_example_rule_shape(pickplace_domain):
     table = ObjectTable(["obj1", "loc1", "loc2"])
     f = lambda n, *a: pp_fact(dom, table, n, *a)
     place = dom.ground_action("place", ("obj1", "loc2"), table)
-    rule = lift(dom, place,
+    rule = lift(place,
                 frozenset({f("hold", "obj1"), f("rAt", "loc2")}),
                 frozenset({f("at", "obj1", "loc2")}), val=0)
     assert rule.n_vars == 2
@@ -93,7 +93,7 @@ def test_lift_action_only(pickplace_domain):
     dom = pickplace_domain
     table = ObjectTable(["loc1", "loc2"])
     move = dom.ground_action("move", ("loc1", "loc2"), table)
-    rule = lift(dom, move, frozenset(), frozenset(), val=0)
+    rule = lift(move, frozenset(), frozenset(), val=0)
     assert rule.n_vars == 2
     assert rule.s_cond == frozenset() and rule.g_cond == frozenset()
 
@@ -103,7 +103,7 @@ def test_lift_distinct_objects_distinct_vars(pickplace_domain):
     table = ObjectTable(["a", "b", "c", "d"])
     f = lambda n, *a: pp_fact(dom, table, n, *a)
     move = dom.ground_action("move", ("a", "b"), table)
-    rule = lift(dom, move, frozenset({f("rAt", "c"), f("rAt", "d")}),
+    rule = lift(move, frozenset({f("rAt", "c"), f("rAt", "d")}),
                 frozenset(), val=0)
     assert rule.n_vars == 4  # no variable merging across equal predicates
 

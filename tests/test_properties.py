@@ -131,7 +131,7 @@ def test_lifting_round_trip():
         action = random_action(rng, domain, n_obj)
         s_cond = random_state(rng, domain, n_obj)
         g_cond = random_state(rng, domain, n_obj)
-        rule = lift(domain, action, s_cond, g_cond, val=0)
+        rule = lift(action, s_cond, g_cond, val=0)
         # rebuild the first-occurrence object order lift used
         obj_of_var = []
         for o in list(action.args) \
@@ -242,7 +242,7 @@ def test_match_agrees_with_bruteforce():
         state = random_state(rng, domain, n_obj)
         goal = random_state(rng, domain, n_obj)
         objects = range(n_obj)
-        got = match_rule(rule, state, goal, objects)
+        got = match_rule(rule, StateIndex(state, goal), n_obj)
         brute_exists = False
         for combo in itertools.product(objects, repeat=rule.n_vars):
             ok = all(instantiate(a, combo) in state for a in rule.s_cond) and \
@@ -385,9 +385,10 @@ def test_selection_val_invariant_under_renaming(blocks_policy):
         rng.shuffle(perm)
         mapping = dict(enumerate(perm))
         d1, d2 = SelectionDiagnostic(), SelectionDiagnostic()
-        a1 = select_action(blocks_policy, prob.init, prob.goal, range(n), diag=d1)
-        a2 = select_action(blocks_policy, rename_state(prob.init, mapping),
-                           rename_state(prob.goal, mapping), range(n), diag=d2)
+        a1 = select_action(blocks_policy, StateIndex(prob.init, prob.goal), n, diag=d1)
+        a2 = select_action(blocks_policy, StateIndex(rename_state(prob.init, mapping),
+                                                     rename_state(prob.goal, mapping)),
+                           n, diag=d2)
         assert (a1 is None) == (a2 is None)
         if a1 is not None:
             assert blocks_policy.rules[d1.rule_index].val == \

@@ -3,7 +3,8 @@ import time
 
 import pytest
 
-from bison.core import GroundAction, HLProblem, ObjectTable, ground_outcomes
+from bison.core import (GroundAction, HLProblem, ObjectTable, applicable,
+                        ground_outcomes)
 from bison.envs import builtin_policy, env_domain
 from bison.formats import parse_policy
 from bison.learn import learn_hl_policy
@@ -26,7 +27,7 @@ def test_match_rule_example_binding():
     rule = builtin_policy("pickplace").rules[0]  # hold(x) ∧ rAt(l) ∧ ĝ at(x,l)
     state = frozenset({f("hold", "b1"), f("rAt", "p2")})
     goal = frozenset({f("at", "b1", "p2")})
-    binding = match_rule(rule, state, goal, range(len(table)))
+    binding = match_rule(rule, StateIndex(state, goal), len(table))
     assert binding is not None
     head = tuple(binding[v] for v in rule.head_args)
     assert head == (table.id("b1"), table.id("p2"))
@@ -37,7 +38,7 @@ def test_match_rule_rejects_achieved_goal_atom():
     rule = builtin_policy("pickplace").rules[0]
     state = frozenset({f("hold", "b1"), f("rAt", "p2"), f("at", "b1", "p2")})
     goal = frozenset({f("at", "b1", "p2")})
-    assert match_rule(rule, state, goal, range(len(table))) is None
+    assert match_rule(rule, StateIndex(state, goal), len(table)) is None
 
 
 def test_match_rule_unconstrained_variable():
@@ -46,7 +47,7 @@ def test_match_rule_unconstrained_variable():
     move = dom.schema_ids["move"]
     rule = Rule(0, 2, frozenset({(dom.pred_ids["rAt"], 0)}), frozenset(), move, (0, 1))
     state = frozenset({f("rAt", "p1")})
-    binding = match_rule(rule, state, frozenset(), [table.id("b1")])
+    binding = match_rule(rule, StateIndex(state, frozenset()), len(table))
     assert binding == (table.id("p1"), table.id("b1"))
     assert unconstrained_vars(rule) == (1,)
 
@@ -58,7 +59,7 @@ def test_match_agrees_with_bruteforce_small():
     goal = frozenset({f("at", "b1", "p2")})
     objs = range(len(table))
     for rule in policy.rules:
-        got = match_rule(rule, state, goal, objs)
+        got = match_rule(rule, StateIndex(state, goal), len(objs))
         brute = None
         for combo in itertools.product(objs, repeat=rule.n_vars):
             ok = all((a[0],) + tuple(combo[v] for v in a[1:]) in state
@@ -82,7 +83,7 @@ def test_select_action_blocks_initial_pick(blocks_policy):
     f = lambda n, *a: dom.ground_fact(n, a, table)
     state = frozenset({f("clear", "b0"), f("clear", "p0"), f("gripperFree")})
     goal = frozenset({f("at", "b0", "p0")})
-    act = select_action(blocks_policy, state, goal, range(2))
+    act = select_action(blocks_policy, StateIndex(state, goal), 2)
     assert act is not None
     assert dom.schemata[act.schema_id].name == "pick"
     assert act.args == (table.id("b0"),)
@@ -94,7 +95,7 @@ def test_select_action_none_when_solved(blocks_policy):
     f = lambda n, *a: dom.ground_fact(n, a, table)
     state = frozenset({f("at", "b0", "p0"), f("clear", "b0"), f("gripperFree")})
     goal = frozenset({f("at", "b0", "p0")})
-    assert select_action(blocks_policy, state, goal, range(2)) is None
+    assert select_action(blocks_policy, StateIndex(state, goal), 2) is None
 
 
 def test_select_action_tie_break_deterministic():
@@ -106,7 +107,7 @@ def test_select_action_tie_break_deterministic():
     r2 = Rule(0, 2, frozenset({(rat, 1)}), frozenset(), move, (1, 0))
     pol = HLPolicy([r1, r2], dom)
     state = frozenset({(rat, 0), (rat, 1)})
-    picks = {select_action(pol, state, frozenset(), range(2)) for _ in range(5)}
+    picks = {select_action(pol, StateIndex(state, frozenset()), 2) for _ in range(5)}
     assert len(picks) == 1  # canonical rule order breaks the val tie
 
 
@@ -117,8 +118,7 @@ def test_selected_rule_recheck_exhaustive(blocks_policy):
     prob = gen_blocks_hl_problem(2, seed=1)
     idx = StateIndex(prob.init, prob.goal)
     diag = SelectionDiagnostic()
-    act = select_action(blocks_policy, idx, prob.goal, range(len(prob.objects)),
-                        diag=diag)
+    act = select_action(blocks_policy, idx, len(prob.objects), diag=diag)
     assert act is not None and not diag.inapplicable
     for i in range(diag.rule_index):
         if blocks_policy.dead[i]:
@@ -170,6 +170,32 @@ def test_solve_hl_past_deadline_times_out(blocks_policy):
     res = solve_hl(blocks_policy, prob, deadline=time.perf_counter() - 1.0)
     assert res.status == "timeout" and res.steps == 0 and not res.solved
     assert solve_hl(blocks_policy, prob, deadline=time.perf_counter() + 60.0).solved
+
+
+def test_solve_hl_defect_records_the_inapplicable_action():
+    dom = env_domain("blocks")
+    # the head needs (holding ?x), which the rule's state condition leaves out
+    pol = parse_policy("1: (:vars ?x ?l) (:state (clear ?x) (clear ?l)) "
+                       "(:goal (at ?x ?l)) => (place ?x ?l)", dom)
+    prob = gen_blocks_hl_problem(2, seed=0)
+    res = solve_hl(pol, prob)
+    assert res.status == "defect" and not res.solved
+    assert res.steps == 0 and res.outcomes == []
+    (action,) = res.actions
+    assert dom.schemata[action.schema_id].name == "place"
+    assert (dom.pred_ids["at"],) + action.args in prob.goal
+    assert not applicable(dom, prob.init, action)
+
+
+def test_solve_hl_no_action_when_no_rule_fires():
+    dom = env_domain("blocks")
+    # nothing is held at the start, so the only rule never fires
+    pol = parse_policy("1: (:vars ?x ?l) (:state (holding ?x) (clear ?l)) "
+                       "(:goal (at ?x ?l)) => (place ?x ?l)", dom)
+    prob = gen_blocks_hl_problem(2, seed=0)
+    res = solve_hl(pol, prob)
+    assert res.status == "no_action" and not res.solved
+    assert res.actions == [] and res.steps == 0
 
 
 def test_solve_hl_outcome_choosers():
@@ -227,7 +253,7 @@ def test_empty_gcond_is_vacuously_true():
     rule = Rule(0, 2, frozenset({(rat, 0)}), frozenset(), move, (0, 1))
     pol = HLPolicy([rule], dom)
     state = frozenset({(rat, 1)})
-    act = select_action(pol, state, frozenset(), range(2))
+    act = select_action(pol, StateIndex(state, frozenset()), 2)
     assert act is not None  # fires with no goal condition at all
 
 

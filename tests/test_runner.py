@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from bison.envs import EnvConfig, make_env
+from bison.rules import StateIndex
 from bison.runner import STRATEGIES, EpisodeResult, Executor, run_episode
 
 
@@ -98,8 +99,8 @@ def _selecting_every_step(env, hls, executor):
     policy = executor.hl_policy
     if policy is None or executor.strategy == "oracle":
         policy = builtin_policy(env.config.kind)
-    return lambda hls: runner_mod.select_action(policy, hls, env.goal,
-                                                range(len(env.table)))
+    return lambda hls: runner_mod.select_action(policy, StateIndex(hls, env.goal),
+                                                len(env.table))
 
 
 def _episode(kind, n, strategy, seed):
@@ -149,13 +150,13 @@ def test_selection_reruns_on_new_state_goal_or_object(monkeypatch):
     assert query(frozenset(hls)) == first and len(calls) == 1
     env.goal = env.goal - {next(iter(env.goal))}
     query(hls)
-    assert len(calls) == 2 and calls[-1][2] == env.goal
+    assert len(calls) == 2 and calls[-1][1].goal == env.goal
     env.table.intern("extra")
     query(hls)
-    assert len(calls) == 3 and calls[-1][3] == range(len(env.table))
+    assert len(calls) == 3 and calls[-1][2] == len(env.table)
     other = hls - {next(iter(hls))}
     query(other)
-    assert len(calls) == 4 and calls[-1][1] == other
+    assert len(calls) == 4 and calls[-1][1].state() == other
     query(hls)  # a state met before is answered without selecting again
     assert len(calls) == 4
 

@@ -65,3 +65,17 @@ def test_tracer_sees_the_simulator_in_an_oracle_episode():
     assert spans.count("envs.step") == steps
     assert spans.count("envs.label") == steps + 1  # the goal state is labelled too
     assert spans.count("envs.render") == steps + 1  # reset renders too
+
+
+def test_one_index_build_per_rule_selection_in_an_episode():
+    # the runner builds the StateIndex it selects on, so the benchmark's
+    # rules.state_index_builds still counts one build per selection
+    tracer = load_tracer()
+    with tracer.installed():
+        env = make_env(EnvConfig("blocks", 3, seed=0))
+        episode = runner.run_episode(env, Executor("oracle"))
+    assert episode.success
+    spans = [span[0] for span in tracer.spans]
+    selections = spans.count("rules.select_action")
+    assert selections > 1
+    assert spans.count("rules.state_index_build") == selections
