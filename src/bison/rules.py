@@ -6,7 +6,8 @@ selection scans rules by ascending priority and grounds conditions by a
 most-constrained-atom-first join over per-predicate fact indexes; this is what
 makes policy execution at 10k-object scale possible.  The same join grounds
 action preconditions: it enumerates applicable actions for the planners and
-for explaining abstraction changes while learning.
+for explaining abstraction changes while learning, and joins a precondition
+with an unmet goal for the AND-OR planner's lookahead.
 
 Each rule's condition atoms, and each schema's precondition, are compiled once
 into a join plan: per atom its side, predicate, argument variables, a variable
@@ -422,15 +423,24 @@ def schema_actions(domain: Domain, sid: int, idx: StateIndex, n_objects: int):
     """
     arity = domain.schemata[sid].arity
     for binding in _matches(idx, _precondition_plans(domain)[sid], [None] * arity):
-        free = [v for v in range(arity) if binding[v] is None]
-        if not free:
-            yield GroundAction(sid, binding)
-        else:
-            for combo in itertools.product(range(n_objects), repeat=len(free)):
-                b = list(binding)
-                for v, o in zip(free, combo):
-                    b[v] = o
-                yield GroundAction(sid, tuple(b))
+        for args in fill_free(binding, n_objects):
+            yield GroundAction(sid, args)
+
+
+def fill_free(binding: tuple, n_objects: int):
+    """The total bindings that extend a join's ``binding``: each variable the
+    join left None ranges over all objects, in ``itertools.product`` order.
+    A total binding comes back alone, without a generator's overhead."""
+    if None not in binding:
+        return (binding,)
+    free = [v for v, o in enumerate(binding) if o is None]
+
+    def fill(combo):
+        b = list(binding)
+        for v, o in zip(free, combo):
+            b[v] = o
+        return tuple(b)
+    return map(fill, itertools.product(range(n_objects), repeat=len(free)))
 
 
 def applicable_actions(domain: Domain, idx: StateIndex, n_objects: int):

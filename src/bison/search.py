@@ -12,7 +12,12 @@ its parent's plus ``_goal_delta`` of the outcome's goal effects.  Successor
 states are materialized lazily at expansion to keep memory bounded by the
 closed set.  ``find_policy`` builds one canonically sorted ``StateIndex`` per
 expanded state, since its enumeration order decides which action is tried
-first; its lookahead reuses that index rather than building one per successor.
+first.  Its lookahead moves that index to each successor and back, and joins
+there from the goal side: one compiled plan per (schema, outcome, goal-
+predicate add atom) matches the precondition against the state and the atom
+against the unmet goals.  An outcome can lower the count only by adding an
+unmet goal fact, so these joins find every grandchild below its successor's
+count, and nothing else is enumerated.
 """
 
 from __future__ import annotations
@@ -25,7 +30,8 @@ from typing import Optional
 
 from .core import (HLProblem, HLState, applicable, ground_outcomes,
                    instantiate)
-from .rules import StateIndex, _goal_delta, applicable_actions, schema_actions
+from .rules import (StateIndex, _compile_plan, _goal_delta, _matches,
+                    applicable_actions, fill_free)
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 GENERATED_CAP = 2 * 10 ** 6
@@ -131,13 +137,19 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     are cut (states on the current path fail), yielding acyclic policies.
 
     With 2 to 64 candidate actions, ties on that count are broken by a one-ply
-    lookahead: the least goal count two steps ahead.  It moves the expanded
-    state's index to each successor and back, counts only outcomes that add
-    a goal-predicate fact (no other outcome can lower the count), and skips a
-    schema whose largest such gain cannot beat the least count found so far.
-    Since only the minimum is kept, the order it enumerates in does not
-    matter; the candidates themselves come from a fresh, canonically sorted
-    index.
+    lookahead: the least goal count two steps ahead, or the candidate's own
+    count if none is lower.  It moves the expanded state's index to each
+    successor and back.  There, for each outcome that adds a goal-predicate
+    fact, it joins the schema's precondition (against the state) with each
+    such add atom (against the unmet goals), fills the parameters neither
+    binds with every object, and evaluates that one outcome.  This is exact:
+    the least count starts at the least successor count and only falls, so
+    a grandchild counts lower only if its outcome adds a goal fact its
+    successor lacks, and that fact is unmet there.  A pair found through two
+    atoms is evaluated twice, which leaves the minimum unchanged.  A schema
+    whose largest gain cannot beat the least count found so far is skipped.
+    Since only the minimum is kept, the order of the joins does not matter;
+    the candidates themselves come from a fresh, canonically sorted index.
     """
     if depth_cap is None:
         depth_cap = default_depth_cap(problem)
@@ -147,20 +159,22 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     t0 = time.perf_counter()
     domain, goal = problem.domain, problem.goal
     n_obj = len(problem.objects)
-    # per schema, the outcomes that add a fact of a goal predicate, reduced to
-    # their goal-predicate atoms.  Only these can lower a lookahead's minimum:
-    # any other outcome leaves at least its successor's count, and the
-    # minimum starts at the least successor count.
+    # the lookahead's joins: per schema that can gain, one plan per (gain
+    # outcome, goal-predicate add atom), the precondition on the state side
+    # and the atom on the unmet-goal side
     goal_preds = {f[0] for f in goal}
-    gain_outcomes = []
+    gain_plans = []  # (arity, largest gain, [(plan, add_g, dele_g), ...])
     for sch in domain.schemata:
-        outs = []
+        pre = [("s", a) for a in sch.pre]
+        plans, gain = [], 0
         for add, dele in sch.outcomes:
             add_g = tuple(a for a in add if a[0] in goal_preds)
-            if add_g:
-                outs.append((add_g, tuple(a for a in dele if a[0] in goal_preds)))
-        gain_outcomes.append(outs)
-    max_gain = [max((len(a) for a, _ in outs), default=0) for outs in gain_outcomes]
+            dele_g = tuple(a for a in dele if a[0] in goal_preds)
+            gain = max(gain, len(add_g))
+            plans.extend((_compile_plan(pre + [("g", atom)]), add_g, dele_g)
+                         for atom in add_g)
+        if plans:
+            gain_plans.append((sch.arity, gain, plans))
     solved_action = {}
     failed_at = {}  # state -> depth it failed with (retry only with more depth)
     on_path = set()
@@ -174,18 +188,18 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         for s2 in succs:
             idx.apply(s2 - state, state - s2)
             g2 = len(idx.unachieved.facts)
-            for sid, outs in enumerate(gain_outcomes):
+            for arity, gain, plans in gain_plans:
                 # an outcome gains at most its goal-predicate adds
-                if g2 - max_gain[sid] >= look:
+                if g2 - gain >= look:
                     continue
-                for a2 in schema_actions(domain, sid, idx, n_obj):
-                    args = a2.args
-                    for add_g, dele_g in outs:
-                        h = g2 + _goal_delta({instantiate(a, args) for a in add_g},
-                                             {instantiate(a, args) for a in dele_g},
-                                             goal, s2)
-                        if h < look:
-                            look = h
+                for plan, add_g, dele_g in plans:
+                    for binding in _matches(idx, plan, [None] * arity):
+                        for args in fill_free(binding, n_obj):
+                            h = g2 + _goal_delta({instantiate(a, args) for a in add_g},
+                                                 {instantiate(a, args) for a in dele_g},
+                                                 goal, s2)
+                            if h < look:
+                                look = h
             idx.apply(state - s2, s2 - state)
         return look
 

@@ -5,10 +5,11 @@ from collections import deque
 import pytest
 
 from bison.core import HLProblem, ObjectTable, ground_outcomes, instantiate
-from bison.envs import EnvConfig, env_domain, make_env
+from bison import runner, search
+from bison.envs import EnvConfig, env_domain, episode_seed, make_env
 from bison.formats import parse_domain
 from bison.rules import StateIndex, applicable_actions
-from bison.search import (SearchStats, default_depth_cap,
+from bison.search import (DEFAULT_NODE_BUDGET, SearchStats, default_depth_cap,
                           find_plan, find_policy, validate_plan,
                           validate_policy)
 from bison.bench import gen_blocks_hl_problem
@@ -290,3 +291,181 @@ def test_find_policy_matches_reference_on_env_resets(kind):
         problem = HLProblem(env.domain, env.table, frozenset(env.label(lls)),
                             frozenset(env.goal))
         assert_same_as_reference(problem, default_depth_cap(problem), node_budget=300)
+
+
+# ---------------------------------------------------------------------------
+# The goal-side lookahead join
+# ---------------------------------------------------------------------------
+
+# Each case is (domain, objects, init, goal, whether the lookahead picks
+# another first action than the plain goal-count order); facts are written
+# "pred arg ...".  The wander/prep-style domains tie their first candidates on
+# the goal count, so only the lookahead can rank the one that enables a gain.
+LOOKAHEAD_SHAPES = {
+    # finish's goal atom repeats ?x: prep(o1) enables (done o1 o1), prep(o0)
+    # only (done o0 o0), which is not a goal, while the unmet (done o0 o1)
+    # shares a bucket with it
+    "repeated_variable": ("""
+    (define (domain d) (:predicates (on ?x) (ready ?x) (done ?x ?y))
+      (:action prep :parameters (?x) :precondition (and (on ?x))
+        :effect (and (ready ?x)))
+      (:action finish :parameters (?x) :precondition (and (ready ?x))
+        :effect (and (done ?x ?x)))
+      (:action link :parameters (?x ?y)
+        :precondition (and (ready ?x) (ready ?y))
+        :effect (and (done ?x ?y))))""",
+        ["o0", "o1"], ["on o0", "on o1"], ["done o1 o1", "done o0 o1"], True),
+    # only the goal atom binds finish's ?y
+    "bound_by_goal_atom_only": ("""
+    (define (domain d) (:predicates (on ?x) (ready ?x) (mark ?x) (done ?x ?y))
+      (:action wander :parameters (?x) :precondition (and (on ?x))
+        :effect (and (mark ?x)))
+      (:action prep :parameters (?x) :precondition (and (on ?x))
+        :effect (and (ready ?x)))
+      (:action finish :parameters (?x ?y) :precondition (and (ready ?x))
+        :effect (and (done ?x ?y))))""",
+        ["o0", "o1"], ["on o0"], ["done o0 o1"], True),
+    # trade's ?z is in neither its precondition nor its goal atom, and only
+    # z != o0 keeps (done o0)
+    "bound_by_neither": ("""
+    (define (domain d) (:predicates (spare ?x) (ready ?x) (done ?x))
+      (:action prep :parameters (?x) :precondition (and (spare ?x))
+        :effect (and (ready ?x) (not (spare ?x))))
+      (:action trade :parameters (?x ?z) :precondition (and (ready ?x))
+        :effect (and (done ?x) (not (done ?z)))))""",
+        ["o0", "o1", "o2"], ["done o0", "spare o1", "spare o2"],
+        ["done o0", "done o2"], True),
+    # a 0-ary goal predicate, once behind a precondition and once with a
+    # parameter that nothing binds
+    "zero_ary_goal": ("""
+    (define (domain d) (:predicates (on ?x) (ready ?x) (mark ?x) (flag) (bell))
+      (:action wander :parameters (?x) :precondition (and (on ?x))
+        :effect (and (mark ?x)))
+      (:action prep :parameters (?x) :precondition (and (on ?x))
+        :effect (and (ready ?x)))
+      (:action raise :parameters (?x) :precondition (and (ready ?x))
+        :effect (and (flag)))
+      (:action ring :parameters (?x) :precondition (and (flag))
+        :effect (and (bell))))""",
+        ["o0", "o1"], ["on o0"], ["flag", "bell"], True),
+    # pair's first outcome adds two goal facts, which beats single's one
+    "two_goal_atoms": ("""
+    (define (domain d)
+      (:predicates (on ?x) (ready ?x) (mark ?x) (spare ?x) (done ?x))
+      (:action wander :parameters (?x) :precondition (and (on ?x))
+        :effect (and (mark ?x)))
+      (:action prep :parameters (?x) :precondition (and (on ?x))
+        :effect (and (ready ?x)))
+      (:action single :parameters (?x) :precondition (and (mark ?x))
+        :effect (and (done ?x)))
+      (:action pair :parameters (?x ?y)
+        :precondition (and (ready ?x) (spare ?y))
+        :effect (oneof (and (done ?x) (done ?y)) (and (done ?x) (mark ?y)))))""",
+        ["o0", "o1"], ["on o0", "spare o1"], ["done o0", "done o1"], True),
+    # swap adds (done o1) but deletes (done o0), so prep(o1) gains nothing
+    # over wander(o1) and the plain order stands
+    "add_one_delete_another": ("""
+    (define (domain d) (:predicates (on ?x) (ready ?x) (mark ?x) (done ?x))
+      (:action wander :parameters (?x) :precondition (and (on ?x))
+        :effect (and (mark ?x)))
+      (:action prep :parameters (?x) :precondition (and (on ?x))
+        :effect (and (ready ?x)))
+      (:action swap :parameters (?x ?y)
+        :precondition (and (done ?x) (ready ?y))
+        :effect (and (done ?y) (not (done ?x))))
+      (:action finish :parameters (?x)
+        :precondition (and (ready ?x) (mark ?x))
+        :effect (and (done ?x))))""",
+        ["o0", "o1"], ["done o0", "on o1"], ["done o0", "done o1"], False),
+}
+
+
+def shape_problem(name):
+    text, objects, init, goal, _ = LOOKAHEAD_SHAPES[name]
+    dom = parse_domain(text)
+    table = ObjectTable(objects)
+
+    def facts(lines):
+        return frozenset(dom.ground_fact(p, a, table)
+                         for p, *a in (line.split() for line in lines))
+    return HLProblem(dom, table, facts(init), facts(goal))
+
+
+def first_by_goal_count(problem):
+    """The action a plain (best goal count, enumeration index) order tries
+    first at init."""
+    idx = StateIndex(problem.init, problem.goal)
+    ranked = []
+    for i, act in enumerate(applicable_actions(problem.domain, idx,
+                                               len(problem.objects))):
+        best = min(props.goal_count((problem.init - dele) | add, problem.goal)
+                   for add, dele in ground_outcomes(problem.domain, act))
+        ranked.append((best, i, act))
+    return min(ranked)[2]
+
+
+@pytest.mark.parametrize("name", sorted(LOOKAHEAD_SHAPES))
+def test_lookahead_goal_join_shapes(name):
+    problem = shape_problem(name)
+    for depth_cap in (2, 3, default_depth_cap(problem)):
+        assert_same_as_reference(problem, depth_cap, node_budget=200)
+    policy = find_policy(problem)
+    assert policy is not None and validate_policy(problem, policy)
+    lookahead_decides = LOOKAHEAD_SHAPES[name][-1]
+    assert (policy[problem.init] != first_by_goal_count(problem)) == lookahead_decides
+
+
+def test_find_policy_matches_reference_mid_episode(monkeypatch):
+    # every state an ndt_replan episode plans from, on plan-replan's pool
+    real, calls = runner.find_policy, []
+
+    def checked(problem, **kw):
+        stats = SearchStats()
+        policy = real(problem, stats=stats, **kw)
+        ref_mapping, ref = reference_find_policy(
+            problem, default_depth_cap(problem), DEFAULT_NODE_BUDGET)
+        assert policy == ref_mapping
+        assert (stats.status, stats.expanded, stats.generated) == \
+            (ref.status, ref.expanded, ref.generated)
+        calls.append(problem.init)
+        return policy
+
+    monkeypatch.setattr(runner, "find_policy", checked)
+    replans = 0
+    for kind in ("factory", "blocks-noisy"):
+        for n in range(5, 9):
+            for ep in range(3):
+                env = make_env(EnvConfig(kind, n, seed=episode_seed(0, ep)))
+                result = runner.run_episode(env, runner.Executor("ndt_replan"))
+                assert result.success
+                replans += result.replans
+    # one call at each reset, one at each replan
+    assert len(calls) == 24 + replans and replans >= 60
+
+
+def test_lookahead_evaluates_only_goal_joined_outcomes(monkeypatch):
+    # each lookahead evaluation is an (action, gain outcome) pair whose goal
+    # atom met an unmet goal fact, at most one per successor here; every
+    # applicable action of every gain schema would be 4,250 pairs
+    env = make_env(EnvConfig("blocks-noisy", 12, seed=12))
+    lls, _ = env.reset()
+    problem = HLProblem(env.domain, env.table, frozenset(env.label(lls)),
+                        frozenset(env.goal))
+    deltas, applies = [0], [0]
+    goal_delta, apply = search._goal_delta, StateIndex.apply
+
+    def counted_delta(*args):
+        deltas[0] += 1
+        return goal_delta(*args)
+
+    def counted_apply(self, add, dele):
+        applies[0] += 1
+        return apply(self, add, dele)
+
+    monkeypatch.setattr(search, "_goal_delta", counted_delta)
+    monkeypatch.setattr(StateIndex, "apply", counted_apply)
+    stats = SearchStats()
+    assert find_policy(problem, stats=stats) is not None
+    visited = applies[0] // 2  # the lookahead moves its index there and back
+    assert visited > 0
+    assert deltas[0] - stats.generated <= visited
