@@ -6,9 +6,9 @@ against planner baselines in desk-scale 2D environments.
 """
 
 from .core import (ActionSchema, BisonError, Domain, GroundAction, HLProblem,
-                   NdrpReport, ObjectTable, Predicate, PreconditionError,
-                   StructuralError, applicable, check_ndrp, equivalent, is_goal,
-                   rename_action, rename_problem, rename_state, successors)
+                   ObjectTable, Predicate, PreconditionError, StructuralError,
+                   applicable, equivalent, is_goal, rename_action, rename_problem,
+                   rename_state, successors)
 from .envs import EnvConfig, LLState, builtin_policy, env_domain, generate_demos, \
     make_env, make_labeller
 from .formats import (Demo, DemoStep, ParseError, parse_domain, parse_policy,
@@ -18,8 +18,8 @@ from .gnn import EncodingSpec, GnnParams, TrainConfig, backward, build_dataset, 
     encode, forward, load_params, save_params, train
 from .learn import (AbstractionGapError, HLTrace, coverage_bound,
                     extract_hl_trace, learn_hl_policy, lift, regress)
-from .rules import (HLPolicy, Rule, StateIndex, adversarial_outcome,
-                    canonical_rule_str, fixed_outcome, match_rule,
+from .rules import (HLPolicy, NdrpReport, Rule, StateIndex, adversarial_outcome,
+                    canonical_rule_str, check_ndrp, fixed_outcome, match_rule,
                     random_outcome, select_action, solve_hl)
 from .runner import EpisodeResult, Executor, run_episode
 from .search import Plan, SearchStats, find_plan, find_policy

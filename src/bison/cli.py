@@ -20,7 +20,7 @@ import statistics
 import sys
 
 from .bench import bench_hl, bench_rows_csv
-from .core import BisonError, check_ndrp
+from .core import BisonError
 from .envs import (ENV_KINDS, EGO_DIM, ACTION_DIM, EnvConfig, builtin_policy,
                    env_domain, episode_seed, generate_demos, make_env,
                    make_labeller, max_objects, obj_dim)
@@ -30,8 +30,8 @@ from .gnn import EncodingSpec, TrainConfig, build_dataset, load_params, \
     save_params, train
 from .learn import AbstractionGapError, LearnReport, extract_hl_trace, \
     learn_hl_policy
-from .runner import STRATEGIES, Executor, run_episode
-from .rules import unconstrained_vars
+from .rules import check_ndrp, unconstrained_vars
+from .runner import LL_MODES, STRATEGIES, Executor, run_episode
 
 log = logging.getLogger("bison")
 
@@ -164,10 +164,8 @@ def cmd_eval(args):
     if params is not None and params.spec != _encoding_spec(args.env):
         raise BisonError("%s was trained for another env: its encoding %s does not "
                          "match --env %s" % (args.params, params.spec, args.env))
-    if params is None and (args.strategy == "pure_nn_stub"
-                           or args.ll == "gnn" and args.strategy != "oracle"):
-        raise BisonError("--strategy %s --ll %s requires --params"
-                         % (args.strategy, args.ll))
+    executor = Executor(strategy=args.strategy, hl_policy=policy, gnn_params=params,
+                        ll_mode=args.ll)
     rows = []
     if args.objects_range is None:  # the default 1..10, within the layout's room
         limit = max_objects(args.env)
@@ -182,7 +180,7 @@ def cmd_eval(args):
             seed = args.seed + seed_i
             for ep in range(args.episodes):
                 jobs.append((n, seed, ep))
-    results = _run_eval_jobs(args, jobs, policy, params)
+    results = _run_eval_jobs(args, jobs, executor)
     for (n, seed, ep), res in zip(jobs, results):
         wall = "%.6f" % res.wall_time if args.timing == "wall" else "0.000000"
         rows.append("%s,%s,%d,%d,%d,%d,%d,%d,%s" % (
@@ -204,17 +202,13 @@ def cmd_eval(args):
 
 
 def _eval_one(packed):
-    args_d, n, seed, ep, policy, params = packed
-    cfg = EnvConfig(kind=args_d["env"], n_objects=n, seed=episode_seed(seed, ep))
-    env = make_env(cfg)
-    executor = Executor(strategy=args_d["strategy"], hl_policy=policy,
-                        gnn_params=params, ll_mode=args_d["ll"])
+    kind, n, seed, ep, executor = packed
+    env = make_env(EnvConfig(kind=kind, n_objects=n, seed=episode_seed(seed, ep)))
     return run_episode(env, executor)
 
 
-def _run_eval_jobs(args, jobs, policy, params):
-    packed = [({"env": args.env, "strategy": args.strategy, "ll": args.ll},
-               n, seed, ep, policy, params) for (n, seed, ep) in jobs]
+def _run_eval_jobs(args, jobs, executor):
+    packed = [(args.env, n, seed, ep, executor) for (n, seed, ep) in jobs]
     workers = min(args.jobs, len(packed))  # no idle workers
     if workers > 1:
         import multiprocessing
@@ -228,6 +222,8 @@ def cmd_bench_hl(args):
         raise BisonError("--timeout must be a positive number of seconds, got %r"
                          % args.timeout)
     _at_least(args, seed=0)
+    if args.baseline_max_n is not None:
+        _at_least(args, baseline_max_n=0)
     policy = _load_policy_arg(args.policy, "blocks")
     n_list = _parse_range(args.n_list)
     rows = bench_hl(policy, n_list, timeout=args.timeout, seed=args.seed,
@@ -310,7 +306,7 @@ def build_parser() -> _Parser:
                          "capped at the kind's most objects)")
     sp.add_argument("--episodes", type=int, default=10)
     sp.add_argument("--seeds", type=int, default=3)
-    sp.add_argument("--ll", default="oracle", choices=("oracle", "gnn"))
+    sp.add_argument("--ll", default="oracle", choices=LL_MODES)
     sp.add_argument("--policy", default=None,
                     help=".bsp file or 'builtin' (default: builtin)")
     sp.add_argument("--params", default=None, help=".bsw parameter file")

@@ -1,7 +1,8 @@
 """Ground and lifted relational semantics.
 
 Facts, states, action schemata, applicability, nondeterministic successors,
-object renaming, instance equivalence and the downward-refinement check.
+object renaming and instance equivalence.  This module imports nothing from
+the rest of the package; every other module builds on it.
 
 Representation: predicates and objects are interned to integer ids; a ground
 fact is the tuple ``(pred_id, obj_id, ...)`` and an HL state is a frozenset of
@@ -333,39 +334,3 @@ def equivalent(p1: HLProblem, p2: HLProblem) -> Optional[dict]:
     if backtrack(0):
         return dict(mapping)
     return None
-
-
-# ---------------------------------------------------------------------------
-# Nondeterministic downward refinement check
-# ---------------------------------------------------------------------------
-
-@dataclass
-class NdrpReport:
-    ok: bool
-    step: int = -1
-    reason: str = ""
-
-
-def check_ndrp(labels: Sequence[HLState], hl_policy, goal: frozenset,
-               n_objects: int) -> NdrpReport:
-    """Check Def.-1 downward refinement over the labels of consecutive LL steps.
-
-    For every LL transition s → s', either the abstraction is preserved or
-    λ(s') is a successor of the policy-selected action at λ(s), where
-    ``labels[i]`` is λ of step i.  A policy that returns no action at a
-    changing abstract state is reported as a violation with the offending
-    step index.
-    """
-    from .rules import StateIndex, select_action  # local import to avoid a cycle
-
-    for i, (a1, a2) in enumerate(zip(labels, labels[1:])):
-        if a1 == a2:
-            continue
-        act = select_action(hl_policy, StateIndex(a1, goal), n_objects)
-        if act is None:
-            return NdrpReport(False, i, "policy returned no action at a changing state")
-        if not applicable(hl_policy.domain, a1, act):
-            return NdrpReport(False, i, "selected action inapplicable")
-        if a2 not in successors(hl_policy.domain, a1, act):
-            return NdrpReport(False, i, "abstract jump not among successors of selected action")
-    return NdrpReport(True)

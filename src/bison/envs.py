@@ -10,7 +10,9 @@ The kind table ``KINDS`` maps the five kinds (blocks, blocks-noisy, factory,
 gacha, pickplace) to three families: domain and built-in policy texts,
 labeller, env class and object feature width.  The families share feature
 channels 0-7, so one labelling core labels the gripper, block clear and
-at(block, fixture) and each family's labeller adds only its own facts.
+at(block, fixture) and each family's labeller adds only its own facts.  Each
+env carries its family's ``domain`` and ``builtin_policy``; the runner reads
+them from the env, and ``generate_demos`` runs the runner's oracle episodes.
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import runner
 from .core import BisonError, Domain, Fact, GroundAction, ObjectTable
 from .formats import Demo, DemoStep, parse_domain, parse_policy
 from .rules import HLPolicy
@@ -355,6 +358,7 @@ class SimEnv:
         self.config = config
         self.rng = np.random.default_rng(config.seed)
         self.domain = family.domain
+        self.builtin_policy = family.policy
         self.obj_dim = family.obj_dim
         self._labeller = make_labeller(config.kind)
         self.table = ObjectTable()
@@ -844,8 +848,6 @@ def generate_demos(config: EnvConfig, count: int):
     alternates the robot's start (at the block's pad / away from it) so both
     demo shapes appear.
     """
-    from .runner import Executor, run_episode
-
     demos = []
     attempts = 0
     cap = max(count * 5, count + 20)
@@ -856,7 +858,7 @@ def generate_demos(config: EnvConfig, count: int):
             cfg = replace(cfg, start_at_block=(ep % 2 == 0))
         env = make_env(cfg)
         record = []
-        result = run_episode(env, Executor(strategy="oracle"), record=record)
+        result = runner.run_episode(env, runner.Executor("oracle"), record=record)
         attempts += 1
         ep += 1
         if result.success:

@@ -198,6 +198,8 @@ def parse_domain(text: str) -> Domain:
     for form in body:
         h = _head(form)
         if h == ":predicates":
+            if saw_predicates:
+                raise ParseError("repeated (:predicates …) form", form.line, form.col)
             saw_predicates = True
             for p in form[1:]:
                 if not isinstance(p, list) or not p:
@@ -224,6 +226,9 @@ def parse_domain(text: str) -> Domain:
                 kt = _expect_atom(key, "an :action section keyword")
                 if kt.text not in (":parameters", ":precondition", ":effect"):
                     raise ParseError("unknown action section %r" % kt.text, kt.line, kt.col)
+                if kt.text in sections:
+                    raise ParseError("repeated %s section in action %r" % (kt.text, aname),
+                                     kt.line, kt.col)
                 try:
                     sections[kt.text] = next(it)
                 except StopIteration:

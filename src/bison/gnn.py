@@ -26,6 +26,7 @@ from typing import Callable, Iterable, List, Optional, Sequence
 
 import numpy as np
 
+from . import learn
 from .core import BisonError, Domain, GroundAction, ObjectTable
 from .formats import Demo
 
@@ -328,13 +329,11 @@ def build_dataset(demos: Iterable[Demo], domain: Domain, labeller: Callable,
     change; trailing steps pair with the last HL action.  Demos that cannot be
     abstracted are skipped.
     """
-    from .learn import AbstractionGapError, extract_hl_trace
-
     samples = []
     for demo in demos:
         try:
-            trace = extract_hl_trace(demo, domain, labeller)
-        except AbstractionGapError:
+            trace = learn.extract_hl_trace(demo, domain, labeller)
+        except learn.AbstractionGapError:
             continue
         if not trace.actions:
             continue

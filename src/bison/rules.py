@@ -21,6 +21,10 @@ one fresh variable from distinct facts of one bucket, so the join never yields
 a binding twice and ``schema_actions`` passes its bindings on as they come.
 An ``HLPolicy`` canonicalises each rule once, when it is built, and serializes
 from those canonical forms.
+
+``check_ndrp`` tests a demo's labelled LL steps against a rule policy: every
+abstraction change must be an outcome of the action the policy selects.
+This module builds on ``core`` alone.
 """
 
 from __future__ import annotations
@@ -30,10 +34,11 @@ import itertools
 import random
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (Atom, Domain, Fact, GroundAction, HLProblem, HLState,
-                   StructuralError, applicable, check_atoms, ground_outcomes)
+                   StructuralError, applicable, check_atoms, ground_outcomes,
+                   successors)
 
 _BIG = 1 << 30  # sort placeholder for not-yet-renamed variables
 
@@ -372,8 +377,10 @@ def _join(sides: dict, atoms: list, binding: list, bound: int, out: list,
 
 
 def _matches(idx: StateIndex, plan: tuple, binding: list, first: bool = False) -> list:
-    """Satisfying bindings of a compiled plan, in join order (``first``: at
-    most one)."""
+    """Every extension of ``binding`` satisfying a compiled plan, each as a
+    tuple, in join order (``first``: at most one).  Candidates iterate in
+    bucket insertion order, which is canonical for the initial state, so
+    enumeration is deterministic; variables no atom touches stay None."""
     sides = idx.sides
     bound = 0
     for v, o in enumerate(binding):
@@ -389,21 +396,6 @@ def _matches(idx: StateIndex, plan: tuple, binding: list, first: bool = False) -
     out = []
     _join(sides, rest, binding, bound, out, first)
     return out
-
-
-def enum_matches(idx: StateIndex, atoms: list, binding: list):
-    """Every binding extending ``binding`` that satisfies the ``(side, atom)``
-    list, each as a tuple, in join order.
-
-    The atoms are compiled into a plan and joined backtracking.  An atom is
-    tested with one membership lookup as soon as its variables are bound; of
-    the others, the join next enumerates the one with the most bound argument
-    positions, then the smallest candidate bucket, then the first declared.
-    Candidates iterate in bucket insertion order, which is canonical for the
-    initial state, so enumeration is deterministic.  Variables untouched by
-    the atoms stay None.
-    """
-    yield from _matches(idx, _compile_plan(atoms), binding)
 
 
 @functools.lru_cache(maxsize=64)
@@ -496,6 +488,40 @@ def select_action(policy: HLPolicy, idx: StateIndex, n_objects: int, *,
                                                    action)
             return action
     return None
+
+
+# ---------------------------------------------------------------------------
+# Nondeterministic downward refinement check
+# ---------------------------------------------------------------------------
+
+@dataclass
+class NdrpReport:
+    ok: bool
+    step: int = -1
+    reason: str = ""
+
+
+def check_ndrp(labels: Sequence[HLState], hl_policy: HLPolicy, goal: frozenset,
+               n_objects: int) -> NdrpReport:
+    """Check Def.-1 downward refinement over the labels of consecutive LL steps.
+
+    For every LL transition s → s', either the abstraction is preserved or
+    λ(s') is a successor of the policy-selected action at λ(s), where
+    ``labels[i]`` is λ of step i.  A policy that returns no action at a
+    changing abstract state is reported as a violation with the offending
+    step index.
+    """
+    for i, (a1, a2) in enumerate(zip(labels, labels[1:])):
+        if a1 == a2:
+            continue
+        act = select_action(hl_policy, StateIndex(a1, goal), n_objects)
+        if act is None:
+            return NdrpReport(False, i, "policy returned no action at a changing state")
+        if not applicable(hl_policy.domain, a1, act):
+            return NdrpReport(False, i, "selected action inapplicable")
+        if a2 not in successors(hl_policy.domain, a1, act):
+            return NdrpReport(False, i, "abstract jump not among successors of selected action")
+    return NdrpReport(True)
 
 
 # ---------------------------------------------------------------------------

@@ -7,7 +7,8 @@ answer when the HL state, the goal and the object count are ones it has met
 in the episode, since rule selection is a pure function of those three.
 Baselines follow the plan/policy bookkeeping of the replanning literature:
 track a plan index, advance when the next action's precondition holds, fail
-or replan when neither does.
+or replan when neither does.  ``Executor.ll`` alone says which LL a strategy
+runs.  Without a learned policy the rule strategies read ``env.builtin_policy``.
 """
 
 from __future__ import annotations
@@ -18,12 +19,15 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .core import HLProblem, ground_pre
+from . import gnn
+from .core import BisonError, HLProblem, ground_pre
 from .rules import HLPolicy, StateIndex, select_action
 from .search import find_plan, find_policy
 
 STRATEGIES = ("bison", "det_plan", "det_replan", "ndt_plan", "ndt_replan",
               "oracle", "pure_nn_stub")
+
+LL_MODES = ("oracle", "gnn")
 
 FAILURE_KINDS = ("none", "no_hl_action", "step_cap", "plan_broken")
 
@@ -53,7 +57,8 @@ class Executor:
     ll_mode: "oracle" (scripted skill) or "gnn".  The oracle strategy forces
     the scripted skill and pure_nn_stub the network with its action features
     zeroed at inference; bison uses hl_policy or the env's built-in policy
-    when None.
+    when None.  A strategy whose LL is the network needs ``gnn_params``;
+    construction raises ``BisonError`` without them.
     """
 
     strategy: str
@@ -64,25 +69,28 @@ class Executor:
     def __post_init__(self):
         if self.strategy not in STRATEGIES:
             raise ValueError("unknown strategy %r" % self.strategy)
+        if self.ll_mode not in LL_MODES:
+            raise ValueError("unknown ll_mode %r" % self.ll_mode)
+        if self.ll == "gnn" and self.gnn_params is None:
+            raise BisonError("strategy %s with ll_mode %s runs the GNN and needs trained "
+                             "parameters (eval: --params)" % (self.strategy, self.ll_mode))
+
+    @property
+    def ll(self) -> str:
+        """The LL this strategy runs: "oracle" or "gnn"."""
+        return {"oracle": "oracle", "pure_nn_stub": "gnn"}.get(self.strategy, self.ll_mode)
 
 
 def _make_ll(executor: Executor, env) -> Callable:
-    zero = executor.strategy == "pure_nn_stub"
-    mode = "oracle" if executor.strategy == "oracle" else "gnn" if zero else executor.ll_mode
-    if mode == "oracle":
+    if executor.ll == "oracle":
         return lambda lls, hla, goal, hls: env.oracle_skill(lls, hla)
-    if mode == "gnn":
-        from .gnn import encode, forward
-        params = executor.gnn_params
-        if params is None:
-            raise ValueError("gnn LL mode requires trained parameters")
+    encode, forward = gnn.encode, gnn.forward
+    params, zero = executor.gnn_params, executor.strategy == "pure_nn_stub"
 
-        def ll(lls, hla, goal, hls):
-            inp = encode(params.spec, lls, hla, goal, hls, env.table,
-                         zero_action=zero)
-            return np.clip(forward(params, inp), -1.0, 1.0)
-        return ll
-    raise ValueError("unknown ll_mode %r" % mode)
+    def ll(lls, hla, goal, hls):
+        inp = encode(params.spec, lls, hla, goal, hls, env.table, zero_action=zero)
+        return np.clip(forward(params, inp), -1.0, 1.0)
+    return ll
 
 
 def run_episode(env, executor: Executor, step_cap: int = None,
@@ -115,11 +123,9 @@ def _rule_selector(env, hls, executor) -> Callable:
     flickers between a few states while a skill runs, so answers are kept for
     every key seen, not only the last one.
     """
-    from .envs import builtin_policy
-
     policy = executor.hl_policy
     if policy is None or executor.strategy == "oracle":
-        policy = builtin_policy(env.config.kind)
+        policy = env.builtin_policy
     chosen = {}
 
     def select(hls):

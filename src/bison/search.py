@@ -229,17 +229,12 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
             best_h = unmet + min(_goal_delta(add, dele, goal, state) for add, dele in outs)
             candidates.append((best_h, len(candidates), act, succs))
             st.generated += len(succs)
-        if 1 < len(candidates) <= 64:
-            # one-ply lookahead tie-break keeps greedy descent off plateau
-            # actions whose successors enable no improvement
-            ranked = []
-            for best_h, i, act, succs in candidates:
-                ranked.append((best_h, lookahead(idx, state, succs, best_h),
-                               i, act, succs))
-            ranked.sort(key=lambda c: (c[0], c[1], c[2]))
-            candidates = [(b, i, a, s) for b, _, i, a, s in ranked]
-        else:
-            candidates.sort(key=lambda c: (c[0], c[1]))
+        # one-ply lookahead tie-break keeps greedy descent off plateau actions
+        # whose successors enable no improvement; sort computes the keys in
+        # candidate order, each lookahead leaving idx as it found it
+        look = 1 < len(candidates) <= 64
+        candidates.sort(key=lambda c: (c[0], lookahead(idx, state, c[3], c[0])
+                                       if look else 0, c[1]))
         ok = False
         for _, _, act, succs in candidates:
             if all(solve(s2, depth - 1) for s2 in succs):

@@ -231,7 +231,8 @@ def test_bench_hl_timeout_must_be_positive_and_finite(timeout):
     ["eval", "--env", "blocks", "--strategy", "oracle", "--objects", "1", "--jobs", "0"],
     ["gen-demos", "--env", "blocks", "--objects", "1", "--count", "-2"],
     ["gen-demos", "--env", "blocks", "--objects", "1", "--seed", "-1"],
-], ids=["episodes", "seeds", "jobs", "count", "seed"])
+    ["bench-hl", "--n-list", "3", "--baseline-max-n", "-1"],
+], ids=["episodes", "seeds", "jobs", "count", "seed", "baseline-max-n"])
 def test_counts_below_their_least_value_are_data_errors(tmp_path, argv):
     out = tmp_path / "out"
     r = run_cli(argv + ["--out", str(out)])
@@ -250,6 +251,15 @@ def test_pure_nn_stub_without_params_is_data_error():
     r = run_cli(["eval", "--env", "blocks", "--strategy", "pure_nn_stub",
                  "--objects", "1", "--episodes", "1", "--seeds", "1", "--out", "-"])
     assert r.returncode == 2, r.stderr
+
+
+def test_gnn_ll_without_params_is_data_error(tmp_path):
+    out = tmp_path / "out.csv"
+    r = run_cli(["eval", "--env", "blocks", "--strategy", "det_plan", "--ll", "gnn",
+                 "--objects", "1", "--episodes", "1", "--seeds", "1", "--out", str(out)])
+    assert r.returncode == 2, r.stderr
+    assert "trained parameters" in r.stderr
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag", [

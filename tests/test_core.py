@@ -1,12 +1,12 @@
 import pytest
 
 from bison.core import (GroundAction, HLProblem, ObjectTable, PreconditionError,
-                        StructuralError, applicable, check_ndrp, equivalent,
-                        is_goal, rename_action, rename_problem, rename_state,
-                        successors)
+                        StructuralError, applicable, equivalent, is_goal,
+                        rename_action, rename_problem, rename_state, successors)
 from bison.envs import EnvConfig, env_domain, make_env, make_labeller
 from bison.formats import parse_domain
 from bison.learn import learn_hl_policy
+from bison.rules import check_ndrp
 
 
 def pp_setup():

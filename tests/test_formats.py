@@ -109,6 +109,22 @@ def test_problem_repeated_section_is_positioned(text, pos):
     assert (e.value.line, e.value.col) == pos
 
 
+@pytest.mark.parametrize("text,pos", [
+    ("(define (domain d) (:predicates (p ?x) (q ?x))\n"
+     "  (:action a :parameters (?x) :precondition (p ?x) :effect (q ?x)\n"
+     "    :effect (p ?x)))", (3, 5)),
+    ("(define (domain d) (:predicates (p ?x))\n"
+     "  (:action a :parameters (?x) :parameters (?y) :precondition (p ?x)"
+     " :effect (p ?x)))", (2, 31)),
+    ("(define (domain d) (:predicates (p ?x))\n  (:predicates (q ?x))\n"
+     "  (:action a :parameters (?x) :precondition (p ?x) :effect (p ?x)))", (2, 3)),
+], ids=["effect", "parameters", "predicates"])
+def test_domain_repeated_section_is_positioned(text, pos):
+    with pytest.raises(ParseError, match="repeated") as e:
+        parse_domain(text)
+    assert (e.value.line, e.value.col) == pos
+
+
 def test_parse_traces_empty():
     assert parse_traces("") == []
 

@@ -18,7 +18,7 @@ from bison.core import (ActionSchema, Domain, GroundAction, HLProblem,
                         instantiate)
 from bison.envs import builtin_policy
 from bison.rules import (HLPolicy, StateIndex, _compile_plan, _matches,
-                         adversarial_outcome, enum_matches, match_rule,
+                         adversarial_outcome, match_rule,
                          schema_actions, solve_hl)
 
 import test_properties as props
@@ -200,7 +200,7 @@ def test_join_order_equals_reference():
             atoms, binding = random_join(rng, preds, n_obj)
             want = list(reference_enum_matches(idx, atoms, list(binding)))
             b = list(binding)
-            got = list(enum_matches(idx, atoms, b))
+            got = _matches(idx, _compile_plan(atoms), b)
             assert got == want, (atoms, binding)
             assert b == binding  # the join leaves its binding as it found it
             if got != sorted(got):

@@ -1,0 +1,109 @@
+"""The package's module graph: intra-package imports sit at module top and
+form no cycle.
+
+An import inside a function hides a cycle from the reader and from import
+order; with every intra-package import at module top, the modules can be
+read (and loaded) in one order: core → rules → formats → search/learn →
+gnn → runner → envs → bench → cli.  Standard-library imports may stay lazy.
+"""
+
+import ast
+from pathlib import Path
+
+from bison import envs, gnn, learn, runner
+
+PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bison"
+MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
+
+
+def _tree(name):
+    return ast.parse((PACKAGE / (name + ".py")).read_text(encoding="utf-8"))
+
+
+def _package_targets(node):
+    """The package modules an import statement names, or None for any other
+    import ("from . import a, b", "from .a import x", "from bison.a import x",
+    "import bison.a")."""
+    if isinstance(node, ast.ImportFrom):
+        if node.level == 0 and (node.module or "").split(".")[0] != "bison":
+            return None
+        module = (node.module or "").split(".")
+        if node.level == 0:
+            module = module[1:]
+        if module and module[0]:
+            return [module[0]]
+        return [a.name for a in node.names]
+    if isinstance(node, ast.Import):
+        names = [a.name.split(".") for a in node.names if a.name.split(".")[0] == "bison"]
+        return [n[1] for n in names if len(n) > 1] or None
+    return None
+
+
+def _imports_in(body):
+    for node in body:
+        for sub in ast.walk(node):
+            targets = _package_targets(sub)
+            if targets is not None:
+                yield sub, targets
+
+
+def test_no_intra_package_import_inside_a_function():
+    late = []
+    for name in MODULES + ["__init__"]:
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                body = node.body if isinstance(node.body, list) else [node.body]
+                for imp, targets in _imports_in(body):
+                    late.append("%s.py:%d imports %s" % (name, imp.lineno, ", ".join(targets)))
+    assert not late, late
+
+
+def _graph():
+    """Module -> the package modules it imports, wherever the import sits (so
+    a cycle closed by a late import counts too)."""
+    graph = {}
+    for name in MODULES:
+        deps = set()
+        for _, targets in _imports_in(_tree(name).body):
+            deps.update(t for t in targets if t in MODULES)
+        graph[name] = deps
+    return graph
+
+
+def test_module_import_graph_is_acyclic():
+    graph = _graph()
+    state = {}  # 1: on the DFS path, 2: done
+
+    def visit(name, path):
+        if state.get(name) == 2:
+            return
+        assert state.get(name) != 1, "import cycle: " + " -> ".join(path + [name])
+        state[name] = 1
+        for dep in sorted(graph[name]):
+            visit(dep, path + [name])
+        state[name] = 2
+
+    for name in MODULES:
+        visit(name, [])
+    assert graph["core"] == set()  # the base every other module builds on
+    assert "envs" not in graph["runner"]
+
+
+def test_hoisted_imports_still_call_through_the_module(monkeypatch):
+    # generate_demos and build_dataset reach runner and learn through the
+    # module, so a name rebound there (as the benchmark's tracer does) is seen
+    calls = []
+
+    def counted(module, attr):
+        real = getattr(module, attr)
+        monkeypatch.setattr(module, attr,
+                            lambda *a, **k: calls.append(attr) or real(*a, **k))
+
+    counted(runner, "run_episode")
+    counted(learn, "extract_hl_trace")
+    demos = envs.generate_demos(envs.EnvConfig("blocks", 1, seed=0), 1)
+    assert demos and calls == ["run_episode"]
+    spec = gnn.EncodingSpec.for_domain(envs.env_domain("blocks"), envs.EGO_DIM,
+                                       envs.obj_dim("blocks"), envs.ACTION_DIM)
+    gnn.build_dataset(demos, envs.env_domain("blocks"), envs.make_labeller("blocks"), spec)
+    assert calls == ["run_episode", "extract_hl_trace"]

@@ -13,17 +13,17 @@ from collections import Counter
 import pytest
 
 from bison.core import (ActionSchema, Domain, GroundAction, HLProblem,
-                        ObjectTable, Predicate, applicable, check_ndrp,
-                        equivalent, ground_outcomes, instantiate,
-                        rename_action, rename_state, successors)
+                        ObjectTable, Predicate, applicable, equivalent,
+                        ground_outcomes, instantiate, rename_action,
+                        rename_state, successors)
 from bison.envs import env_domain, make_labeller
 from bison.formats import (Demo, DemoStep, ParseError, parse_domain,
                            parse_policy, parse_problem, parse_traces,
                            serialize_domain, serialize_policy, serialize_traces)
 from bison.learn import _explain_change, lift, regress
-from bison.rules import (HLPolicy, Rule, StateIndex, _goal_delta,
-                         adversarial_outcome, canonical_rule_str, enum_matches,
-                         match_rule)
+from bison.rules import (HLPolicy, Rule, StateIndex, _compile_plan, _goal_delta,
+                         _matches, adversarial_outcome, canonical_rule_str,
+                         check_ndrp, match_rule)
 
 N_CASES = 200
 
@@ -474,9 +474,9 @@ def test_incremental_index_equals_rebuilt():
         assert set(idx.unachieved.facts) == goal - idx.state()
         n_vars = rng.randint(1, 3)
         for _ in range(3):
-            atoms = random_atoms(rng, domain, n_vars)
-            assert Counter(enum_matches(idx, atoms, [None] * n_vars)) == \
-                Counter(enum_matches(fresh, atoms, [None] * n_vars))
+            plan = _compile_plan(random_atoms(rng, domain, n_vars))
+            assert Counter(_matches(idx, plan, [None] * n_vars)) == \
+                Counter(_matches(fresh, plan, [None] * n_vars))
 
 
 def test_compacted_buckets_keep_insertion_order():
@@ -515,9 +515,9 @@ def test_compacted_buckets_keep_insertion_order():
             if rng.random() < 0.1:
                 fresh = StateIndex(idx.state(), goal)
                 n_vars = rng.randint(1, 3)
-                atoms = random_atoms(rng, domain, n_vars)
-                assert Counter(enum_matches(idx, atoms, [None] * n_vars)) == \
-                    Counter(enum_matches(fresh, atoms, [None] * n_vars))
+                plan = _compile_plan(random_atoms(rng, domain, n_vars))
+                assert Counter(_matches(idx, plan, [None] * n_vars)) == \
+                    Counter(_matches(fresh, plan, [None] * n_vars))
     assert compactions > 1000
 
 

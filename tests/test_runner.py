@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from bison.core import BisonError
 from bison.envs import EnvConfig, make_env
 from bison.rules import StateIndex
 from bison.runner import STRATEGIES, EpisodeResult, Executor, run_episode
@@ -11,6 +12,24 @@ def test_strategy_validation():
         Executor(strategy="nope")
     assert set(STRATEGIES) == {"bison", "det_plan", "det_replan", "ndt_plan",
                                "ndt_replan", "oracle", "pure_nn_stub"}
+    # a strategy whose LL is the network cannot be built without parameters
+    for ex in (dict(strategy="pure_nn_stub"), dict(strategy="bison", ll_mode="gnn"),
+               dict(strategy="det_replan", ll_mode="gnn")):
+        with pytest.raises(BisonError):
+            Executor(**ex)
+    with pytest.raises(ValueError):
+        Executor("bison", ll_mode="xyz")
+    with pytest.raises(ValueError):
+        Executor("oracle", ll_mode="xyz")
+    # the oracle strategy runs the scripted skills whatever --ll says
+    ex = Executor("oracle", ll_mode="gnn")
+    assert ex.ll == "oracle"
+    env = make_env(EnvConfig("blocks", 1, seed=0))
+    calls = []
+    real_skill = env.oracle_skill
+    env.oracle_skill = lambda lls, hla: calls.append(hla) or real_skill(lls, hla)
+    res = run_episode(env, ex)
+    assert res.success and len(calls) == res.ll_steps > 0
 
 
 def test_solved_at_reset_immediate_success():
