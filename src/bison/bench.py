@@ -67,7 +67,7 @@ def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float = 60.0,
         rows.append(BenchRow(n, "policy", solved, res.steps, secs, setup))
         if baseline_max_n is None or n <= baseline_max_n:
             t0 = time.perf_counter()
-            plan = find_plan(problem, time_budget=timeout)
+            plan = find_plan(problem, deadline=t0 + timeout)
             secs = time.perf_counter() - t0
             rows.append(BenchRow(n, "internal-baseline", plan is not None,
                                  len(plan.actions) if plan else 0, secs, setup))

@@ -56,8 +56,14 @@ def _write(path, text):
 
 
 def _read(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        return fh.read()
+    """UTF-8 text, newlines translated as text mode does; other bytes are a data error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as e:
+        raise BisonError("%s: not UTF-8 text at byte %d" % (path, e.start)) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def _read_traces(args):

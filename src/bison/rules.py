@@ -88,57 +88,47 @@ def _atom_key(atom: Atom, ren: dict):
     return (atom[0],) + tuple(ren.get(v, _BIG) for v in atom[1:])
 
 
+def _emissions(atoms: tuple, ren: dict, next_id: int):
+    """Each emission of ``atoms`` that takes an atom of least ``_atom_key``
+    next, naming its new variables from ``next_id`` on, as ``(renamed atoms,
+    renaming, next id)``; tied atoms are each taken in turn, in order."""
+    if not atoms:
+        yield (), ren, next_id
+        return
+    keys = [_atom_key(a, ren) for a in atoms]
+    least = min(keys)
+    for i, atom in enumerate(atoms):
+        if keys[i] != least:
+            continue
+        ren2, nid = dict(ren), next_id
+        for v in atom[1:]:
+            if v not in ren2:
+                ren2[v] = nid
+                nid += 1
+        first = (atom[0],) + tuple(ren2[v] for v in atom[1:])
+        for rest, ren3, nid3 in _emissions(atoms[:i] + atoms[i + 1:], ren2, nid):
+            yield (first,) + rest, ren3, nid3
+
+
 def _canonical_parts(rule: Rule):
-    """Minimal (head, sCond, gCond) emission over variable renamings.
+    """Minimal (head, sCond, gCond, variable count) emission over variable
+    renamings.
 
     Variables are renamed in emission order: head arguments first, then each
     condition atom in sorted order.  Sort ties between atoms that would
-    introduce fresh variables are resolved by exploring both orders and
-    keeping the lexicographically smallest emission, so the result is
-    invariant under any renaming of the input rule's variables.
+    introduce fresh variables are resolved by taking the least emission over
+    every tie order, so the result is invariant under any renaming of the
+    input rule's variables.
     """
-    best = [None]
-
-    def emit_group(atoms, ren, next_id, done, emitted, cont):
-        if len(done) == len(atoms):
-            cont(ren, next_id, emitted)
-            return
-        keyed = sorted((_atom_key(a, ren), i) for i, a in enumerate(atoms) if i not in done)
-        min_key = keyed[0][0]
-        for key, i in keyed:
-            if key != min_key:
-                break
-            ren2, nid = dict(ren), next_id
-            for v in atoms[i][1:]:
-                if v not in ren2:
-                    ren2[v] = nid
-                    nid += 1
-            emit_group(atoms, ren2, nid, done | {i},
-                       emitted + [(atoms[i][0],) + tuple(ren2[v] for v in atoms[i][1:])], cont)
-
-    ren0, nid0 = {}, 0
+    ren, nid = {}, 0
     for v in rule.head_args:
-        if v not in ren0:
-            ren0[v] = nid0
-            nid0 += 1
-    s_atoms = sorted(rule.s_cond)
-    g_atoms = sorted(rule.g_cond)
-
-    def after_s(ren, nid, s_emitted):
-        def after_g(ren2, nid2, g_emitted):
-            total = nid2
-            for v in range(rule.n_vars):  # unconstrained head-less variables
-                if v not in ren2:
-                    ren2[v] = total
-                    total += 1
-            head = tuple(ren2[v] for v in rule.head_args)
-            cand = (head, tuple(s_emitted), tuple(g_emitted), total)
-            if best[0] is None or cand < best[0]:
-                best[0] = cand
-        emit_group(g_atoms, ren, nid, frozenset(), [], after_g)
-
-    emit_group(s_atoms, ren0, nid0, frozenset(), [], after_s)
-    return best[0]
+        if v not in ren:
+            ren[v] = nid
+            nid += 1
+    head = tuple(ren[v] for v in rule.head_args)
+    return min((head, s, g, nid_g + sum(v not in ren_g for v in range(rule.n_vars)))
+               for s, ren_s, nid_s in _emissions(tuple(sorted(rule.s_cond)), ren, nid)
+               for g, ren_g, nid_g in _emissions(tuple(sorted(rule.g_cond)), ren_s, nid_s))
 
 
 def _atom_str(atom, domain: Domain):
@@ -461,32 +451,20 @@ def match_rule(rule: Rule, idx: StateIndex, n_objects: int):
     return binding
 
 
-@dataclass
-class SelectionDiagnostic:
-    inapplicable: bool = False
-    rule_index: int = -1
-
-
-def select_action(policy: HLPolicy, idx: StateIndex, n_objects: int, *,
-                  diag: SelectionDiagnostic = None):
+def select_action(policy: HLPolicy, idx: StateIndex, n_objects: int):
     """Lowest-val applicable ground rule's head in the indexed state, or None.
 
-    Realizes the 0/1 indicator distribution over ground HL actions.  If the
-    selected head's precondition does not hold the action is still returned
-    and the diagnostic is marked (the executor decides what to do).
+    Realizes the 0/1 indicator distribution over ground HL actions.  The head
+    is returned whether or not its precondition holds; the caller decides
+    what an inapplicable one means.
     """
     for i, rule in enumerate(policy.rules):
         if policy.dead[i]:
             continue
         binding = match_rule(rule, idx, n_objects)
         if binding is not None:
-            action = GroundAction(rule.head_schema,
-                                  tuple(binding[v] for v in rule.head_args))
-            if diag is not None:
-                diag.rule_index = i
-                diag.inapplicable = not applicable(policy.domain, idx.held.facts,
-                                                   action)
-            return action
+            return GroundAction(rule.head_schema,
+                                tuple(binding[v] for v in rule.head_args))
     return None
 
 
@@ -598,12 +576,11 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
         if deadline is not None and time.perf_counter() > deadline:
             res.status = "timeout"
             return res
-        diag = SelectionDiagnostic()
-        action = select_action(policy, idx, n_objects, diag=diag)
+        action = select_action(policy, idx, n_objects)
         if action is None:
             res.status = "no_action"
             return res
-        if diag.inapplicable:
+        if not applicable(domain, idx.held.facts, action):
             res.status = "defect"
             res.actions.append(action)
             return res

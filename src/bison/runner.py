@@ -20,7 +20,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from . import gnn
-from .core import BisonError, HLProblem, ground_pre
+from .core import BisonError, HLProblem, applicable
 from .rules import HLPolicy, StateIndex, select_action
 from .search import find_plan, find_policy
 
@@ -139,7 +139,8 @@ def _rule_selector(env, hls, executor) -> Callable:
 def _plan_cursor(env, hls, executor) -> Optional[Callable]:
     """Plan from hls, walked by index: the next action if its precondition
     holds, else the one after it (one-step lookahead), else None (broken)."""
-    plan = find_plan(_problem_from(env, hls), time_budget=PLAN_TIME_BUDGET)
+    deadline = time.perf_counter() + PLAN_TIME_BUDGET
+    plan = find_plan(_problem_from(env, hls), deadline=deadline)
     if plan is None:
         return None
     actions, domain, i = plan.actions, env.domain, 0
@@ -147,7 +148,7 @@ def _plan_cursor(env, hls, executor) -> Optional[Callable]:
     def next_action(hls):
         nonlocal i
         for j in (i, i + 1):
-            if j < len(actions) and ground_pre(domain, actions[j]) <= hls:
+            if j < len(actions) and applicable(domain, hls, actions[j]):
                 i = j
                 return actions[j]
         return None
@@ -156,7 +157,8 @@ def _plan_cursor(env, hls, executor) -> Optional[Callable]:
 
 def _policy_lookup(env, hls, executor) -> Optional[Callable]:
     """AND-OR policy from hls, queried by state lookup (None when uncovered)."""
-    policy = find_policy(_problem_from(env, hls), time_budget=PLAN_TIME_BUDGET)
+    deadline = time.perf_counter() + PLAN_TIME_BUDGET
+    policy = find_policy(_problem_from(env, hls), deadline=deadline)
     return None if policy is None else policy.get
 
 

@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import pytest
 
 from bison.envs import EnvConfig, env_domain, generate_demos, make_labeller
 from bison.learn import learn_hl_policy
+
+# pyproject's pythonpath puts src on this process's path; the CLI tests run
+# `python -m bison.cli` in child processes, which find it through PYTHONPATH
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
 
 
 @pytest.fixture(scope="session")

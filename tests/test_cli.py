@@ -362,6 +362,24 @@ def test_deeply_nested_input_is_data_error(tmp_path, command, flag, name):
     assert "internal error" not in r.stderr
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("learn-hl", "--traces"), ("train-ll", "--traces"), ("check", "--traces"),
+    ("check", "--policy"), ("eval", "--policy"), ("bench-hl", "--policy"),
+])
+def test_input_that_is_not_utf8_is_data_error(tmp_path, command, flag):
+    path = tmp_path / "in"
+    path.write_bytes(b"1: \xff\n")
+    args = {"eval": ["eval", "--env", "blocks", "--strategy", "bison", "--objects", "1",
+                     "--episodes", "1", "--seeds", "1", "--summary", str(tmp_path / "sum")],
+            "bench-hl": ["bench-hl", "--n-list", "3"]}.get(command, [command, "--env", "blocks"])
+    if command != "check":
+        args += ["--out", str(tmp_path / "out")]
+    r = run_cli(args + [flag, str(path)])
+    assert r.returncode == 2, r.stderr
+    assert "%s: not UTF-8 text at byte 3" % path in r.stderr
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in"]
+
+
 TRACES = {
     "narrow": ('{"goal":["(at b0 p0)"],"steps":[{"ego":[0.5,0.5,1],"objects":'
                '{"b0":[0.2,0.2,1],"p0":[0.7,0.7,1]},"action":[0,0,0]}]}\n'),

@@ -373,10 +373,26 @@ def test_canonicalization_renaming_invariance_property():
         assert canonical_rule_str(rule, domain) == canonical_rule_str(r2, domain)
 
 
+def selected_rule_index(policy, idx, n_objects, action):
+    """Index of the rule whose head ``select_action`` returned as ``action``:
+    the first live rule with a binding, whose head under that binding must
+    be ``action`` (-1, with ``action`` None, when no rule has one)."""
+    for i, rule in enumerate(policy.rules):
+        if policy.dead[i]:
+            continue
+        binding = match_rule(rule, idx, n_objects)
+        if binding is not None:
+            assert action == GroundAction(rule.head_schema,
+                                          tuple(binding[v] for v in rule.head_args))
+            return i
+    assert action is None
+    return -1
+
+
 def test_selection_val_invariant_under_renaming(blocks_policy):
     # the val of the selected rule is invariant under bijective renaming
     from bison.bench import gen_blocks_hl_problem
-    from bison.rules import SelectionDiagnostic, select_action
+    from bison.rules import select_action
     rng = random.Random(212)
     for case in range(N_CASES):
         prob = gen_blocks_hl_problem(rng.randint(1, 3), seed=case)
@@ -384,15 +400,14 @@ def test_selection_val_invariant_under_renaming(blocks_policy):
         perm = list(range(n))
         rng.shuffle(perm)
         mapping = dict(enumerate(perm))
-        d1, d2 = SelectionDiagnostic(), SelectionDiagnostic()
-        a1 = select_action(blocks_policy, StateIndex(prob.init, prob.goal), n, diag=d1)
-        a2 = select_action(blocks_policy, StateIndex(rename_state(prob.init, mapping),
-                                                     rename_state(prob.goal, mapping)),
-                           n, diag=d2)
+        i1 = StateIndex(prob.init, prob.goal)
+        i2 = StateIndex(rename_state(prob.init, mapping), rename_state(prob.goal, mapping))
+        a1 = select_action(blocks_policy, i1, n)
+        a2 = select_action(blocks_policy, i2, n)
         assert (a1 is None) == (a2 is None)
         if a1 is not None:
-            assert blocks_policy.rules[d1.rule_index].val == \
-                blocks_policy.rules[d2.rule_index].val
+            assert blocks_policy.rules[selected_rule_index(blocks_policy, i1, n, a1)].val == \
+                blocks_policy.rules[selected_rule_index(blocks_policy, i2, n, a2)].val
 
 
 # ---------------------------------------------------------------------------

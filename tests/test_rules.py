@@ -8,11 +8,13 @@ from bison.core import (GroundAction, HLProblem, ObjectTable, applicable,
 from bison.envs import builtin_policy, env_domain
 from bison.formats import parse_policy
 from bison.learn import learn_hl_policy
-from bison.rules import (HLPolicy, Rule, SelectionDiagnostic, StateIndex,
+from bison.rules import (HLPolicy, Rule, StateIndex,
                          adversarial_outcome, canonical_rule_str, fixed_outcome,
                          match_rule, random_outcome, rule_is_dead, select_action,
                          solve_hl, unconstrained_vars)
 from bison.bench import gen_blocks_hl_problem
+
+from test_properties import selected_rule_index
 
 
 def pp():
@@ -117,10 +119,9 @@ def test_selected_rule_recheck_exhaustive(blocks_policy):
     dom = env_domain("blocks")
     prob = gen_blocks_hl_problem(2, seed=1)
     idx = StateIndex(prob.init, prob.goal)
-    diag = SelectionDiagnostic()
-    act = select_action(blocks_policy, idx, len(prob.objects), diag=diag)
-    assert act is not None and not diag.inapplicable
-    for i in range(diag.rule_index):
+    act = select_action(blocks_policy, idx, len(prob.objects))
+    assert act is not None and applicable(dom, prob.init, act)
+    for i in range(selected_rule_index(blocks_policy, idx, len(prob.objects), act)):
         if blocks_policy.dead[i]:
             continue
         rule = blocks_policy.rules[i]

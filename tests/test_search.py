@@ -1,17 +1,19 @@
 import random
 import sys
+import time
 from collections import deque
 
 import pytest
 
-from bison.core import HLProblem, ObjectTable, ground_outcomes, instantiate
+from bison.core import (GroundAction, HLProblem, ObjectTable, ground_outcomes,
+                        instantiate)
 from bison import runner, search
 from bison.envs import EnvConfig, env_domain, episode_seed, make_env
 from bison.formats import parse_domain
 from bison.rules import StateIndex, applicable_actions
-from bison.search import (DEFAULT_NODE_BUDGET, SearchStats, default_depth_cap,
-                          find_plan, find_policy, validate_plan,
-                          validate_policy)
+from bison.search import (DEFAULT_NODE_BUDGET, Plan, SearchStats,
+                          default_depth_cap, find_plan, find_policy,
+                          validate_plan, validate_policy)
 from bison.bench import gen_blocks_hl_problem
 
 import test_properties as props
@@ -133,6 +135,30 @@ def test_find_policy_depth_cap():
     prob = example1_problem()
     assert find_policy(prob, depth_cap=1) is None
     assert default_depth_cap(prob) >= 4
+
+
+@pytest.mark.parametrize("planner", [find_plan, find_policy])
+def test_planner_past_deadline_times_out(planner):
+    prob = example1_problem()
+    stats = SearchStats()
+    assert planner(prob, deadline=time.perf_counter() - 1.0, stats=stats) is None
+    assert stats.status == "timeout" and stats.expanded == 0
+    assert planner(prob, deadline=time.perf_counter() + 60.0) is not None
+
+
+def test_validators_reject_an_inapplicable_action():
+    dom = parse_domain("""
+    (define (domain d) (:predicates (ready ?x) (done ?x))
+      (:action finish :parameters (?x)
+        :precondition (and (ready ?x))
+        :effect (and (done ?x))))""")
+    table = ObjectTable(["a"])
+    prob = HLProblem(dom, table, frozenset(),
+                     frozenset({dom.ground_fact("done", ("a",), table)}))
+    # (ready a) does not hold, yet finish(a)'s only outcome reaches the goal
+    finish = GroundAction(dom.schema_ids["finish"], (table.id("a"),))
+    assert not validate_policy(prob, {frozenset(): finish})
+    assert not validate_plan(prob, Plan([finish], [0]))
 
 
 def test_deterministic_policy_iff_plan():
