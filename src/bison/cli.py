@@ -116,9 +116,11 @@ def cmd_learn_hl(args):
     report = LearnReport()
     policy = learn_hl_policy(demos, env_domain(args.env), make_labeller(args.env),
                              subgoal_cap=args.subgoal_cap, report=report)
-    log.info("learned %d rules from %d demos (%d skipped, %d unreached goals)",
-             len(policy), report.demos_used, report.demos_skipped,
-             report.unreached_goals)
+    log.info("learned %d rules from %d demos (%d skipped, %d unreached goals, "
+             "%d subgoals dropped by the cap)", len(policy), report.demos_used,
+             report.demos_skipped, report.unreached_goals, report.subgoals_dropped)
+    log.info("%d of %d written rules are statically unsatisfiable",
+             sum(policy.dead), len(policy))
     if report.demos_skipped:
         log.warning("skipped %d of %d demos: an abstraction change no modelled "
                     "action explains", report.demos_skipped, len(demos))

@@ -386,7 +386,15 @@ def _fact_names(s: str, line_no: int) -> tuple:
 
 
 def _numbers(value, what: str, line_no: int) -> list:
-    """A JSON list of finite numbers as floats, or a ParseError."""
+    """A JSON list of finite numbers as floats, or a ParseError.
+
+    A list of floats with a finite sum (so every value is finite) is returned
+    as it is, in a few C-level calls.  Anything else goes through the check
+    per value: ints, non-numbers, non-finite values and finite values whose
+    sum overflows."""
+    if type(value) is list and set(map(type, value)) <= {float} \
+            and math.isfinite(sum(value)):
+        return value
     if not isinstance(value, list):
         raise ParseError("trace %s must be a list of numbers" % what, line_no, 1)
     out = []
@@ -444,18 +452,18 @@ def parse_traces(text: str) -> List[Demo]:
     return demos
 
 
-def _fmt(x: float) -> float:
-    return float("%.9g" % x)
-
-
 def serialize_traces(demos: Iterable[Demo]) -> str:
+    """One JSON record per demo; each number is rounded to 9 significant digits
+    and written as the ``repr`` of the rounded float (``1.0``, not ``1``)."""
     lines = []
     for demo in demos:
         rec = {
             "goal": ["(%s)" % " ".join(g) for g in demo.goal],
-            "steps": [{"ego": [_fmt(x) for x in s.ego],
-                       "objects": {k: [_fmt(x) for x in v] for k, v in s.objects.items()},
-                       "action": [_fmt(x) for x in s.action]} for s in demo.steps],
+            "steps": [{"ego": [float("%.9g" % x) for x in s.ego],
+                       "objects": {k: [float("%.9g" % x) for x in v]
+                                   for k, v in s.objects.items()},
+                       "action": [float("%.9g" % x) for x in s.action]}
+                      for s in demo.steps],
         }
         lines.append(json.dumps(rec, separators=(",", ":")))
     return "\n".join(lines) + ("\n" if lines else "")

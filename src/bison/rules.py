@@ -19,8 +19,8 @@ then declaration order.  A fully bound atom only filters, so checking it early
 leaves the order of the bindings unchanged.  Each join level binds at least
 one fresh variable from distinct facts of one bucket, so the join never yields
 a binding twice and ``schema_actions`` passes its bindings on as they come.
-An ``HLPolicy`` canonicalises each rule once, when it is built, and serializes
-from those canonical forms.
+An ``HLPolicy`` canonicalises each distinct rule body once, when it is built,
+and serializes from those canonical forms.
 
 ``check_ndrp`` tests a demo's labelled LL steps against a rule policy: every
 abstraction change must be an outcome of the action the policy selects.
@@ -153,15 +153,20 @@ def canonical_rule_str(rule: Rule, domain: Domain) -> str:
 class HLPolicy:
     """Rules kept sorted by (val, canonical serialization), duplicates removed.
 
-    Each rule is canonicalised once, here; ``serialize`` reuses the bodies.
+    Each distinct rule body (a rule without its ``val``) is validated and
+    canonicalised once, here; ``serialize`` reuses the bodies.
     """
 
     def __init__(self, rules: Iterable[Rule], domain: Domain):
         self.domain = domain
+        bodies = {}  # (n_vars, s_cond, g_cond, head_schema, head_args) -> canonical body
         seen = {}  # canonical body (the serialization minus its priority) -> rule
         for r in rules:
-            validate_rule(r, domain)
-            body = canonical_rule_str(r, domain).split(": ", 1)[1]
+            key = (r.n_vars, r.s_cond, r.g_cond, r.head_schema, r.head_args)
+            body = bodies.get(key)
+            if body is None:
+                validate_rule(r, domain)
+                body = bodies[key] = canonical_rule_str(r, domain).split(": ", 1)[1]
             if body not in seen or r.val < seen[body].val:
                 seen[body] = r
         # (val, body) orders as (val, full serialization): equal vals share a prefix

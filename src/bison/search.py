@@ -28,8 +28,7 @@ import time
 from dataclasses import dataclass
 from typing import Optional
 
-from .core import (HLProblem, HLState, PreconditionError, ground_outcomes,
-                   instantiate, successors)
+from .core import HLProblem, HLState, ground_outcomes, instantiate
 from .rules import (StateIndex, _compile_plan, _goal_delta, _matches,
                     applicable_actions, fill_free)
 
@@ -263,37 +262,3 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         return None
     st.status = "solved"
     return solved_action
-
-
-def validate_plan(problem: HLProblem, plan: Plan) -> bool:
-    """Replaying the plan under its chosen determinisation reaches the goal."""
-    state = frozenset(problem.init)
-    for act, k in zip(plan.actions, plan.outcomes):
-        try:
-            state = successors(problem.domain, state, act)[k]
-        except PreconditionError:
-            return False
-    return problem.goal <= state
-
-
-def validate_policy(problem: HLProblem, policy: dict,
-                    max_states: int = 100000) -> bool:
-    """Closedness: every state reachable under the map is a goal or has an applicable entry."""
-    domain, goal = problem.domain, problem.goal
-    seen = set()
-    stack = [frozenset(problem.init)]
-    while stack:
-        state = stack.pop()
-        if state in seen or goal <= state:
-            continue
-        seen.add(state)
-        if len(seen) > max_states:
-            return False
-        act = policy.get(state)
-        if act is None:
-            return False
-        try:
-            stack.extend(successors(domain, state, act))
-        except PreconditionError:
-            return False
-    return True

@@ -510,6 +510,29 @@ def test_learn_hl_warns_about_skipped_demos(tmp_path):
     assert pol.read_text() == ""
 
 
+def test_learn_hl_logs_dropped_subgoals_and_dead_rules(workdir, tmp_path):
+    demos = str(workdir / "demos.bst")
+    quiet, loud = tmp_path / "quiet.bsp", tmp_path / "loud.bsp"
+    r = run_cli(["learn-hl", "--env", "blocks", "--traces", demos, "--out", str(quiet)])
+    assert (r.returncode, r.stdout, r.stderr) == (0, "", "")
+    r = run_cli(["--log-level", "info", "learn-hl", "--env", "blocks", "--traces", demos,
+                 "--out", str(loud)])
+    assert (r.returncode, r.stdout) == (0, ""), r.stderr
+    assert loud.read_bytes() == quiet.read_bytes()  # logging moves no output byte
+    assert "0 subgoals dropped by the cap" in r.stderr
+    check = run_cli(["check", "--env", "blocks", "--policy", str(loud)])
+    dead = check.stdout.count("is statically unsatisfiable")
+    assert dead > 0
+    n_rules = len(loud.read_text().splitlines())
+    assert ("INFO bison: %d of %d written rules are statically unsatisfiable"
+            % (dead, n_rules)) in r.stderr
+    # a cap of 0 drops every regressed subgoal: one per demo
+    r = run_cli(["--log-level", "info", "learn-hl", "--env", "blocks", "--traces", demos,
+                 "--subgoal-cap", "0", "--out", str(tmp_path / "cap0.bsp")])
+    assert r.returncode == 0, r.stderr
+    assert "(0 skipped, 0 unreached goals, 6 subgoals dropped by the cap)" in r.stderr
+
+
 @pytest.mark.parametrize("env,limit", [("pickplace", 7), ("gacha", 6)])
 def test_eval_default_objects_stop_at_the_env_limit(tmp_path, env, limit):
     out = tmp_path / "eval.csv"

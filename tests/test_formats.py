@@ -1,7 +1,11 @@
+import json
+import math
+import random
+
 import pytest
 
 from bison.envs import PICKPLACE_DOMAIN_TEXT, env_domain
-from bison.formats import (Demo, DemoStep, ParseError, parse_domain,
+from bison.formats import (Demo, DemoStep, ParseError, _numbers, parse_domain,
                            parse_policy, parse_problem, parse_traces,
                            serialize_domain, serialize_policy,
                            serialize_problem, serialize_traces)
@@ -181,6 +185,103 @@ def test_parse_traces_structured_garbage_is_positioned(record):
     with pytest.raises(ParseError) as ei:
         parse_traces("\n" + record)
     assert ei.value.line == 2
+
+
+def reference_numbers(value, what, line_no):
+    """``_numbers`` as it was, before its fast path: one check per value."""
+    if not isinstance(value, list):
+        raise ParseError("trace %s must be a list of numbers" % what, line_no, 1)
+    out = []
+    for x in value:
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ParseError("trace %s holds a non-number %r" % (what, x), line_no, 1)
+        try:
+            x = float(x)
+        except OverflowError:  # an integer too large for a float
+            x = math.inf
+        if not math.isfinite(x):
+            raise ParseError("trace %s holds a non-finite number" % what, line_no, 1)
+        out.append(x)
+    return out
+
+
+def numbers_outcome(fn, value):
+    """What ``fn`` makes of ``value``: each float with its type and exact text
+    (so -0.0 differs from 0.0), or the ParseError's message and position."""
+    try:
+        out = fn(value, "ego vector", 7)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+    return ("ok", [(type(x), repr(x)) for x in out])
+
+
+NUMBER_EDGES = [0.0, -0.0, 1.0, -2.5, 1e-300, 5e-324, 1e308, -1e308, 0, 3, -7,
+                10 ** 20, 10 ** 400, True, False, math.nan, math.inf, -math.inf,
+                "1.0", None, [1.0], {"x": 1.0}]
+
+
+def random_vector(rng):
+    """Mostly finite floats, as the writer leaves them, with now and then an
+    int, an edge value or a non-number in a random slot."""
+    vec = [rng.uniform(-2.0, 2.0) for _ in range(rng.randint(0, 9))]
+    for _ in range(rng.choice((0, 0, 1, 2))):
+        if vec:
+            vec[rng.randrange(len(vec))] = rng.choice(NUMBER_EDGES)
+    return vec
+
+
+@pytest.mark.parametrize("value,accepted", [
+    ([1, 2, -3], True),            # ints come back as floats
+    ([-0.0, 0.0], True),
+    ([1e308, 1e308], True),        # finite values whose sum overflows
+    ([-1e308, -1e308, 1.0], True),
+    ([], True),
+    ([0.5, True], False),
+    ([math.nan], False),
+    ([1.0, math.inf], False),
+    ([-math.inf, 1.0], False),
+    ([10 ** 400], False),
+    ([0.5, "1.0"], False),
+    ((0.5, 1.0), False),           # not a list
+    ("0.5", False),
+])
+def test_numbers_equal_reference_on_edges(value, accepted):
+    got = numbers_outcome(_numbers, value)
+    assert got == numbers_outcome(reference_numbers, value)
+    assert (got[0] == "ok") == accepted
+    if accepted:
+        assert all(t is float for t, _ in got[1])
+
+
+def test_numbers_equal_reference_on_random_vectors():
+    rng = random.Random(1717)
+    outcomes = set()
+    for _ in range(20000):
+        vec = random_vector(rng)
+        got = numbers_outcome(_numbers, vec)
+        assert got == numbers_outcome(reference_numbers, vec), vec
+        outcomes.add(got[0] if got[0] == "ok" else got[1].split(" holds a ")[1][:10])
+    assert outcomes == {"ok", "non-number", "non-finite"}
+
+
+def test_parse_traces_numbers_through_json():
+    step = '{"ego": %s, "objects": {"b0": %s}, "action": %s}'
+    record = '{"goal": [], "steps": [%s]}' % (step % ("[1, 2]", "[-0.0, 1e308, 1e308]",
+                                                      "[0.25]"))
+    (demo,) = parse_traces(record)
+    (s,) = demo.steps
+    assert [repr(x) for x in s.ego] == ["1.0", "2.0"]
+    assert [repr(x) for x in s.objects["b0"]] == ["-0.0", "1e+308", "1e+308"]
+    assert s.action == [0.25]
+    for bad, message in (("[true]", "non-number True"), ("[NaN]", "non-finite"),
+                         ("[Infinity]", "non-finite"), ("[-Infinity]", "non-finite"),
+                         ("[1e999]", "non-finite")):
+        text = "\n\n" + '{"goal": [], "steps": [%s]}' % (step % ("[0.5]", bad, "[0.25]"))
+        with pytest.raises(ParseError) as e:
+            parse_traces(text)
+        assert (e.value.line, e.value.col) == (3, 1)
+        assert "trace object vector holds a %s" % message in str(e.value)
+        assert json.loads(text.strip())  # json itself reads every one of them
 
 
 def test_traces_round_trip(blocks_demos):

@@ -5,18 +5,55 @@ from collections import deque
 
 import pytest
 
-from bison.core import (GroundAction, HLProblem, ObjectTable, ground_outcomes,
-                        instantiate)
+from bison.core import (GroundAction, HLProblem, ObjectTable, PreconditionError,
+                        ground_outcomes, instantiate, successors)
 from bison import runner, search
 from bison.envs import EnvConfig, env_domain, episode_seed, make_env
 from bison.formats import parse_domain
 from bison.rules import StateIndex, applicable_actions
 from bison.search import (DEFAULT_NODE_BUDGET, Plan, SearchStats,
-                          default_depth_cap, find_plan, find_policy,
-                          validate_plan, validate_policy)
+                          default_depth_cap, find_plan, find_policy)
 from bison.bench import gen_blocks_hl_problem
 
 import test_properties as props
+
+
+# ---------------------------------------------------------------------------
+# Reference validators: a plan replayed, a policy map closed under its outcomes
+# ---------------------------------------------------------------------------
+
+def validate_plan(problem: HLProblem, plan: Plan) -> bool:
+    """Replaying the plan under its chosen determinisation reaches the goal."""
+    state = frozenset(problem.init)
+    for act, k in zip(plan.actions, plan.outcomes):
+        try:
+            state = successors(problem.domain, state, act)[k]
+        except PreconditionError:
+            return False
+    return problem.goal <= state
+
+
+def validate_policy(problem: HLProblem, policy: dict,
+                    max_states: int = 100000) -> bool:
+    """Closedness: every state reachable under the map is a goal or has an applicable entry."""
+    domain, goal = problem.domain, problem.goal
+    seen = set()
+    stack = [frozenset(problem.init)]
+    while stack:
+        state = stack.pop()
+        if state in seen or goal <= state:
+            continue
+        seen.add(state)
+        if len(seen) > max_states:
+            return False
+        act = policy.get(state)
+        if act is None:
+            return False
+        try:
+            stack.extend(successors(domain, state, act))
+        except PreconditionError:
+            return False
+    return True
 
 
 def example1_problem():
