@@ -15,7 +15,7 @@ from typing import Iterable, List, Optional
 from .core import HLProblem, ObjectTable
 from .envs import env_domain
 from .rules import HLPolicy, solve_hl
-from .search import find_plan
+from .search import SearchStats, find_plan
 
 
 def gen_blocks_hl_problem(n: int, seed: int = 0) -> HLProblem:
@@ -46,6 +46,7 @@ class BenchRow:
     hl_steps: int
     seconds: float
     setup_seconds: float
+    search: Optional[SearchStats] = None  # the baseline's; not in the CSV
 
 
 def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float = 60.0,
@@ -66,11 +67,13 @@ def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float = 60.0,
         solved = res.solved and secs <= timeout
         rows.append(BenchRow(n, "policy", solved, res.steps, secs, setup))
         if baseline_max_n is None or n <= baseline_max_n:
+            stats = SearchStats()
             t0 = time.perf_counter()
-            plan = find_plan(problem, deadline=t0 + timeout)
+            plan = find_plan(problem, deadline=t0 + timeout, stats=stats)
             secs = time.perf_counter() - t0
             rows.append(BenchRow(n, "internal-baseline", plan is not None,
-                                 len(plan.actions) if plan else 0, secs, setup))
+                                 len(plan.actions) if plan else 0, secs, setup,
+                                 stats))
     return rows
 
 

@@ -194,8 +194,10 @@ def cmd_eval(args):
         rows.append("%s,%s,%d,%d,%d,%d,%d,%d,%s" % (
             args.strategy, args.env, n, ep, seed, int(res.success),
             res.ll_steps, res.replans, wall))
-        log.info("episode env=%s n=%d seed=%d ep=%d success=%s steps=%d %.3fs",
-                 args.env, n, seed, ep, res.success, res.ll_steps, res.wall_time)
+        log.info("episode env=%s n=%d seed=%d ep=%d success=%s steps=%d %.3fs "
+                 "failure=%s replans=%d fired=%d", args.env, n, seed, ep,
+                 res.success, res.ll_steps, res.wall_time, res.failure_kind,
+                 res.replans, res.hl_actions_fired)
     _write(args.out, EVAL_CSV_HEADER + "\n" + "\n".join(rows) + ("\n" if rows else ""))
     if args.summary:
         per_seed = {}
@@ -237,8 +239,11 @@ def cmd_bench_hl(args):
     rows = bench_hl(policy, n_list, timeout=args.timeout, seed=args.seed,
                     baseline_max_n=args.baseline_max_n)
     for r in rows:
-        log.info("bench n=%d %s solved=%s steps=%d %.3fs (setup %.3fs)",
-                 r.n, r.method, r.solved, r.hl_steps, r.seconds, r.setup_seconds)
+        search = "" if r.search is None else " status=%s expanded=%d generated=%d" % (
+            r.search.status, r.search.expanded, r.search.generated)
+        log.info("bench n=%d %s solved=%s steps=%d %.3fs (setup %.3fs)%s",
+                 r.n, r.method, r.solved, r.hl_steps, r.seconds, r.setup_seconds,
+                 search)
     _write(args.out, bench_rows_csv(rows))
     return EXIT_OK
 

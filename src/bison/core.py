@@ -169,15 +169,6 @@ class Domain:
                                   % (name, len(arg_names), self.predicates[pid].arity))
         return (pid,) + tuple(objects.intern(a) for a in arg_names)
 
-    def ground_action(self, name: str, arg_names: Sequence[str], objects: ObjectTable) -> GroundAction:
-        sid = self.schema_ids.get(name)
-        if sid is None:
-            raise StructuralError("undeclared action schema %r" % name)
-        sch = self.schemata[sid]
-        if len(arg_names) != sch.arity:
-            raise StructuralError("arity mismatch grounding %r" % name)
-        return GroundAction(sid, tuple(objects.id(a) for a in arg_names))
-
 
 @dataclass
 class HLProblem:

@@ -8,16 +8,20 @@ HL states (weak/acyclic policies; the replanning executors compensate for
 uncovered states).
 
 Both searches count unmet goal facts incrementally: a successor's count is
-its parent's plus ``_goal_delta`` of the outcome's goal effects.  Successor
-states are materialized lazily at expansion to keep memory bounded by the
-closed set.  ``find_policy`` builds one canonically sorted ``StateIndex`` per
-expanded state, since its enumeration order decides which action is tried
-first.  Its lookahead moves that index to each successor and back, and joins
-there from the goal side: one compiled plan per (schema, outcome, goal-
-predicate add atom) matches the precondition against the state and the atom
-against the unmet goals.  An outcome can lower the count only by adding an
-unmet goal fact, so these joins find every grandchild below its successor's
-count, and nothing else is enumerated.
+its parent's plus ``_goal_delta`` of the outcome's effects.  Each search call
+grounds an action's outcomes once and keeps them until it returns, keyed by
+the ``GroundAction``.  ``find_plan`` materializes successor states lazily at
+expansion to keep memory bounded by the closed set.  ``find_policy`` builds
+one canonically sorted ``StateIndex`` per expanded state, since its
+enumeration order decides which action is tried first.  Candidates are tried
+by their best successor count; a one-ply lookahead breaks ties, and it runs
+for a group of tied candidates only when the search reaches that group.  It
+moves the expanded state's index to each successor and back, and joins there
+from the goal side: one compiled plan per (schema, outcome, goal-predicate
+add atom) matches the precondition against the state and the atom against
+the unmet goals.  An outcome can lower the count only by adding an unmet goal
+fact, so these joins find every grandchild below its successor's count, and
+nothing else is enumerated.
 """
 
 from __future__ import annotations
@@ -26,9 +30,11 @@ import heapq
 import sys
 import time
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Optional
 
-from .core import HLProblem, HLState, ground_outcomes, instantiate
+from .core import GroundAction, HLProblem, HLState, ground_outcomes
 from .rules import (StateIndex, _compile_plan, _goal_delta, _matches,
                     applicable_actions, fill_free)
 
@@ -53,6 +59,19 @@ class SearchStats:
     seconds: float = 0.0
 
 
+class _Grounded(dict):
+    """One search call's ground outcomes: ``GroundAction`` → its (add,
+    delete) pairs in declared outcome order, grounded at first use."""
+
+    def __init__(self, domain):
+        super().__init__()
+        self.domain = domain
+
+    def __missing__(self, action):
+        outs = self[action] = tuple(ground_outcomes(self.domain, action))
+        return outs
+
+
 def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
               deadline: Optional[float] = None,
               stats: SearchStats = None) -> Optional[Plan]:
@@ -64,12 +83,13 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
     n_obj = len(problem.objects)
     init = frozenset(problem.init)
     # frontier entries: (h, seq, parent_state, action, outcome_idx); the root
-    # is (h, 0, init, None, -1).  States materialize at pop time, grounding the
-    # outcome again: its two fact sets kept per entry would add about as much
-    # again to a frontier that at blocks n=500 stops at 2,000,488 entries and
-    # 698 MB peak RSS.
+    # is (h, 0, init, None, -1).  States materialize at pop time from the
+    # outcome grounded when the entry was pushed; an entry holds only the
+    # action, since many entries share one, so the memo adds one pair of fact
+    # sets per distinct action, not per entry.
     frontier = [(len(goal - init), 0, init, None, -1)]
     closed = {}  # state -> (parent_state, action, outcome_idx)
+    grounded = _Grounded(domain)
     seq = 1
 
     def finish(status, plan=None):
@@ -99,8 +119,7 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
         if action is None:
             state = parent
         else:
-            outs = list(ground_outcomes(domain, action))
-            add, dele = outs[k]
+            add, dele = grounded[action][k]
             state = (parent - dele) | add
         if state in closed:
             continue
@@ -110,7 +129,7 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
         st.expanded += 1
         idx = StateIndex(state, goal)
         for act in applicable_actions(domain, idx, n_obj):
-            for j, (add, dele) in enumerate(ground_outcomes(domain, act)):
+            for j, (add, dele) in enumerate(grounded[act]):
                 h2 = h + _goal_delta(add, dele, goal, state)
                 heapq.heappush(frontier, (h2, seq, state, act, j))
                 seq += 1
@@ -140,18 +159,21 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
 
     With 2 to 64 candidate actions, ties on that count are broken by a one-ply
     lookahead: the least goal count two steps ahead, or the candidate's own
-    count if none is lower.  It moves the expanded state's index to each
-    successor and back.  There, for each outcome that adds a goal-predicate
-    fact, it joins the schema's precondition (against the state) with each
-    such add atom (against the unmet goals), fills the parameters neither
-    binds with every object, and evaluates that one outcome.  This is exact:
-    the least count starts at the least successor count and only falls, so
-    a grandchild counts lower only if its outcome adds a goal fact its
-    successor lacks, and that fact is unmet there.  A pair found through two
-    atoms is evaluated twice, which leaves the minimum unchanged.  A schema
-    whose largest gain cannot beat the least count found so far is skipped.
-    Since only the minimum is kept, the order of the joins does not matter;
-    the candidates themselves come from a fresh, canonically sorted index.
+    count if none is lower; equal lookaheads keep enumeration order.  It runs
+    for the candidates of a tied count only when the search reaches them, so
+    a count held by one candidate, or one never reached, costs no lookahead.
+    It moves the expanded state's index to each successor and back.  There,
+    for each outcome that adds a goal-predicate fact, it joins the schema's
+    precondition (against the state) with each such add atom (against the
+    unmet goals), fills the parameters neither binds with every object, and
+    evaluates that one outcome of that action.  This is exact: the least
+    count starts at the least successor count and only falls, so a grandchild
+    counts lower only if its outcome adds a goal fact its successor lacks,
+    and that fact is unmet there.  A pair found through two atoms is
+    evaluated twice, which leaves the minimum unchanged.  A schema whose
+    largest gain cannot beat the least count found so far is skipped.  Since
+    only the minimum is kept, the order of the joins does not matter; the
+    candidates themselves come from a fresh, canonically sorted index.
     """
     if depth_cap is None:
         depth_cap = default_depth_cap(problem)
@@ -165,18 +187,17 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     # outcome, goal-predicate add atom), the precondition on the state side
     # and the atom on the unmet-goal side
     goal_preds = {f[0] for f in goal}
-    gain_plans = []  # (arity, largest gain, [(plan, add_g, dele_g), ...])
-    for sch in domain.schemata:
+    gain_plans = []  # (schema id, arity, largest gain, [(plan, outcome), ...])
+    for sid, sch in enumerate(domain.schemata):
         pre = [("s", a) for a in sch.pre]
         plans, gain = [], 0
-        for add, dele in sch.outcomes:
-            add_g = tuple(a for a in add if a[0] in goal_preds)
-            dele_g = tuple(a for a in dele if a[0] in goal_preds)
+        for j, (add, _) in enumerate(sch.outcomes):
+            add_g = [a for a in add if a[0] in goal_preds]
             gain = max(gain, len(add_g))
-            plans.extend((_compile_plan(pre + [("g", atom)]), add_g, dele_g)
-                         for atom in add_g)
+            plans.extend((_compile_plan(pre + [("g", atom)]), j) for atom in add_g)
         if plans:
-            gain_plans.append((sch.arity, gain, plans))
+            gain_plans.append((sid, sch.arity, gain, plans))
+    grounded = _Grounded(domain)
     solved_action = {}
     failed_at = {}  # state -> depth it failed with (retry only with more depth)
     on_path = set()
@@ -190,16 +211,16 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         for s2 in succs:
             idx.apply(s2 - state, state - s2)
             g2 = len(idx.unachieved.facts)
-            for arity, gain, plans in gain_plans:
+            for sid, arity, gain, plans in gain_plans:
                 # an outcome gains at most its goal-predicate adds
                 if g2 - gain >= look:
                     continue
-                for plan, add_g, dele_g in plans:
+                for plan, j in plans:
                     for binding in _matches(idx, plan, [None] * arity):
                         for args in fill_free(binding, n_obj):
-                            h = g2 + _goal_delta({instantiate(a, args) for a in add_g},
-                                                 {instantiate(a, args) for a in dele_g},
-                                                 goal, s2)
+                            # the whole outcome: _goal_delta counts goal facts only
+                            add, dele = grounded[GroundAction(sid, args)][j]
+                            h = g2 + _goal_delta(add, dele, goal, s2)
                             if h < look:
                                 look = h
             idx.apply(state - s2, s2 - state)
@@ -226,24 +247,30 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         unmet = len(idx.unachieved.facts)
         candidates = []
         for act in applicable_actions(domain, idx, n_obj):
-            outs = list(ground_outcomes(domain, act))
+            outs = grounded[act]
             succs = [(state - dele) | add for add, dele in outs]
             best_h = unmet + min(_goal_delta(add, dele, goal, state) for add, dele in outs)
-            candidates.append((best_h, len(candidates), act, succs))
+            candidates.append((best_h, act, succs))
             st.generated += len(succs)
         # one-ply lookahead tie-break keeps greedy descent off plateau actions
-        # whose successors enable no improvement; sort computes the keys in
-        # candidate order, each lookahead leaving idx as it found it
+        # whose successors enable no improvement; the stable sort keeps
+        # enumeration order within a count, and each lookahead leaves idx as
+        # it found it, so a group ranked late ranks as it would have at once
         look = 1 < len(candidates) <= 64
-        candidates.sort(key=lambda c: (c[0], lookahead(idx, state, c[3], c[0])
-                                       if look else 0, c[1]))
+        candidates.sort(key=itemgetter(0))
         ok = False
-        for _, _, act, succs in candidates:
-            if all(solve(s2, depth - 1) for s2 in succs):
-                solved_action[state] = act
-                ok = True
-                break
-            if aborted:
+        for best_h, group in groupby(candidates, itemgetter(0)):
+            group = list(group)
+            if look and len(group) > 1:
+                group.sort(key=lambda c: lookahead(idx, state, c[2], best_h))
+            for _, act, succs in group:
+                if all(solve(s2, depth - 1) for s2 in succs):
+                    solved_action[state] = act
+                    ok = True
+                    break
+                if aborted:
+                    break
+            if ok or aborted:
                 break
         on_path.discard(state)
         if not ok:
@@ -256,6 +283,7 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         ok = solve(frozenset(problem.init), depth_cap)
     finally:
         sys.setrecursionlimit(old_limit)
+        solve = None  # solve refers to itself; unbinding frees the search at once
     st.seconds = time.perf_counter() - t0
     if not ok:
         st.status = aborted[0] if aborted else "exhausted"

@@ -166,6 +166,60 @@ def test_eval_jobs_start_at_most_one_worker_per_episode(tmp_path, monkeypatch):
     assert outs[0] == outs[1]
 
 
+def test_eval_info_line_names_failure_replans_and_fired(tmp_path, caplog):
+    import logging
+    from bison import cli
+    from bison.envs import EnvConfig, episode_seed, make_env
+    from bison.runner import Executor, run_episode
+    caplog.set_level(logging.INFO, logger="bison")
+    seen = []
+    for strategy in ("det_plan", "det_replan"):
+        caplog.clear()
+        out = tmp_path / (strategy + ".csv")
+        assert cli.main(["--log-level", "info", "eval", "--env", "blocks-noisy",
+                         "--strategy", strategy, "--objects", "4", "--episodes", "2",
+                         "--seeds", "1", "--seed", "0", "--out", str(out)]) == 0
+        lines = [r.getMessage() for r in caplog.records
+                 if r.getMessage().startswith("episode ")]
+        assert len(lines) == 2
+        for ep, line in enumerate(lines):
+            env = make_env(EnvConfig("blocks-noisy", 4, seed=episode_seed(0, ep)))
+            res = run_episode(env, Executor(strategy))
+            assert line.endswith(" failure=%s replans=%d fired=%d" % (
+                res.failure_kind, res.replans, res.hl_actions_fired))
+            seen.append((res.failure_kind, res.replans))
+        # the CSV keeps its columns
+        assert out.read_text().splitlines()[0] == \
+            "strategy,env,n,episode,seed,success,steps,replans,wall_time"
+    # a broken plan and a replan are both among the lines checked
+    assert ("plan_broken", 0) in seen and any(r > 0 for _, r in seen)
+
+
+def test_bench_hl_info_line_shows_the_baseline_search(tmp_path, caplog):
+    import logging
+    from bison import cli
+    from bison.bench import bench_hl, bench_rows_csv
+    from bison.envs import builtin_policy
+    caplog.set_level(logging.INFO, logger="bison")
+    out = tmp_path / "bench.csv"
+    assert cli.main(["--log-level", "info", "bench-hl", "--n-list", "2,3",
+                     "--out", str(out)]) == 0
+    lines = [r.getMessage() for r in caplog.records
+             if r.getMessage().startswith("bench ")]
+    rows = bench_hl(builtin_policy("blocks"), [2, 3], timeout=60.0)
+    assert len(lines) == len(rows) == 4
+    for line, row in zip(lines, rows):
+        if row.method == "policy":
+            assert row.search is None and "status=" not in line
+        else:
+            st = row.search
+            assert st.status == "solved" and st.expanded > 0
+            assert line.endswith(" status=solved expanded=%d generated=%d"
+                                 % (st.expanded, st.generated))
+    # the CSV has no search columns
+    assert out.read_text().splitlines()[0] == bench_rows_csv([]).strip()
+
+
 def test_eval_with_gnn_params(workdir):
     r = run_cli(["eval", "--env", "blocks", "--strategy", "bison",
                  "--policy", str(workdir / "pol.bsp"), "--ll", "gnn",

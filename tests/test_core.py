@@ -8,6 +8,8 @@ from bison.formats import parse_domain
 from bison.learn import learn_hl_policy
 from bison.rules import check_ndrp
 
+from helpers import ground_action
+
 
 def pp_setup():
     dom = env_domain("pickplace")
@@ -19,7 +21,7 @@ def pp_setup():
 def test_applicable_pick_in_example_state():
     dom, table, f = pp_setup()
     state = frozenset({f("rAt", "loc1"), f("at", "obj1", "loc1"), f("free")})
-    pick = dom.ground_action("pick", ("obj1", "loc1"), table)
+    pick = ground_action(dom, "pick", ("obj1", "loc1"), table)
     assert applicable(dom, state, pick)
 
 
@@ -34,14 +36,14 @@ def test_applicable_empty_precondition():
 def test_applicable_false_when_precondition_missing():
     dom, table, f = pp_setup()
     state = frozenset({f("rAt", "loc2")})
-    pick = dom.ground_action("pick", ("obj1", "loc1"), table)
+    pick = ground_action(dom, "pick", ("obj1", "loc1"), table)
     assert not applicable(dom, state, pick)
 
 
 def test_successors_pick():
     dom, table, f = pp_setup()
     state = frozenset({f("rAt", "loc1"), f("at", "obj1", "loc1"), f("free")})
-    pick = dom.ground_action("pick", ("obj1", "loc1"), table)
+    pick = ground_action(dom, "pick", ("obj1", "loc1"), table)
     assert successors(dom, state, pick) == [
         frozenset({f("rAt", "loc1"), f("hold", "obj1")})]
 
@@ -49,7 +51,7 @@ def test_successors_pick():
 def test_successors_deterministic_single():
     dom, table, f = pp_setup()
     state = frozenset({f("rAt", "loc1")})
-    move = dom.ground_action("move", ("loc1", "loc2"), table)
+    move = ground_action(dom, "move", ("loc1", "loc2"), table)
     outs = successors(dom, state, move)
     assert len(outs) == 1
     assert outs[0] == frozenset({f("rAt", "loc2")})
@@ -60,7 +62,7 @@ def test_successors_two_outcome_roll():
     table = ObjectTable(["box0", "b"])
     f = lambda name, *args: dom.ground_fact(name, args, table)
     state = frozenset({f("closed", "box0"), f("clear", "box0"), f("gripperFree")})
-    roll = dom.ground_action("roll", ("box0", "b"), table)
+    roll = ground_action(dom, "roll", ("box0", "b"), table)
     outs = successors(dom, state, roll)
     assert len(outs) == 2
     assert outs[0] != outs[1]
@@ -69,7 +71,7 @@ def test_successors_two_outcome_roll():
 
 def test_successors_requires_applicability():
     dom, table, f = pp_setup()
-    pick = dom.ground_action("pick", ("obj1", "loc1"), table)
+    pick = ground_action(dom, "pick", ("obj1", "loc1"), table)
     with pytest.raises(PreconditionError):
         successors(dom, frozenset(), pick)
 

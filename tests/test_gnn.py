@@ -16,6 +16,8 @@ from bison.gnn import (EncodingSpec, GnnInput, GnnParams, LLSample, TrainConfig,
                        init_params, load_params, pad_batch, save_params, backward,
                        train)
 
+from helpers import ground_action
+
 
 def synth_spec(n_obj_feat=5):
     # |P|=4, |A|=3, M=2, n_ego=3, m_obj=5 → dims 11 / 3 / 15
@@ -41,7 +43,7 @@ def test_encode_blocks_state():
     dom = env.domain
     spec = EncodingSpec.for_domain(dom, EGO_DIM, obj_dim("blocks"), ACTION_DIM)
     hls = env.label(lls)
-    act = dom.ground_action("place", ("b0", "p0"), env.table)
+    act = ground_action(dom, "place", ("b0", "p0"), env.table)
     inp = encode(spec, lls, act, goal, hls, env.table)
     assert inp.h_objects.shape == (2, spec.o_dim)
     # positional one-hots e_1, e_2 attached per argument slot
@@ -60,7 +62,7 @@ def test_encode_unknown_object_errors():
     dom = env.domain
     spec = EncodingSpec.for_domain(dom, EGO_DIM, obj_dim("blocks"), ACTION_DIM)
     env.table.intern("ghost")
-    act = dom.ground_action("pick", ("ghost",), env.table)
+    act = ground_action(dom, "pick", ("ghost",), env.table)
     with pytest.raises(BisonError):
         encode(spec, lls, act, goal, env.label(lls), env.table)
 
@@ -191,7 +193,7 @@ def test_output_dim_matches_action_dim():
     dom = env.domain
     spec = EncodingSpec.for_domain(dom, EGO_DIM, obj_dim("blocks"), ACTION_DIM)
     params = init_params(spec, TrainConfig())
-    act = dom.ground_action("pick", ("b0",), env.table)
+    act = ground_action(dom, "pick", ("b0",), env.table)
     inp = encode(spec, lls, act, goal, env.label(lls), env.table)
     assert forward(params, inp).shape == (ACTION_DIM,)
 

@@ -8,6 +8,8 @@ from bison.learn import (AbstractionGapError, coverage_bound, extract_hl_trace,
                          learn_hl_policy, lift, regress)
 from bison.rules import canonical_rule_str
 
+from helpers import ground_action
+
 
 def pp_fact(dom, table, name, *args):
     return dom.ground_fact(name, args, table)
@@ -54,7 +56,7 @@ def test_regress_place_rule(pickplace_domain):
     dom = pickplace_domain
     table = ObjectTable(["obj1", "loc1", "loc2"])
     f = lambda n, *a: pp_fact(dom, table, n, *a)
-    place = dom.ground_action("place", ("obj1", "loc2"), table)
+    place = ground_action(dom, "place", ("obj1", "loc2"), table)
     out = regress(dom, frozenset({f("at", "obj1", "loc2")}), place)
     assert out == [frozenset({f("rAt", "loc2"), f("hold", "obj1")})]
 
@@ -63,7 +65,7 @@ def test_regress_move_rule(pickplace_domain):
     dom = pickplace_domain
     table = ObjectTable(["obj1", "loc1", "loc2"])
     f = lambda n, *a: pp_fact(dom, table, n, *a)
-    move = dom.ground_action("move", ("loc1", "loc2"), table)
+    move = ground_action(dom, "move", ("loc1", "loc2"), table)
     out = regress(dom, frozenset({f("rAt", "loc2"), f("hold", "obj1")}), move)
     assert out == [frozenset({f("hold", "obj1"), f("rAt", "loc1")})]
 
@@ -72,7 +74,7 @@ def test_regress_non_regressable_on_delete_overlap(pickplace_domain):
     dom = pickplace_domain
     table = ObjectTable(["obj1", "loc1"])
     f = lambda n, *a: pp_fact(dom, table, n, *a)
-    pick = dom.ground_action("pick", ("obj1", "loc1"), table)
+    pick = ground_action(dom, "pick", ("obj1", "loc1"), table)
     assert regress(dom, frozenset({f("free")}), pick) == []
 
 
@@ -80,7 +82,7 @@ def test_lift_example_rule_shape(pickplace_domain):
     dom = pickplace_domain
     table = ObjectTable(["obj1", "loc1", "loc2"])
     f = lambda n, *a: pp_fact(dom, table, n, *a)
-    place = dom.ground_action("place", ("obj1", "loc2"), table)
+    place = ground_action(dom, "place", ("obj1", "loc2"), table)
     rule = lift(place,
                 frozenset({f("hold", "obj1"), f("rAt", "loc2")}),
                 frozenset({f("at", "obj1", "loc2")}), val=0)
@@ -92,7 +94,7 @@ def test_lift_example_rule_shape(pickplace_domain):
 def test_lift_action_only(pickplace_domain):
     dom = pickplace_domain
     table = ObjectTable(["loc1", "loc2"])
-    move = dom.ground_action("move", ("loc1", "loc2"), table)
+    move = ground_action(dom, "move", ("loc1", "loc2"), table)
     rule = lift(move, frozenset(), frozenset(), val=0)
     assert rule.n_vars == 2
     assert rule.s_cond == frozenset() and rule.g_cond == frozenset()
@@ -102,7 +104,7 @@ def test_lift_distinct_objects_distinct_vars(pickplace_domain):
     dom = pickplace_domain
     table = ObjectTable(["a", "b", "c", "d"])
     f = lambda n, *a: pp_fact(dom, table, n, *a)
-    move = dom.ground_action("move", ("a", "b"), table)
+    move = ground_action(dom, "move", ("a", "b"), table)
     rule = lift(move, frozenset({f("rAt", "c"), f("rAt", "d")}),
                 frozenset(), val=0)
     assert rule.n_vars == 4  # no variable merging across equal predicates

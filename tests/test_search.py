@@ -1,7 +1,9 @@
+import gc
+import heapq
 import random
 import sys
 import time
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -15,6 +17,7 @@ from bison.search import (DEFAULT_NODE_BUDGET, Plan, SearchStats,
                           default_depth_cap, find_plan, find_policy)
 from bison.bench import gen_blocks_hl_problem
 
+from helpers import ground_action
 import test_properties as props
 
 
@@ -343,7 +346,7 @@ def test_find_policy_lookahead_keeps_a_fact_added_and_deleted():
                         frozenset({f("done", "o0")}))
     assert_same_as_reference(problem, default_depth_cap(problem), node_budget=100)
     policy = find_policy(problem)
-    assert policy.get(problem.init) == dom.ground_action("shift", ("o0", "o0"), table)
+    assert policy.get(problem.init) == ground_action(dom, "shift", ("o0", "o0"), table)
 
 
 @pytest.mark.parametrize("kind", ["factory", "blocks-noisy", "pickplace", "gacha"])
@@ -532,3 +535,167 @@ def test_lookahead_evaluates_only_goal_joined_outcomes(monkeypatch):
     visited = applies[0] // 2  # the lookahead moves its index there and back
     assert visited > 0
     assert deltas[0] - stats.generated <= visited
+
+
+# ---------------------------------------------------------------------------
+# find_plan against a reference that grounds an outcome at push and at pop
+# ---------------------------------------------------------------------------
+
+def reference_find_plan(problem, node_budget):
+    """find_plan as written before it kept each action's ground outcomes for
+    the call: the popped entry's outcome is grounded again.  Returns (plan or
+    None, stats)."""
+    st = SearchStats()
+    domain, goal = problem.domain, problem.goal
+    n_obj = len(problem.objects)
+    init = frozenset(problem.init)
+    frontier = [(len(goal - init), 0, init, None, -1)]
+    closed = {}
+    seq = 1
+    while frontier:
+        if st.expanded >= node_budget or st.generated >= search.GENERATED_CAP:
+            st.status = "budget"
+            return None, st
+        h, _, parent, action, k = heapq.heappop(frontier)
+        if action is None:
+            state = parent
+        else:
+            add, dele = list(ground_outcomes(domain, action))[k]
+            state = (parent - dele) | add
+        if state in closed:
+            continue
+        closed[state] = (parent, action, k)
+        if goal <= state:
+            acts, outs = [], []
+            while closed[state][1] is not None:
+                state, action, k = closed[state]
+                acts.append(action)
+                outs.append(k)
+            st.status = "solved"
+            return Plan(acts[::-1], outs[::-1]), st
+        st.expanded += 1
+        idx = StateIndex(state, goal)
+        for act in applicable_actions(domain, idx, n_obj):
+            for j, (add, dele) in enumerate(ground_outcomes(domain, act)):
+                h2 = h + props.goal_count((state - dele) | add, goal) \
+                    - props.goal_count(state, goal)
+                heapq.heappush(frontier, (h2, seq, state, act, j))
+                seq += 1
+                st.generated += 1
+    st.status = "exhausted"
+    return None, st
+
+
+def assert_plan_same_as_reference(problem, node_budget):
+    stats = SearchStats()
+    plan = find_plan(problem, node_budget=node_budget, stats=stats)
+    ref_plan, ref = reference_find_plan(problem, node_budget)
+    assert (plan is None) == (ref_plan is None)
+    if plan is not None:
+        assert plan.actions == ref_plan.actions
+        assert plan.outcomes == ref_plan.outcomes
+    assert (stats.status, stats.expanded, stats.generated) == \
+        (ref.status, ref.expanded, ref.generated)
+    return stats.status
+
+
+def test_find_plan_matches_reference_on_random_domains():
+    rng = random.Random(11)
+    statuses = Counter()
+    for _ in range(1000):
+        domain = props.random_domain(rng)
+        n = rng.randint(1, 3)
+        table = ObjectTable(["o%d" % i for i in range(n)])
+        problem = HLProblem(domain, table, props.random_state(rng, domain, n),
+                            props.random_state(rng, domain, n))
+        statuses[assert_plan_same_as_reference(problem, rng.randint(1, 20))] += 1
+    # solved, unsolvable and cut-off searches are all compared
+    assert min(statuses[s] for s in ("solved", "exhausted", "budget")) >= 50
+
+
+def reset_problem(kind, n, seed):
+    env = make_env(EnvConfig(kind, n, seed=seed))
+    lls, _ = env.reset()
+    return HLProblem(env.domain, env.table, frozenset(env.label(lls)),
+                     frozenset(env.goal))
+
+
+@pytest.mark.parametrize("kind", ["factory", "blocks-noisy", "pickplace", "gacha"])
+def test_find_plan_matches_reference_on_env_resets(kind):
+    for n in range(1, 6):
+        assert_plan_same_as_reference(reset_problem(kind, n, n), node_budget=2000)
+
+
+# ---------------------------------------------------------------------------
+# Work done once per search call
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("planner", [find_plan, find_policy])
+def test_each_action_is_grounded_once_per_call(monkeypatch, planner):
+    real, grounded = search.ground_outcomes, Counter()
+
+    def counted(domain, action):
+        grounded[action] += 1
+        return real(domain, action)
+
+    monkeypatch.setattr(search, "ground_outcomes", counted)
+    for kind, n in (("blocks-noisy", 8), ("factory", 8), ("pickplace", 3)):
+        grounded.clear()
+        assert planner(reset_problem(kind, n, n)) is not None
+        assert len(grounded) >= 20
+        assert max(grounded.values()) == 1
+
+
+def test_no_lookahead_where_the_least_count_is_unique(monkeypatch):
+    # the lookahead breaks ties on the least goal count; an expanded state
+    # whose least-count action is alone and solves it runs none
+    expansions = []  # [state, StateIndex.apply calls on its index]
+
+    class Recorded(StateIndex):
+        def __init__(self, facts, goal):
+            super().__init__(facts, goal)
+            self.record = [frozenset(facts), 0]
+            expansions.append(self.record)
+
+        def apply(self, add, dele):
+            self.record[1] += 1
+            super().apply(add, dele)
+
+    monkeypatch.setattr(search, "StateIndex", Recorded)
+    unique = tied = 0
+    for kind in ("blocks-noisy", "factory"):
+        for n in range(5, 9):
+            problem = reset_problem(kind, n, n)
+            domain, goal = problem.domain, problem.goal
+            expansions.clear()
+            policy = find_policy(problem)
+            assert policy is not None
+            times = Counter(state for state, _ in expansions)
+            for state, applies in expansions:
+                idx = StateIndex(state, goal)
+                ranked = sorted(
+                    (min(props.goal_count((state - dele) | add, goal)
+                         for add, dele in ground_outcomes(domain, act)), i, act)
+                    for i, act in enumerate(applicable_actions(
+                        domain, idx, len(problem.objects))))
+                if len(ranked) > 1 and ranked[0][0] < ranked[1][0]:
+                    if times[state] == 1 and policy.get(state) == ranked[0][2]:
+                        assert applies == 0
+                        unique += 1
+                elif applies:
+                    tied += 1
+    assert unique >= 40 and tied >= 40
+
+
+@pytest.mark.parametrize("planner", [find_plan, find_policy])
+def test_search_leaves_no_garbage_cycle(planner):
+    # what a call builds (its memo, its closed and failed sets) is freed when
+    # it returns, not when the cyclic collector next runs
+    problem = reset_problem("blocks-noisy", 8, 8)
+    gc.collect()
+    gc.disable()
+    try:
+        assert planner(problem) is not None
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
