@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 
 class BisonError(Exception):
@@ -62,8 +62,9 @@ class ActionSchema:
         return len(self.outcomes) == 1
 
 
-@dataclass(frozen=True)
-class GroundAction:
+class GroundAction(NamedTuple):
+    """A ground action; a tuple, so it hashes and compares in C."""
+
     schema_id: int
     args: tuple  # tuple[int, ...] object ids, total binding
 

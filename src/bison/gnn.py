@@ -10,10 +10,9 @@ behaviour cloning runs under Adam with a cosine-annealed learning rate.
 All tensor math is plain dense numpy; reverse-mode accumulation is written out
 explicitly for this fixed graph (max routes gradient to the argmax element,
 first index on ties; ReLU gradient is zero at 0).  ``forward`` is the
-inference path: one sample, no intermediates kept.  ``backward`` is the
-per-sample gradient reference and computes its own intermediates; training
-runs the same math once per batch over object rows padded under a mask
-(``batch_backward``).
+inference path: one sample, no intermediates kept.  The one gradient,
+``batch_backward``, runs once per training batch over object rows padded
+under a mask; ``backward`` is that pass on a one-sample batch.
 """
 
 from __future__ import annotations
@@ -178,11 +177,11 @@ def init_params(spec: EncodingSpec, config: TrainConfig) -> GnnParams:
 
 
 def forward(params: GnnParams, inp: GnnInput) -> np.ndarray:
-    """Predict an LL action (the inference path; ``backward`` keeps its own
-    intermediates).  The max aggregation is numpy's, which propagates a NaN
-    as ``backward``'s argmax gather does; on a tie of signed zeros the two
-    may pick differently, but every aggregate passes a ReLU, which maps -0.0
-    to 0.0, so the output bytes agree."""
+    """Predict an LL action (the inference path: no intermediates kept).
+    The max aggregation is numpy's, which propagates a NaN as an argmax
+    gather does; on a tie of signed zeros the two may pick differently, but
+    every aggregate passes a ReLU, which maps -0.0 to 0.0, so the output
+    bytes agree."""
     n = inp.h_objects.shape[0]
     g = params.w_g0 @ inp.h_global
     a = params.w_a0 @ inp.h_action
@@ -202,107 +201,6 @@ def forward(params: GnnParams, inp: GnnInput) -> np.ndarray:
     z1 = params.r_w1 @ (g + a + fin) + params.r_b1
     np.maximum(z1, 0.0, out=z1)
     return params.r_w2 @ z1 + params.r_b2
-
-
-def _intermediates(params: GnnParams, inp: GnnInput) -> dict:
-    """``forward``'s values with every intermediate ``backward`` needs."""
-    h = params.hidden
-    n = inp.h_objects.shape[0]
-    g = params.w_g0 @ inp.h_global
-    a = params.w_a0 @ inp.h_action
-    objs = inp.h_objects @ params.w_o0.T if n else np.zeros((0, h))
-    layers = []
-    for l in range(params.layers):
-        if n:
-            agg_idx = np.argmax(objs, axis=0)
-            agg = objs[agg_idx, np.arange(h)]
-        else:
-            agg_idx = None
-            agg = np.zeros(h)
-        ug = g + a + agg
-        zg = params.w_g[l] @ ug
-        g2 = np.maximum(zg, 0.0)
-        ua = g2 + a + agg
-        za = params.w_a[l] @ ua
-        a2 = np.maximum(za, 0.0)
-        if n:
-            uo = g2[None, :] + a[None, :] + objs
-            zo = uo @ params.w_o[l].T
-            objs2 = np.maximum(zo, 0.0)
-        else:
-            uo = zo = objs2 = objs
-        layers.append((objs, agg_idx, ug, zg, ua, za, uo, zo))
-        g, a, objs = g2, a2, objs2
-    if n:
-        fin_idx = np.argmax(objs, axis=0)
-        fin = objs[fin_idx, np.arange(h)]
-    else:
-        fin_idx = None
-        fin = np.zeros(h)
-    r = g + a + fin
-    z1 = params.r_w1 @ r + params.r_b1
-    h1 = np.maximum(z1, 0.0)
-    y = params.r_w2 @ h1 + params.r_b2
-    return dict(n=n, layers=layers, g=g, a=a, objs=objs, fin_idx=fin_idx,
-                r=r, z1=z1, h1=h1, y=y)
-
-
-def backward(params: GnnParams, inp: GnnInput, target: np.ndarray):
-    """Gradients of the per-sample MSE (mean over output dims) and the loss."""
-    target = np.asarray(target, dtype=float)
-    if target.shape != (params.spec.out_dim,):
-        raise BisonError("target dimension mismatch")
-    cache = _intermediates(params, inp)
-    y = cache["y"]
-    d = params.spec.out_dim
-    diff = y - target
-    loss = float(np.mean(diff ** 2))
-    dy = 2.0 * diff / d
-    h = params.hidden
-    n = cache["n"]
-    layers = params.layers
-    gw = [np.zeros_like(t) for t in params.w_g + params.w_a + params.w_o]
-    gw_g, gw_a, gw_o = gw[:layers], gw[layers:2 * layers], gw[2 * layers:]
-    dh1 = params.r_w2.T @ dy
-    dz1 = dh1 * (cache["z1"] > 0)
-    dr = params.r_w1.T @ dz1
-    dg, da = dr, dr
-    dobjs = np.zeros((n, h))
-    if n:
-        dobjs[cache["fin_idx"], np.arange(h)] += dr
-    for l in range(layers - 1, -1, -1):
-        objs_l, agg_idx, ug, zg, ua, za, uo, zo = cache["layers"][l]
-        dg2, da2, dobjs2 = dg, da, dobjs
-        dg_new = np.zeros(h)
-        da_new = np.zeros(h)
-        dobjs_new = np.zeros_like(objs_l)
-        dagg = np.zeros(h)
-        if n:
-            dzo = dobjs2 * (zo > 0)
-            gw_o[l] += dzo.T @ uo
-            duo = dzo @ params.w_o[l]
-            dg2 = dg2 + duo.sum(axis=0)
-            da_new += duo.sum(axis=0)
-            dobjs_new += duo
-        dza = da2 * (za > 0)
-        gw_a[l] += np.outer(dza, ua)
-        dua = params.w_a[l].T @ dza
-        dg2 = dg2 + dua
-        da_new += dua
-        dagg += dua
-        dzg = dg2 * (zg > 0)
-        gw_g[l] += np.outer(dzg, ug)
-        dug = params.w_g[l].T @ dzg
-        dg_new += dug
-        da_new += dug
-        dagg += dug
-        if n:
-            dobjs_new[agg_idx, np.arange(h)] += dagg
-        dg, da, dobjs = dg_new, da_new, dobjs_new
-    gw_o0 = dobjs.T @ inp.h_objects if n else np.zeros_like(params.w_o0)
-    grads = [np.outer(dg, inp.h_global), np.outer(da, inp.h_action), gw_o0] + gw
-    grads += [np.outer(dz1, cache["r"]), dz1, np.outer(dy, cache["h1"]), dy]
-    return grads, loss
 
 
 def cosine_lr(base: float, iteration: int, total: int) -> float:
@@ -390,9 +288,10 @@ def pad_batch(spec: EncodingSpec, samples: Sequence[LLSample]) -> PaddedBatch:
 
 
 def batch_backward(params: GnnParams, batch: PaddedBatch):
-    """Batch means of the per-sample ``backward`` gradients and MSE losses.
+    """Batch means of the per-sample MSE gradients and losses.
 
-    The same math as ``forward``/``backward`` over stacked arrays.  The max
+    The same math as ``forward`` over stacked arrays, keeping every
+    intermediate the gradient needs.  The max
     aggregation sets padded rows to -inf, so it always picks a real row (the
     first one on ties, as padding follows the real rows); a sample with no
     object nodes aggregates to 0 and gets no object gradient.  Each (sample,
@@ -472,6 +371,16 @@ def batch_backward(params: GnnParams, batch: PaddedBatch):
     grads += gw_g + gw_a + gw_o
     grads += [dz1.T @ r, dz1.sum(axis=0), dy.T @ h1, dy.sum(axis=0)]
     return grads, loss
+
+
+def backward(params: GnnParams, inp: GnnInput, target: np.ndarray):
+    """Gradients of one sample's MSE (mean over output dims) and the loss:
+    ``batch_backward`` on a one-sample batch.  Non-finite input raises
+    ``BisonError``, as the batch max would skip a NaN object row."""
+    if not all(np.all(np.isfinite(x))
+               for x in (inp.h_global, inp.h_action, inp.h_objects, target)):
+        raise BisonError("non-finite network input or target")
+    return batch_backward(params, pad_batch(params.spec, [LLSample(inp, target)]))
 
 
 @dataclass

@@ -31,9 +31,9 @@ class HLTrace:
     goal: frozenset
     actions: list  # list[GroundAction]
     states: list   # list[HLState], len = len(actions) + 1
-    table: ObjectTable = None
-    goal_reached: bool = True
-    step_states: list = None  # list[HLState], the label of every LL step
+    table: ObjectTable
+    goal_reached: bool
+    step_states: list  # list[HLState], the label of every LL step
 
     @property
     def achieved(self) -> frozenset:

@@ -1,3 +1,5 @@
+import pickle
+
 import pytest
 
 from bison.core import (GroundAction, HLProblem, ObjectTable, PreconditionError,
@@ -31,6 +33,18 @@ def test_applicable_empty_precondition():
           (:action noop :parameters () :precondition (and) :effect (and)))""")
     act = GroundAction(0, ())
     assert applicable(dom, frozenset(), act)
+
+
+def test_ground_action_is_a_value():
+    act = GroundAction(2, (0, 3))
+    same = GroundAction(2, tuple([0, 3]))
+    assert act == same and act is not same and hash(act) == hash(same)
+    assert act != GroundAction(2, (3, 0)) and act != GroundAction(1, (0, 3))
+    assert {act: "hit"}[same] == "hit"
+    assert str(act) == "a2(0,3)" and str(GroundAction(0, ())) == "a0()"
+    again = pickle.loads(pickle.dumps(act))
+    assert again == act and type(again) is GroundAction
+    assert (again.schema_id, again.args) == (2, (0, 3))
 
 
 def test_applicable_false_when_precondition_missing():

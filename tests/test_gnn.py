@@ -98,7 +98,7 @@ def test_backward_zero_at_optimum():
     params = GnnParams(spec, hidden=8, layers=2, init_rng=rng)
     inp = rand_input(spec, rng)
     target = forward(params, inp)
-    grads, loss = backward(params, inp, target)
+    grads, loss = reference_backward(params, inp, target)
     assert loss == 0.0
     assert all(np.allclose(g, 0.0) for g in grads)
 
@@ -140,7 +140,7 @@ def grad_check(params, inp, target, h=1e-5, tol=1e-4, per_tensor=6, rng=None):
 
 def kink_margin(params, inp):
     """Minimum |pre-activation| and max-tie gap across the forward pass."""
-    cache = gnn._intermediates(params, inp)
+    cache = reference_intermediates(params, inp)
     margins = [np.min(np.abs(cache["z1"]))]
     for (objs, _, _, zg, _, za, _, zo) in cache["layers"]:
         margins.append(np.min(np.abs(zg)))
@@ -257,6 +257,112 @@ def test_dataset_segment_pairing(blocks_demos):
 # Batched training path against the per-sample reference
 # ---------------------------------------------------------------------------
 
+def reference_intermediates(params: GnnParams, inp: GnnInput) -> dict:
+    """``forward``'s values with every intermediate ``reference_backward``
+    needs."""
+    h = params.hidden
+    n = inp.h_objects.shape[0]
+    g = params.w_g0 @ inp.h_global
+    a = params.w_a0 @ inp.h_action
+    objs = inp.h_objects @ params.w_o0.T if n else np.zeros((0, h))
+    layers = []
+    for l in range(params.layers):
+        if n:
+            agg_idx = np.argmax(objs, axis=0)
+            agg = objs[agg_idx, np.arange(h)]
+        else:
+            agg_idx = None
+            agg = np.zeros(h)
+        ug = g + a + agg
+        zg = params.w_g[l] @ ug
+        g2 = np.maximum(zg, 0.0)
+        ua = g2 + a + agg
+        za = params.w_a[l] @ ua
+        a2 = np.maximum(za, 0.0)
+        if n:
+            uo = g2[None, :] + a[None, :] + objs
+            zo = uo @ params.w_o[l].T
+            objs2 = np.maximum(zo, 0.0)
+        else:
+            uo = zo = objs2 = objs
+        layers.append((objs, agg_idx, ug, zg, ua, za, uo, zo))
+        g, a, objs = g2, a2, objs2
+    if n:
+        fin_idx = np.argmax(objs, axis=0)
+        fin = objs[fin_idx, np.arange(h)]
+    else:
+        fin_idx = None
+        fin = np.zeros(h)
+    r = g + a + fin
+    z1 = params.r_w1 @ r + params.r_b1
+    h1 = np.maximum(z1, 0.0)
+    y = params.r_w2 @ h1 + params.r_b2
+    return dict(n=n, layers=layers, g=g, a=a, objs=objs, fin_idx=fin_idx,
+                r=r, z1=z1, h1=h1, y=y)
+
+
+def reference_backward(params: GnnParams, inp: GnnInput, target: np.ndarray):
+    """The per-sample gradient ``backward`` had before it became
+    ``batch_backward`` on one sample: an argmax gather (first index on ties)
+    and its own intermediates.  Gradients of the MSE (mean over output dims)
+    and the loss."""
+    target = np.asarray(target, dtype=float)
+    if target.shape != (params.spec.out_dim,):
+        raise BisonError("target dimension mismatch")
+    cache = reference_intermediates(params, inp)
+    y = cache["y"]
+    d = params.spec.out_dim
+    diff = y - target
+    loss = float(np.mean(diff ** 2))
+    dy = 2.0 * diff / d
+    h = params.hidden
+    n = cache["n"]
+    layers = params.layers
+    gw = [np.zeros_like(t) for t in params.w_g + params.w_a + params.w_o]
+    gw_g, gw_a, gw_o = gw[:layers], gw[layers:2 * layers], gw[2 * layers:]
+    dh1 = params.r_w2.T @ dy
+    dz1 = dh1 * (cache["z1"] > 0)
+    dr = params.r_w1.T @ dz1
+    dg, da = dr, dr
+    dobjs = np.zeros((n, h))
+    if n:
+        dobjs[cache["fin_idx"], np.arange(h)] += dr
+    for l in range(layers - 1, -1, -1):
+        objs_l, agg_idx, ug, zg, ua, za, uo, zo = cache["layers"][l]
+        dg2, da2, dobjs2 = dg, da, dobjs
+        dg_new = np.zeros(h)
+        da_new = np.zeros(h)
+        dobjs_new = np.zeros_like(objs_l)
+        dagg = np.zeros(h)
+        if n:
+            dzo = dobjs2 * (zo > 0)
+            gw_o[l] += dzo.T @ uo
+            duo = dzo @ params.w_o[l]
+            dg2 = dg2 + duo.sum(axis=0)
+            da_new += duo.sum(axis=0)
+            dobjs_new += duo
+        dza = da2 * (za > 0)
+        gw_a[l] += np.outer(dza, ua)
+        dua = params.w_a[l].T @ dza
+        dg2 = dg2 + dua
+        da_new += dua
+        dagg += dua
+        dzg = dg2 * (zg > 0)
+        gw_g[l] += np.outer(dzg, ug)
+        dug = params.w_g[l].T @ dzg
+        dg_new += dug
+        da_new += dug
+        dagg += dug
+        if n:
+            dobjs_new[agg_idx, np.arange(h)] += dagg
+        dg, da, dobjs = dg_new, da_new, dobjs_new
+    gw_o0 = dobjs.T @ inp.h_objects if n else np.zeros_like(params.w_o0)
+    grads = [np.outer(dg, inp.h_global), np.outer(da, inp.h_action), gw_o0] + gw
+    grads += [np.outer(dz1, cache["r"]), dz1, np.outer(dy, cache["h1"]), dy]
+    return grads, loss
+
+
+
 def arity3_spec():
     # M=3 so one batch mixes object counts 0..3
     return EncodingSpec(n_pred=4, n_schema=3, max_arity=3, ego_dim=3,
@@ -276,14 +382,14 @@ def rand_samples(spec, rng, arities):
 
 
 def per_sample_mean(params, samples):
-    outs = [backward(params, s.inp, s.target) for s in samples]
+    outs = [reference_backward(params, s.inp, s.target) for s in samples]
     grads = [sum(o[0][k] for o in outs) / len(outs) for k in range(len(outs[0][0]))]
     return grads, sum(o[1] for o in outs) / len(outs)
 
 
 def has_zero_tie(params, inp):
     """Two object rows both zero after a ReLU on some unit, where max ties."""
-    cache = gnn._intermediates(params, inp)
+    cache = reference_intermediates(params, inp)
     later = [layer[0] for layer in cache["layers"][1:]] + [cache["objs"]]
     return any(objs.shape[0] > 1 and np.any(np.sum(objs == 0.0, axis=0) > 1)
                for objs in later)
@@ -349,8 +455,52 @@ def test_pad_batch_target_mismatch_errors():
         pad_batch(spec, samples)
 
 
+def test_backward_is_batch_backward_on_one_sample():
+    rng = np.random.default_rng(44)
+    spec = arity3_spec()
+    ties = 0
+    for i in range(400):
+        params = GnnParams(spec, hidden=int(rng.integers(3, 65)),
+                           layers=int(rng.integers(1, 4)), init_rng=rng)
+        if i % 5 == 0:
+            params.w_o0[...] = 0.0  # every layer-0 max ties: the first row wins
+        (s,) = rand_samples(spec, rng, [i % 4])
+        ties += i % 5 == 0 or (len(s.inp.h_objects) >= 2
+                               and np.array_equal(*s.inp.h_objects[:2]))
+        grads, loss = backward(params, s.inp, s.target)
+        ref_grads, ref_loss = batch_backward(params, pad_batch(spec, [s]))
+        assert loss == ref_loss
+        assert len(grads) == len(ref_grads)
+        for g, r in zip(grads, ref_grads):
+            assert g.tobytes() == r.tobytes()
+    assert ties > 100
+    with pytest.raises(BisonError, match="target dimension mismatch"):
+        backward(params, s.inp, np.zeros(spec.out_dim + 1))
+
+
+def test_backward_rejects_non_finite_input():
+    rng = np.random.default_rng(45)
+    spec = arity3_spec()
+    params = GnnParams(spec, hidden=8, layers=2, init_rng=rng)
+    (s,) = rand_samples(spec, rng, [3])
+    nan_row = s.inp.h_objects.copy()
+    nan_row[1, 0] = np.nan
+    inf_global = s.inp.h_global.copy()
+    inf_global[0] = np.inf
+    nan_target = s.target.copy()
+    nan_target[2] = np.nan
+    cases = [(GnnInput(s.inp.h_global, s.inp.h_action, nan_row), s.target),
+             (GnnInput(inf_global, s.inp.h_action, s.inp.h_objects), s.target),
+             (s.inp, nan_target)]
+    for inp, target in cases:
+        with pytest.raises(BisonError):
+            backward(params, inp, target)
+    backward(params, s.inp, s.target)  # the unmodified sample is accepted
+
+
 def reference_train(samples, spec, config):
-    """The per-sample training loop: one ``backward`` call per batch sample."""
+    """The per-sample training loop: one ``reference_backward`` call per batch
+    sample."""
     params = init_params(spec, config)
     rng = np.random.default_rng(config.seed + 1)
     tensors = params.tensors()
@@ -370,7 +520,7 @@ def reference_train(samples, spec, config):
         acc = [np.zeros_like(t) for t in tensors]
         total = 0.0
         for s in batch:
-            g, loss = backward(params, s.inp, s.target)
+            g, loss = reference_backward(params, s.inp, s.target)
             for ai, gi in zip(acc, g):
                 ai += gi
             total += loss
@@ -435,7 +585,7 @@ def reference_forward(params, inp):
 def assert_same_bytes(params, inp):
     y = forward(params, inp)
     assert y.tobytes() == reference_forward(params, inp).tobytes()
-    assert y.tobytes() == gnn._intermediates(params, inp)["y"].tobytes()
+    assert y.tobytes() == reference_intermediates(params, inp)["y"].tobytes()
 
 
 def test_forward_matches_reference_on_random_inputs():
@@ -474,7 +624,7 @@ def test_forward_matches_reference_on_max_ties_and_signed_zeros():
 
 
 def test_forward_and_backward_agree_on_a_nan_object_row():
-    # forward's max and backward's argmax gather both carry the NaN through
+    # forward's max and the reference's argmax gather both carry the NaN through
     rng = np.random.default_rng(52)
     spec = arity3_spec()
     for n in (2, 3):
@@ -483,7 +633,7 @@ def test_forward_and_backward_agree_on_a_nan_object_row():
         objs[1, 0] = np.nan
         inp = GnnInput(rng.normal(size=spec.g_dim), rng.normal(size=spec.a_dim), objs)
         assert np.all(np.isnan(forward(params, inp)))
-        assert np.all(np.isnan(gnn._intermediates(params, inp)["y"]))
+        assert np.all(np.isnan(reference_intermediates(params, inp)["y"]))
 
 
 def test_forward_matches_reference_on_eval_bilevel_inputs(monkeypatch):
