@@ -24,7 +24,7 @@ from .core import BisonError
 from .envs import (ENV_KINDS, EGO_DIM, ACTION_DIM, EnvConfig, builtin_policy,
                    env_domain, episode_seed, generate_demos, make_env,
                    make_labeller, max_objects, obj_dim)
-from .formats import ParseError, parse_policy, parse_traces, serialize_policy, \
+from .formats import parse_policy, parse_traces, serialize_policy, \
     serialize_traces
 from .gnn import EncodingSpec, TrainConfig, build_dataset, load_params, \
     save_params, train
@@ -116,14 +116,18 @@ def cmd_learn_hl(args):
     report = LearnReport()
     policy = learn_hl_policy(demos, env_domain(args.env), make_labeller(args.env),
                              subgoal_cap=args.subgoal_cap, report=report)
+    skipped = len(report.demos_skipped)
     log.info("learned %d rules from %d demos (%d skipped, %d unreached goals, "
              "%d subgoals dropped by the cap)", len(policy), report.demos_used,
-             report.demos_skipped, report.unreached_goals, report.subgoals_dropped)
+             skipped, report.unreached_goals, report.subgoals_dropped)
     log.info("%d of %d written rules are statically unsatisfiable",
              sum(policy.dead), len(policy))
-    if report.demos_skipped:
+    for k, step in report.demos_skipped:
+        log.info("skipped demo %d: no modelled action explains the abstraction "
+                 "change at LL step %d", k, step)
+    if skipped:
         log.warning("skipped %d of %d demos: an abstraction change no modelled "
-                    "action explains", report.demos_skipped, len(demos))
+                    "action explains", skipped, len(demos))
     _write(args.out, serialize_policy(policy))
     return EXIT_OK
 
@@ -165,9 +169,8 @@ def _parse_range(spec: str):
 def cmd_eval(args):
     # --summary reports over seeds, so it needs at least one
     _at_least(args, episodes=0, seeds=1, jobs=1, seed=0)
-    policy = None
-    if args.strategy in ("bison", "pure_nn_stub"):
-        policy = _load_policy_arg(args.policy, args.env)
+    # read whenever given; the runner decides which strategies use it
+    policy = None if args.policy is None else _load_policy_arg(args.policy, args.env)
     params = load_params(args.params) if args.params else None
     if params is not None and params.spec != _encoding_spec(args.env):
         raise BisonError("%s was trained for another env: its encoding %s does not "
@@ -354,11 +357,7 @@ def main(argv=None) -> int:
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (ParseError,) as e:
-        log.error("parse error: %s", e)
-        print("error: %s" % e, file=sys.stderr)
-        return EXIT_DATA
-    except (BisonError, OSError) as e:
+    except (BisonError, OSError) as e:  # a ParseError is a BisonError
         print("error: %s" % e, file=sys.stderr)
         return EXIT_DATA
     except Exception as e:  # pragma: no cover - internal failure surface

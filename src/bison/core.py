@@ -68,7 +68,7 @@ class GroundAction(NamedTuple):
     schema_id: int
     args: tuple  # tuple[int, ...] object ids, total binding
 
-    def __str__(self):  # ids only; use Domain.action_str for names
+    def __str__(self):  # ids only: the names live in the domain and the object table
         return "a%d(%s)" % (self.schema_id, ",".join(map(str, self.args)))
 
 
@@ -154,12 +154,6 @@ class Domain:
         if p.arity == 0:
             return "(%s)" % p.name
         return "(%s %s)" % (p.name, " ".join(objects.names[o] for o in fact[1:]))
-
-    def action_str(self, action: GroundAction, objects: ObjectTable) -> str:
-        sch = self.schemata[action.schema_id]
-        if not action.args:
-            return "(%s)" % sch.name
-        return "(%s %s)" % (sch.name, " ".join(objects.names[o] for o in action.args))
 
     def ground_fact(self, name: str, arg_names: Sequence[str], objects: ObjectTable) -> Fact:
         pid = self.pred_ids.get(name)

@@ -448,10 +448,14 @@ class SimEnv:
 
     def step(self, action) -> LLState:
         a = self._move_gripper(action)
-        self._grasp_nearest(a)
+        self._grip(a)
         self._maybe_release(a)
         self._dynamics()
         return self.render()
+
+    def _grip(self, a):
+        """What the gripper command does before a release: grasp here."""
+        self._grasp_nearest(a)
 
     def _dynamics(self):
         """Changes the world makes after the gripper acted (none here)."""
@@ -729,8 +733,8 @@ class GachaEnv(SimEnv):
             return self.fixture_pos[name]
         return None  # colour objects are abstract: colour index only
 
-    def step(self, action) -> LLState:
-        a = self._move_gripper(action)
+    def _grip(self, a):
+        # a rising command actuates the lid or the lever under the gripper
         rising = a[2] > GRIP_ON >= self.prev_grip_cmd
         if rising and self.held is None and _near(self.grip, self.LID):
             self.lid_open = not self.lid_open
@@ -747,9 +751,7 @@ class GachaEnv(SimEnv):
             self._grasp_nearest(a, graspable=lambda n: n != self.capsule or self.lid_open)
             if self.held == self.capsule:
                 self.capsule = None
-        self._maybe_release(a)
         self.prev_grip_cmd = a[2]
-        return self.render()
 
     def _skill(self, sch: str, names: list) -> np.ndarray:
         if sch in ("open", "close"):

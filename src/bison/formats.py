@@ -523,7 +523,8 @@ def _parse_rule(toks: List[_Tok], preds: dict, schemata: dict) -> Rule:
     return Rule(val, len(var_ids), s_cond, g_cond, sid, tuple(args))
 
 
-def parse_policy(text: str, domain: Domain) -> HLPolicy:
+def parse_rules(text: str, domain: Domain) -> List[Rule]:
+    """The rules of a policy text, one per rule line, as written."""
     preds, schemata = _symbols(domain.predicates), _symbols(domain.schemata)
     rules = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -532,7 +533,11 @@ def parse_policy(text: str, domain: Domain) -> HLPolicy:
         if rule:
             lead = len(code) - len(code.lstrip())
             rules.append(_parse_rule(_tokenize(rule, line_no, lead + 1), preds, schemata))
-    return HLPolicy(rules, domain)
+    return rules
+
+
+def parse_policy(text: str, domain: Domain) -> HLPolicy:
+    return HLPolicy(parse_rules(text, domain), domain)
 
 
 def serialize_policy(policy: HLPolicy) -> str:

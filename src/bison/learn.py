@@ -9,12 +9,12 @@ houses the finite-cover bound on the number of inequivalent extractable rules.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Iterable, List
 
 from .core import (BisonError, Domain, GroundAction, HLState, ObjectTable,
                    ground_outcomes, ground_pre)
-from .formats import Demo
+from .formats import Demo, parse_rules
 from .rules import HLPolicy, Rule, StateIndex, applicable_actions
 
 
@@ -124,7 +124,8 @@ def lift(action: GroundAction, state_cond: frozenset, goal_cond: frozenset,
 @dataclass
 class LearnReport:
     demos_used: int = 0
-    demos_skipped: int = 0
+    # (demo index, LL step of its first unexplained abstraction change) per skipped demo
+    demos_skipped: list = field(default_factory=list)
     unreached_goals: int = 0
     subgoals_dropped: int = 0
 
@@ -137,15 +138,17 @@ def learn_hl_policy(demos: Iterable[Demo], domain: Domain, labeller: Callable,
     is regressed through the actions in reverse; each regressed condition is
     lifted together with the achieved goal subset into a rule with priority
     m - j.  Non-regressable subgoals carry over unchanged.  Rules from all
-    demos are unioned, duplicates merged keeping the minimum priority.
+    demos are unioned, duplicates merged keeping the minimum priority.  Each
+    kept rule is held as its ``.bsp`` line reads back, so the policy selects
+    what its file selects (the join's last tie-break is its atoms' order).
     """
     rep = report if report is not None else LearnReport()
     rules = []
-    for demo in demos:
+    for k, demo in enumerate(demos):
         try:
             trace = extract_hl_trace(demo, domain, labeller)
-        except AbstractionGapError:
-            rep.demos_skipped += 1
+        except AbstractionGapError as e:
+            rep.demos_skipped.append((k, e.step))
             continue
         if not trace.goal_reached:
             rep.unreached_goals += 1
@@ -176,7 +179,9 @@ def learn_hl_policy(demos: Iterable[Demo], domain: Domain, labeller: Callable,
                 nxt = nxt[:subgoal_cap]
             subgoals = nxt
         rep.demos_used += 1
-    return HLPolicy(rules, domain)
+    policy = HLPolicy(rules, domain)
+    policy.rules = tuple(parse_rules(policy.serialize(), domain))
+    return policy
 
 
 def coverage_bound(domain: Domain, c: int) -> int:

@@ -88,8 +88,9 @@ def _make_ll(executor: Executor, env) -> Callable:
     params, zero = executor.gnn_params, executor.strategy == "pure_nn_stub"
 
     def ll(lls, hla, goal, hls):
-        inp = encode(params.spec, lls, hla, goal, hls, env.table, zero_action=zero)
-        return np.clip(forward(params, inp), -1.0, 1.0)
+        # the env checks the action and clips each channel to [-1, 1]
+        return forward(params, encode(params.spec, lls, hla, goal, hls, env.table,
+                                      zero_action=zero))
     return ll
 
 
@@ -107,10 +108,6 @@ def run_episode(env, executor: Executor, step_cap: int = None,
 def _record_step(record, lls, action):
     if record is not None:
         record.append((lls, np.asarray(action, dtype=float)))
-
-
-def _problem_from(env, hls):
-    return HLProblem(env.domain, env.table, frozenset(hls), frozenset(env.goal))
 
 
 def _rule_selector(env, hls, executor) -> Callable:
@@ -136,11 +133,18 @@ def _rule_selector(env, hls, executor) -> Callable:
     return select
 
 
+def _plan_from(search: Callable, env, hls):
+    """``search`` (``find_plan`` or ``find_policy``) on the problem of reaching
+    env.goal from hls, stopped after PLAN_TIME_BUDGET seconds."""
+    deadline = time.perf_counter() + PLAN_TIME_BUDGET
+    problem = HLProblem(env.domain, env.table, frozenset(hls), frozenset(env.goal))
+    return search(problem, deadline=deadline)
+
+
 def _plan_cursor(env, hls, executor) -> Optional[Callable]:
     """Plan from hls, walked by index: the next action if its precondition
     holds, else the one after it (one-step lookahead), else None (broken)."""
-    deadline = time.perf_counter() + PLAN_TIME_BUDGET
-    plan = find_plan(_problem_from(env, hls), deadline=deadline)
+    plan = _plan_from(find_plan, env, hls)
     if plan is None:
         return None
     actions, domain, i = plan.actions, env.domain, 0
@@ -157,8 +161,7 @@ def _plan_cursor(env, hls, executor) -> Optional[Callable]:
 
 def _policy_lookup(env, hls, executor) -> Optional[Callable]:
     """AND-OR policy from hls, queried by state lookup (None when uncovered)."""
-    deadline = time.perf_counter() + PLAN_TIME_BUDGET
-    policy = find_policy(_problem_from(env, hls), deadline=deadline)
+    policy = _plan_from(find_policy, env, hls)
     return None if policy is None else policy.get
 
 
@@ -187,19 +190,16 @@ def _run_loop(env, executor, lls, cap, record) -> EpisodeResult:
             result.success = True
             _record_step(record, lls, np.zeros(3))
             return result
-        if next_action is None:
-            next_action = source(env, hls, executor)
-            if next_action is None:
-                return result.fail("no_hl_action")
         if result.ll_steps >= cap:
             return result.fail("step_cap")
-        hla = next_action(hls)
+        hla = None if next_action is None else next_action(hls)
         if hla is None:
-            if not replan:
-                return result.fail(broken_kind)
+            if next_action is not None:  # an answer broke
+                if not replan:
+                    return result.fail(broken_kind)
+                result.replans += 1
             next_action = source(env, hls, executor)
-            result.replans += 1
-            hla = next_action(hls) if next_action is not None else None
+            hla = None if next_action is None else next_action(hls)
             if hla is None:
                 return result.fail("no_hl_action")
         if hla != prev:

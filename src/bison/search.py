@@ -51,6 +51,10 @@ class Plan:
         return len(self.actions)
 
 
+class _Stop(Exception):
+    """Unwinds ``find_policy`` at its budget or deadline; args: the status."""
+
+
 @dataclass
 class SearchStats:
     status: str = "solved"  # solved | exhausted | budget | timeout
@@ -201,7 +205,6 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     solved_action = {}
     failed_at = {}  # state -> depth it failed with (retry only with more depth)
     on_path = set()
-    aborted = []
 
     def lookahead(idx: StateIndex, state: HLState, succs: list, look: int) -> int:
         """Least goal count over the successors' successors, or ``look`` if
@@ -236,11 +239,9 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         if failed_at.get(state, -1) >= depth:
             return False
         if st.expanded >= node_budget:
-            aborted.append("budget")
-            return False
+            raise _Stop("budget")
         if deadline is not None and time.perf_counter() > deadline:
-            aborted.append("timeout")
-            return False
+            raise _Stop("timeout")
         st.expanded += 1
         on_path.add(state)
         idx = StateIndex(state, goal)
@@ -258,7 +259,6 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         # it found it, so a group ranked late ranks as it would have at once
         look = 1 < len(candidates) <= 64
         candidates.sort(key=itemgetter(0))
-        ok = False
         for best_h, group in groupby(candidates, itemgetter(0)):
             group = list(group)
             if look and len(group) > 1:
@@ -266,27 +266,20 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
             for _, act, succs in group:
                 if all(solve(s2, depth - 1) for s2 in succs):
                     solved_action[state] = act
-                    ok = True
-                    break
-                if aborted:
-                    break
-            if ok or aborted:
-                break
+                    on_path.discard(state)
+                    return True
         on_path.discard(state)
-        if not ok:
-            failed_at[state] = max(failed_at.get(state, -1), depth)
-        return ok
+        failed_at[state] = max(failed_at.get(state, -1), depth)
+        return False
 
     old_limit = sys.getrecursionlimit()
     sys.setrecursionlimit(max(old_limit, depth_cap * 8 + 1000))
     try:
-        ok = solve(frozenset(problem.init), depth_cap)
+        st.status = "solved" if solve(frozenset(problem.init), depth_cap) else "exhausted"
+    except _Stop as stop:
+        st.status = stop.args[0]
     finally:
         sys.setrecursionlimit(old_limit)
         solve = None  # solve refers to itself; unbinding frees the search at once
     st.seconds = time.perf_counter() - t0
-    if not ok:
-        st.status = aborted[0] if aborted else "exhausted"
-        return None
-    st.status = "solved"
-    return solved_action
+    return solved_action if st.status == "solved" else None

@@ -612,3 +612,51 @@ def test_objects_above_the_env_limit_are_data_errors(tmp_path, env, limit, comma
     assert "episode" not in r.stderr
     assert "room for at most %d objects" % limit in r.stderr
     assert not out.exists()
+
+
+def test_eval_reads_policy_whatever_the_strategy(tmp_path):
+    # the runner, not the CLI, decides which strategies read the rules, so a
+    # bad --policy is a data error for every strategy
+    bad = tmp_path / "bad.bsp"
+    bad.write_text("(not a rule)\n")
+    for strategy, policy in (("det_plan", bad), ("oracle", tmp_path / "missing.bsp")):
+        out = tmp_path / (strategy + ".csv")
+        r = run_cli(["eval", "--env", "blocks", "--strategy", strategy, "--policy",
+                     str(policy), "--objects", "1", "--episodes", "1", "--seeds", "1",
+                     "--out", str(out)])
+        assert r.returncode == 2, r.stderr
+        assert not out.exists()
+        # a parse error is reported once, like any other data error
+        assert len(r.stderr.splitlines()) == 1 and r.stderr.startswith("error: ")
+
+
+@pytest.mark.parametrize("env,objects,count,seed,first_steps", [
+    ("factory", 3, 30, 2, [32]),
+    ("gacha", 2, 5, 1, [30] * 5),
+])
+def test_learn_hl_names_where_each_skipped_demo_broke(tmp_path, env, objects, count,
+                                                      seed, first_steps):
+    traces = tmp_path / "demos.bst"
+    r = run_cli(["gen-demos", "--env", env, "--objects", str(objects), "--count",
+                 str(count), "--seed", str(seed), "--out", str(traces)])
+    assert r.returncode == 0, r.stderr
+    runs = {}
+    for level in ("info", "warning"):
+        out = tmp_path / (level + ".bsp")
+        runs[level] = run_cli(["--log-level", level, "learn-hl", "--env", env,
+                               "--traces", str(traces), "--out", str(out)])
+        assert runs[level].returncode == 0, runs[level].stderr
+    # the log lines change neither the written policy nor stdout
+    assert (tmp_path / "info.bsp").read_bytes() == (tmp_path / "warning.bsp").read_bytes()
+    assert runs["info"].stdout == runs["warning"].stdout
+    lines = [line for line in runs["info"].stderr.splitlines()
+             if line.startswith("INFO bison: skipped demo ")]
+    assert "skipped demo" not in runs["warning"].stderr
+    assert "(%d skipped," % count in runs["info"].stderr
+    assert len(lines) == count
+    steps = []
+    for k, line in enumerate(lines):
+        head, _, step = line.rpartition(" at LL step ")
+        assert head.startswith("INFO bison: skipped demo %d: " % k), line
+        steps.append(int(step))
+    assert steps[:len(first_steps)] == first_steps

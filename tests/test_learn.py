@@ -3,10 +3,10 @@ import pytest
 from bison.core import GroundAction, ObjectTable
 from bison.envs import (EnvConfig, builtin_policy, env_domain, generate_demos,
                         make_labeller)
-from bison.formats import Demo, DemoStep
+from bison.formats import Demo, DemoStep, parse_policy, serialize_policy
 from bison.learn import (AbstractionGapError, coverage_bound, extract_hl_trace,
                          learn_hl_policy, lift, regress)
-from bison.rules import canonical_rule_str
+from bison.rules import StateIndex, canonical_rule_str, select_action
 
 from helpers import ground_action
 
@@ -117,6 +117,28 @@ def test_learn_single_demo_reproduces_first_three_rules(pickplace_domain):
     expect = builtin.serialize().splitlines()[:3]
     assert pol.serialize().splitlines() == expect
     assert [r.val for r in pol.rules] == [0, 1, 2]
+
+
+def test_learned_policy_selects_what_its_file_selects(pickplace_domain):
+    # the join breaks its last ties by the order a rule's atoms iterate in, so
+    # the learned rules must be the ones the .bsp reads back, not lift's
+    lab = make_labeller("pickplace")
+    demos = generate_demos(EnvConfig("pickplace", 4, seed=7), 10)
+    learned = learn_hl_policy(demos, pickplace_domain, lab)
+    parsed = parse_policy(serialize_policy(learned), pickplace_domain)
+    assert learned.rules == parsed.rules
+    states = 0
+    for demo in demos:
+        try:
+            trace = extract_hl_trace(demo, pickplace_domain, lab)
+        except AbstractionGapError:
+            continue
+        n = len(trace.table)
+        for hls in trace.step_states:
+            idx = StateIndex(hls, trace.goal)
+            assert select_action(learned, idx, n) == select_action(parsed, idx, n)
+            states += 1
+    assert states > 1000
 
 
 def test_learn_empty_demo_set(pickplace_domain):

@@ -290,3 +290,51 @@ def test_pickplace_ndt_move_to_block_is_a_noop():
         res = run_episode(env, Executor(strategy=strat), step_cap=64)
         assert not res.success
         assert res.failure_kind == "step_cap"
+
+
+def _gnn_episode(monkeypatch, transform):
+    """A blocks GNN episode whose network output passes through ``transform``:
+    (result fields, the LL states met, the raw actions)."""
+    from bison import gnn
+    from bison.cli import _encoding_spec
+    params = gnn.init_params(_encoding_spec("blocks"), gnn.TrainConfig(seed=3))
+    real_forward = gnn.forward
+    raw = []
+
+    def forward(p, inp):
+        raw.append(transform(real_forward(p, inp)))
+        return raw[-1]
+    monkeypatch.setattr(gnn, "forward", forward)
+    env = make_env(EnvConfig("blocks", 2, seed=4))
+    record = []
+    res = run_episode(env, Executor("bison", gnn_params=params, ll_mode="gnn"),
+                      step_cap=60, record=record)
+    monkeypatch.undo()
+    fields = (res.success, res.ll_steps, res.hl_actions_fired, res.failure_kind)
+    states = [(list(lls.ego), dict(lls.objects)) for lls, _ in record]
+    return fields, states, raw
+
+
+def test_gnn_actions_out_of_range_move_as_clipped_ones(monkeypatch):
+    # the env alone clips an LL action: the runner hands the network's over as is
+    fields, states, raw = _gnn_episode(monkeypatch, lambda a: 40.0 * a)
+    ref_fields, ref_states, _ = _gnn_episode(
+        monkeypatch, lambda a: np.clip(40.0 * a, -1.0, 1.0))
+    assert any(np.abs(a).max() > 1.0 for a in raw)
+    assert fields == ref_fields and fields[1] == 60
+    assert states == ref_states
+
+
+def test_non_finite_gnn_action_is_rejected(monkeypatch):
+    with pytest.raises(BisonError, match="non-finite"):
+        _gnn_episode(monkeypatch, lambda a: np.array([np.inf, 0.0, 0.0]))
+
+
+def test_step_cap_zero_fails_before_planning(monkeypatch):
+    import bison.runner as runner_mod
+    searches = []
+    monkeypatch.setattr(runner_mod, "find_plan", lambda *a, **kw: searches.append(a))
+    env = make_env(EnvConfig("gacha", 1, seed=8))
+    res = run_episode(env, Executor("det_plan"), step_cap=0)
+    assert not res.success and res.failure_kind == "step_cap" and res.ll_steps == 0
+    assert searches == []
