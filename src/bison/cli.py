@@ -4,10 +4,10 @@ Subcommands: gen-demos, learn-hl, train-ll, eval, bench-hl, check.
 learn-hl, train-ll and check use the --env's built-in domain, the vocabulary
 its labelling is bound to.  bench-hl runs the search baseline up to
 --baseline-max-n objects (all sizes by default, none with 0).
-Exit codes: 0 ok, 1 usage, 2 data error, 3 internal error.  Log level via the
-BISON_LOG environment variable.  Fixed seeds give byte-identical outputs; the
-eval wall_time column is zeroed unless --timing wall is passed (measured times
-always go to the log).
+Exit codes: 0 ok, 1 usage, 2 data error, 3 internal error.  Log level (debug,
+info, warning, error or critical) via --log-level or the BISON_LOG environment
+variable.  Fixed seeds give byte-identical outputs; the eval wall_time column
+is zeroed unless --timing wall is passed (measured times always go to the log).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ from .runner import LL_MODES, STRATEGIES, Executor, run_episode
 log = logging.getLogger("bison")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
+LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 EVAL_CSV_HEADER = "strategy,env,n,episode,seed,success,steps,replans,wall_time"
 SUMMARY_CSV_HEADER = "strategy,env,success_mean,success_std"
@@ -284,7 +285,7 @@ def cmd_check(args):
 
 def build_parser() -> _Parser:
     p = _Parser(prog="bison", description=__doc__)
-    p.add_argument("--log-level", default=os.environ.get("BISON_LOG", "warning"))
+    p.add_argument("--log-level", default=os.environ.get("BISON_LOG") or "warning")
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, env=True, seed=True, out=True):
@@ -353,7 +354,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return e.code if isinstance(e.code, int) else EXIT_USAGE
-    logging.basicConfig(level=getattr(logging, args.log_level.upper(), logging.WARNING),
+    if args.log_level.lower() not in LOG_LEVELS:
+        print("bison: error: log level %r (from --log-level or BISON_LOG) is not "
+              "one of %s" % (args.log_level, ", ".join(LOG_LEVELS)), file=sys.stderr)
+        return EXIT_USAGE
+    logging.basicConfig(level=args.log_level.upper(),
                         format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)

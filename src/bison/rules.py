@@ -19,6 +19,13 @@ then declaration order.  A fully bound atom only filters, so checking it early
 leaves the order of the bindings unchanged.  Each join level binds at least
 one fresh variable from distinct facts of one bucket, so the join never yields
 a binding twice and ``schema_actions`` passes its bindings on as they come.
+What a join level does that the facts cannot change follows from the bound
+bitmask alone, so each plan memoises it per mask: the atoms that rank, each
+one's bound position count and bound (position, variable) pairs, and per
+choice the mask after it, the positions it binds and compares and the atoms
+it completes.  An atom with no bound position that reads the same bucket as
+an earlier one is not ranked.  The join itself does what the facts decide:
+bucket lookups, the size comparison and the candidate loop.
 An ``HLPolicy`` canonicalises each distinct rule body once, when it is built,
 and serializes from those canonical forms.
 
@@ -41,6 +48,7 @@ from .core import (Atom, Domain, Fact, GroundAction, HLProblem, HLState,
                    successors)
 
 _BIG = 1 << 30  # sort placeholder for not-yet-renamed variables
+_HOLES_FLOOR, _HOLES_RATIO = 8, 16  # FactIndex's compaction rule
 
 
 @dataclass(frozen=True)
@@ -192,11 +200,15 @@ class FactIndex:
 
     Buckets are insertion-ordered dicts, so candidate enumeration follows the
     order facts were added.  A dict keeps a deleted key's slot until it grows,
-    and iteration walks those holes; a per-predicate bucket is therefore
-    compacted (copied, insertion order kept) once it holds more holes than
-    facts, which keeps enumerating it linear in its size at amortised O(1)
-    per removal.  A per-argument bucket is deleted when it empties, so the
-    index holds buckets only for the facts it holds.
+    and iteration walks those holes.  Facts removed in the order they were
+    added, as ``solve_hl`` meets its goals, leave a dead prefix that every
+    scan from the start walks.  A per-predicate bucket is therefore compacted
+    (copied, insertion order kept) once its holes exceed 1/16 of its facts
+    and also its facts or 8, whichever is fewer: the dead prefix stays a
+    small fraction of the bucket, each removal costs amortised O(1), and a
+    bucket of a few facts is copied no more often than once per as many
+    removals as it holds.  A per-argument bucket is deleted when it empties,
+    so the index holds buckets only for the facts it holds.
     """
 
     __slots__ = ("facts", "by_pred", "by_pos", "holes")
@@ -222,8 +234,8 @@ class FactIndex:
         pred = fact[0]
         bucket = self.by_pred[pred]
         del bucket[fact]
-        holes = self.holes.get(pred, 0) + 1
-        if holes > len(bucket):
+        holes, n = self.holes.get(pred, 0) + 1, len(bucket)
+        if holes * _HOLES_RATIO > n and holes > min(n, _HOLES_FLOOR):
             self.by_pred[pred] = dict(bucket)
             holes = 0
         self.holes[pred] = holes
@@ -278,13 +290,22 @@ class StateIndex:
         return frozenset(self.held.facts)
 
 
-def _compile_plan(atoms: Iterable) -> tuple:
+class _Plan:
+    """A compiled join plan: its atoms, and ``levels``, which memoises
+    ``_level`` per bound-variable bitmask."""
+
+    __slots__ = ("atoms", "levels")
+
+    def __init__(self, atoms: tuple):
+        self.atoms = atoms
+        self.levels = {}
+
+
+def _compile_plan(atoms: Iterable) -> _Plan:
     """Join plan of ``(side, atom)`` pairs, kept in the given order.
 
-    Each entry is ``(side, predicate, argument variables, variable bitmask,
-    repeats, (position, variable) pairs)``; ``repeats`` holds ``(bit, k)`` for
-    a variable that fills k + 1 argument positions, so that the atom's bound
-    position count is ``(mask & bound).bit_count()`` plus those k.
+    Each atom is ``(side, predicate, argument variables, variable bitmask,
+    (position, variable) pairs)``.
     """
     plan = []
     for side, atom in atoms:
@@ -292,65 +313,85 @@ def _compile_plan(atoms: Iterable) -> tuple:
         mask = 0
         for v in args:
             mask |= 1 << v
-        repeats = tuple((1 << v, args.count(v) - 1) for v in sorted(set(args))
-                        if args.count(v) > 1)
-        plan.append((side, atom[0], args, mask, repeats, tuple(enumerate(args))))
-    return tuple(plan)
+        plan.append((side, atom[0], args, mask, tuple(enumerate(args))))
+    return _Plan(tuple(plan))
 
 
-def _join(sides: dict, atoms: list, binding: list, bound: int, out: list,
-          first: bool) -> bool:
-    """Append to ``out`` every extension of ``binding`` satisfying ``atoms``.
+def _level(plan: _Plan, bound: int) -> tuple:
+    """What a join level under the bound-variable bitmask ``bound`` does that
+    the facts cannot change, memoised on the plan.
 
-    ``bound`` has bit v set when ``binding[v]`` is set, and no atom in
-    ``atoms`` is fully bound.  Returns True when ``first`` and a binding was
-    found, which stops the search.
+    The level's atoms are the plan's atoms that ``bound`` leaves not fully
+    bound.  Each one that can rank first is an entry ``(side, predicate,
+    bound position count, bound (position, variable) pairs, choice)``, in
+    declaration order; ``choice`` is what taking it binds: ``(bound2, fresh,
+    same, checks)``, the bitmask after it, the ``(fact position, variable)``
+    pairs it binds and those it compares, and the ``(side, predicate,
+    argument variables)`` of every other atom it leaves fully bound.  An atom
+    with no bound position is left out when an earlier one has its side and
+    predicate: it reads the same bucket, so it is empty when that one is and
+    never ranks ahead of it.  An empty level means the binding is complete.
     """
-    if not atoms:
+    atoms = [a for a in plan.atoms if a[3] & ~bound]
+    level, seen = [], set()
+    for atom in atoms:
+        side, pred, _, mask, pairs = atom
+        bound_pairs = tuple((pos, v) for pos, v in pairs if bound >> v & 1)
+        if not bound_pairs and (side, pred) in seen:
+            continue
+        seen.add((side, pred))
+        bound2 = bound | mask
+        fresh, same = [], []
+        known = bound
+        for pos, v in pairs:
+            if known >> v & 1:
+                same.append((pos + 1, v))
+            else:
+                known |= 1 << v
+                fresh.append((pos + 1, v))
+        checks = tuple((a[0], a[1], a[2]) for a in atoms
+                       if a is not atom and not a[3] & ~bound2)
+        level.append((side, pred, len(bound_pairs), bound_pairs,
+                      (bound2, tuple(fresh), tuple(same), checks)))
+    level = plan.levels[bound] = tuple(level)
+    return level
+
+
+def _join(sides: dict, plan: _Plan, bound: int, binding: list, out: list,
+          first: bool) -> bool:
+    """Append to ``out`` every extension of ``binding`` satisfying the plan's
+    atoms that ``bound`` leaves not fully bound.
+
+    ``bound`` has bit v set when ``binding[v]`` is set, and every fully bound
+    atom holds.  Returns True when ``first`` and a binding was found, which
+    stops the search.
+    """
+    level = plan.levels.get(bound)
+    if level is None:
+        level = _level(plan, bound)
+    if not level:
         out.append(tuple(binding))
         return first
-    best, best_n, best_size, best_bucket = None, -1, 0, None
-    for atom in atoms:
-        side, pred, _, mask, repeats, pairs = atom
+    best_n, best_size = -1, 0
+    for atom in level:
+        side, pred, n, bound_pairs, _ = atom
         index = sides[side]
         bucket = index.by_pred.get(pred)
         if not bucket:
             return False
-        n = (mask & bound).bit_count()
         if n:
             by_pos = index.by_pos
-            for pos, v in pairs:
-                if bound >> v & 1:
-                    b = by_pos.get((pred, pos, binding[v]))
-                    if not b:  # no candidate now, nor under any extension
-                        return False
-                    if len(b) < len(bucket):
-                        bucket = b
-            for bit, k in repeats:
-                if bound & bit:
-                    n += k
+            for pos, v in bound_pairs:
+                b = by_pos.get((pred, pos, binding[v]))
+                if not b:  # no candidate now, nor under any extension
+                    return False
+                if len(b) < len(bucket):
+                    bucket = b
         # rank: bound positions desc, bucket size asc, declaration order
         size = len(bucket)
         if n > best_n or n == best_n and size < best_size:
             best, best_n, best_size, best_bucket = atom, n, size, bucket
-    bound2 = bound | best[3]
-    fresh, same = [], []  # (fact position, variable) to bind / to compare
-    seen = bound
-    for pos, v in best[5]:
-        if seen >> v & 1:
-            same.append((pos + 1, v))
-        else:
-            seen |= 1 << v
-            fresh.append((pos + 1, v))
-    # atoms this binding completes are tested at once; the rest stay ranked
-    checks, rest = [], []
-    for atom in atoms:
-        if atom is best:
-            continue
-        if atom[3] & ~bound2:
-            rest.append(atom)
-        else:
-            checks.append((sides[atom[0]].facts, atom[1], atom[2]))
+    bound2, fresh, same, checks = best[4]
     # the join runs to completion before _matches returns, so nothing changes
     # the index under it and the bucket is iterated in place
     for fact in best_bucket:
@@ -360,18 +401,18 @@ def _join(sides: dict, atoms: list, binding: list, bound: int, out: list,
             if fact[p] != binding[v]:
                 break
         else:
-            for facts, pred, args in checks:
-                if (pred, *[binding[v] for v in args]) not in facts:
+            for side, pred, args in checks:
+                if (pred, *[binding[v] for v in args]) not in sides[side].facts:
                     break
             else:
-                if _join(sides, rest, binding, bound2, out, first):
+                if _join(sides, plan, bound2, binding, out, first):
                     return True
     for _, v in fresh:
         binding[v] = None
     return False
 
 
-def _matches(idx: StateIndex, plan: tuple, binding: list, first: bool = False) -> list:
+def _matches(idx: StateIndex, plan: _Plan, binding: list, first: bool = False) -> list:
     """Every extension of ``binding`` satisfying a compiled plan, each as a
     tuple, in join order (``first``: at most one).  Candidates iterate in
     bucket insertion order, which is canonical for the initial state, so
@@ -381,15 +422,11 @@ def _matches(idx: StateIndex, plan: tuple, binding: list, first: bool = False) -
     for v, o in enumerate(binding):
         if o is not None:
             bound |= 1 << v
-    rest = []
-    for atom in plan:
-        side, pred, args, mask = atom[:4]
-        if mask & ~bound:
-            rest.append(atom)
-        elif (pred, *[binding[v] for v in args]) not in sides[side].facts:
+    for side, pred, args, mask, _ in plan.atoms:
+        if not mask & ~bound and (pred, *[binding[v] for v in args]) not in sides[side].facts:
             return []
     out = []
-    _join(sides, rest, binding, bound, out, first)
+    _join(sides, plan, bound, binding, out, first)
     return out
 
 

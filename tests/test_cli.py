@@ -124,6 +124,29 @@ def test_log_level_env_var(workdir):
     assert r.returncode == 0
 
 
+@pytest.mark.parametrize("level", ["basic_format", "bogus", "warn "])
+def test_unknown_log_level_is_one_usage_line(level):
+    """Only logging level names pass: ``basic_format`` names a format string
+    on the logging module, and ``bogus`` used to mean warning."""
+    for argv, env in ((["--log-level", level], dict(os.environ)),
+                      ([], dict(os.environ, BISON_LOG=level))):
+        r = subprocess.run(CLI + argv + ["check", "--env", "blocks"],
+                           capture_output=True, text=True, env=env)
+        assert r.returncode == 1, r.stderr
+        assert r.stdout == ""
+        assert len(r.stderr.splitlines()) == 1 and "Traceback" not in r.stderr
+        assert "log level %r" % level in r.stderr
+
+
+def test_log_level_flag_overrides_env_and_ignores_case(workdir):
+    env = dict(os.environ, BISON_LOG="bogus")
+    r = subprocess.run(CLI + ["--log-level", "INFO", "learn-hl", "--env", "blocks",
+                              "--traces", str(workdir / "demos.bst"), "--out", "-"],
+                       capture_output=True, text=True, env=env)
+    assert r.returncode == 0, r.stderr
+    assert "INFO bison: learned " in r.stderr
+
+
 def test_eval_jobs_parallel_identical(workdir):
     outs = []
     for jobs in ("1", "2"):

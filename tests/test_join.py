@@ -316,3 +316,55 @@ def test_join_yields_each_binding_once():
             assert len(set(got)) == len(got)
             seen["actions"] += len(got) > 1
     assert min(seen.values()) >= 100, seen
+
+
+def emptied_index(rng, preds, n_obj):
+    """A mutated index, sometimes with one predicate's facts all removed on a
+    side, so that a bucket exists but is empty."""
+    idx, _ = mutated_index(rng, preds, n_obj)
+    if rng.random() < 0.3:
+        p = rng.randrange(len(preds))
+        for fact in list(idx.held.facts):
+            if fact[0] == p:
+                idx.remove(fact)
+    if rng.random() < 0.3:
+        p = rng.randrange(len(preds))
+        for fact in list(idx.unachieved.facts):
+            if fact[0] == p:
+                idx.add(fact)
+    return idx
+
+
+def test_one_plan_memo_holds_across_indexes_and_bindings():
+    """A plan memoises its join levels per bound-variable mask, so one plan
+    must give the reference's bindings on any index and any pre-binding, in
+    whatever order they come: its memo holds nothing the facts decide."""
+    rng = random.Random(812)
+    seen = dict.fromkeys(("masks", "deduped", "emptied", "repeated", "ordered"), 0)
+    for _ in range(400):
+        preds = random_preds(rng)
+        n_obj = rng.randint(2, 6)
+        atoms, _ = random_join(rng, preds, n_obj)
+        n_vars = 1 + max((v for _, a in atoms for v in a[1:]), default=0)
+        plan = _compile_plan(atoms)
+        cases = []
+        for _ in range(8):
+            idx = emptied_index(rng, preds, n_obj)
+            for _ in range(3):
+                p = rng.choice((0.0, 0.2, 0.5))
+                cases.append((idx, [rng.randrange(n_obj) if rng.random() < p else None
+                                    for _ in range(n_vars)]))
+        rng.shuffle(cases)
+        for idx, binding in cases + cases[::-1]:
+            want = list(reference_enum_matches(idx, atoms, list(binding)))
+            assert _matches(idx, plan, list(binding)) == want, (atoms, binding)
+            if want != sorted(want):
+                seen["ordered"] += 1
+            seen["emptied"] += any(not b for side in "sg"
+                                   for b in idx.sides[side].by_pred.values())
+        seen["masks"] += len(plan.levels) > 2
+        seen["repeated"] += any(len(set(a[1:])) < len(a) - 1 for _, a in atoms)
+        # a level ranks fewer atoms than it leaves unbound: one was dropped
+        seen["deduped"] += any(len(level) < sum(1 for a in plan.atoms if a[3] & ~bound)
+                               for bound, level in plan.levels.items() if level)
+    assert min(seen.values()) >= 50, seen

@@ -21,9 +21,9 @@ from bison.formats import (Demo, DemoStep, ParseError, parse_domain,
                            parse_policy, parse_problem, parse_traces,
                            serialize_domain, serialize_policy, serialize_traces)
 from bison.learn import _explain_change, lift, regress
-from bison.rules import (HLPolicy, Rule, StateIndex, _compile_plan, _goal_delta,
-                         _matches, adversarial_outcome, canonical_rule_str,
-                         check_ndrp, match_rule)
+from bison.rules import (FactIndex, HLPolicy, Rule, StateIndex, _compile_plan,
+                         _goal_delta, _matches, adversarial_outcome,
+                         canonical_rule_str, check_ndrp, match_rule)
 
 N_CASES = 200
 
@@ -534,6 +534,59 @@ def test_compacted_buckets_keep_insertion_order():
                 assert Counter(_matches(idx, plan, [None] * n_vars)) == \
                     Counter(_matches(fresh, plan, [None] * n_vars))
     assert compactions > 1000
+
+
+def assert_compaction_bound(index, order):
+    """Every per-predicate bucket holds at most 1/16 of its facts in holes, or
+    else at most its facts and at most 8, and enumerates in ``order``."""
+    for p, bucket in index.by_pred.items():
+        holes, n = index.holes.get(p, 0), len(bucket)
+        assert holes * 16 <= n or holes <= min(n, 8), (p, holes, n)
+        assert list(bucket) == [f for f in order if f[0] == p]
+
+
+def test_compaction_bound_first_in_first_out():
+    """Goals met in the order they were added leave the bucket from the
+    front; its dead prefix stays within the bound as it drains."""
+    index = FactIndex()
+    order = [(0, i, i + 1) for i in range(10000)]
+    for f in order:
+        index.add(f)
+    copies = 0
+    while order:
+        bucket = index.by_pred[0]
+        index.remove(order.pop(0))
+        copies += index.by_pred[0] is not bucket
+        holes, n = index.holes[0], len(index.by_pred[0])
+        assert holes * 16 <= n or holes <= min(n, 8), (holes, n)
+        assert list(index.by_pred[0]) == order
+    # each copy follows at least len/16 removals: a logarithmic number of them
+    assert 60 <= copies <= 200, copies
+
+
+def test_compaction_bound_under_random_adds_and_removes():
+    rng = random.Random(4142)
+    index = FactIndex()
+    # three predicates whose buckets hold a few, tens and hundreds of facts
+    pool = [(0, i) for i in range(6)] + [(1, i, i % 7) for i in range(60)] + \
+        [(2, i, i % 11) for i in range(600)]
+    order = []
+    copies = removals = 0
+    for step in range(20000):
+        fact = rng.choice(pool)
+        buckets = dict(index.by_pred)
+        if rng.random() < 0.5 + 0.3 * (step // 2000 % 2):
+            index.add(fact)
+            if fact not in order:
+                order.append(fact)
+        elif fact in index.facts:
+            index.remove(fact)
+            order.remove(fact)
+            removals += 1
+            copies += index.by_pred[fact[0]] is not buckets[fact[0]]
+        assert_compaction_bound(index, order)
+    # tiny buckets are not copied on every removal
+    assert removals >= 3000 and copies * 5 <= removals, (copies, removals)
 
 
 # ---------------------------------------------------------------------------
