@@ -285,7 +285,8 @@ def cmd_check(args):
 
 def build_parser() -> _Parser:
     p = _Parser(prog="bison", description=__doc__)
-    p.add_argument("--log-level", default=os.environ.get("BISON_LOG") or "warning")
+    p.add_argument("--log-level", default=os.environ.get("BISON_LOG") or "warning",
+                   help="%s (default: $BISON_LOG, else warning)" % ", ".join(LOG_LEVELS))
     sub = p.add_subparsers(dest="command", required=True)
 
     def common(sp, env=True, seed=True, out=True):

@@ -353,7 +353,7 @@ def _level(plan: _Plan, bound: int) -> tuple:
                        if a is not atom and not a[3] & ~bound2)
         level.append((side, pred, len(bound_pairs), bound_pairs,
                       (bound2, tuple(fresh), tuple(same), checks)))
-    level = plan.levels[bound] = tuple(level)
+    plan.levels[bound] = level = tuple(level)
     return level
 
 
