@@ -117,6 +117,14 @@ def check_atoms(symbols: Sequence, atoms: Iterable, n_vars: int, owner: str):
                 raise StructuralError("%s: variable out of range" % owner)
 
 
+def atom_str(symbols: Sequence, atom: tuple, names: Sequence[str]) -> str:
+    """``(name arg ...)`` of an atom ``(id, *args)`` that names one of
+    ``symbols`` (as in ``check_atoms``), each argument printed as
+    ``names[arg]``: object names for a fact, variable names for a lifted
+    atom."""
+    return "(%s)" % " ".join([symbols[atom[0]].name] + [names[a] for a in atom[1:]])
+
+
 class Domain:
     """A set of predicates and action schemata with interned symbol ids."""
 
@@ -147,13 +155,6 @@ class Domain:
         for add, dele in a.outcomes:
             if add & dele:
                 raise StructuralError("schema %r has an outcome with add ∩ del ≠ ∅" % a.name)
-
-    # -- display helpers -------------------------------------------------
-    def fact_str(self, fact: Fact, objects: ObjectTable) -> str:
-        p = self.predicates[fact[0]]
-        if p.arity == 0:
-            return "(%s)" % p.name
-        return "(%s %s)" % (p.name, " ".join(objects.names[o] for o in fact[1:]))
 
     def ground_fact(self, name: str, arg_names: Sequence[str], objects: ObjectTable) -> Fact:
         pid = self.pred_ids.get(name)

@@ -851,17 +851,15 @@ def generate_demos(config: EnvConfig, count: int):
     demo shapes appear.
     """
     demos = []
-    attempts = 0
     cap = max(count * 5, count + 20)
     ep = 0
-    while len(demos) < count and attempts < cap:
+    while len(demos) < count and ep < cap:
         cfg = replace(config, seed=episode_seed(config.seed, ep))
         if config.kind == "pickplace" and config.start_at_block is None:
             cfg = replace(cfg, start_at_block=(ep % 2 == 0))
         env = make_env(cfg)
         record = []
         result = runner.run_episode(env, runner.Executor("oracle"), record=record)
-        attempts += 1
         ep += 1
         if result.success:
             goal_names = tuple(

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from typing import Iterable, List
 
 from .core import (ActionSchema, BisonError, Domain, HLProblem, ObjectTable,
-                   Predicate, StructuralError)
+                   Predicate, StructuralError, atom_str)
 from .rules import HLPolicy, Rule
 
 
@@ -269,26 +269,21 @@ def parse_domain(text: str) -> Domain:
 
 
 def serialize_domain(domain: Domain) -> str:
+    preds = domain.predicates
     lines = ["(define (domain %s)" % domain.name]
-    ps = " ".join(
-        "(%s%s)" % (p.name, "".join(" ?x%d" % i for i in range(p.arity)))
-        for p in domain.predicates)
+    ps = " ".join(atom_str(preds, (i, *range(p.arity)), ["?x%d" % v for v in range(p.arity)])
+                  for i, p in enumerate(preds))
     lines.append("  (:predicates %s)" % ps)
-
-    def atom_s(atom, sch):
-        p = domain.predicates[atom[0]]
-        if p.arity == 0:
-            return "(%s)" % p.name
-        return "(%s %s)" % (p.name, " ".join(sch.var_names[v] for v in atom[1:]))
-
     for sch in domain.schemata:
+        names = sch.var_names
         lines.append("  (:action %s" % sch.name)
-        lines.append("    :parameters (%s)" % " ".join(sch.var_names))
-        lines.append("    :precondition (and %s)" % " ".join(atom_s(a, sch) for a in sorted(sch.pre)))
+        lines.append("    :parameters (%s)" % " ".join(names))
+        lines.append("    :precondition (and %s)"
+                     % " ".join(atom_str(preds, a, names) for a in sorted(sch.pre)))
         outs = []
         for add, dele in sch.outcomes:
-            parts = [atom_s(a, sch) for a in sorted(add)]
-            parts += ["(not %s)" % atom_s(a, sch) for a in sorted(dele)]
+            parts = [atom_str(preds, a, names) for a in sorted(add)]
+            parts += ["(not %s)" % atom_str(preds, a, names) for a in sorted(dele)]
             outs.append("(and %s)" % " ".join(parts))
         if len(outs) == 1:
             lines.append("    :effect %s)" % outs[0])
@@ -348,12 +343,12 @@ def parse_problem(text: str, domain: Domain) -> HLProblem:
 
 
 def serialize_problem(problem: HLProblem) -> str:
-    d, objs = problem.domain, problem.objects
+    preds, names = problem.domain.predicates, problem.objects.names
     lines = ["(define (problem %s)" % problem.name,
-             "  (:domain %s)" % d.name,
-             "  (:objects %s)" % " ".join(objs.names),
-             "  (:init %s)" % " ".join(d.fact_str(f, objs) for f in sorted(problem.init)),
-             "  (:goal %s))" % " ".join(d.fact_str(f, objs) for f in sorted(problem.goal))]
+             "  (:domain %s)" % problem.domain.name,
+             "  (:objects %s)" % " ".join(names),
+             "  (:init %s)" % " ".join(atom_str(preds, f, names) for f in sorted(problem.init)),
+             "  (:goal %s))" % " ".join(atom_str(preds, f, names) for f in sorted(problem.goal))]
     return "\n".join(lines) + "\n"
 
 

@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
+from bisect import bisect_right
 from dataclasses import asdict, dataclass, fields
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -93,7 +94,7 @@ def encode(spec: EncodingSpec, lls, hla: GroundAction, goal: frozenset,
     encoding.  Only the action's argument objects become object nodes.  With
     ``zero_action`` the schema one-hot is zeroed (the PureNN-style ablation).
     """
-    np_, ns, m = spec.n_pred, spec.n_schema, spec.max_arity
+    np_, m = spec.n_pred, spec.max_arity
     g = np.zeros(spec.g_dim)
     g[:spec.ego_dim] = lls.ego
     for fact in hls:
@@ -223,9 +224,9 @@ def build_dataset(demos: Iterable[Demo], domain: Domain, labeller: Callable,
                   spec: EncodingSpec) -> List[LLSample]:
     """Pair every LL step with the HL action of its abstraction segment.
 
-    Steps between abstraction changes pair with the action explaining the next
-    change; trailing steps pair with the last HL action.  Demos that cannot be
-    abstracted are skipped.
+    A step pairs with the action explaining the first label change after it;
+    steps from the last change on pair with the last HL action.  Demos that
+    cannot be abstracted are skipped.
     """
     samples = []
     for demo in demos:
@@ -235,14 +236,10 @@ def build_dataset(demos: Iterable[Demo], domain: Domain, labeller: Callable,
             continue
         if not trace.actions:
             continue
-        hl_states = trace.step_states
-        seg = 0
+        last = len(trace.actions) - 1
         for i, step in enumerate(demo.steps):
-            if i > 0 and hl_states[i] != hl_states[i - 1]:
-                seg = min(seg + 1, len(trace.actions))
-            act_i = min(seg, len(trace.actions) - 1)
-            inp = encode(spec, step, trace.actions[act_i], trace.goal, hl_states[i],
-                         trace.table)
+            act = trace.actions[min(bisect_right(trace.changes, i), last)]
+            inp = encode(spec, step, act, trace.goal, trace.step_states[i], trace.table)
             samples.append(LLSample(inp, np.asarray(step.action, dtype=float)))
     return samples
 

@@ -1,9 +1,9 @@
 """Learning HL policies from demonstrations by goal regression.
 
-Pipeline: abstract each LL demo into an HL trace (collapsing steps that leave
-the abstraction unchanged and explaining each change by a ground action), walk
-the trace backwards regressing the achieved goal through each action, and lift
-the resulting ground condition-action pairs into first-order rules.  Also
+Pipeline: abstract each LL demo into an HL trace (labelling every step and
+explaining each change of the label by a ground action), walk the trace's
+actions backwards regressing the achieved goal through each, and lift the
+resulting ground condition-action pairs into first-order rules.  Also
 houses the finite-cover bound on the number of inequivalent extractable rules.
 """
 
@@ -30,28 +30,31 @@ class AbstractionGapError(BisonError):
 class HLTrace:
     goal: frozenset
     actions: list  # list[GroundAction]
-    states: list   # list[HLState], len = len(actions) + 1
     table: ObjectTable
-    goal_reached: bool
     step_states: list  # list[HLState], the label of every LL step
+    changes: list  # list[int], the LL step whose label actions[k] explains
+
+    @property
+    def goal_reached(self) -> bool:
+        return self.goal <= self.step_states[-1]
 
     @property
     def achieved(self) -> frozenset:
-        return self.goal & self.states[-1]
+        return self.goal & self.step_states[-1]
 
 
 def _explain_change(domain: Domain, prev: HLState, nxt: HLState, table: ObjectTable):
-    """Smallest (schema_id, args) among actions applicable in prev with an
+    """Least action (by schema id, then arguments) applicable in prev with an
     outcome giving nxt = (prev \\ del) ∪ add, or None."""
     idx = StateIndex(prev, frozenset())
     explaining = [act for act in applicable_actions(domain, idx, len(table))
                   if any((prev - dele) | add == nxt
                          for add, dele in ground_outcomes(domain, act))]
-    return min(explaining, key=lambda a: (a.schema_id, a.args), default=None)
+    return min(explaining, default=None)
 
 
 def extract_hl_trace(demo: Demo, domain: Domain, labeller: Callable) -> HLTrace:
-    """Collapse an LL demo to its HL abstraction changes.
+    """Abstract an LL demo and explain each change of its label.
 
     ``labeller(step, table)`` must return the HL state of one demo step,
     interning object names into ``table``.
@@ -63,20 +66,14 @@ def extract_hl_trace(demo: Demo, domain: Domain, labeller: Callable) -> HLTrace:
         table.intern(name)
     states = [labeller(s, table) for s in demo.steps]
     goal = frozenset(domain.ground_fact(g[0], g[1:], table) for g in demo.goal)
-    hl_states = [states[0]]
-    changes = []
-    for i, s in enumerate(states[1:], start=1):
-        if s != hl_states[-1]:
-            changes.append(i)
-            hl_states.append(s)
+    changes = [i for i in range(1, len(states)) if states[i] != states[i - 1]]
     actions = []
-    for k, i in enumerate(changes):
-        act = _explain_change(domain, hl_states[k], hl_states[k + 1], table)
+    for i in changes:
+        act = _explain_change(domain, states[i - 1], states[i], table)
         if act is None:
             raise AbstractionGapError("unexplained abstraction change", i)
         actions.append(act)
-    return HLTrace(goal, actions, hl_states, table,
-                   goal_reached=goal <= hl_states[-1], step_states=states)
+    return HLTrace(goal, actions, table, states, changes)
 
 
 def regress(domain: Domain, goal: frozenset, action: GroundAction) -> List[frozenset]:

@@ -44,8 +44,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
 
 from .core import (Atom, Domain, Fact, GroundAction, HLProblem, HLState,
-                   StructuralError, applicable, check_atoms, ground_outcomes,
-                   successors)
+                   StructuralError, applicable, atom_str, check_atoms,
+                   ground_outcomes, successors)
 
 _BIG = 1 << 30  # sort placeholder for not-yet-renamed variables
 _HOLES_FLOOR, _HOLES_RATIO = 8, 16  # FactIndex's compaction rule
@@ -139,23 +139,15 @@ def _canonical_parts(rule: Rule):
                for g, ren_g, nid_g in _emissions(tuple(sorted(rule.g_cond)), ren_s, nid_s))
 
 
-def _atom_str(atom, domain: Domain):
-    name = domain.predicates[atom[0]].name
-    if len(atom) == 1:
-        return "(%s)" % name
-    return "(%s %s)" % (name, " ".join("?v%d" % v for v in atom[1:]))
-
-
 def canonical_rule_str(rule: Rule, domain: Domain) -> str:
     """Display serialization: 1-based priority, ?v0-style canonical variables."""
     head, s_atoms, g_atoms, n_vars = _canonical_parts(rule)
-    sch = domain.schemata[rule.head_schema]
-    vars_s = " ".join("?v%d" % i for i in range(n_vars))
-    s_s = " ".join(_atom_str(a, domain) for a in s_atoms)
-    g_s = " ".join(_atom_str(a, domain) for a in g_atoms)
-    head_s = sch.name if not head else "%s %s" % (sch.name, " ".join("?v%d" % v for v in head))
-    return "%d: (:vars %s) (:state %s) (:goal %s) => (%s)" % (
-        rule.val + 1, vars_s, s_s, g_s, head_s)
+    names = ["?v%d" % i for i in range(n_vars)]
+    s_s = " ".join(atom_str(domain.predicates, a, names) for a in s_atoms)
+    g_s = " ".join(atom_str(domain.predicates, a, names) for a in g_atoms)
+    head_s = atom_str(domain.schemata, (rule.head_schema,) + head, names)
+    return "%d: (:vars %s) (:state %s) (:goal %s) => %s" % (
+        rule.val + 1, " ".join(names), s_s, g_s, head_s)
 
 
 class HLPolicy:

@@ -60,7 +60,6 @@ class SearchStats:
     status: str = "solved"  # solved | exhausted | budget | timeout
     expanded: int = 0
     generated: int = 0
-    seconds: float = 0.0
 
 
 class _Grounded(dict):
@@ -82,7 +81,6 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
     """Greedy best-first plan search; None on failure, budget exhaustion or
     a passed ``deadline`` (a ``time.perf_counter()`` value)."""
     st = stats if stats is not None else SearchStats()
-    t0 = time.perf_counter()
     domain, goal = problem.domain, problem.goal
     n_obj = len(problem.objects)
     init = frozenset(problem.init)
@@ -98,7 +96,6 @@ def find_plan(problem: HLProblem, node_budget: int = DEFAULT_NODE_BUDGET,
 
     def finish(status, plan=None):
         st.status = status
-        st.seconds = time.perf_counter() - t0
         return plan
 
     def extract(state):
@@ -184,7 +181,6 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     if depth_cap <= 0:
         raise ValueError("depth_cap must be positive")
     st = stats if stats is not None else SearchStats()
-    t0 = time.perf_counter()
     domain, goal = problem.domain, problem.goal
     n_obj = len(problem.objects)
     # the lookahead's joins: per schema that can gain, one plan per (gain
@@ -281,5 +277,4 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     finally:
         sys.setrecursionlimit(old_limit)
         solve = None  # solve refers to itself; unbinding frees the search at once
-    st.seconds = time.perf_counter() - t0
     return solved_action if st.status == "solved" else None

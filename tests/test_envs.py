@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from bison import envs
-from bison.core import BisonError, ObjectTable
+from bison.core import BisonError, ObjectTable, atom_str
 from bison.envs import (EPS, EnvConfig, GachaEnv, LLState, env_domain,
                         episode_seed, generate_demos, make_env, make_labeller)
 from bison.runner import Executor, run_episode
 
 
 def fact_strs(env, facts):
-    return sorted(env.domain.fact_str(f, env.table) for f in facts)
+    return sorted(atom_str(env.domain.predicates, f, env.table.names) for f in facts)
 
 
 def test_reset_blocks_one():
@@ -162,7 +162,8 @@ def _label_scene(kind, ego, objects):
     """Label a hand-built step on a fresh table: (fact strings, interning order)."""
     table = ObjectTable()
     facts = make_labeller(kind)(LLState(np.array(ego), objects), table)
-    return sorted(env_domain(kind).fact_str(f, table) for f in facts), table.names
+    preds = env_domain(kind).predicates
+    return sorted(atom_str(preds, f, table.names) for f in facts), table.names
 
 
 def _obj(x, y, held=0.0, block=0.0, fixture=0.0, width=8):

@@ -1,10 +1,12 @@
+import hashlib
 import json
 import math
 import random
 
 import pytest
 
-from bison.envs import PICKPLACE_DOMAIN_TEXT, env_domain
+from bison.bench import gen_blocks_hl_problem
+from bison.envs import PICKPLACE_DOMAIN_TEXT, builtin_policy, env_domain
 from bison.formats import (Demo, DemoStep, ParseError, _numbers, parse_domain,
                            parse_policy, parse_problem, parse_traces,
                            serialize_domain, serialize_policy,
@@ -357,3 +359,29 @@ def test_policy_parse_errors():
         parse_policy("1: (:vars ?x) (:state) (:goal) => (move ?x ?y)", dom)
     with pytest.raises(ParseError):  # constants are not allowed in rule atoms
         parse_policy("1: (:vars ?x) (:state (hold obj1)) (:goal) => (move ?x ?x)", dom)
+
+
+# sha256 of what the printers write: the round-trip tests above compare parsed
+# values, so these pin the bytes (atom spacing, order, variable names)
+PRINTED = {
+    ("domain", "blocks"): "338cea36de424fba38be05d928115f6be6b3d9839221b2854af9c3c6eb3cdbc4",
+    ("domain", "pickplace"): "2785f1457bdf7b47e2909211498a4c575f2e141ef8ca8341dda8ec5a2660641a",
+    ("domain", "gacha"): "8212472ebe66184943ea37afb32ece260381ea02dbac7e9a55067bffade87e19",
+    ("policy", "blocks"): "f464bc0603d5dea8b7057f2a48a8be5a3c43cce738059a7f33376efade4ffc62",
+    ("policy", "pickplace"): "cdd3b26682ff278ae33c198420e33a29cce0066a291be03a3c6fef90bb15d106",
+    ("policy", "gacha"): "c07ea87f42061855862225428b4bc7528497f19a230fa4920e36f15a9c755c2f",
+    ("problem", 1): "5c745222c599a1862d502efd332604e2ef1cc7e3d699d4c134fa9a6e5999d8ad",
+    ("problem", 3): "6a6c91256dc9af48a11550dd03f543d067453e13ad559aba44ab753958fdab74",
+    ("problem", 10): "ac429e2b01451aef99305853542c160a917eb6a1c8ea26859577cc79914580c9",
+}
+
+
+@pytest.mark.parametrize("what,arg", sorted(PRINTED, key=str))
+def test_printed_bytes_are_pinned(what, arg):
+    if what == "domain":
+        text = serialize_domain(env_domain(arg))
+    elif what == "policy":
+        text = builtin_policy(arg).serialize()
+    else:
+        text = serialize_problem(gen_blocks_hl_problem(arg, 2))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRINTED[what, arg]

@@ -7,10 +7,10 @@ import numpy as np
 import pytest
 
 from bison.core import BisonError, GroundAction, ObjectTable
-from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, env_domain, make_env,
-                        make_labeller, obj_dim)
+from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, env_domain, generate_demos,
+                        make_env, make_labeller, obj_dim)
 from bison.formats import parse_policy
-from bison import gnn
+from bison import gnn, learn
 from bison.gnn import (EncodingSpec, GnnInput, GnnParams, LLSample, TrainConfig,
                        batch_backward, build_dataset, cosine_lr, encode, forward,
                        init_params, load_params, pad_batch, save_params, backward,
@@ -251,6 +251,50 @@ def test_dataset_segment_pairing(blocks_demos):
     # trailing samples with the last (a place: 2 object nodes)
     assert samples[0].inp.h_objects.shape[0] == 1
     assert samples[-1].inp.h_objects.shape[0] == 2
+
+
+def reference_build_dataset(demos, domain, labeller, spec):
+    """Dataset building as it ran on a collapsed trace: the labels are
+    collapsed to their changes, each change is explained, and a segment
+    counter advances at every label change."""
+    samples = []
+    for demo in demos:
+        table = ObjectTable()
+        for name in demo.steps[0].objects:
+            table.intern(name)
+        states = [labeller(s, table) for s in demo.steps]
+        goal = frozenset(domain.ground_fact(g[0], g[1:], table) for g in demo.goal)
+        hl_states = [states[0]]
+        for s in states[1:]:
+            if s != hl_states[-1]:
+                hl_states.append(s)
+        actions = [learn._explain_change(domain, a, b, table)
+                   for a, b in zip(hl_states, hl_states[1:])]
+        if None in actions or not actions:
+            continue
+        seg = 0
+        for i, step in enumerate(demo.steps):
+            if i > 0 and states[i] != states[i - 1]:
+                seg = min(seg + 1, len(actions))
+            act_i = min(seg, len(actions) - 1)
+            inp = encode(spec, step, actions[act_i], goal, states[i], table)
+            samples.append(LLSample(inp, np.asarray(step.action, dtype=float)))
+    return samples
+
+
+@pytest.mark.parametrize("kind,n", [("blocks", 3), ("blocks-noisy", 4), ("pickplace", 3)])
+def test_build_dataset_matches_collapsed_reference(kind, n):
+    # blocks-noisy at seed 11 includes demos whose teleports no action explains
+    demos = generate_demos(EnvConfig(kind, n, seed=11), 12)
+    dom, lab = env_domain(kind), make_labeller(kind)
+    spec = EncodingSpec.for_domain(dom, EGO_DIM, obj_dim(kind), ACTION_DIM)
+    got = build_dataset(demos, dom, lab, spec)
+    want = reference_build_dataset(demos, dom, lab, spec)
+    assert len(got) == len(want) > 1000
+    for a, b in zip(got, want):
+        for x, y in ((a.inp.h_global, b.inp.h_global), (a.inp.h_action, b.inp.h_action),
+                     (a.inp.h_objects, b.inp.h_objects), (a.target, b.target)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 # ---------------------------------------------------------------------------

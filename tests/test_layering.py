@@ -107,3 +107,72 @@ def test_hoisted_imports_still_call_through_the_module(monkeypatch):
                                        envs.obj_dim("blocks"), envs.ACTION_DIM)
     gnn.build_dataset(demos, envs.env_domain("blocks"), envs.make_labeller("blocks"), spec)
     assert calls == ["run_episode", "extract_hl_trace"]
+
+
+def test_no_module_imports_a_name_it_never_uses():
+    # __init__ imports to re-export, so it is the one module left out
+    unused = []
+    for name in MODULES:
+        tree = _tree(name)
+        read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+                continue
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                for alias in node.names:
+                    bound = alias.asname or alias.name.split(".")[0]
+                    if bound not in read:
+                        unused.append("%s.py:%d %s" % (name, node.lineno, bound))
+    assert not unused, unused
+
+
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+
+
+def _own_nodes(fn):
+    """The nodes of ``fn``'s own scope: its nested functions and classes are
+    left out, their bodies being scopes of their own."""
+    todo = list(ast.iter_child_nodes(fn))
+    while todo:
+        node = todo.pop()
+        yield node
+        if not isinstance(node, _SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+
+
+def _assigned_names(target):
+    if isinstance(target, ast.Name):
+        yield target
+    elif isinstance(target, (ast.Tuple, ast.List)):
+        for elt in target.elts:
+            yield from _assigned_names(elt.value if isinstance(elt, ast.Starred) else elt)
+
+
+def test_no_function_assigns_a_local_it_never_reads():
+    # a read anywhere in the function counts, nested functions included; an
+    # augmented assignment reads its target, and a leading underscore marks
+    # a name as deliberately unused
+    unread = []
+    for name in MODULES + ["__init__"]:
+        for fn in ast.walk(_tree(name)):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
+                    and not isinstance(n.ctx, ast.Store)}
+            read.update(n.target.id for n in ast.walk(fn)
+                        if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name))
+            shared = {v for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+                      for v in n.names}
+            for node in _own_nodes(fn):
+                if isinstance(node, ast.Assign):
+                    targets = node.targets
+                elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and node.value:
+                    targets = [node.target]
+                else:
+                    continue
+                for t in targets:
+                    for var in _assigned_names(t):
+                        if not (var.id.startswith("_") or var.id in read or var.id in shared):
+                            unread.append("%s.py:%d %s() assigns %s"
+                                          % (name, var.lineno, fn.name, var.id))
+    assert not unread, unread

@@ -21,7 +21,7 @@ def test_extract_oracle_pickplace_demo(pickplace_domain):
     names = [pickplace_domain.schemata[a.schema_id].name for a in trace.actions]
     assert names == ["pick", "move", "place"]
     assert trace.goal_reached
-    assert len(trace.states) == len(trace.actions) + 1
+    assert len(trace.changes) == len(trace.actions)
 
 
 def test_extract_constant_abstraction_demo(blocks_demos, blocks_domain):
@@ -30,7 +30,28 @@ def test_extract_constant_abstraction_demo(blocks_demos, blocks_domain):
                              for s in base.steps[:1]] * 4)
     trace = extract_hl_trace(still, blocks_domain, make_labeller("blocks"))
     assert trace.actions == []
-    assert len(trace.states) == 1
+    assert trace.changes == []
+
+
+def test_extract_lists_every_label_flip(pickplace_domain):
+    # pick o at l1 and put it back: the label goes A -> B -> A, and both
+    # flips are changes, though the second returns to a label seen before
+    dom = pickplace_domain
+
+    def label(step, table):
+        names = [("rAt", "l1"), ("at", "o", "l1"), ("free",)] if step.action[0] == 0 \
+            else [("rAt", "l1"), ("hold", "o")]
+        return frozenset(dom.ground_fact(n[0], n[1:], table) for n in names)
+
+    objects = {"o": [0.0], "l1": [0.0]}
+    demo = Demo((("at", "o", "l1"),),
+                [DemoStep([0.0], objects, [float(k)]) for k in (0, 0, 1, 1, 1, 0, 0)])
+    trace = extract_hl_trace(demo, dom, label)
+    assert trace.changes == [2, 5]
+    assert [(dom.schemata[a.schema_id].name, a.args) for a in trace.actions] \
+        == [("pick", (0, 1)), ("place", (0, 1))]
+    assert trace.step_states[0] == trace.step_states[-1] != trace.step_states[2]
+    assert trace.goal_reached and trace.achieved == trace.goal
 
 
 def test_extract_abstraction_gap(blocks_demos, blocks_domain):
