@@ -7,8 +7,8 @@ against planner baselines in desk-scale 2D environments.
 
 from .core import (ActionSchema, BisonError, Domain, GroundAction, HLProblem,
                    ObjectTable, Predicate, PreconditionError, StructuralError,
-                   applicable, equivalent, is_goal, rename_action, rename_problem,
-                   rename_state, successors)
+                   applicable, equivalent, is_goal, rename_action, rename_state,
+                   successors)
 from .envs import EnvConfig, LLState, builtin_policy, env_domain, generate_demos, \
     make_env, make_labeller
 from .formats import (Demo, DemoStep, ParseError, parse_domain, parse_policy,

@@ -36,6 +36,7 @@ from .runner import LL_MODES, STRATEGIES, Executor, run_episode
 log = logging.getLogger("bison")
 
 EXIT_OK, EXIT_USAGE, EXIT_DATA, EXIT_INTERNAL = 0, 1, 2, 3
+MAX_RANGE = 10 ** 6  # counts an A..B range of --objects or --n-list may span
 LOG_LEVELS = ("debug", "info", "warning", "error", "critical")
 
 EVAL_CSV_HEADER = "strategy,env,n,episode,seed,success,steps,replans,wall_time"
@@ -151,11 +152,14 @@ def cmd_train_ll(args):
 
 
 def _parse_range(spec: str):
-    """Object counts from "3", "1..10" or "2,4,8"; each count at least 1."""
+    """Object counts from "3", "1..10" or "2,4,8"; each count at least 1.  An
+    A..B range may span at most MAX_RANGE counts."""
     try:
         if ".." in spec:
-            a, b = spec.split("..", 1)
-            ns = list(range(int(a), int(b) + 1))
+            a, b = (int(x) for x in spec.split("..", 1))
+            if b - a >= MAX_RANGE:
+                raise BisonError("range %r spans more than %d counts" % (spec, MAX_RANGE))
+            ns = list(range(a, b + 1))
         else:
             ns = [int(x) for x in spec.split(",") if x]
     except ValueError:

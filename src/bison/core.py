@@ -247,16 +247,6 @@ def rename_action(action: GroundAction, mapping: dict) -> GroundAction:
     return GroundAction(action.schema_id, tuple(mapping[o] for o in action.args))
 
 
-def rename_problem(problem: HLProblem, mapping: dict) -> HLProblem:
-    mentioned = {o for f in problem.init | problem.goal for o in f[1:]}
-    mentioned |= set(range(len(problem.objects)))
-    _check_bijection(mapping, mentioned)
-    return HLProblem(problem.domain, problem.objects,
-                     frozenset(rename_fact(f, mapping) for f in problem.init),
-                     frozenset(rename_fact(f, mapping) for f in problem.goal),
-                     problem.name)
-
-
 def _signature(problem: HLProblem, oid: int):
     """Multiset of (fact-set tag, predicate, position) occurrences of an object."""
     sig = []

@@ -518,8 +518,8 @@ def _parse_rule(toks: List[_Tok], preds: dict, schemata: dict) -> Rule:
     return Rule(val, len(var_ids), s_cond, g_cond, sid, tuple(args))
 
 
-def parse_rules(text: str, domain: Domain) -> List[Rule]:
-    """The rules of a policy text, one per rule line, as written."""
+def parse_policy(text: str, domain: Domain) -> HLPolicy:
+    """The policy of a text with one rule per rule line."""
     preds, schemata = _symbols(domain.predicates), _symbols(domain.schemata)
     rules = []
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -528,11 +528,7 @@ def parse_rules(text: str, domain: Domain) -> List[Rule]:
         if rule:
             lead = len(code) - len(code.lstrip())
             rules.append(_parse_rule(_tokenize(rule, line_no, lead + 1), preds, schemata))
-    return rules
-
-
-def parse_policy(text: str, domain: Domain) -> HLPolicy:
-    return HLPolicy(parse_rules(text, domain), domain)
+    return HLPolicy(rules, domain)
 
 
 def serialize_policy(policy: HLPolicy) -> str:

@@ -14,7 +14,7 @@ from typing import Callable, Iterable, List
 
 from .core import (BisonError, Domain, GroundAction, HLState, ObjectTable,
                    ground_outcomes, ground_pre)
-from .formats import Demo, parse_rules
+from .formats import Demo
 from .rules import HLPolicy, Rule, StateIndex, applicable_actions
 
 
@@ -135,9 +135,9 @@ def learn_hl_policy(demos: Iterable[Demo], domain: Domain, labeller: Callable,
     is regressed through the actions in reverse; each regressed condition is
     lifted together with the achieved goal subset into a rule with priority
     m - j.  Non-regressable subgoals carry over unchanged.  Rules from all
-    demos are unioned, duplicates merged keeping the minimum priority.  Each
-    kept rule is held as its ``.bsp`` line reads back, so the policy selects
-    what its file selects (the join's last tie-break is its atoms' order).
+    demos are unioned, duplicates merged keeping the minimum priority.  The
+    ``HLPolicy`` holds each kept rule in canonical form, so the learned policy
+    selects what its ``.bsp`` file selects.
     """
     rep = report if report is not None else LearnReport()
     rules = []
@@ -176,9 +176,7 @@ def learn_hl_policy(demos: Iterable[Demo], domain: Domain, labeller: Callable,
                 nxt = nxt[:subgoal_cap]
             subgoals = nxt
         rep.demos_used += 1
-    policy = HLPolicy(rules, domain)
-    policy.rules = tuple(parse_rules(policy.serialize(), domain))
-    return policy
+    return HLPolicy(rules, domain)
 
 
 def coverage_bound(domain: Domain, c: int) -> int:

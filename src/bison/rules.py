@@ -26,8 +26,8 @@ choice the mask after it, the positions it binds and compares and the atoms
 it completes.  An atom with no bound position that reads the same bucket as
 an earlier one is not ranked.  The join itself does what the facts decide:
 bucket lookups, the size comparison and the candidate loop.
-An ``HLPolicy`` canonicalises each distinct rule body once, when it is built,
-and serializes from those canonical forms.
+An ``HLPolicy`` canonicalises each distinct rule body once and holds the
+canonical rules, so any policy selects what its ``.bsp`` file selects.
 
 ``check_ndrp`` tests a demo's labelled LL steps against a rule policy: every
 abstraction change must be an outcome of the action the policy selects.
@@ -139,48 +139,60 @@ def _canonical_parts(rule: Rule):
                for g, ren_g, nid_g in _emissions(tuple(sorted(rule.g_cond)), ren_s, nid_s))
 
 
-def canonical_rule_str(rule: Rule, domain: Domain) -> str:
-    """Display serialization: 1-based priority, ?v0-style canonical variables."""
+def canonical_rule(rule: Rule) -> Rule:
+    """The rule renamed by ``_canonical_parts``, each condition's frozenset
+    built in the sorted order its ``.bsp`` line lists the atoms in."""
     head, s_atoms, g_atoms, n_vars = _canonical_parts(rule)
-    names = ["?v%d" % i for i in range(n_vars)]
-    s_s = " ".join(atom_str(domain.predicates, a, names) for a in s_atoms)
-    g_s = " ".join(atom_str(domain.predicates, a, names) for a in g_atoms)
-    head_s = atom_str(domain.schemata, (rule.head_schema,) + head, names)
+    return Rule(rule.val, n_vars, frozenset(sorted(s_atoms)), frozenset(sorted(g_atoms)),
+                rule.head_schema, head)
+
+
+def rule_str(rule: Rule, domain: Domain) -> str:
+    """A rule's ``.bsp`` line: 1-based priority, ?v0-style variables, sorted atoms."""
+    names = ["?v%d" % i for i in range(rule.n_vars)]
+    s_s = " ".join(atom_str(domain.predicates, a, names) for a in sorted(rule.s_cond))
+    g_s = " ".join(atom_str(domain.predicates, a, names) for a in sorted(rule.g_cond))
+    head_s = atom_str(domain.schemata, (rule.head_schema,) + rule.head_args, names)
     return "%d: (:vars %s) (:state %s) (:goal %s) => %s" % (
         rule.val + 1, " ".join(names), s_s, g_s, head_s)
 
 
-class HLPolicy:
-    """Rules kept sorted by (val, canonical serialization), duplicates removed.
+def canonical_rule_str(rule: Rule, domain: Domain) -> str:
+    """Display serialization: 1-based priority, ?v0-style canonical variables."""
+    return rule_str(canonical_rule(rule), domain)
 
-    Each distinct rule body (a rule without its ``val``) is validated and
-    canonicalised once, here; ``serialize`` reuses the bodies.
+
+class HLPolicy:
+    """Canonical rules kept sorted by (val, serialization), duplicates removed.
+
+    The one place a rule's form is fixed: each distinct rule body is validated
+    and canonicalised once, here, and the policy holds ``canonical_rule``
+    forms, so it selects what its ``.bsp`` selects wherever its rules came
+    from (the join's last tie-break is the order a rule's atoms iterate in).
     """
 
     def __init__(self, rules: Iterable[Rule], domain: Domain):
         self.domain = domain
-        bodies = {}  # (n_vars, s_cond, g_cond, head_schema, head_args) -> canonical body
-        seen = {}  # canonical body (the serialization minus its priority) -> rule
+        bodies = {}  # rule body (Rule's fields after val) -> canonical body
+        least = {}  # canonical body -> least val
         for r in rules:
             key = (r.n_vars, r.s_cond, r.g_cond, r.head_schema, r.head_args)
             body = bodies.get(key)
             if body is None:
                 validate_rule(r, domain)
-                body = bodies[key] = canonical_rule_str(r, domain).split(": ", 1)[1]
-            if body not in seen or r.val < seen[body].val:
-                seen[body] = r
-        # (val, body) orders as (val, full serialization): equal vals share a prefix
-        kept = sorted((r.val, body, r) for body, r in seen.items())
-        self.rules = tuple(r for _, _, r in kept)
-        self._bodies = tuple(body for _, body, _ in kept)
+                c = canonical_rule(r)
+                body = bodies[key] = (c.n_vars, c.s_cond, c.g_cond, c.head_schema, c.head_args)
+            least[body] = min(least.get(body, r.val), r.val)
+        # (val, line) orders as (val, body): equal vals share the line's prefix
+        self.rules = tuple(sorted((Rule(val, *body) for body, val in least.items()),
+                                  key=lambda rule: (rule.val, rule_str(rule, domain))))
         self.dead = tuple(rule_is_dead(r) for r in self.rules)
 
     def __len__(self):
         return len(self.rules)
 
     def serialize(self) -> str:
-        return "".join("%d: %s\n" % (r.val + 1, body)
-                       for r, body in zip(self.rules, self._bodies))
+        return "".join(rule_str(r, self.domain) + "\n" for r in self.rules)
 
 
 # ---------------------------------------------------------------------------

@@ -16,10 +16,9 @@ from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, builtin_policy,
                         env_domain, generate_demos, make_env, make_labeller,
                         obj_dim)
 from bison.gnn import (EncodingSpec, GnnParams, GnnInput, TrainConfig,
-                       backward, build_dataset, forward, train)
+                       backward, build_dataset, train)
 from bison.learn import learn_hl_policy
 from bison.runner import Executor, run_episode
-from bison.rules import solve_hl
 from bison.search import SearchStats, find_plan
 
 import test_properties as props
@@ -67,7 +66,7 @@ def test_criterion_1_example2_reproduction():
 
 
 def test_criterion_2_hl_scalability(corpus):
-    _, dom, policy = corpus
+    _, _, policy = corpus
     rows = bench_hl(policy, [3, 10, 100, 1000, 10000], timeout=60.0, seed=0,
                     baseline_max_n=0)
     solved = {r.n: (r.solved, r.seconds) for r in rows}

@@ -7,7 +7,9 @@ explores the same candidates, so the two must agree on every rule.
 
 ``reference_policy`` is ``HLPolicy``'s constructor loop as it was: it validates
 and canonicalises every rule it is given.  ``HLPolicy`` does both once per
-distinct rule body, so the two must keep the same rules, in the same order.
+distinct rule body, so the two must keep the same canonical rules, in the same
+order.  A policy built from rules in memory must select what its ``.bsp``
+selects, since it holds them as their lines read back.
 """
 
 import dataclasses
@@ -16,10 +18,11 @@ import random
 import pytest
 
 from bison import learn, rules as rules_mod
-from bison.core import StructuralError
+from bison.core import ObjectTable, StructuralError, atom_str
 from bison.envs import EnvConfig, env_domain, generate_demos, make_labeller
-from bison.rules import (HLPolicy, Rule, _atom_key, _canonical_parts, canonical_rule_str,
-                         rule_is_dead, unconstrained_vars, validate_rule)
+from bison.formats import parse_policy
+from bison.rules import (HLPolicy, Rule, StateIndex, _atom_key, _canonical_parts,
+                         rule_is_dead, select_action, unconstrained_vars, validate_rule)
 
 
 # ---------------------------------------------------------------------------
@@ -160,13 +163,21 @@ def test_canonical_parts_equal_reference(lifted):
 # ---------------------------------------------------------------------------
 
 def reference_policy(rules, domain):
-    """(rules, dead, serialization) of the constructor loop as it was."""
+    """(rules, dead, serialization) of the constructor loop as it was, each
+    kept rule in canonical form: renamed by ``reference_canonical_parts``,
+    each condition's atoms inserted in the order its line prints them."""
     seen = {}
     for r in rules:
         validate_rule(r, domain)
-        body = canonical_rule_str(r, domain).split(": ", 1)[1]
+        head, s_atoms, g_atoms, n_vars = reference_canonical_parts(r)
+        names = ["?v%d" % i for i in range(n_vars)]
+        body = "(:vars %s) (:state %s) (:goal %s) => %s" % (
+            " ".join(names), " ".join(atom_str(domain.predicates, a, names) for a in s_atoms),
+            " ".join(atom_str(domain.predicates, a, names) for a in g_atoms),
+            atom_str(domain.schemata, (r.head_schema,) + head, names))
         if body not in seen or r.val < seen[body].val:
-            seen[body] = r
+            seen[body] = Rule(r.val, n_vars, frozenset(s_atoms), frozenset(g_atoms),
+                              r.head_schema, head)
     kept = sorted((r.val, body, r) for body, r in seen.items())
     kept_rules = tuple(r for _, _, r in kept)
     return (kept_rules, tuple(rule_is_dead(r) for r in kept_rules),
@@ -180,15 +191,17 @@ def body_key(rule):
 def assert_policy_matches_reference(rules, domain, monkeypatch):
     ref = reference_policy(rules, domain)
     calls = []
-    counted = rules_mod.canonical_rule_str
+    counted = rules_mod.canonical_rule
 
-    def counting(rule, dom):
+    def counting(rule):
         calls.append(body_key(rule))
-        return counted(rule, dom)
-    monkeypatch.setattr(rules_mod, "canonical_rule_str", counting)
+        return counted(rule)
+    monkeypatch.setattr(rules_mod, "canonical_rule", counting)
     policy = HLPolicy(rules, domain)
     monkeypatch.undo()
     assert (policy.rules, policy.dead, policy.serialize()) == ref
+    # the atoms iterate, and so join, in the order the reference's line lists them
+    assert [r.atoms() for r in policy.rules] == [r.atoms() for r in ref[0]]
     # one canonicalisation per distinct body, none for a repeat
     assert len(calls) == len(set(calls)) and set(calls) == set(map(body_key, rules))
 
@@ -240,3 +253,51 @@ def test_policy_rejects_the_first_invalid_rule_as_the_reference_does():
     with pytest.raises(StructuralError) as got:
         HLPolicy(rules, domain)
     assert str(got.value) == str(ref.value)
+
+
+# ---------------------------------------------------------------------------
+# A policy selects what its .bsp selects
+# ---------------------------------------------------------------------------
+
+def labelled_states(kind, ns, seeds):
+    """(state, goal, object count) of each distinct labelled step of one
+    oracle demo per object count and seed."""
+    domain, labeller = env_domain(kind), make_labeller(kind)
+    found = {}
+    for n in ns:
+        for seed in seeds:
+            for demo in generate_demos(EnvConfig(kind, n, seed=seed), 1):
+                table = ObjectTable(demo.steps[0].objects)
+                goal = frozenset(domain.ground_fact(g[0], g[1:], table) for g in demo.goal)
+                for step in demo.steps:
+                    found.setdefault((labeller(step, table), goal), len(table))
+    return [(state, goal, n) for (state, goal), n in found.items()]
+
+
+def selection_mismatches(policy, states):
+    reread = parse_policy(policy.serialize(), policy.domain)
+    return [(state, goal) for state, goal, n in states
+            if select_action(policy, StateIndex(state, goal), n)
+            != select_action(reread, StateIndex(state, goal), n)]
+
+
+def test_policy_from_lifted_rules_selects_what_its_file_selects():
+    states = labelled_states("pickplace", range(1, 6), range(41, 46))
+    assert len(states) >= 250
+    policy = HLPolicy(lifted_rules("pickplace", 3, 10), env_domain("pickplace"))
+    assert len(policy) >= 20
+    assert selection_mismatches(policy, states) == []
+
+
+def test_policy_from_random_multisets_selects_what_its_file_selects():
+    rng = random.Random(1808)
+    fired = 0
+    for kind in ("blocks", "pickplace", "gacha"):
+        domain = env_domain(kind)
+        states = labelled_states(kind, range(1, 4), range(41, 43))
+        for _ in range(60):
+            policy = HLPolicy(random_multiset(rng, domain), domain)
+            fired += any(select_action(policy, StateIndex(state, goal), n)
+                         for state, goal, n in states)
+            assert selection_mismatches(policy, states) == []
+    assert fired >= 60  # most policies select somewhere

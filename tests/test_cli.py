@@ -294,6 +294,28 @@ def test_bad_range_is_data_error(command, spec):
     assert r.stdout == ""
 
 
+@pytest.mark.parametrize("argv", [
+    ["eval", "--env", "blocks", "--strategy", "bison", "--objects", "1..1000000000000",
+     "--episodes", "0"],
+    ["bench-hl", "--n-list", "1..1000000000000"],
+])
+def test_range_too_long_is_one_line_data_error(argv):
+    # the span is checked before any list of counts is built
+    r = run_cli(argv)
+    assert r.returncode == 2, r.stderr
+    assert r.stdout == ""
+    assert r.stderr.splitlines() == [
+        "error: range '1..1000000000000' spans more than 1000000 counts"]
+
+
+def test_range_may_span_max_range_counts():
+    from bison.cli import MAX_RANGE, _parse_range
+    from bison.core import BisonError
+    assert _parse_range("2..%d" % (MAX_RANGE + 1)) == list(range(2, MAX_RANGE + 2))
+    with pytest.raises(BisonError, match="spans more than"):
+        _parse_range("1..%d" % (MAX_RANGE + 1))
+
+
 @pytest.mark.parametrize("timeout", ["nan", "inf", "-1", "0"])
 def test_bench_hl_timeout_must_be_positive_and_finite(timeout):
     r = run_cli(["bench-hl", "--n-list", "3", "--timeout=" + timeout, "--out", "-"])

@@ -4,10 +4,9 @@ import pytest
 
 from bison.core import (GroundAction, HLProblem, ObjectTable, PreconditionError,
                         StructuralError, applicable, equivalent, is_goal,
-                        rename_action, rename_problem, rename_state, successors)
+                        rename_action, rename_state, successors)
 from bison.envs import EnvConfig, env_domain, make_env, make_labeller
 from bison.formats import parse_domain
-from bison.learn import learn_hl_policy
 from bison.rules import check_ndrp
 
 from helpers import ground_action
@@ -84,14 +83,14 @@ def test_successors_two_outcome_roll():
 
 
 def test_successors_requires_applicability():
-    dom, table, f = pp_setup()
+    dom, table, _ = pp_setup()
     pick = ground_action(dom, "pick", ("obj1", "loc1"), table)
     with pytest.raises(PreconditionError):
         successors(dom, frozenset(), pick)
 
 
 def test_is_goal():
-    dom, table, f = pp_setup()
+    _, _, f = pp_setup()
     assert is_goal(frozenset({f("free")}), frozenset())
     state = frozenset({f("at", "obj1", "loc2"), f("rAt", "loc2"), f("free")})
     assert is_goal(state, frozenset({f("at", "obj1", "loc2")}))
@@ -100,7 +99,7 @@ def test_is_goal():
 
 
 def test_rename_identity_and_inverse():
-    dom, table, f = pp_setup()
+    _, table, f = pp_setup()
     state = frozenset({f("at", "obj1", "loc1"), f("free")})
     ident = {i: i for i in range(len(table))}
     assert rename_state(state, ident) == state
@@ -119,7 +118,7 @@ def test_rename_substitutes_objects():
 
 
 def test_rename_rejects_non_bijection():
-    dom, table, f = pp_setup()
+    _, _, f = pp_setup()
     with pytest.raises(StructuralError):
         rename_state(frozenset({f("at", "obj1", "loc1")}), {0: 1, 1: 1, 2: 2})
     with pytest.raises(StructuralError):

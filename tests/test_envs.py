@@ -5,7 +5,7 @@ import pytest
 
 from bison import envs
 from bison.core import BisonError, ObjectTable, atom_str
-from bison.envs import (EPS, EnvConfig, GachaEnv, LLState, env_domain,
+from bison.envs import (EPS, EnvConfig, LLState, env_domain,
                         episode_seed, generate_demos, make_env, make_labeller)
 from bison.runner import Executor, run_episode
 

@@ -7,11 +7,9 @@ import pytest
 
 from bison.bench import gen_blocks_hl_problem
 from bison.envs import PICKPLACE_DOMAIN_TEXT, builtin_policy, env_domain
-from bison.formats import (Demo, DemoStep, ParseError, _numbers, parse_domain,
-                           parse_policy, parse_problem, parse_traces,
-                           serialize_domain, serialize_policy,
-                           serialize_problem, serialize_traces)
-from bison.learn import learn_hl_policy
+from bison.formats import (ParseError, _numbers, parse_domain, parse_policy,
+                           parse_problem, parse_traces, serialize_domain,
+                           serialize_policy, serialize_problem, serialize_traces)
 
 
 def test_parse_domain_example_pick_place():

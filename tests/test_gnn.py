@@ -6,7 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bison.core import BisonError, GroundAction, ObjectTable
+from bison.core import BisonError, ObjectTable
 from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, env_domain, generate_demos,
                         make_env, make_labeller, obj_dim)
 from bison.formats import parse_policy
@@ -247,6 +247,8 @@ def test_dataset_segment_pairing(blocks_demos):
     samples = build_dataset([demo], dom, lab, spec)
     assert len(samples) == len(demo.steps)
     trace = extract_hl_trace(demo, dom, lab)
+    names = [dom.schemata[a.schema_id].name for a in trace.actions]
+    assert names[0] == "pick" and names[-1] == "place"
     # the first sample pairs with the first HL action (a pick: 1 object node),
     # trailing samples with the last (a place: 2 object nodes)
     assert samples[0].inp.h_objects.shape[0] == 1
@@ -778,8 +780,10 @@ def test_load_params_rejects_malformed(tmp_path, case):
 def test_load_params_accepts_rebuilt_file(tmp_path):
     # the corruption helpers rebuild a loadable file when nothing changes
     header, payload, blob = bsw_parts(tmp_path)
+    rebuilt = bsw_bytes(_with(header), payload)
+    assert rebuilt == blob
     path = tmp_path / "same.bsw"
-    path.write_bytes(bsw_bytes(_with(header), payload))
+    path.write_bytes(rebuilt)
     assert load_params(str(path)).count() == len(payload) // 8
 
 

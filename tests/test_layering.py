@@ -1,5 +1,6 @@
 """The package's module graph: intra-package imports sit at module top and
-form no cycle.
+form no cycle.  The package and the tests carry no unused import and no
+unread local.
 
 An import inside a function hides a cycle from the reader and from import
 order; with every intra-package import at module top, the modules can be
@@ -12,12 +13,21 @@ from pathlib import Path
 
 from bison import envs, gnn, learn, runner
 
-PACKAGE = Path(__file__).resolve().parent.parent / "src" / "bison"
+TESTS = Path(__file__).resolve().parent
+PACKAGE = TESTS.parent / "src" / "bison"
 MODULES = sorted(p.stem for p in PACKAGE.glob("*.py") if p.stem != "__init__")
 
 
 def _tree(name):
     return ast.parse((PACKAGE / (name + ".py")).read_text(encoding="utf-8"))
+
+
+def _linted(names):
+    """(file label, AST) of the named package modules and of every test file."""
+    for name in names:
+        yield name + ".py", _tree(name)
+    for path in sorted(TESTS.glob("*.py")):
+        yield "tests/" + path.name, ast.parse(path.read_text(encoding="utf-8"))
 
 
 def _package_targets(node):
@@ -112,8 +122,7 @@ def test_hoisted_imports_still_call_through_the_module(monkeypatch):
 def test_no_module_imports_a_name_it_never_uses():
     # __init__ imports to re-export, so it is the one module left out
     unused = []
-    for name in MODULES:
-        tree = _tree(name)
+    for label, tree in _linted(MODULES):
         read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
         for node in ast.walk(tree):
             if isinstance(node, ast.ImportFrom) and node.module == "__future__":
@@ -122,7 +131,7 @@ def test_no_module_imports_a_name_it_never_uses():
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
                     if bound not in read:
-                        unused.append("%s.py:%d %s" % (name, node.lineno, bound))
+                        unused.append("%s:%d %s" % (label, node.lineno, bound))
     assert not unused, unused
 
 
@@ -153,8 +162,8 @@ def test_no_function_assigns_a_local_it_never_reads():
     # augmented assignment reads its target, and a leading underscore marks
     # a name as deliberately unused
     unread = []
-    for name in MODULES + ["__init__"]:
-        for fn in ast.walk(_tree(name)):
+    for label, tree in _linted(MODULES + ["__init__"]):
+        for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
             read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
@@ -173,6 +182,6 @@ def test_no_function_assigns_a_local_it_never_reads():
                 for t in targets:
                     for var in _assigned_names(t):
                         if not (var.id.startswith("_") or var.id in read or var.id in shared):
-                            unread.append("%s.py:%d %s() assigns %s"
-                                          % (name, var.lineno, fn.name, var.id))
+                            unread.append("%s:%d %s() assigns %s"
+                                          % (label, var.lineno, fn.name, var.id))
     assert not unread, unread

@@ -1,8 +1,7 @@
 import pytest
 
-from bison.core import GroundAction, ObjectTable
-from bison.envs import (EnvConfig, builtin_policy, env_domain, generate_demos,
-                        make_labeller)
+from bison.core import ObjectTable
+from bison.envs import EnvConfig, builtin_policy, generate_demos, make_labeller
 from bison.formats import Demo, DemoStep, parse_policy, serialize_policy
 from bison.learn import (AbstractionGapError, coverage_bound, extract_hl_trace,
                          learn_hl_policy, lift, regress)
@@ -197,8 +196,6 @@ def test_learn_renaming_invariance(blocks_demos, blocks_domain):
 
 
 def test_coverage_bound_values(pickplace_domain):
-    dom_small = env_domain("blocks")  # placeholder, sizes below are synthetic
-
     class Tiny:
         predicates = [type("P", (), {"arity": 1})()]
         schemata = [type("S", (), {"arity": 1})()]

@@ -1,16 +1,12 @@
 import itertools
 import time
 
-import pytest
-
-from bison.core import (GroundAction, HLProblem, ObjectTable, applicable,
-                        ground_outcomes)
+from bison.core import HLProblem, ObjectTable, applicable, ground_outcomes
 from bison.envs import builtin_policy, env_domain
 from bison.formats import parse_policy
-from bison.learn import learn_hl_policy
 from bison.rules import (HLPolicy, Rule, StateIndex,
                          adversarial_outcome, canonical_rule_str, fixed_outcome,
-                         match_rule, random_outcome, rule_is_dead, select_action,
+                         match_rule, random_outcome, select_action,
                          solve_hl, unconstrained_vars)
 from bison.bench import gen_blocks_hl_problem
 
@@ -25,7 +21,7 @@ def pp():
 
 
 def test_match_rule_example_binding():
-    dom, table, f = pp()
+    _, table, f = pp()
     rule = builtin_policy("pickplace").rules[0]  # hold(x) ∧ rAt(l) ∧ ĝ at(x,l)
     state = frozenset({f("hold", "b1"), f("rAt", "p2")})
     goal = frozenset({f("at", "b1", "p2")})
@@ -36,7 +32,7 @@ def test_match_rule_example_binding():
 
 
 def test_match_rule_rejects_achieved_goal_atom():
-    dom, table, f = pp()
+    _, table, f = pp()
     rule = builtin_policy("pickplace").rules[0]
     state = frozenset({f("hold", "b1"), f("rAt", "p2"), f("at", "b1", "p2")})
     goal = frozenset({f("at", "b1", "p2")})
@@ -55,7 +51,7 @@ def test_match_rule_unconstrained_variable():
 
 
 def test_match_agrees_with_bruteforce_small():
-    dom, table, f = pp()
+    _, table, f = pp()
     policy = builtin_policy("pickplace")
     state = frozenset({f("rAt", "p1"), f("at", "b1", "p1"), f("free")})
     goal = frozenset({f("at", "b1", "p2")})
@@ -109,7 +105,8 @@ def test_select_action_tie_break_deterministic():
     r2 = Rule(0, 2, frozenset({(rat, 1)}), frozenset(), move, (1, 0))
     pol = HLPolicy([r1, r2], dom)
     state = frozenset({(rat, 0), (rat, 1)})
-    picks = {select_action(pol, StateIndex(state, frozenset()), 2) for _ in range(5)}
+    picks = {select_action(pol, StateIndex(state, frozenset()), len(table))
+             for _ in range(5)}
     assert len(picks) == 1  # canonical rule order breaks the val tie
 
 
