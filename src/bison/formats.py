@@ -17,7 +17,7 @@ from typing import Iterable, List
 
 from .core import (ActionSchema, BisonError, Domain, HLProblem, ObjectTable,
                    Predicate, StructuralError, atom_str)
-from .rules import HLPolicy, Rule
+from .rules import HLPolicy, Rule, rule_str
 
 
 class ParseError(BisonError):
@@ -532,4 +532,4 @@ def parse_policy(text: str, domain: Domain) -> HLPolicy:
 
 
 def serialize_policy(policy: HLPolicy) -> str:
-    return policy.serialize()
+    return "".join(rule_str(r, policy.domain) + "\n" for r in policy.rules)

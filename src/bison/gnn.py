@@ -87,12 +87,11 @@ class GnnInput:
 
 
 def encode(spec: EncodingSpec, lls, hla: GroundAction, goal: frozenset,
-           hls: frozenset, table: ObjectTable, zero_action: bool = False) -> GnnInput:
+           hls: frozenset, table: ObjectTable) -> GnnInput:
     """Build input embeddings from an LL state, HL action, goal and abstraction.
 
     Only nullary and unary facts contribute one-hots; higher arities carry no
-    encoding.  Only the action's argument objects become object nodes.  With
-    ``zero_action`` the schema one-hot is zeroed (the PureNN-style ablation).
+    encoding.  Only the action's argument objects become object nodes.
     """
     np_, m = spec.n_pred, spec.max_arity
     g = np.zeros(spec.g_dim)
@@ -104,8 +103,7 @@ def encode(spec: EncodingSpec, lls, hla: GroundAction, goal: frozenset,
         if len(fact) == 1:
             g[spec.ego_dim + np_ + fact[0]] += 1.0
     a = np.zeros(spec.a_dim)
-    if not zero_action:
-        a[hla.schema_id] = 1.0
+    a[hla.schema_id] = 1.0
     rows = []
     for i, oid in enumerate(hla.args):
         name = table.names[oid]
@@ -129,7 +127,7 @@ def encode(spec: EncodingSpec, lls, hla: GroundAction, goal: frozenset,
 
 
 def param_shapes(spec: EncodingSpec, hidden: int, layers: int) -> list:
-    """Tensor shapes in ``GnnParams.tensors()`` order."""
+    """Tensor shapes in serialization order, which ``GnnParams.tensors()`` keeps."""
     h = hidden
     return ([(h, spec.g_dim), (h, spec.a_dim), (h, spec.o_dim)]
             + [(h, h)] * (3 * layers)
@@ -137,7 +135,7 @@ def param_shapes(spec: EncodingSpec, hidden: int, layers: int) -> list:
 
 
 class GnnParams:
-    """Weight tensors; see ``tensors()`` for the canonical serialization order."""
+    """Weight tensors, built in ``param_shapes`` order and kept as that list."""
 
     def __init__(self, spec: EncodingSpec, hidden: int, layers: int, seed: int = 0,
                  init_rng: Optional[np.random.Generator] = None):
@@ -152,7 +150,7 @@ class GnnParams:
             bound = 1.0 / math.sqrt(shape[-1])
             return init_rng.uniform(-bound, bound, shape)
 
-        ts = [init(shape) for shape in param_shapes(spec, hidden, layers)]
+        self._tensors = ts = [init(shape) for shape in param_shapes(spec, hidden, layers)]
         self.w_g0, self.w_a0, self.w_o0 = ts[:3]
         self.w_g = ts[3:3 + layers]
         self.w_a = ts[3 + layers:3 + 2 * layers]
@@ -163,10 +161,7 @@ class GnnParams:
                              % (self.count(), PARAM_BUDGET))
 
     def tensors(self) -> list:
-        out = [self.w_g0, self.w_a0, self.w_o0]
-        out += self.w_g + self.w_a + self.w_o
-        out += [self.r_w1, self.r_b1, self.r_w2, self.r_b2]
-        return out
+        return self._tensors
 
     def count(self) -> int:
         return sum(t.size for t in self.tensors())
@@ -488,18 +483,19 @@ def load_params(path: str) -> GnnParams:
     if not (_is_int(header["hidden"], 1) and _is_int(header["layers"], 1)
             and _is_int(header["seed"])):
         raise bad("hidden and layers must be positive integers, seed non-negative")
-    spec = EncodingSpec(**spec_fields)
-    shapes = param_shapes(spec, header["hidden"], header["layers"])
-    if header["tensors"] != [list(shape) for shape in shapes]:
+    spec, hidden, layers = EncodingSpec(**spec_fields), header["hidden"], header["layers"]
+    tensors = header["tensors"]  # 3 * layers + 7 shapes, counted before any is built
+    if not isinstance(tensors, list) or len(tensors) != 3 * layers + 7 \
+            or tensors != [list(shape) for shape in param_shapes(spec, hidden, layers)]:
         raise bad("tensor shapes do not match the spec")
     payload = data[8 + hlen:]
-    need = 8 * sum(math.prod(shape) for shape in shapes)
+    need = 8 * sum(math.prod(shape) for shape in tensors)
     if len(payload) != need:
         raise bad("payload is %d bytes, the shapes need %d" % (len(payload), need))
     values = np.frombuffer(payload, dtype="<f8")
     if not np.all(np.isfinite(values)):
         raise bad("non-finite weight")
-    params = GnnParams(spec, header["hidden"], header["layers"], header["seed"])
+    params = GnnParams(spec, hidden, layers, header["seed"])
     offset = 0
     for t in params.tensors():
         t[...] = values[offset:offset + t.size].reshape(t.shape)

@@ -61,10 +61,10 @@ class Rule:
     g_cond: frozenset
     head_schema: int
     head_args: tuple  # tuple[int, ...] variable indices
-    plan: tuple = field(init=False, repr=False, compare=False)  # join plan of atoms()
 
-    def __post_init__(self):
-        object.__setattr__(self, "plan", _compile_plan(self.atoms()))
+    @functools.cached_property
+    def plan(self) -> _Plan:  # join plan of atoms(), compiled on first match
+        return _compile_plan(self.atoms())
 
     def atoms(self):
         return [("s", a) for a in self.s_cond] + [("g", a) for a in self.g_cond]
@@ -190,9 +190,6 @@ class HLPolicy:
 
     def __len__(self):
         return len(self.rules)
-
-    def serialize(self) -> str:
-        return "".join(rule_str(r, self.domain) + "\n" for r in self.rules)
 
 
 # ---------------------------------------------------------------------------

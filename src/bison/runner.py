@@ -55,10 +55,10 @@ class Executor:
     """Strategy plus the handles it needs.
 
     ll_mode: "oracle" (scripted skill) or "gnn".  The oracle strategy forces
-    the scripted skill and pure_nn_stub the network with its action features
-    zeroed at inference; bison uses hl_policy or the env's built-in policy
-    when None.  A strategy whose LL is the network needs ``gnn_params``;
-    construction raises ``BisonError`` without them.
+    the scripted skill and pure_nn_stub the network, whose schema one-hot
+    ``_make_ll`` zeroes before each forward pass; bison uses hl_policy or the
+    env's built-in policy when None.  A strategy whose LL is the network
+    needs ``gnn_params``; construction raises ``BisonError`` without them.
     """
 
     strategy: str
@@ -85,12 +85,13 @@ def _make_ll(executor: Executor, env) -> Callable:
     if executor.ll == "oracle":
         return lambda lls, hla, goal, hls: env.oracle_skill(lls, hla)
     encode, forward = gnn.encode, gnn.forward
-    params, zero = executor.gnn_params, executor.strategy == "pure_nn_stub"
+    params, ablate = executor.gnn_params, executor.strategy == "pure_nn_stub"
 
     def ll(lls, hla, goal, hls):
-        # the env checks the action and clips each channel to [-1, 1]
-        return forward(params, encode(params.spec, lls, hla, goal, hls, env.table,
-                                      zero_action=zero))
+        inp = encode(params.spec, lls, hla, goal, hls, env.table)
+        if ablate:  # pure_nn_stub: the network never sees which schema runs
+            inp.h_action[:] = 0.0
+        return forward(params, inp)  # the env checks it and clips each channel to [-1, 1]
     return ll
 
 

@@ -15,6 +15,7 @@ from bison.bench import bench_hl, gen_blocks_hl_problem
 from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, builtin_policy,
                         env_domain, generate_demos, make_env, make_labeller,
                         obj_dim)
+from bison.formats import serialize_policy
 from bison.gnn import (EncodingSpec, GnnParams, GnnInput, TrainConfig,
                        backward, build_dataset, train)
 from bison.learn import learn_hl_policy
@@ -57,8 +58,8 @@ def test_criterion_1_example2_reproduction():
     t0 = time.perf_counter()
     policy = learn_hl_policy(demo_at + demo_away, dom, make_labeller("pickplace"))
     elapsed = time.perf_counter() - t0
-    expected = builtin_policy("pickplace").serialize()
-    ok = (policy.serialize() == expected
+    expected = serialize_policy(builtin_policy("pickplace"))
+    ok = (serialize_policy(policy) == expected
           and [r.val + 1 for r in policy.rules] == [1, 2, 3, 4]
           and elapsed < 1.0)
     report(1, ok, "4 lifted transport rules, priorities 1-4, learned in %.3fs"

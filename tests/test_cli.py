@@ -424,6 +424,21 @@ def test_eval_byte_fuzzed_params_never_internal_error(tmp_path):
         assert r.returncode in (0, 2), (k, r.stderr)
 
 
+def test_eval_params_with_huge_layer_count_is_data_error(tmp_path):
+    # the header's shape count is checked before the shapes of 10^12 layers
+    # are built, so the file is refused as malformed, not out of memory
+    from test_gnn import bsw_bytes, bsw_parts, _with
+    header, payload, _ = bsw_parts(tmp_path)
+    path = tmp_path / "huge.bsw"
+    path.write_bytes(bsw_bytes(_with(header, layers=10 ** 12), payload))
+    r = run_cli(["eval", "--env", "blocks", "--strategy", "bison", "--ll", "gnn",
+                 "--params", str(path), "--objects", "1", "--episodes", "1",
+                 "--seeds", "1", "--out", "-"])
+    assert r.returncode == 2, r.stderr
+    assert r.stderr.splitlines() == ["error: bad parameter file %s: tensor shapes do not "
+                                     "match the spec" % path]
+
+
 @pytest.mark.parametrize("env", ["gacha", "pickplace"])
 def test_eval_params_of_another_env_is_data_error(tmp_path, env):
     from bison.envs import ACTION_DIM, EGO_DIM, env_domain, obj_dim
@@ -705,3 +720,114 @@ def test_learn_hl_names_where_each_skipped_demo_broke(tmp_path, env, objects, co
         assert head.startswith("INFO bison: skipped demo %d: " % k), line
         steps.append(int(step))
     assert steps[:len(first_steps)] == first_steps
+
+
+# The byte-identical oracle: eval CSVs of every strategy on every kind, and
+# learned policies.  "eval STRATEGY KIND [gnn]" runs --objects 1..3 --episodes 1
+# --seeds 1 --seed 7; pure_nn_stub and "gnn" (--ll gnn) read the benchmark's
+# params.bsw, whose encoding fits blocks, blocks-noisy and factory.
+# "learn KIND N COUNT SEED" learns from COUNT demos of N objects.
+PARAMS_BSW = os.path.join(os.path.dirname(__file__), "..", "perfbench", "fixtures",
+                          "params.bsw")
+PINNED_OUTPUTS = {
+    "eval bison blocks":
+        "903143dbe50b8275e63c023ebe20ceced1336148635752a1b91674ff44d024a1",
+    "eval bison blocks gnn":
+        "eb2e0fac5fbe7e58c2a2396674d34b2fd675c47775021e93c18f17a60e0c801f",
+    "eval bison blocks-noisy":
+        "51e870710ca3fb30eaa1bb187df2b1c4512914ac4be209bd1d9532a980e5de2a",
+    "eval bison blocks-noisy gnn":
+        "d520bccbaeb9c736533165e69ecaabe59f81b1ce33bbee64b80b39272a7e0ece",
+    "eval bison factory":
+        "37ea205bd9e704fa6486a0248f6e32f1856d66f9d4a08450b8a8053ceece975a",
+    "eval bison factory gnn":
+        "89532ed550a68c23114881933754e777ba61573cc7db3b85d77f5eeef3559291",
+    "eval bison gacha":
+        "2e07bf6c013e0993b0e6710476bdb6dc0516236d35792d1122410d77ae3d3b2a",
+    "eval bison pickplace":
+        "206433321ee5b69a609ae9287c0c43eb119c72b2aba460f912d618294bff4cfd",
+    "eval det_plan blocks":
+        "04ff3ae3b3d2921d8a6a56137659987a777c443d90a51563612b2153eea8c0eb",
+    "eval det_plan blocks-noisy":
+        "c1dcc7b03360e40fd75f62f81479bebc5f74b56261be5c66832b45ae3d59b405",
+    "eval det_plan factory":
+        "6191dc7a13a69615a461d638d303bacbfa0194e83161adfa1ff3613c41ef2f29",
+    "eval det_plan gacha":
+        "8d1dd8482870163ad1645109d6fd5e281829eaac83ef314d78c42b96fef05466",
+    "eval det_plan pickplace":
+        "18f8ffe0a434fb769bf5d2e8f6a26d6ea3c17f8abccbb0a92095b6d18a72a2eb",
+    "eval det_replan blocks":
+        "2a024548229048c465bf58fa1fa77b5b5e95200495e0f914a91573905d7e0aa4",
+    "eval det_replan blocks-noisy":
+        "09d6173306e5f3527e42e87b85763b08a593c1eeaeb3946b410ee0299fb7c3a4",
+    "eval det_replan factory":
+        "1ce3878c06a1d0235acfacd6f89ba00216cb5551545850af34cc4e69e89c57fa",
+    "eval det_replan gacha":
+        "b50312afd42fd99b40df8dcab27be701e5f9d57fa2f883c2973ff3d77117df8e",
+    "eval det_replan pickplace":
+        "292f4e553e57d7a9108f335352e846d5d9da90fb9dc7a5576ca1ab7ee7d3cde7",
+    "eval ndt_plan blocks":
+        "b6582476a279cdefa0d03415802156e6143cb0b28e23ccbfe897fa3eee24e0dd",
+    "eval ndt_plan blocks-noisy":
+        "29eb1084097b4a2227bc95f071cc58a4e4f314f7f9a8a9a80e92b861658f1141",
+    "eval ndt_plan factory":
+        "63210fd96475e5c0ce09b41240d4d359d7f7458a27a755691a6d460b196776cf",
+    "eval ndt_plan gacha":
+        "dd5a8f5c17fa9646be7d87212b06c015e7e708b0bf1a23abde3301cbf885f77f",
+    "eval ndt_plan pickplace":
+        "b5d79af03ecfb89289cae61b4a2f013074c174d25e669abe9d0d50391b95a59d",
+    "eval ndt_replan blocks":
+        "66bf9c47b08638fb7a6dc1b3663f538ff38aeeaaa85cf54faf642bcf164f7a16",
+    "eval ndt_replan blocks-noisy":
+        "a34e136ba84f957821f4c663d4cda2c4f913cfd52fded7910abc2356b2907ce3",
+    "eval ndt_replan factory":
+        "50072c0295f68e9bc6398b33b693f97eec13849b41ac68dce06b5323f7c637d2",
+    "eval ndt_replan gacha":
+        "b6a28af2442bfb467ae0fde548686ce5eaf09e36700f7c06c75f94d4c28dffac",
+    "eval ndt_replan pickplace":
+        "133825fe231634d3a2615c05a086b7f49afc844937a078715c6af3fae98cc43d",
+    "eval oracle blocks":
+        "043a09009dbc5100d2345b76b71207a99baa937e35653d93360aaaf7f2b2b61f",
+    "eval oracle blocks-noisy":
+        "85954f7816989e8b9bad44e046325696a40598605c6bd3e85939b006d79eb292",
+    "eval oracle factory":
+        "e3aca7d73762003191789d12368a792f52fc429de7379e009373f7516074ca82",
+    "eval oracle gacha":
+        "eac80644dad3fe85e74b6a1a470016e66bb9a6a9182486cb5800d66460e2ed40",
+    "eval oracle pickplace":
+        "c3b233def29529b26e2fc86b7265b40d760cb51aa2faeafbad27812992055b71",
+    "eval pure_nn_stub blocks":
+        "fb0a08dfcb69ea0877877602e84afee06626ea3dcb6b787bb7747aa5682f7a8a",
+    "eval pure_nn_stub blocks-noisy":
+        "c013b11d0e2d85da8b97b065a3fab41125e6ed2eaae10d65850760bc9dbd2672",
+    "eval pure_nn_stub factory":
+        "0e2ad8bb7eedd1db9fb146563f681f8569e2a6f5fc8c2320683418704e25e953",
+    "learn blocks 3 20 5":
+        "54fd0f586db8aa5db98d312946db8d3156a37728fc52bd737ec272427e73c595",
+    "learn pickplace 3 10 2":
+        "552e07368c739648b1949984918ab016d9184f829d98aeed411a3bdeb695d4ad",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED_OUTPUTS))
+def test_outputs_are_pinned(tmp_path, name):
+    import hashlib
+    from bison import cli
+    what, *rest = name.split()
+    out = tmp_path / "out"
+    if what == "learn":
+        kind, n, count, seed = rest
+        demos = str(tmp_path / "demos.bst")
+        assert cli.main(["gen-demos", "--env", kind, "--objects", n, "--count", count,
+                         "--seed", seed, "--out", demos]) == 0
+        argv = ["learn-hl", "--env", kind, "--traces", demos]
+    else:
+        strategy, kind = rest[:2]
+        argv = ["eval", "--env", kind, "--strategy", strategy, "--objects", "1..3",
+                "--episodes", "1", "--seeds", "1", "--seed", "7"]
+        if rest[2:] == ["gnn"]:
+            argv += ["--ll", "gnn"]
+        if strategy == "pure_nn_stub" or rest[2:] == ["gnn"]:
+            argv += ["--params", PARAMS_BSW]
+    assert cli.main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == PINNED_OUTPUTS[name]

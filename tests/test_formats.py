@@ -379,7 +379,7 @@ def test_printed_bytes_are_pinned(what, arg):
     if what == "domain":
         text = serialize_domain(env_domain(arg))
     elif what == "policy":
-        text = builtin_policy(arg).serialize()
+        text = serialize_policy(builtin_policy(arg))
     else:
         text = serialize_problem(gen_blocks_hl_problem(arg, 2))
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRINTED[what, arg]

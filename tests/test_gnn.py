@@ -756,6 +756,8 @@ BAD_BSW = {
     "spec field a float": lambda h, p, blob: bsw_bytes(_with(h, spec_ego_dim=3.0), p),
     "hidden zero": lambda h, p, blob: bsw_bytes(_with(h, hidden=0), p),
     "huge hidden": lambda h, p, blob: bsw_bytes(_with(h, hidden=10 ** 12), p),
+    "huge layers": lambda h, p, blob: bsw_bytes(_with(h, layers=10 ** 12), p),
+    "tensors not a list": lambda h, p, blob: bsw_bytes(_with(h, tensors=10), p),
     "shapes disagree": lambda h, p, blob: bsw_bytes(
         _with(h, tensors=h["tensors"][::-1]), p),
     "spec disagrees with payload": lambda h, p, blob: bsw_bytes(

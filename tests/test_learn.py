@@ -134,8 +134,8 @@ def test_learn_single_demo_reproduces_first_three_rules(pickplace_domain):
     demos = generate_demos(EnvConfig("pickplace", 1, seed=3, start_at_block=True), 1)
     pol = learn_hl_policy(demos, pickplace_domain, make_labeller("pickplace"))
     builtin = builtin_policy("pickplace")
-    expect = builtin.serialize().splitlines()[:3]
-    assert pol.serialize().splitlines() == expect
+    expect = serialize_policy(builtin).splitlines()[:3]
+    assert serialize_policy(pol).splitlines() == expect
     assert [r.val for r in pol.rules] == [0, 1, 2]
 
 
@@ -168,21 +168,21 @@ def test_learn_empty_demo_set(pickplace_domain):
 
 def test_learn_move_demo_adds_rule_four(pickplace_demos, pickplace_domain,
                                         pickplace_policy):
-    assert pickplace_policy.serialize() == builtin_policy("pickplace").serialize()
+    assert serialize_policy(pickplace_policy) == serialize_policy(builtin_policy("pickplace"))
     assert [r.val for r in pickplace_policy.rules] == [0, 1, 2, 3]
 
 
 def test_learn_deterministic_and_idempotent(blocks_demos, blocks_domain):
     lab = make_labeller("blocks")
-    a = learn_hl_policy(blocks_demos[:40], blocks_domain, lab).serialize()
-    b = learn_hl_policy(list(reversed(blocks_demos[:40])), blocks_domain, lab).serialize()
-    c = learn_hl_policy(blocks_demos[:40] * 2, blocks_domain, lab).serialize()
+    a = serialize_policy(learn_hl_policy(blocks_demos[:40], blocks_domain, lab))
+    b = serialize_policy(learn_hl_policy(list(reversed(blocks_demos[:40])), blocks_domain, lab))
+    c = serialize_policy(learn_hl_policy(blocks_demos[:40] * 2, blocks_domain, lab))
     assert a == b == c
 
 
 def test_learn_renaming_invariance(blocks_demos, blocks_domain):
     lab = make_labeller("blocks")
-    base = learn_hl_policy(blocks_demos[:10], blocks_domain, lab).serialize()
+    base = serialize_policy(learn_hl_policy(blocks_demos[:10], blocks_domain, lab))
     renamed = []
     for demo in blocks_demos[:10]:
         mapping = {}
@@ -192,7 +192,7 @@ def test_learn_renaming_invariance(blocks_demos, blocks_domain):
                           s.action) for s in demo.steps]
         goal = tuple((g[0],) + tuple(mapping[o] for o in g[1:]) for g in demo.goal)
         renamed.append(Demo(goal, steps))
-    assert learn_hl_policy(renamed, blocks_domain, lab).serialize() == base
+    assert serialize_policy(learn_hl_policy(renamed, blocks_domain, lab)) == base
 
 
 def test_coverage_bound_values(pickplace_domain):

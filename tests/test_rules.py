@@ -1,9 +1,12 @@
 import itertools
 import time
 
+from bison import rules as rules_mod
 from bison.core import HLProblem, ObjectTable, applicable, ground_outcomes
-from bison.envs import builtin_policy, env_domain
-from bison.formats import parse_policy
+from bison.envs import (EnvConfig, builtin_policy, env_domain, generate_demos,
+                        make_env, make_labeller)
+from bison.formats import parse_policy, serialize_policy
+from bison.learn import learn_hl_policy
 from bison.rules import (HLPolicy, Rule, StateIndex,
                          adversarial_outcome, canonical_rule_str, fixed_outcome,
                          match_rule, random_outcome, select_action,
@@ -278,3 +281,32 @@ def test_replay_leaves_no_empty_position_buckets(blocks_policy):
         assert set(side.by_pos) == {(f[0], pos, o) for f in side.facts
                                     for pos, o in enumerate(f[1:])}
     assert not idx.unachieved.by_pos
+
+
+def test_rule_plans_compile_on_first_match(monkeypatch):
+    domain = env_domain("blocks")
+    demos = generate_demos(EnvConfig("blocks", 3, seed=5), 20)
+    compiled = []
+    compile_plan = rules_mod._compile_plan
+    monkeypatch.setattr(rules_mod, "_compile_plan",
+                        lambda atoms: compiled.append(1) or compile_plan(atoms))
+    learned = learn_hl_policy(demos, domain, make_labeller("blocks"))
+    # the precondition plans, once per domain, are all that learning compiles
+    assert len(compiled) <= len(domain.schemata)
+    text = serialize_policy(learned)
+    assert not any("plan" in vars(r) for r in learned.rules)
+    assert not any("plan" in vars(r) for r in parse_policy(text, domain).rules)
+
+    env = make_env(EnvConfig("blocks", 3, seed=1))
+    init, goal, n = env.label(env.reset()[0]), env.goal, len(env.table)
+    pick = select_action(parse_policy(text, domain), StateIndex(init, goal), n)
+    add, dele = list(ground_outcomes(domain, pick))[0]
+    holding = (init - dele) | add
+    live = [i for i, dead in enumerate(learned.dead) if not dead]
+    assert len(live) >= 2
+    # from the initial state selection reaches the second live rule; once a
+    # block is held the first live rule fires, and the later rules stay raw
+    for state, reached in ((init, live[:2]), (holding, live[:1])):
+        policy = parse_policy(text, domain)
+        assert select_action(policy, StateIndex(state, goal), n) is not None
+        assert [i for i, r in enumerate(policy.rules) if "plan" in vars(r)] == reached
