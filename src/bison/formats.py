@@ -5,7 +5,10 @@ JSON records; policies are one rule per line.  Parsers are total: any input
 yields a value or a positioned ParseError, never an unhandled crash.  One
 reader, with an explicit stack rather than recursion, reads the S-expressions
 of domains, problems, rule lines and trace goals, and one lifted-atom parser
-reads schema preconditions and effects, rule conditions and rule heads.
+reads schema preconditions and effects, rule conditions and rule heads.  The
+trace codec does a few C-level calls per step: the writer one ``str.format``
+on a template cached per step shape, the reader one type check that keeps a
+well-formed step as ``json`` parsed it.
 """
 
 from __future__ import annotations
@@ -13,6 +16,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, List
 
 from .core import (ActionSchema, BisonError, Domain, HLProblem, ObjectTable,
@@ -381,15 +385,8 @@ def _fact_names(s: str, line_no: int) -> tuple:
 
 
 def _numbers(value, what: str, line_no: int) -> list:
-    """A JSON list of finite numbers as floats, or a ParseError.
-
-    A list of floats with a finite sum (so every value is finite) is returned
-    as it is, in a few C-level calls.  Anything else goes through the check
-    per value: ints, non-numbers, non-finite values and finite values whose
-    sum overflows."""
-    if type(value) is list and set(map(type, value)) <= {float} \
-            and math.isfinite(sum(value)):
-        return value
+    """A JSON list of finite numbers as floats (ints come back as floats), or a
+    ParseError naming the first value that is not a finite number."""
     if not isinstance(value, list):
         raise ParseError("trace %s must be a list of numbers" % what, line_no, 1)
     out = []
@@ -426,6 +423,19 @@ def parse_traces(text: str) -> List[Demo]:
         goal = tuple(_fact_names(g, line_no) for g in rec["goal"])
         steps, ego_len, obj_len, act_len = [], None, None, None
         for s in rec["steps"]:
+            # A step of float lists with a finite sum and the record's widths
+            # is kept as parsed, after one check in a few C-level calls.
+            if type(s) is dict and len(s) == 3 and type(s.get("objects")) is dict:
+                ego, objs, act = s.get("ego"), s["objects"], s.get("action")
+                vecs = objs.values()
+                if type(ego) is list and type(act) is list \
+                        and set(map(type, vecs)) <= {list} \
+                        and set(map(type, chain(ego, act, *vecs))) <= {float} \
+                        and math.isfinite(sum(chain(ego, act, *vecs))) \
+                        and len(ego) == ego_len and len(act) == act_len \
+                        and set(map(len, vecs)) <= {obj_len}:
+                    steps.append(DemoStep(ego, objs, act))
+                    continue
             if not isinstance(s, dict) or not {"ego", "objects", "action"} <= set(s):
                 raise ParseError("trace step needs ego/objects/action", line_no, 1)
             if not isinstance(s["objects"], dict):
@@ -447,20 +457,46 @@ def parse_traces(text: str) -> List[Demo]:
     return demos
 
 
+def _step_template(ego_width: int, names: tuple, widths: tuple, act_width: int) -> str:
+    """The ``str.format`` template of one step shape: a ``{:.9}`` field per
+    number, each object key written by ``json.dumps`` with its braces doubled."""
+    def vec(width):
+        return "[%s]" % ",".join(["{:.9}"] * width)
+    objs = ",".join("%s:%s" % (json.dumps(name).replace("{", "{{").replace("}", "}}"),
+                               vec(width)) for name, width in zip(names, widths))
+    return '{{"ego":%s,"objects":{{%s}},"action":%s}}' % (vec(ego_width), objs,
+                                                           vec(act_width))
+
+
 def serialize_traces(demos: Iterable[Demo]) -> str:
-    """One JSON record per demo; each number is rounded to 9 significant digits
-    and written as the ``repr`` of the rounded float (``1.0``, not ``1``)."""
+    """One JSON record per demo, each step written by one ``str.format`` call
+    on a template built once per step shape (ego width, object names and
+    widths, action width).
+
+    Each number passes through ``float`` and is written as ``format(x, ".9")``:
+    nine significant digits, with at least one digit after the point (``1.0``,
+    not ``1``).  For x = 0 and for every normal x (|x| >= 2.2250738585072014e-308)
+    that rounds to nine digits below 1e8, which holds every number an env
+    writes, that is the text ``repr(float("%.9g" % x))``; outside that range it
+    is the same nine digits in exponent form, which read back as the same
+    float.  A non-finite number raises BisonError naming its demo and step,
+    since JSON cannot hold it."""
+    templates = {}
     lines = []
-    for demo in demos:
-        rec = {
-            "goal": ["(%s)" % " ".join(g) for g in demo.goal],
-            "steps": [{"ego": [float("%.9g" % x) for x in s.ego],
-                       "objects": {k: [float("%.9g" % x) for x in v]
-                                   for k, v in s.objects.items()},
-                       "action": [float("%.9g" % x) for x in s.action]}
-                      for s in demo.steps],
-        }
-        lines.append(json.dumps(rec, separators=(",", ":")))
+    for d, demo in enumerate(demos):
+        steps = []
+        for k, s in enumerate(demo.steps):
+            objs = s.objects
+            shape = (len(s.ego), tuple(objs), tuple(map(len, objs.values())), len(s.action))
+            template = templates.get(shape)
+            if template is None:
+                template = templates[shape] = _step_template(*shape)
+            nums = list(map(float, chain(s.ego, *objs.values(), s.action)))
+            if not math.isfinite(sum(nums)) and not all(map(math.isfinite, nums)):
+                raise BisonError("trace demo %d, step %d holds a non-finite number" % (d, k))
+            steps.append(template.format(*nums))
+        goal = json.dumps(["(%s)" % " ".join(g) for g in demo.goal], separators=(",", ":"))
+        lines.append('{"goal":%s,"steps":[%s]}' % (goal, ",".join(steps)))
     return "\n".join(lines) + ("\n" if lines else "")
 
 

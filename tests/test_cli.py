@@ -13,10 +13,16 @@ def run_cli(args, **kw):
 
 @pytest.fixture(scope="module")
 def workdir(tmp_path_factory):
+    """demos.bst, the pol.bsp learned from it and the p.bsw trained on it, so
+    that any test reading them passes when run alone."""
     d = tmp_path_factory.mktemp("cli")
-    r = run_cli(["gen-demos", "--env", "blocks", "--objects", "3", "--count", "6",
-                 "--seed", "5", "--out", str(d / "demos.bst")])
-    assert r.returncode == 0, r.stderr
+    for argv in (["gen-demos", "--objects", "3", "--count", "6", "--seed", "5",
+                  "--out", str(d / "demos.bst")],
+                 ["learn-hl", "--traces", str(d / "demos.bst"), "--out", str(d / "pol.bsp")],
+                 ["train-ll", "--traces", str(d / "demos.bst"), "--iterations", "3",
+                  "--seed", "1", "--out", str(d / "p.bsw")]):
+        r = run_cli(argv[:1] + ["--env", "blocks"] + argv[1:])
+        assert r.returncode == 0, r.stderr
     return d
 
 
@@ -40,19 +46,12 @@ def test_gen_demos_deterministic(workdir):
 
 
 def test_learn_hl_emits_place_rule_first(workdir):
-    r = run_cli(["learn-hl", "--env", "blocks", "--traces",
-                 str(workdir / "demos.bst"), "--out", str(workdir / "pol.bsp")])
-    assert r.returncode == 0, r.stderr
     text = (workdir / "pol.bsp").read_text()
     first = text.splitlines()[0]
     assert first.startswith("1:") and "(place" in first.rsplit("=>", 1)[1]
 
 
 def test_train_ll_writes_params(workdir):
-    r = run_cli(["train-ll", "--env", "blocks", "--traces",
-                 str(workdir / "demos.bst"), "--iterations", "3",
-                 "--seed", "1", "--out", str(workdir / "p.bsw")])
-    assert r.returncode == 0, r.stderr
     blob = (workdir / "p.bsw").read_bytes()
     assert blob[:4] == b"BSW1"
 

@@ -2,12 +2,16 @@ import hashlib
 import json
 import math
 import random
+import re
+import struct
 
 import pytest
 
 from bison.bench import gen_blocks_hl_problem
+from bison.core import BisonError
 from bison.envs import PICKPLACE_DOMAIN_TEXT, builtin_policy, env_domain
-from bison.formats import (ParseError, _numbers, parse_domain, parse_policy,
+from bison.formats import (Demo, DemoStep, ParseError, _fact_names, _numbers,
+                           parse_domain, parse_policy,
                            parse_problem, parse_traces, serialize_domain,
                            serialize_policy, serialize_problem, serialize_traces)
 
@@ -284,18 +288,271 @@ def test_parse_traces_numbers_through_json():
         assert json.loads(text.strip())  # json itself reads every one of them
 
 
+def reference_parse_traces(text):
+    """``parse_traces`` as it was, before its per-step check: every vector goes
+    through the check per value and is copied."""
+    demos = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+        except json.JSONDecodeError as e:
+            raise ParseError("malformed trace record: %s" % e.msg, line_no, e.colno) from None
+        except (ValueError, RecursionError) as e:
+            raise ParseError("malformed trace record: %s" % e, line_no, 1) from None
+        if not isinstance(rec, dict) or "goal" not in rec or "steps" not in rec:
+            raise ParseError("trace record needs 'goal' and 'steps'", line_no, 1)
+        if not isinstance(rec["goal"], list) or not all(isinstance(g, str) for g in rec["goal"]):
+            raise ParseError("trace goal must be a list of fact strings", line_no, 1)
+        if not isinstance(rec["steps"], list):
+            raise ParseError("trace steps must be a list", line_no, 1)
+        goal = tuple(_fact_names(g, line_no) for g in rec["goal"])
+        steps, ego_len, obj_len, act_len = [], None, None, None
+        for s in rec["steps"]:
+            if not isinstance(s, dict) or not {"ego", "objects", "action"} <= set(s):
+                raise ParseError("trace step needs ego/objects/action", line_no, 1)
+            if not isinstance(s["objects"], dict):
+                raise ParseError("trace step objects must map names to vectors", line_no, 1)
+            ego = reference_numbers(s["ego"], "ego vector", line_no)
+            act = reference_numbers(s["action"], "action vector", line_no)
+            objs = {k: reference_numbers(v, "object vector", line_no)
+                    for k, v in s["objects"].items()}
+            if ego_len is None:
+                ego_len, act_len = len(ego), len(act)
+            if len(ego) != ego_len or len(act) != act_len:
+                raise ParseError("ragged ego/action vector lengths", line_no, 1)
+            for vec in objs.values():
+                if obj_len is None:
+                    obj_len = len(vec)
+                if len(vec) != obj_len:
+                    raise ParseError("ragged object vector lengths", line_no, 1)
+            steps.append(DemoStep(ego, objs, act))
+        demos.append(Demo(goal, steps))
+    return demos
+
+
+def traces_outcome(fn, text):
+    """What ``fn`` makes of ``text``: every number with its type and exact
+    text, or the ParseError's message and position."""
+    def vec(v):
+        return [(type(x), repr(x)) for x in v]
+    try:
+        demos = fn(text)
+    except ParseError as e:
+        return ("error", str(e), e.line, e.col)
+    return ("ok", [(d.goal, [(vec(s.ego), [(k, vec(v)) for k, v in s.objects.items()],
+                              vec(s.action)) for s in d.steps]) for d in demos])
+
+
+# JSON texts that a mutation writes in place of a number or a vector
+BAD_NUMBERS = ["3", "-0", "true", "false", "NaN", "Infinity", "-Infinity", "1e999",
+               "1" + "0" * 400, '"0.5"', "null"]
+BAD_VECTORS = ["[1e308,1e308]", "[-1e308,-1e308,0.5]", "[]", "5", '"ab"', "null",
+               '{"x":0.5}', "[[0.5]]"]
+
+
+def fuzz_record(rng):
+    """A record of random widths and steps, then one to three mutations of
+    the kinds a hand-made or damaged ``.bst`` holds."""
+    ego_w, obj_w, act_w = rng.randint(0, 3), rng.randint(0, 3), rng.randint(0, 3)
+    names = ["b%d" % i for i in range(rng.randint(0, 3))]
+
+    def vec(width):
+        return [rng.choice((0.0, 1.0, -0.0, round(rng.uniform(-2, 2), 9))) for _ in range(width)]
+
+    steps = [{"ego": vec(ego_w), "objects": {k: vec(obj_w) for k in names},
+              "action": vec(act_w)} for _ in range(rng.randint(0, 4))]
+    marks = {}  # placeholder string -> the JSON text that replaces it
+
+    def mark(text):
+        key = "@%d@" % len(marks)
+        marks[key] = text
+        return key
+
+    for _ in range(rng.randint(1, 3)):
+        dicts = [t for t in steps if isinstance(t, dict)]
+        if not dicts:
+            break
+        s = rng.choice(dicts[:1] + dicts)  # the first step half the time
+        objs = s["objects"] if isinstance(s.get("objects"), dict) else {}
+        slots = [(s, k) for k in ("ego", "action") if k in s] + [(objs, k) for k in objs]
+        vectors = [t[k] for t, k in slots if isinstance(t[k], list) and t[k]]
+        kind = rng.randrange(9)
+        if kind == 0 and vectors:
+            v = rng.choice(vectors)
+            v[rng.randrange(len(v))] = mark(rng.choice(BAD_NUMBERS))
+        elif kind == 1 and slots:
+            t, k = rng.choice(slots)
+            t[k] = mark(rng.choice(BAD_VECTORS))
+        elif kind == 2 and vectors:  # ragged: one value more or less
+            v = rng.choice(vectors)
+            v.pop() if rng.random() < 0.5 else v.append(0.5)
+        elif kind == 3:
+            s["extra"] = 1.0
+        elif kind == 4:
+            s.pop(rng.choice(["ego", "objects", "action"]), None)
+        elif kind == 5:
+            s["objects"] = mark(rng.choice(['[[0.5]]', "5", '"b0"', "null", "[]"]))
+        elif kind == 6:  # empty objects on a step before one with objects
+            s["objects"] = {}
+        elif kind == 7:
+            objs["z"] = vec(rng.randint(0, 4))
+            s["objects"] = objs
+        else:
+            steps.insert(rng.randrange(len(steps) + 1), mark(rng.choice(["5", "[]", "null"])))
+    text = json.dumps({"goal": ["(at %s p0)" % k for k in names], "steps": steps},
+                      separators=(",", ":"))
+    for key, value in marks.items():
+        text = text.replace('"%s"' % key, value)
+    return text
+
+
+def test_parse_traces_equals_reference_on_mutated_records():
+    rng = random.Random(2501)
+    outcomes = set()
+    for _ in range(3000):
+        text = "\n".join(fuzz_record(rng) if rng.random() < 0.8 else ""
+                         for _ in range(rng.randint(1, 3)))
+        got = traces_outcome(parse_traces, text)
+        assert got == traces_outcome(reference_parse_traces, text), text
+        if got[0] == "ok":
+            outcomes.add("ok")
+        else:
+            outcomes.add(re.sub(r"(non-number) .*| \(line .*", r"\1", got[1]))
+    assert outcomes >= {
+        "ok", "trace step needs ego/objects/action",
+        "trace step objects must map names to vectors",
+        "ragged ego/action vector lengths", "ragged object vector lengths",
+        "trace ego vector must be a list of numbers",
+        "trace object vector must be a list of numbers",
+        "trace action vector holds a non-number",
+        "trace object vector holds a non-finite number"}
+
+
+def test_parse_traces_reads_steps_that_fail_the_step_check():
+    steps = [_step(ego="[1, 2]"), _step(ego="[1e308, 1e308]"),
+             _step(ego="[0.5, -0.0]")[:-1] + ', "note": 1}', _step(ego="[0.25, 0.5]")]
+    (demo,) = parse_traces('{"goal": [], "steps": [%s]}' % ",".join(steps))
+    assert [s.ego for s in demo.steps] == [[1.0, 2.0], [1e308, 1e308], [0.5, -0.0],
+                                           [0.25, 0.5]]
+    assert all(type(x) is float for s in demo.steps for x in s.ego)
+
+
+def reference_serialize_traces(demos):
+    """``serialize_traces`` as it was: each number through ``float("%.9g" % x)``
+    and the record through ``json.dumps``."""
+    lines = []
+    for demo in demos:
+        rec = {
+            "goal": ["(%s)" % " ".join(g) for g in demo.goal],
+            "steps": [{"ego": [float("%.9g" % x) for x in s.ego],
+                       "objects": {k: [float("%.9g" % x) for x in v]
+                                   for k, v in s.objects.items()},
+                       "action": [float("%.9g" % x) for x in s.action]}
+                      for s in demo.steps],
+        }
+        lines.append(json.dumps(rec, separators=(",", ":")))
+    return "\n".join(lines) + ("\n" if lines else "")
+
+
+def written_numbers(values):
+    """The texts ``serialize_traces`` writes for ``values``, as one ego vector."""
+    text = serialize_traces([Demo((), [DemoStep(values, {}, [])])])
+    return re.fullmatch(r'\{"goal":\[\],"steps":\[\{"ego":\[(.*)\],"objects":\{\},'
+                        r'"action":\[\]\}\]\}\n', text).group(1).split(",")
+
+
+def random_floats(rng, count):
+    """Finite floats from random 64-bit patterns, from uniform values scaled by
+    10**k for k in -320..308, and plain uniform values."""
+    out = []
+    while len(out) < count:
+        x = struct.unpack("<d", rng.getrandbits(64).to_bytes(8, "little"))[0]
+        for y in (x, rng.uniform(-10, 10) * 10.0 ** rng.randint(-320, 308),
+                  rng.uniform(-2, 2)):
+            if math.isfinite(y):
+                out.append(y)
+    return out
+
+
+def in_writer_range(x):
+    """x = 0, or x normal and below 1e8 once rounded to nine digits."""
+    return x == 0 or 2.2250738585072014e-308 <= abs(x) and abs(float("%.9g" % x)) < 1e8
+
+
+def test_written_numbers_read_back_as_the_rounded_float():
+    rng = random.Random(2502)
+    values = random_floats(rng, 30000) + [0.0, -0.0, 5e-324, -5e-324, 1e8, 99999999.99, 99999999.9,
+                                          123456789.0, 1e16, 1.7976931348623157e308,
+                                          2.2250738585072014e-308, 1e-5, 0.1, 3, True, -7]
+    in_range = 0
+    for x, text in zip(values, written_numbers(values)):
+        rounded = float("%.9g" % x)
+        assert repr(float(text)) == repr(rounded), x
+        if in_writer_range(x):
+            in_range += 1
+            assert text == repr(rounded), x
+    assert in_range > 10000
+
+
+def first_difference(got, want):
+    """None when the texts are equal, else the first differing character's
+    offset and the text around it in each (pytest's diff of two whole corpora
+    would take minutes)."""
+    if got == want:
+        return None
+    at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b),
+              min(len(got), len(want)))
+    lo = max(at - 30, 0)
+    return at, got[lo:at + 30], want[lo:at + 30]
+
+
+def test_serialize_traces_equals_reference_on_the_quickstart_corpus(blocks_demos):
+    got = serialize_traces(blocks_demos)
+    assert first_difference(got, reference_serialize_traces(blocks_demos)) is None
+    assert serialize_traces([]) == reference_serialize_traces([]) == ""
+
+
+def test_serialize_traces_equals_reference_on_shapes_and_keys():
+    demos = [Demo((("at", "b0", "p0"), ("on", "{b}", "ü\"")),
+                  [DemoStep([0.1, 2], {"{b}": [1.0], 'ü"': [0.25]}, [3]),
+                   DemoStep([], {}, []),
+                   DemoStep([0.5, 1e-7], {"b0": [-0.0]}, [1])]),
+             Demo((), [])]
+    assert serialize_traces(demos) == reference_serialize_traces(demos)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+@pytest.mark.parametrize("where", ["ego", "objects", "action"])
+def test_serialize_traces_rejects_non_finite_numbers(bad, where):
+    step = DemoStep([0.5, 1.0], {"b0": [0.25]}, [0.0])
+    broken = DemoStep([0.5, bad] if where == "ego" else [0.5, 1.0],
+                      {"b0": [bad] if where == "objects" else [0.25]},
+                      [bad] if where == "action" else [0.0])
+    demos = [Demo((), [step]), Demo((), [step, step, broken])]
+    with pytest.raises(BisonError, match=r"^trace demo 1, step 2 holds a non-finite number$"):
+        serialize_traces(demos)
+
+
 def test_traces_round_trip(blocks_demos):
     demos = blocks_demos[:3]
     text = serialize_traces(demos)
     again = parse_traces(text)
     assert len(again) == len(demos)
+
+    def close(u, v):
+        return len(u) == len(v) and all(abs(x - y) < 1e-8 for x, y in zip(u, v))
+
     for a, b in zip(demos, again):
         assert a.goal == b.goal
         assert len(a.steps) == len(b.steps)
         # 9 significant digits: round-trip is near-exact for these magnitudes
         for sa, sb in zip(a.steps, b.steps):
             assert sa.objects.keys() == sb.objects.keys()
-            assert all(abs(x - y) < 1e-8 for x, y in zip(sa.ego, sb.ego))
+            assert close(sa.ego, sb.ego)
+            assert close(sa.action, sb.action)
+            assert all(close(sa.objects[k], sb.objects[k]) for k in sa.objects)
 
 
 def test_policy_line_structure_example_rule():
