@@ -7,20 +7,18 @@ against planner baselines in desk-scale 2D environments.
 
 from .core import (ActionSchema, BisonError, Domain, GroundAction, HLProblem,
                    ObjectTable, Predicate, PreconditionError, StructuralError,
-                   applicable, equivalent, is_goal, rename_action, rename_state,
-                   successors)
+                   applicable, successors)
 from .envs import EnvConfig, LLState, builtin_policy, env_domain, generate_demos, \
     make_env, make_labeller
 from .formats import (Demo, DemoStep, ParseError, parse_domain, parse_policy,
-                      parse_problem, parse_traces, serialize_domain,
-                      serialize_policy, serialize_problem, serialize_traces)
+                      parse_traces, serialize_domain, serialize_policy,
+                      serialize_traces)
 from .gnn import EncodingSpec, GnnParams, TrainConfig, backward, build_dataset, \
     encode, forward, load_params, save_params, train
-from .learn import (AbstractionGapError, HLTrace, coverage_bound,
-                    extract_hl_trace, learn_hl_policy, lift, regress)
-from .rules import (HLPolicy, NdrpReport, Rule, StateIndex, adversarial_outcome,
-                    canonical_rule_str, check_ndrp, fixed_outcome, match_rule,
-                    random_outcome, select_action, solve_hl)
+from .learn import (AbstractionGapError, HLTrace, extract_hl_trace,
+                    learn_hl_policy, lift, regress)
+from .rules import (HLPolicy, NdrpReport, Rule, StateIndex, canonical_rule_str,
+                    check_ndrp, match_rule, select_action, solve_hl)
 from .runner import EpisodeResult, Executor, run_episode
 from .search import Plan, SearchStats, find_plan, find_policy
 

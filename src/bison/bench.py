@@ -35,7 +35,7 @@ def gen_blocks_hl_problem(n: int, seed: int = 0) -> HLProblem:
     rng.shuffle(pad_perm)
     goal = frozenset(domain.ground_fact("at", (blocks[i], pads[pad_perm[i]]), table)
                      for i in range(n))
-    return HLProblem(domain, table, frozenset(init), goal, "hl-blocks-%d" % n)
+    return HLProblem(domain, table, frozenset(init), goal)
 
 
 @dataclass

@@ -1,8 +1,8 @@
 """Ground and lifted relational semantics.
 
-Facts, states, action schemata, applicability, nondeterministic successors,
-object renaming and instance equivalence.  This module imports nothing from
-the rest of the package; every other module builds on it.
+Facts, states, action schemata, applicability and nondeterministic
+successors.  This module imports nothing from the rest of the package; every
+other module builds on it.
 
 Representation: predicates and objects are interned to integer ids; a ground
 fact is the tuple ``(pred_id, obj_id, ...)`` and an HL state is a frozenset of
@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class BisonError(Exception):
@@ -98,9 +98,6 @@ class ObjectTable:
     def __len__(self):
         return len(self.names)
 
-    def __contains__(self, name):
-        return name in self.ids
-
 
 def check_atoms(symbols: Sequence, atoms: Iterable, n_vars: int, owner: str):
     """Each lifted atom ``(id, *var indices)`` names one of ``symbols``
@@ -172,7 +169,6 @@ class HLProblem:
     objects: ObjectTable
     init: HLState
     goal: frozenset
-    name: str = "problem"
 
 
 # ---------------------------------------------------------------------------
@@ -213,101 +209,3 @@ def successors(domain: Domain, state: HLState, action: GroundAction) -> list:
     for add, dele in ground_outcomes(domain, action):
         out.append((state - dele) | add)
     return out
-
-
-def is_goal(state: HLState, goal: frozenset) -> bool:
-    return goal <= state
-
-
-# ---------------------------------------------------------------------------
-# Renaming and equivalence
-# ---------------------------------------------------------------------------
-
-def _check_bijection(mapping: dict, mentioned: set):
-    missing = mentioned - set(mapping)
-    if missing:
-        raise StructuralError("renaming not total on %d mentioned objects" % len(missing))
-    values = list(mapping.values())
-    if len(set(values)) != len(values):
-        raise StructuralError("renaming is not injective")
-
-
-def rename_fact(fact: Fact, mapping: dict) -> Fact:
-    return (fact[0],) + tuple(mapping[o] for o in fact[1:])
-
-
-def rename_state(state: HLState, mapping: dict) -> HLState:
-    mentioned = {o for f in state for o in f[1:]}
-    _check_bijection(mapping, mentioned)
-    return frozenset(rename_fact(f, mapping) for f in state)
-
-
-def rename_action(action: GroundAction, mapping: dict) -> GroundAction:
-    _check_bijection(mapping, set(action.args))
-    return GroundAction(action.schema_id, tuple(mapping[o] for o in action.args))
-
-
-def _signature(problem: HLProblem, oid: int):
-    """Multiset of (fact-set tag, predicate, position) occurrences of an object."""
-    sig = []
-    for tag, facts in (("i", problem.init), ("g", problem.goal)):
-        for f in facts:
-            for pos, o in enumerate(f[1:]):
-                if o == oid:
-                    sig.append((tag, f[0], pos))
-    sig.sort()
-    return tuple(sig)
-
-
-def equivalent(p1: HLProblem, p2: HLProblem) -> Optional[dict]:
-    """Witness bijection f with F(init1) = init2 and F(goal1) = goal2, or None.
-
-    Candidate pairings are pruned by per-object signatures before backtracking;
-    worst case is exponential, acceptable for the small instances this is used
-    on.  Requires both problems to share a domain.
-    """
-    if p1.domain is not p2.domain and p1.domain.pred_ids != p2.domain.pred_ids:
-        raise StructuralError("equivalence requires a common domain")
-    n1, n2 = len(p1.objects), len(p2.objects)
-    if n1 != n2 or len(p1.init) != len(p2.init) or len(p1.goal) != len(p2.goal):
-        return None
-    sig2 = {}
-    for o in range(n2):
-        sig2.setdefault(_signature(p2, o), []).append(o)
-    cands = []
-    for o in range(n1):
-        c = sig2.get(_signature(p1, o))
-        if not c:
-            return None
-        cands.append(c)
-    order = sorted(range(n1), key=lambda o: len(cands[o]))
-    mapping = {}
-    used = set()
-
-    def consistent(partial):
-        # quick check only on fully-mapped facts
-        for src, dst in ((p1.init, p2.init), (p1.goal, p2.goal)):
-            for f in src:
-                if all(o in partial for o in f[1:]):
-                    if rename_fact(f, partial) not in dst:
-                        return False
-        return True
-
-    def backtrack(k):
-        if k == n1:
-            return consistent(mapping)
-        o = order[k]
-        for c in cands[o]:
-            if c in used:
-                continue
-            mapping[o] = c
-            used.add(c)
-            if consistent(mapping) and backtrack(k + 1):
-                return True
-            del mapping[o]
-            used.discard(c)
-        return False
-
-    if backtrack(0):
-        return dict(mapping)
-    return None

@@ -167,7 +167,7 @@ GACHA_POLICY_TEXT = """
 # where the fixture is a pad (blocks, pickplace) or a tray (gacha).  gripdist
 # is the ∞-norm distance to the gripper; the skills' grip ramps are linear in
 # it, which keeps them cloneable within the fixed training budget
-B_DIST, B_HELD, B_BLOCK, B_PAD = 4, 5, 6, 7
+B_HELD, B_BLOCK, B_PAD = 5, 6, 7
 BLOCKS_OBJ_DIM = 8
 
 # gacha appends [is_box, colour_idx+1, box_state].  colour_idx is 1-based so

@@ -1,10 +1,10 @@
-"""Textual formats: domains (.bsd), problems (.bsq), traces (.bst), policies (.bsp).
+"""Textual formats: domains (.bsd), traces (.bst), policies (.bsp).
 
-Domains and problems use a small S-expression dialect; traces are line-oriented
-JSON records; policies are one rule per line.  Parsers are total: any input
+Domains use a small S-expression dialect; traces are line-oriented JSON
+records; policies are one rule per line.  Parsers are total: any input
 yields a value or a positioned ParseError, never an unhandled crash.  One
 reader, with an explicit stack rather than recursion, reads the S-expressions
-of domains, problems, rule lines and trace goals, and one lifted-atom parser
+of domains, rule lines and trace goals, and one lifted-atom parser
 reads schema preconditions and effects, rule conditions and rule heads.  The
 trace codec does a few C-level calls per step: the writer one ``str.format``
 on a template cached per step shape, the reader one type check that keeps a
@@ -19,8 +19,8 @@ from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, List
 
-from .core import (ActionSchema, BisonError, Domain, HLProblem, ObjectTable,
-                   Predicate, StructuralError, atom_str)
+from .core import (ActionSchema, BisonError, Domain, Predicate, StructuralError,
+                   atom_str)
 from .rules import HLPolicy, Rule, rule_str
 
 
@@ -294,65 +294,6 @@ def serialize_domain(domain: Domain) -> str:
         else:
             lines.append("    :effect (oneof %s))" % " ".join(outs))
     lines.append(")")
-    return "\n".join(lines) + "\n"
-
-
-# ---------------------------------------------------------------------------
-# Problems
-# ---------------------------------------------------------------------------
-
-def _parse_ground_fact(form, domain: Domain, objects: ObjectTable, declared: bool):
-    if not isinstance(form, list) or not form or not isinstance(form[0], _Tok):
-        raise ParseError("expected a ground fact", form.line, form.col)
-    name = form[0].text
-    args = []
-    for a in form[1:]:
-        t = _expect_atom(a, "an object name")
-        if t.text.startswith("?"):
-            raise ParseError("ground fact cannot contain variables", t.line, t.col)
-        if declared and t.text not in objects:
-            raise ParseError("undeclared object %r" % t.text, t.line, t.col)
-        args.append(t.text)
-    try:
-        return domain.ground_fact(name, args, objects)
-    except StructuralError as e:
-        raise ParseError(str(e), form[0].line, form[0].col) from None
-
-
-def parse_problem(text: str, domain: Domain) -> HLProblem:
-    name, body = _unwrap_define(_read(_tokenize(text, 1, 1)))
-    objects = ObjectTable()
-    facts = {}  # ":init" / ":goal" -> its facts
-    for form in body:
-        h = _head(form)
-        if h == ":domain":
-            continue
-        elif h == ":objects":
-            for o in form[1:]:
-                t = _expect_atom(o, "an object name")
-                if t.text in objects:
-                    raise ParseError("duplicate object %r" % t.text, t.line, t.col)
-                objects.intern(t.text)
-        elif h in (":init", ":goal"):
-            if h in facts:
-                raise ParseError("repeated (%s …) form" % h, form.line, form.col)
-            items = form[1:]
-            if h == ":goal" and len(items) == 1 and _head(items[0]) == "and":
-                items = items[0][1:]
-            facts[h] = [_parse_ground_fact(f, domain, objects, True) for f in items]
-        else:
-            raise ParseError("unexpected problem form %r" % (h or "?"), form.line, form.col)
-    return HLProblem(domain, objects, frozenset(facts.get(":init", ())),
-                     frozenset(facts.get(":goal", ())), name)
-
-
-def serialize_problem(problem: HLProblem) -> str:
-    preds, names = problem.domain.predicates, problem.objects.names
-    lines = ["(define (problem %s)" % problem.name,
-             "  (:domain %s)" % problem.domain.name,
-             "  (:objects %s)" % " ".join(names),
-             "  (:init %s)" % " ".join(atom_str(preds, f, names) for f in sorted(problem.init)),
-             "  (:goal %s))" % " ".join(atom_str(preds, f, names) for f in sorted(problem.goal))]
     return "\n".join(lines) + "\n"
 
 

@@ -3,8 +3,7 @@
 Pipeline: abstract each LL demo into an HL trace (labelling every step and
 explaining each change of the label by a ground action), walk the trace's
 actions backwards regressing the achieved goal through each, and lift the
-resulting ground condition-action pairs into first-order rules.  Also
-houses the finite-cover bound on the number of inequivalent extractable rules.
+resulting ground condition-action pairs into first-order rules.
 """
 
 from __future__ import annotations
@@ -177,16 +176,3 @@ def learn_hl_policy(demos: Iterable[Demo], domain: Domain, labeller: Callable,
             subgoals = nxt
         rep.demos_used += 1
     return HLPolicy(rules, domain)
-
-
-def coverage_bound(domain: Domain, c: int) -> int:
-    """Upper bound on inequivalent rules extractable from length-≤-c suffixes."""
-    if c < 0:
-        raise BisonError("coverage bound needs C >= 0")
-    n_arity = max((s.arity for s in domain.schemata), default=0)
-    m_arity = max((p.arity for p in domain.predicates), default=0)
-    m_pow = m_arity ** m_arity if m_arity > 0 else 1
-    total = 0
-    for k in range(c + 1):
-        total += (len(domain.schemata) * (k * n_arity + m_arity) ** n_arity) ** k
-    return len(domain.predicates) * m_pow * total

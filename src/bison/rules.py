@@ -38,7 +38,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import random
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Optional, Sequence
@@ -549,18 +548,6 @@ def check_ndrp(labels: Sequence[HLState], hl_policy: HLPolicy, goal: frozenset,
 # HL-only policy execution
 # ---------------------------------------------------------------------------
 
-def fixed_outcome(i: int = 0) -> Callable:
-    def chooser(outcomes, idx):
-        return min(i, len(outcomes) - 1)
-    return chooser
-
-
-def random_outcome(rng: random.Random) -> Callable:
-    def chooser(outcomes, idx):
-        return rng.randrange(len(outcomes))
-    return chooser
-
-
 def _goal_delta(add, dele, goal: frozenset, state) -> int:
     """Change in the unmet goal count when ground fact sets ``add`` and
     ``dele`` are applied to ``state``: ``|goal - state'| - |goal - state|``
@@ -572,17 +559,6 @@ def _goal_delta(add, dele, goal: frozenset, state) -> int:
     """
     return (sum(1 for f in dele if f in goal and f in state and f not in add)
             - sum(1 for f in add if f in goal and f not in state))
-
-
-def adversarial_outcome(outcomes, idx: "StateIndex"):
-    """Outcome leaving the most unachieved goal facts; first index on ties."""
-    unmet, held = len(idx.unachieved.facts), idx.held.facts
-    worst, worst_n = 0, -1
-    for i, (add, dele) in enumerate(outcomes):
-        n = unmet + _goal_delta(add, dele, idx.goal, held)
-        if n > worst_n:
-            worst, worst_n = i, n
-    return worst
 
 
 @dataclass
@@ -601,14 +577,14 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
              step_cap: int = 10 ** 6, deadline: Optional[float] = None) -> SolveResult:
     """Run the policy on the HL model until the goal holds or it gets stuck.
 
-    One successor per step, chosen by ``outcome_chooser`` (default: outcome 0).
+    One successor per step: outcome 0, or for an action with more than one
+    outcome the index ``outcome_chooser(outcomes, state_index)`` returns.
     ``deadline`` is a ``time.perf_counter()`` value checked before each step.
     Failures are returned as statuses, never raised.
     """
     if step_cap <= 0:
         raise StructuralError("step_cap must be positive")
     domain = problem.domain
-    chooser = outcome_chooser or fixed_outcome(0)
     idx = StateIndex(problem.init, problem.goal)
     n_objects = len(problem.objects)
     res = SolveResult("solved")
@@ -628,7 +604,7 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
             res.actions.append(action)
             return res
         outs = list(ground_outcomes(domain, action))
-        k = chooser(outs, idx) if len(outs) > 1 else 0
+        k = outcome_chooser(outs, idx) if outcome_chooser and len(outs) > 1 else 0
         add, dele = outs[k]
         idx.apply(add, dele)
         res.actions.append(action)

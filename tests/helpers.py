@@ -1,8 +1,13 @@
-"""Helpers shared by the test modules."""
+"""Helpers shared by the test modules: grounding an action by name, renaming
+objects by a bijection, the outcome choosers the tests pass to ``solve_hl``,
+and the text of an HL problem, which pins ``gen_blocks_hl_problem``'s output."""
 
-from typing import Sequence
+import random
+from typing import Callable, Sequence
 
-from bison.core import Domain, GroundAction, ObjectTable, StructuralError
+from bison.core import (Domain, Fact, GroundAction, HLProblem, HLState, ObjectTable,
+                        StructuralError, atom_str)
+from bison.rules import StateIndex, _goal_delta
 
 
 def ground_action(domain: Domain, name: str, arg_names: Sequence[str],
@@ -15,3 +20,70 @@ def ground_action(domain: Domain, name: str, arg_names: Sequence[str],
     if len(arg_names) != domain.schemata[sid].arity:
         raise StructuralError("arity mismatch grounding %r" % name)
     return GroundAction(sid, tuple(objects.id(a) for a in arg_names))
+
+
+# ---------------------------------------------------------------------------
+# Renaming objects by a bijection
+# ---------------------------------------------------------------------------
+
+def _check_bijection(mapping: dict, mentioned: set):
+    missing = mentioned - set(mapping)
+    if missing:
+        raise StructuralError("renaming not total on %d mentioned objects" % len(missing))
+    values = list(mapping.values())
+    if len(set(values)) != len(values):
+        raise StructuralError("renaming is not injective")
+
+
+def rename_fact(fact: Fact, mapping: dict) -> Fact:
+    return (fact[0],) + tuple(mapping[o] for o in fact[1:])
+
+
+def rename_state(state: HLState, mapping: dict) -> HLState:
+    mentioned = {o for f in state for o in f[1:]}
+    _check_bijection(mapping, mentioned)
+    return frozenset(rename_fact(f, mapping) for f in state)
+
+
+def rename_action(action: GroundAction, mapping: dict) -> GroundAction:
+    _check_bijection(mapping, set(action.args))
+    return GroundAction(action.schema_id, tuple(mapping[o] for o in action.args))
+
+
+# ---------------------------------------------------------------------------
+# Outcome choosers for solve_hl
+# ---------------------------------------------------------------------------
+
+def fixed_outcome(i: int = 0) -> Callable:
+    def chooser(outcomes, idx):
+        return min(i, len(outcomes) - 1)
+    return chooser
+
+
+def random_outcome(rng: random.Random) -> Callable:
+    def chooser(outcomes, idx):
+        return rng.randrange(len(outcomes))
+    return chooser
+
+
+def adversarial_outcome(outcomes, idx: StateIndex):
+    """Outcome leaving the most unachieved goal facts; first index on ties."""
+    unmet, held = len(idx.unachieved.facts), idx.held.facts
+    worst, worst_n = 0, -1
+    for i, (add, dele) in enumerate(outcomes):
+        n = unmet + _goal_delta(add, dele, idx.goal, held)
+        if n > worst_n:
+            worst, worst_n = i, n
+    return worst
+
+
+def problem_text(problem: HLProblem, name: str) -> str:
+    """An HL problem as an S-expression named ``name``: its objects in id
+    order, its init and goal facts sorted."""
+    preds, names = problem.domain.predicates, problem.objects.names
+    lines = ["(define (problem %s)" % name,
+             "  (:domain %s)" % problem.domain.name,
+             "  (:objects %s)" % " ".join(names),
+             "  (:init %s)" % " ".join(atom_str(preds, f, names) for f in sorted(problem.init)),
+             "  (:goal %s))" % " ".join(atom_str(preds, f, names) for f in sorted(problem.goal))]
+    return "\n".join(lines) + "\n"

@@ -2,14 +2,13 @@ import pickle
 
 import pytest
 
-from bison.core import (GroundAction, HLProblem, ObjectTable, PreconditionError,
-                        StructuralError, applicable, equivalent, is_goal,
-                        rename_action, rename_state, successors)
+from bison.core import (GroundAction, ObjectTable, PreconditionError, StructuralError,
+                        applicable, successors)
 from bison.envs import EnvConfig, env_domain, make_env, make_labeller
 from bison.formats import parse_domain
 from bison.rules import check_ndrp
 
-from helpers import ground_action
+from helpers import ground_action, rename_action, rename_state
 
 
 def pp_setup():
@@ -89,15 +88,6 @@ def test_successors_requires_applicability():
         successors(dom, frozenset(), pick)
 
 
-def test_is_goal():
-    _, _, f = pp_setup()
-    assert is_goal(frozenset({f("free")}), frozenset())
-    state = frozenset({f("at", "obj1", "loc2"), f("rAt", "loc2"), f("free")})
-    assert is_goal(state, frozenset({f("at", "obj1", "loc2")}))
-    assert not is_goal(frozenset({f("hold", "obj1")}),
-                       frozenset({f("at", "obj1", "loc2")}))
-
-
 def test_rename_identity_and_inverse():
     _, table, f = pp_setup()
     state = frozenset({f("at", "obj1", "loc1"), f("free")})
@@ -123,41 +113,6 @@ def test_rename_rejects_non_bijection():
         rename_state(frozenset({f("at", "obj1", "loc1")}), {0: 1, 1: 1, 2: 2})
     with pytest.raises(StructuralError):
         rename_action(GroundAction(0, (0, 1)), {0: 0})
-
-
-def _small_problem(names, init_facts, goal_facts):
-    dom = env_domain("blocks")
-    table = ObjectTable(names)
-    f = lambda name, *args: dom.ground_fact(name, args, table)
-    init = frozenset(f(n, *a) for n, a in init_facts)
-    goal = frozenset(f(n, *a) for n, a in goal_facts)
-    return HLProblem(dom, table, init, goal)
-
-
-def test_equivalent_reflexive_identity():
-    p = _small_problem(["b0", "p0"],
-                       [("clear", ("b0",)), ("clear", ("p0",)), ("gripperFree", ())],
-                       [("at", ("b0", "p0"))])
-    w = equivalent(p, p)
-    assert w == {0: 0, 1: 1}
-
-
-def test_equivalent_renamed_instance():
-    p1 = _small_problem(["b0", "p0"],
-                        [("clear", ("b0",)), ("clear", ("p0",)), ("gripperFree", ())],
-                        [("at", ("b0", "p0"))])
-    p2 = _small_problem(["padX", "blockY"],
-                        [("clear", ("blockY",)), ("clear", ("padX",)), ("gripperFree", ())],
-                        [("at", ("blockY", "padX"))])
-    w = equivalent(p1, p2)
-    assert w == {0: 1, 1: 0}
-
-
-def test_equivalent_none_on_different_sizes():
-    p1 = _small_problem(["b0", "p0"], [("gripperFree", ())], [("at", ("b0", "p0"))])
-    p2 = _small_problem(["b0", "b1", "p0"], [("gripperFree", ())],
-                        [("at", ("b0", "p0"))])
-    assert equivalent(p1, p2) is None
 
 
 def test_check_ndrp_constant_abstraction():

@@ -11,9 +11,10 @@ from bison.bench import gen_blocks_hl_problem
 from bison.core import BisonError
 from bison.envs import PICKPLACE_DOMAIN_TEXT, builtin_policy, env_domain
 from bison.formats import (Demo, DemoStep, ParseError, _fact_names, _numbers,
-                           parse_domain, parse_policy,
-                           parse_problem, parse_traces, serialize_domain,
-                           serialize_policy, serialize_problem, serialize_traces)
+                           parse_domain, parse_policy, parse_traces, serialize_domain,
+                           serialize_policy, serialize_traces)
+
+from helpers import problem_text
 
 
 def test_parse_domain_example_pick_place():
@@ -89,32 +90,6 @@ def test_domain_round_trip():
     assert [s.name for s in again.schemata] == [s.name for s in dom.schemata]
     for a, b in zip(dom.schemata, again.schemata):
         assert a.pre == b.pre and a.outcomes == b.outcomes
-
-
-def test_problem_round_trip():
-    dom = env_domain("blocks")
-    text = """
-    (define (problem p1) (:domain blocks)
-      (:objects b0 p0)
-      (:init (clear b0) (clear p0) (gripperFree))
-      (:goal (at b0 p0)))"""
-    prob = parse_problem(text, dom)
-    assert len(prob.objects) == 2
-    assert len(prob.init) == 3 and len(prob.goal) == 1
-    again = parse_problem(serialize_problem(prob), dom)
-    assert again.init == prob.init and again.goal == prob.goal
-
-
-@pytest.mark.parametrize("text,pos", [
-    ("(define (problem p) (:objects b0 p0)\n"
-     "  (:init (clear b0) (gripperFree)) (:init (clear p0)) (:goal (at b0 p0)))", (2, 36)),
-    ("(define (problem p) (:objects b0 p0)\n"
-     "  (:init (clear b0)) (:goal (at b0 p0))\n  (:goal))", (3, 3)),
-])
-def test_problem_repeated_section_is_positioned(text, pos):
-    with pytest.raises(ParseError, match="repeated") as e:
-        parse_problem(text, env_domain("blocks"))
-    assert (e.value.line, e.value.col) == pos
 
 
 @pytest.mark.parametrize("text,pos", [
@@ -617,7 +592,8 @@ def test_policy_parse_errors():
 
 
 # sha256 of what the printers write: the round-trip tests above compare parsed
-# values, so these pin the bytes (atom spacing, order, variable names)
+# values, so these pin the bytes (atom spacing, order, variable names); the
+# problem entries pin the instances gen_blocks_hl_problem builds for bench-hl
 PRINTED = {
     ("domain", "blocks"): "338cea36de424fba38be05d928115f6be6b3d9839221b2854af9c3c6eb3cdbc4",
     ("domain", "pickplace"): "2785f1457bdf7b47e2909211498a4c575f2e141ef8ca8341dda8ec5a2660641a",
@@ -638,5 +614,5 @@ def test_printed_bytes_are_pinned(what, arg):
     elif what == "policy":
         text = serialize_policy(builtin_policy(arg))
     else:
-        text = serialize_problem(gen_blocks_hl_problem(arg, 2))
+        text = problem_text(gen_blocks_hl_problem(arg, 2), "hl-blocks-%d" % arg)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRINTED[what, arg]

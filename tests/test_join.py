@@ -17,11 +17,11 @@ from bison.core import (ActionSchema, Domain, GroundAction, HLProblem,
                         ObjectTable, Predicate, applicable, ground_outcomes,
                         instantiate)
 from bison.envs import builtin_policy
-from bison.rules import (HLPolicy, StateIndex, _compile_plan, _matches,
-                         adversarial_outcome, match_rule,
+from bison.rules import (HLPolicy, StateIndex, _compile_plan, _matches, match_rule,
                          schema_actions, solve_hl)
 
 import test_properties as props
+from helpers import adversarial_outcome
 
 
 # ---------------------------------------------------------------------------

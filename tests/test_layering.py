@@ -1,6 +1,7 @@
 """The package's module graph: intra-package imports sit at module top and
 form no cycle.  The package and the tests carry no unused import and no
-unread local.
+unread local, and every top-level name of the package is reached from other
+package code or named, with its reason, in ``REACHED_FROM_OUTSIDE``.
 
 An import inside a function hides a cycle from the reader and from import
 order; with every intra-package import at module top, the modules can be
@@ -9,6 +10,7 @@ gnn → runner → envs → bench → cli.  Standard-library imports may stay la
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 from bison import envs, gnn, learn, runner
@@ -185,3 +187,49 @@ def test_no_function_assigns_a_local_it_never_reads():
                             unread.append("%s:%d %s() assigns %s"
                                           % (label, var.lineno, fn.name, var.id))
     assert not unread, unread
+
+
+# Top-level names no other package code reaches, each kept for a reason
+REACHED_FROM_OUTSIDE = {
+    # criterion 7's domain round trip and the printed-bytes pins print with it
+    "serialize_domain",
+    # perfbench/tracing.py wraps these two to count and time them
+    "canonical_rule_str",
+    "backward",
+}
+
+
+def _references(nodes):
+    """How often each name is read among ``nodes``: as a name, as an
+    attribute, or as a string that looks it up (as ``make_labeller``'s
+    ``globals()`` lookup does)."""
+    refs = Counter()
+    for n in nodes:
+        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+            refs[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            refs[n.attr] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            refs[n.value] += 1
+    return refs
+
+
+def test_every_top_level_name_is_reached_from_package_code():
+    # __init__'s re-export and the tests do not count, so src holds only what
+    # a command runs; a definition's reads of its own name do not count either
+    trees = [_tree(name) for name in MODULES]
+    refs = _references(n for tree in trees for n in ast.walk(tree))
+    unreached = []
+    for module, tree in zip(MODULES, trees):
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [var.id for t in targets for var in _assigned_names(t)]
+            else:
+                continue
+            own = _references(ast.walk(node))
+            unreached += ["%s.%s" % (module, name) for name in names
+                          if refs[name] == own[name] and name not in REACHED_FROM_OUTSIDE]
+    assert not unreached, unreached

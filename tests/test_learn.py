@@ -3,8 +3,8 @@ import pytest
 from bison.core import ObjectTable
 from bison.envs import EnvConfig, builtin_policy, generate_demos, make_labeller
 from bison.formats import Demo, DemoStep, parse_policy, serialize_policy
-from bison.learn import (AbstractionGapError, coverage_bound, extract_hl_trace,
-                         learn_hl_policy, lift, regress)
+from bison.learn import (AbstractionGapError, extract_hl_trace, learn_hl_policy, lift,
+                         regress)
 from bison.rules import StateIndex, canonical_rule_str, select_action
 
 from helpers import ground_action
@@ -193,30 +193,3 @@ def test_learn_renaming_invariance(blocks_demos, blocks_domain):
         goal = tuple((g[0],) + tuple(mapping[o] for o in g[1:]) for g in demo.goal)
         renamed.append(Demo(goal, steps))
     assert serialize_policy(learn_hl_policy(renamed, blocks_domain, lab)) == base
-
-
-def test_coverage_bound_values(pickplace_domain):
-    class Tiny:
-        predicates = [type("P", (), {"arity": 1})()]
-        schemata = [type("S", (), {"arity": 1})()]
-    assert coverage_bound(Tiny, 1) == 3
-    # C = 0 collapses the sum to 1: |P| · M^M
-    assert coverage_bound(Tiny, 0) == 1
-    assert coverage_bound(pickplace_domain, 1) == 784  # |P|=4, M=2, |A|=3, N=2
-    assert coverage_bound(pickplace_domain, 0) == 4 * 4
-
-
-def test_coverage_bound_monotone(pickplace_domain):
-    vals = [coverage_bound(pickplace_domain, c) for c in range(5)]
-    assert all(a < b for a, b in zip(vals, vals[1:]))
-
-
-def test_coverage_bound_monotone_in_preds_and_schemata():
-    def fake(n_preds, m, n_schemata, n):
-        class D:
-            predicates = [type("P", (), {"arity": m})() for _ in range(n_preds)]
-            schemata = [type("S", (), {"arity": n})() for _ in range(n_schemata)]
-        return D
-    base = coverage_bound(fake(2, 2, 2, 2), 2)
-    assert coverage_bound(fake(3, 2, 2, 2), 2) > base
-    assert coverage_bound(fake(2, 2, 3, 2), 2) > base

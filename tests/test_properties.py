@@ -12,18 +12,18 @@ from collections import Counter
 
 import pytest
 
-from bison.core import (ActionSchema, Domain, GroundAction, HLProblem,
-                        ObjectTable, Predicate, applicable, equivalent,
-                        ground_outcomes, instantiate, rename_action,
-                        rename_state, successors)
+from bison.core import (ActionSchema, Domain, GroundAction, ObjectTable, Predicate,
+                        applicable, ground_outcomes, instantiate, successors)
 from bison.envs import env_domain, make_labeller
-from bison.formats import (Demo, DemoStep, ParseError, parse_domain,
-                           parse_policy, parse_problem, parse_traces,
-                           serialize_domain, serialize_policy, serialize_traces)
+from bison.formats import (Demo, DemoStep, ParseError, parse_domain, parse_policy,
+                           parse_traces, serialize_domain, serialize_policy,
+                           serialize_traces)
 from bison.learn import _explain_change, lift, regress
 from bison.rules import (FactIndex, HLPolicy, Rule, StateIndex, _compile_plan,
-                         _goal_delta, _matches, adversarial_outcome,
-                         canonical_rule_str, check_ndrp, match_rule)
+                         _goal_delta, _matches, canonical_rule_str, check_ndrp,
+                         match_rule)
+
+from helpers import adversarial_outcome, rename_action, rename_state
 
 N_CASES = 200
 
@@ -178,41 +178,6 @@ def test_renaming_equivariance_and_frame():
         checked += 1
 
 
-def test_equivalence_relation_properties():
-    rng = random.Random(404)
-    domain = env_domain("blocks")
-
-    def instance(names, shuffle_seed):
-        r = random.Random(shuffle_seed)
-        table = ObjectTable(names)
-        blocks = [n for n in names if n.startswith("b")]
-        pads = [n for n in names if n.startswith("p")]
-        init = {domain.ground_fact("gripperFree", (), table)}
-        for n in names:
-            init.add(domain.ground_fact("clear", (n,), table))
-        perm = pads[:]
-        r.shuffle(perm)
-        goal = {domain.ground_fact("at", (b, p), table)
-                for b, p in zip(blocks, perm)}
-        return HLProblem(domain, table, frozenset(init), frozenset(goal))
-
-    for case in range(N_CASES):
-        n = rng.randint(1, 3)
-        names1 = ["b%d" % i for i in range(n)] + ["p%d" % i for i in range(n)]
-        p1 = instance(names1, case)
-        assert equivalent(p1, p1) is not None  # reflexive
-        names2 = names1[:]
-        rng.shuffle(names2)
-        p2 = instance(names2, case)  # same structure, relabelled objects
-        w12 = equivalent(p1, p2)
-        assert w12 is not None
-        w21 = equivalent(p2, p1)  # symmetric
-        assert w21 is not None
-        p3 = instance(list(reversed(names1)), case)
-        if equivalent(p2, p3) is not None:  # transitive on triples
-            assert equivalent(p1, p3) is not None
-
-
 # ---------------------------------------------------------------------------
 # Suite 4: match vs brute force, |O| <= 5
 # ---------------------------------------------------------------------------
@@ -328,9 +293,8 @@ def test_traces_round_trip_property():
 def test_parser_totality_fuzz():
     rng = random.Random(909)
     alphabet = string.printable
-    gacha, blocks = env_domain("gacha"), env_domain("blocks")
-    parsers = (parse_domain, parse_traces, lambda text: parse_policy(text, gacha),
-               lambda text: parse_problem(text, blocks))
+    gacha = env_domain("gacha")
+    parsers = (parse_domain, parse_traces, lambda text: parse_policy(text, gacha))
     for _ in range(N_CASES):
         text = "".join(rng.choice(alphabet) for _ in range(rng.randint(0, 60)))
         for parser in parsers:
@@ -341,7 +305,7 @@ def test_parser_totality_fuzz():
 
 
 @pytest.mark.parametrize("depth", [3000, 100000])
-@pytest.mark.parametrize("kind", ["domain", "policy", "problem", "traces"])
+@pytest.mark.parametrize("kind", ["domain", "policy", "traces"])
 def test_parser_totality_deep_nesting(kind, depth):
     nest = "(" * depth + ")" * depth
     blocks = env_domain("blocks")
@@ -349,8 +313,6 @@ def test_parser_totality_deep_nesting(kind, depth):
         "domain": lambda: parse_domain("(define (domain d) (:predicates %s))" % nest),
         "policy": lambda: parse_policy("1: (:vars ?x) (:state %s) (:goal) => (pick ?x)"
                                        % nest, blocks),
-        "problem": lambda: parse_problem("(define (problem p) (:domain blocks) (:init %s))"
-                                         % nest, blocks),
         "traces": lambda: parse_traces('{"goal": ["%s"], "steps": []}' % nest),  # in a goal
     }[kind]
     with pytest.raises(ParseError):

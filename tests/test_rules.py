@@ -7,12 +7,11 @@ from bison.envs import (EnvConfig, builtin_policy, env_domain, generate_demos,
                         make_env, make_labeller)
 from bison.formats import parse_policy, serialize_policy
 from bison.learn import learn_hl_policy
-from bison.rules import (HLPolicy, Rule, StateIndex,
-                         adversarial_outcome, canonical_rule_str, fixed_outcome,
-                         match_rule, random_outcome, select_action,
-                         solve_hl, unconstrained_vars)
+from bison.rules import (HLPolicy, Rule, StateIndex, canonical_rule_str, match_rule,
+                         select_action, solve_hl, unconstrained_vars)
 from bison.bench import gen_blocks_hl_problem
 
+from helpers import adversarial_outcome, fixed_outcome, random_outcome
 from test_properties import selected_rule_index
 
 
