@@ -18,7 +18,7 @@ from .rules import HLPolicy, solve_hl
 from .search import SearchStats, find_plan
 
 
-def gen_blocks_hl_problem(n: int, seed: int = 0) -> HLProblem:
+def gen_blocks_hl_problem(n: int, seed: int) -> HLProblem:
     """n blocks scattered off-pad (all clear), n+1 pads, random goal bijection."""
     domain = env_domain("blocks")
     rng = random.Random(seed)
@@ -49,7 +49,7 @@ class BenchRow:
     search: Optional[SearchStats] = None  # the baseline's; not in the CSV
 
 
-def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float = 60.0,
+def bench_hl(policy: HLPolicy, n_list: Iterable[int], timeout: float,
              seed: int = 0, baseline_max_n: Optional[int] = None) -> List[BenchRow]:
     """Wall clock measured around solving only; setup reported separately.
 

@@ -57,10 +57,6 @@ class ActionSchema:
     def arity(self) -> int:
         return len(self.var_names)
 
-    @property
-    def deterministic(self) -> bool:
-        return len(self.outcomes) == 1
-
 
 class GroundAction(NamedTuple):
     """A ground action; a tuple, so it hashes and compares in C."""
@@ -88,12 +84,6 @@ class ObjectTable:
             self.ids[name] = oid
             self.names.append(name)
         return oid
-
-    def id(self, name: str) -> int:
-        try:
-            return self.ids[name]
-        except KeyError:
-            raise StructuralError("undeclared object %r" % name) from None
 
     def __len__(self):
         return len(self.names)
@@ -126,7 +116,7 @@ class Domain:
     """A set of predicates and action schemata with interned symbol ids."""
 
     def __init__(self, predicates: Sequence[Predicate], schemata: Sequence[ActionSchema],
-                 name: str = "domain"):
+                 name: str):
         self.name = name
         self.predicates = tuple(predicates)
         self.pred_ids = {}

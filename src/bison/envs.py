@@ -43,7 +43,7 @@ ACTION_DIM = 3
 @dataclass
 class EnvConfig:
     kind: str
-    n_objects: int = 3
+    n_objects: int
     seed: int = 0
     teleport_prob: Optional[float] = None  # per goal-satisfying block per step
     start_at_block: Optional[bool] = None  # pickplace: force robot start pad
@@ -488,7 +488,7 @@ class SimEnv:
         vec[B_BLOCK] = 1.0
         return pos
 
-    def oracle_skill(self, lls: LLState, hla: GroundAction) -> np.ndarray:
+    def oracle_skill(self, hla: GroundAction) -> np.ndarray:
         sch = self.domain.schemata[hla.schema_id].name
         names = [self.table.names[o] for o in hla.args]
         if sch == "pick":

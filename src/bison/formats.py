@@ -25,7 +25,7 @@ from .rules import HLPolicy, Rule, rule_str
 
 
 class ParseError(BisonError):
-    def __init__(self, message: str, line: int = 0, col: int = 0):
+    def __init__(self, message: str, line: int, col: int):
         super().__init__("%s (line %d, col %d)" % (message, line, col))
         self.line = line
         self.col = col

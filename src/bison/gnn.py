@@ -381,13 +381,11 @@ class TrainResult:
     losses: list  # per-iteration batch MSE
 
 
-def train(samples: List[LLSample], spec: EncodingSpec,
-          config: TrainConfig = None) -> TrainResult:
+def train(samples: List[LLSample], spec: EncodingSpec, config: TrainConfig) -> TrainResult:
     """Adam + cosine annealing over shuffled batches; deterministic per seed.
 
     Each iteration runs one ``batch_backward`` over its padded batch.
     """
-    config = config or TrainConfig()
     if not samples:
         raise BisonError("empty training dataset")
     params = init_params(spec, config)

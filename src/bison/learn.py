@@ -93,7 +93,7 @@ def regress(domain: Domain, goal: frozenset, action: GroundAction) -> List[froze
 
 
 def lift(action: GroundAction, state_cond: frozenset, goal_cond: frozenset,
-         val: int = 0) -> Rule:
+         val: int) -> Rule:
     """Replace objects by fresh variables in first-occurrence order.
 
     Occurrence order: action arguments, then state condition facts in

@@ -548,19 +548,6 @@ def check_ndrp(labels: Sequence[HLState], hl_policy: HLPolicy, goal: frozenset,
 # HL-only policy execution
 # ---------------------------------------------------------------------------
 
-def _goal_delta(add, dele, goal: frozenset, state) -> int:
-    """Change in the unmet goal count when ground fact sets ``add`` and
-    ``dele`` are applied to ``state``: ``|goal - state'| - |goal - state|``
-    for ``state' = (state - dele) | add``.
-
-    A ground outcome may add and delete the same fact (two lifted atoms can
-    meet under a binding); it then holds afterwards, so only a deleted fact
-    that is not also added counts as lost.
-    """
-    return (sum(1 for f in dele if f in goal and f in state and f not in add)
-            - sum(1 for f in add if f in goal and f not in state))
-
-
 @dataclass
 class SolveResult:
     status: str  # solved | no_action | cap_exceeded | defect | timeout

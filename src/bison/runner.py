@@ -83,7 +83,7 @@ class Executor:
 
 def _make_ll(executor: Executor, env) -> Callable:
     if executor.ll == "oracle":
-        return lambda lls, hla, goal, hls: env.oracle_skill(lls, hla)
+        return lambda lls, hla, goal, hls: env.oracle_skill(hla)
     encode, forward = gnn.encode, gnn.forward
     params, ablate = executor.gnn_params, executor.strategy == "pure_nn_stub"
 

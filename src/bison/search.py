@@ -35,8 +35,7 @@ from operator import itemgetter
 from typing import Optional
 
 from .core import GroundAction, HLProblem, HLState, ground_outcomes
-from .rules import (StateIndex, _compile_plan, _goal_delta, _matches,
-                    applicable_actions, fill_free)
+from .rules import StateIndex, _compile_plan, _matches, applicable_actions, fill_free
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 GENERATED_CAP = 2 * 10 ** 6
@@ -60,6 +59,19 @@ class SearchStats:
     status: str = "solved"  # solved | exhausted | budget | timeout
     expanded: int = 0
     generated: int = 0
+
+
+def _goal_delta(add, dele, goal: frozenset, state) -> int:
+    """Change in the unmet goal count when ground fact sets ``add`` and
+    ``dele`` are applied to ``state``: ``|goal - state'| - |goal - state|``
+    for ``state' = (state - dele) | add``.
+
+    A ground outcome may add and delete the same fact (two lifted atoms can
+    meet under a binding); it then holds afterwards, so only a deleted fact
+    that is not also added counts as lost.
+    """
+    return (sum(1 for f in dele if f in goal and f in state and f not in add)
+            - sum(1 for f in add if f in goal and f not in state))
 
 
 class _Grounded(dict):

@@ -7,7 +7,8 @@ from typing import Callable, Sequence
 
 from bison.core import (Domain, Fact, GroundAction, HLProblem, HLState, ObjectTable,
                         StructuralError, atom_str)
-from bison.rules import StateIndex, _goal_delta
+from bison.rules import StateIndex
+from bison.search import _goal_delta
 
 
 def ground_action(domain: Domain, name: str, arg_names: Sequence[str],
@@ -19,7 +20,7 @@ def ground_action(domain: Domain, name: str, arg_names: Sequence[str],
         raise StructuralError("undeclared action schema %r" % name)
     if len(arg_names) != domain.schemata[sid].arity:
         raise StructuralError("arity mismatch grounding %r" % name)
-    return GroundAction(sid, tuple(objects.id(a) for a in arg_names))
+    return GroundAction(sid, tuple(objects.ids[a] for a in arg_names))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,20 @@ def test_train_ll_writes_params(workdir):
     assert blob[:4] == b"BSW1"
 
 
+def test_train_ll_without_trainable_samples_is_data_error(tmp_path):
+    # opening the box reveals a capsule whose facts no schema models, so no
+    # gacha demo is explained and build_dataset returns no sample
+    bst, bsw = tmp_path / "g.bst", tmp_path / "p.bsw"
+    r = run_cli(["gen-demos", "--env", "gacha", "--objects", "2", "--count", "2",
+                 "--seed", "1", "--out", str(bst)])
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["train-ll", "--env", "gacha", "--traces", str(bst), "--iterations", "1",
+                 "--out", str(bsw)])
+    assert r.returncode == 2
+    assert "no trainable samples" in r.stderr
+    assert not bsw.exists()
+
+
 def test_eval_pipeline_and_gnn(workdir):
     r = run_cli(["eval", "--env", "blocks", "--strategy", "bison",
                  "--policy", str(workdir / "pol.bsp"), "--objects", "1..2",
@@ -67,6 +81,17 @@ def test_eval_pipeline_and_gnn(workdir):
     assert len(lines) == 5
     assert all(row.split(",")[5] == "1" for row in lines[1:])  # all succeed
     assert all(row.endswith("0.000000") for row in lines[1:])  # timing zeroed
+
+
+def test_eval_timing_wall_writes_measured_times(tmp_path):
+    out = tmp_path / "eval.csv"
+    r = run_cli(["eval", "--env", "blocks", "--strategy", "oracle", "--objects", "1",
+                 "--episodes", "2", "--seeds", "1", "--seed", "0", "--timing", "wall",
+                 "--out", str(out)])
+    assert r.returncode == 0, r.stderr
+    rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+    assert len(rows) == 2
+    assert all(0.0 < float(row[8]) < 60.0 for row in rows)
 
 
 def test_eval_zero_episodes_header_only(workdir):
@@ -113,6 +138,20 @@ def test_check_clean_policy(workdir):
     assert r.returncode == 0, r.stdout + r.stderr
     assert "0 problem(s)" in r.stdout
     assert "statically unsatisfiable" in r.stdout  # 3-block demos induce inert rules
+
+
+def test_check_reports_each_demo_with_an_abstraction_gap(tmp_path):
+    # a factory spawn brings facts no schema models, so no demo is explained
+    bst = tmp_path / "f.bst"
+    r = run_cli(["gen-demos", "--env", "factory", "--objects", "3", "--count", "2",
+                 "--seed", "2", "--out", str(bst)])
+    assert r.returncode == 0, r.stderr
+    r = run_cli(["check", "--env", "factory", "--traces", str(bst)])
+    assert r.returncode == 2, r.stdout + r.stderr
+    lines = r.stdout.splitlines()
+    assert [line.split(": ")[:2] for line in lines[:2]] == \
+        [["demo 0", "abstraction gap"], ["demo 1", "abstraction gap"]]
+    assert lines[2:] == ["checked 2 demos, 2 problem(s)"]
 
 
 def test_log_level_env_var(workdir):

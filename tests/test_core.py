@@ -5,7 +5,7 @@ import pytest
 from bison.core import (GroundAction, ObjectTable, PreconditionError, StructuralError,
                         applicable, successors)
 from bison.envs import EnvConfig, env_domain, make_env, make_labeller
-from bison.formats import parse_domain
+from bison.formats import parse_domain, parse_policy
 from bison.rules import check_ndrp
 
 from helpers import ground_action, rename_action, rename_state
@@ -102,7 +102,7 @@ def test_rename_substitutes_objects():
     dom = env_domain("pickplace")
     table = ObjectTable(["obj1", "loc1", "b", "p"])
     f = lambda name, *args: dom.ground_fact(name, args, table)
-    mapping = {table.id("obj1"): table.id("b"), table.id("loc1"): table.id("p")}
+    mapping = {table.ids["obj1"]: table.ids["b"], table.ids["loc1"]: table.ids["p"]}
     assert rename_state(frozenset({f("at", "obj1", "loc1")}), mapping) == \
         frozenset({f("at", "b", "p")})
 
@@ -155,3 +155,17 @@ def test_check_ndrp_flags_injected_jump(blocks_demos, blocks_domain, blocks_poli
     rep = check_ndrp(labels, blocks_policy, goal, len(table))
     assert not rep.ok
     assert rep.step == 0
+
+
+def test_check_ndrp_flags_an_inapplicable_selected_action():
+    # the rule fires on a clear block, but place needs the block held
+    dom = env_domain("blocks")
+    policy = parse_policy("1: (:vars ?x ?l) (:state (clear ?x)) (:goal (at ?x ?l)) "
+                          "=> (place ?x ?l)\n", dom)
+    table = ObjectTable(["b", "p"])
+    f = lambda name, *args: dom.ground_fact(name, args, table)
+    before = frozenset({f("clear", "b"), f("clear", "p"), f("gripperFree")})
+    after = frozenset({f("holding", "b"), f("clear", "p")})
+    rep = check_ndrp([before, before, after], policy, frozenset({f("at", "b", "p")}),
+                     len(table))
+    assert (rep.ok, rep.step, rep.reason) == (False, 1, "selected action inapplicable")

@@ -69,6 +69,12 @@ def test_step_rejects_non_finite():
     assert env.grip == grip
 
 
+@pytest.mark.parametrize("p", [-0.001, 1.001, float("nan")])
+def test_teleport_prob_outside_the_unit_interval_is_rejected(p):
+    with pytest.raises(BisonError, match="teleport_prob"):
+        EnvConfig("blocks-noisy", 2, teleport_prob=p)
+
+
 def test_noisy_with_zero_prob_equals_deterministic():
     actions = [np.array([0.7, -0.3, 0.0]), np.array([-1.0, 1.0, 1.0])] * 40
     traj = []

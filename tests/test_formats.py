@@ -22,7 +22,7 @@ def test_parse_domain_example_pick_place():
     assert len(dom.predicates) == 4
     assert [p.name for p in dom.predicates] == ["rAt", "at", "free", "hold"]
     assert len(dom.schemata) == 3
-    assert all(s.deterministic for s in dom.schemata)
+    assert all(len(s.outcomes) == 1 for s in dom.schemata)
 
 
 def test_parse_domain_empty_predicates_block():

@@ -1,7 +1,9 @@
 """The package's module graph: intra-package imports sit at module top and
 form no cycle.  The package and the tests carry no unused import and no
-unread local, and every top-level name of the package is reached from other
-package code or named, with its reason, in ``REACHED_FROM_OUTSIDE``.
+unread local.  Every top-level name and class member of the package is read
+by other package code, every default is used by some call, every parameter
+is read, and the package's settable values do not grow; each exception is
+named with its reason in an allow-list below.
 
 An import inside a function hides a cycle from the reader and from import
 order; with every intra-package import at module top, the modules can be
@@ -214,6 +216,17 @@ def _references(nodes):
     return refs
 
 
+def _bound_names(node):
+    """The names a module or class body statement binds: a function's or a
+    class's name, or an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.Assign, ast.AnnAssign)):
+        targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+        return [var.id for t in targets for var in _assigned_names(t)]
+    return []
+
+
 def test_every_top_level_name_is_reached_from_package_code():
     # __init__'s re-export and the tests do not count, so src holds only what
     # a command runs; a definition's reads of its own name do not count either
@@ -222,14 +235,173 @@ def test_every_top_level_name_is_reached_from_package_code():
     unreached = []
     for module, tree in zip(MODULES, trees):
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                names = [node.name]
-            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
-                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
-                names = [var.id for t in targets for var in _assigned_names(t)]
-            else:
-                continue
             own = _references(ast.walk(node))
-            unreached += ["%s.%s" % (module, name) for name in names
+            unreached += ["%s.%s" % (module, name) for name in _bound_names(node)
                           if refs[name] == own[name] and name not in REACHED_FROM_OUTSIDE]
     assert not unreached, unreached
+
+
+def _classes(tree):
+    return [n for n in ast.walk(tree) if isinstance(n, ast.ClassDef)]
+
+
+# Class members no other package code reads, each kept for a reason (none)
+MEMBERS_KEPT = set()
+
+
+def test_every_class_member_is_read_by_package_code():
+    # a method, property or class attribute (dataclass fields included) is
+    # read outside its own definition, by name, attribute or string; dunders
+    # are called by Python itself, and the tests do not count
+    trees = [_tree(name) for name in MODULES]
+    refs = _references(n for tree in trees for n in ast.walk(tree))
+    unread = []
+    for module, tree in zip(MODULES, trees):
+        for cls in _classes(tree):
+            for node in cls.body:
+                own = _references(ast.walk(node))
+                labels = [("%s.%s.%s" % (module, cls.name, name), name)
+                          for name in _bound_names(node) if not name.startswith("__")]
+                unread += [label for label, name in labels
+                           if refs[name] == own[name] and label not in MEMBERS_KEPT]
+    assert not unread, unread
+
+
+def _functions(tree):
+    """(qualified name, enclosing class or None, node) of every function and
+    lambda in ``tree``."""
+    todo = [(node, "", None) for node in tree.body]
+    while todo:
+        node, prefix, cls = todo.pop()
+        if isinstance(node, ast.ClassDef):
+            todo += [(n, prefix + node.name + ".", node) for n in node.body]
+            continue
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            name = prefix + getattr(node, "name", "<lambda>")
+            yield name, cls, node
+            prefix, cls = name + ".", None
+        todo += [(n, prefix, cls) for n in ast.iter_child_nodes(node)]
+
+
+def _defaults(tree):
+    """(qualified name, callee name, positional index or None, parameter) of
+    every defaulted parameter and dataclass field in ``tree``: the name its
+    callers call, and where a positional argument fills it (None for a
+    keyword-only one).  Callers do not pass a method's ``self`` or ``cls``,
+    and they call ``__init__`` by its class's name."""
+    for cls in _classes(tree):
+        if any("dataclass" in ast.unparse(d) for d in cls.decorator_list):
+            fields = [s for s in cls.body if isinstance(s, ast.AnnAssign)]
+            for i, s in enumerate(fields):
+                if s.value is not None:
+                    yield cls.name, cls.name, i, s.target.id
+    for qual, cls, fn in _functions(tree):
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        if cls is not None and positional and positional[0].arg in ("self", "cls"):
+            positional = positional[1:]
+        callee = cls.name if qual.endswith(".__init__") else getattr(fn, "name", None)
+        qual = qual.replace(".__init__", "")
+        first = len(positional) - len(args.defaults)
+        for i, a in enumerate(positional[first:], first):
+            yield qual, callee, i, a.arg
+        for a, d in zip(args.kwonlyargs, args.kw_defaults):
+            if d is not None:
+                yield qual, callee, None, a.arg
+
+
+def _omits(call, index, param):
+    """True when ``call`` may leave ``param`` to its default: neither a
+    keyword nor a positional argument names it (a call through ``*`` or
+    ``**`` may)."""
+    if any(k.arg == param for k in call.keywords):
+        return False
+    if any(k.arg is None for k in call.keywords) or \
+            any(isinstance(a, ast.Starred) for a in call.args):
+        return True
+    return index is None or len(call.args) <= index
+
+
+def _callee(call):
+    f = call.func
+    return f.id if isinstance(f, ast.Name) else getattr(f, "attr", None)
+
+
+# Defaults no call in src, perfbench or tests uses, each kept for a reason
+# (none)
+DEFAULTS_KEPT = set()
+
+
+def test_every_default_is_used_by_some_call():
+    # a default every caller overrides is a second copy of the value the
+    # callers state; calls match by the callee's name, so a call to another
+    # function of the same name counts too (the rule errs towards passing)
+    calls = {}
+    for root in (PACKAGE, TESTS, TESTS.parent / "perfbench"):
+        for path in root.glob("*.py"):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if isinstance(node, ast.Call):
+                    calls.setdefault(_callee(node), []).append(node)
+    unused = []
+    for module in MODULES:
+        for qual, callee, index, param in _defaults(_tree(module)):
+            label = "%s.%s: %s" % (module, qual, param)
+            if label not in DEFAULTS_KEPT and \
+                    not any(_omits(c, index, param) for c in calls.get(callee, ())):
+                unused.append(label)
+    assert not unused, unused
+
+
+# Parameters their function never reads, each kept for a reason
+PARAMETERS_UNREAD = {
+    # argparse calls error(message) and fixes that signature
+    "cli._Parser.error": {"message"},
+    # a hook: the families' overrides read both
+    "envs.SimEnv._skill": {"sch", "names"},
+    # the runner's HL sources share the (env, hls, executor) call protocol
+    "runner._plan_cursor": {"executor"},
+    "runner._policy_lookup": {"executor"},
+    # every LL shares the (lls, hla, goal, hls) call protocol; the scripted
+    # skill reads the env's live state
+    "runner._make_ll.<lambda>": {"lls", "goal", "hls"},
+}
+
+
+def test_every_parameter_is_read_by_its_function():
+    # a read anywhere in the body counts, nested functions included; self,
+    # cls and a leading underscore mark a parameter as deliberately unread
+    unread = []
+    for module in MODULES:
+        for qual, _cls, fn in _functions(_tree(module)):
+            body = fn.body if isinstance(fn.body, list) else [fn.body]
+            read = {n.id for stmt in body for n in ast.walk(stmt)
+                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            args = fn.args
+            params = args.posonlyargs + args.args + args.kwonlyargs + \
+                [a for a in (args.vararg, args.kwarg) if a is not None]
+            read |= PARAMETERS_UNREAD.get("%s.%s" % (module, qual), set()) | {"self", "cls"}
+            unread += ["%s.%s: %s" % (module, qual, a.arg) for a in params
+                       if a.arg not in read and not a.arg.startswith("_")]
+    assert not unread, unread
+
+
+# The package's settable values at most: a change that adds one raises this
+# bound and says why in CHANGES.md
+SETTABLE_VALUES = 82
+
+
+def test_settable_values_do_not_grow():
+    # defaulted parameters, defaulted class fields and add_argument calls,
+    # counted over src/bison as the ROADMAP counts them
+    count = 0
+    for name in MODULES + ["__init__"]:
+        for node in ast.walk(_tree(name)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                count += len(node.args.defaults)
+                count += sum(d is not None for d in node.args.kw_defaults)
+            elif isinstance(node, ast.ClassDef):
+                count += sum(isinstance(s, ast.AnnAssign) and s.value is not None
+                             for s in node.body)
+            elif isinstance(node, ast.Call) and _callee(node) == "add_argument":
+                count += 1
+    assert count <= SETTABLE_VALUES, count

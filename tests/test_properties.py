@@ -19,9 +19,9 @@ from bison.formats import (Demo, DemoStep, ParseError, parse_domain, parse_polic
                            parse_traces, serialize_domain, serialize_policy,
                            serialize_traces)
 from bison.learn import _explain_change, lift, regress
-from bison.rules import (FactIndex, HLPolicy, Rule, StateIndex, _compile_plan,
-                         _goal_delta, _matches, canonical_rule_str, check_ndrp,
-                         match_rule)
+from bison.rules import (FactIndex, HLPolicy, Rule, StateIndex, _compile_plan, _matches,
+                         canonical_rule_str, check_ndrp, match_rule)
+from bison.search import _goal_delta
 
 from helpers import adversarial_outcome, rename_action, rename_state
 

@@ -30,7 +30,7 @@ def test_match_rule_example_binding():
     binding = match_rule(rule, StateIndex(state, goal), len(table))
     assert binding is not None
     head = tuple(binding[v] for v in rule.head_args)
-    assert head == (table.id("b1"), table.id("p2"))
+    assert head == (table.ids["b1"], table.ids["p2"])
 
 
 def test_match_rule_rejects_achieved_goal_atom():
@@ -48,7 +48,7 @@ def test_match_rule_unconstrained_variable():
     rule = Rule(0, 2, frozenset({(dom.pred_ids["rAt"], 0)}), frozenset(), move, (0, 1))
     state = frozenset({f("rAt", "p1")})
     binding = match_rule(rule, StateIndex(state, frozenset()), len(table))
-    assert binding == (table.id("p1"), table.id("b1"))
+    assert binding == (table.ids["p1"], table.ids["b1"])
     assert unconstrained_vars(rule) == (1,)
 
 
@@ -86,7 +86,7 @@ def test_select_action_blocks_initial_pick(blocks_policy):
     act = select_action(blocks_policy, StateIndex(state, goal), 2)
     assert act is not None
     assert dom.schemata[act.schema_id].name == "pick"
-    assert act.args == (table.id("b0"),)
+    assert act.args == (table.ids["b0"],)
 
 
 def test_select_action_none_when_solved(blocks_policy):
@@ -302,10 +302,18 @@ def test_rule_plans_compile_on_first_match(monkeypatch):
     add, dele = list(ground_outcomes(domain, pick))[0]
     holding = (init - dele) | add
     live = [i for i, dead in enumerate(learned.dead) if not dead]
-    assert len(live) >= 2
-    # from the initial state selection reaches the second live rule; once a
-    # block is held the first live rule fires, and the later rules stay raw
-    for state, reached in ((init, live[:2]), (holding, live[:1])):
+
+    def walked(state):
+        # the live rules in order, up to and including the first that matches,
+        # found on a copy of the policy so nothing compiles on the one tested
+        copy, idx = parse_policy(text, domain), StateIndex(state, goal)
+        first = next(k for k, i in enumerate(live)
+                     if match_rule(copy.rules[i], idx, n) is not None)
+        return live[:first + 1]
+
+    # selection compiles the rules it walks, and the later rules stay raw
+    for state in (init, holding):
+        reached = walked(state)
         policy = parse_policy(text, domain)
         assert select_action(policy, StateIndex(state, goal), n) is not None
         assert [i for i, r in enumerate(policy.rules) if "plan" in vars(r)] == reached

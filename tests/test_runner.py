@@ -27,7 +27,7 @@ def test_strategy_validation():
     env = make_env(EnvConfig("blocks", 1, seed=0))
     calls = []
     real_skill = env.oracle_skill
-    env.oracle_skill = lambda lls, hla: calls.append(hla) or real_skill(lls, hla)
+    env.oracle_skill = lambda hla: calls.append(hla) or real_skill(hla)
     res = run_episode(env, ex)
     assert res.success and len(calls) == res.ll_steps > 0
 
@@ -98,9 +98,9 @@ def test_one_hl_and_one_ll_query_per_step(monkeypatch, blocks_policy):
     env = make_env(EnvConfig("blocks", 1, seed=2))
     real_skill = env.oracle_skill
 
-    def counting_skill(lls, hla):
+    def counting_skill(hla):
         counts["ll"] += 1
-        return real_skill(lls, hla)
+        return real_skill(hla)
 
     env.oracle_skill = counting_skill
     res = run_episode(env, Executor(strategy="bison", hl_policy=blocks_policy,

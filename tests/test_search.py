@@ -196,7 +196,7 @@ def test_validators_reject_an_inapplicable_action():
     prob = HLProblem(dom, table, frozenset(),
                      frozenset({dom.ground_fact("done", ("a",), table)}))
     # (ready a) does not hold, yet finish(a)'s only outcome reaches the goal
-    finish = GroundAction(dom.schema_ids["finish"], (table.id("a"),))
+    finish = GroundAction(dom.schema_ids["finish"], (table.ids["a"],))
     assert not validate_policy(prob, {frozenset(): finish})
     assert not validate_plan(prob, Plan([finish], [0]))
 
