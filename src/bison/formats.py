@@ -2,8 +2,17 @@
 
 Domains use a small S-expression dialect; traces are line-oriented JSON
 records; policies are one rule per line.  Parsers are total: any input
-yields a value or a positioned ParseError, never an unhandled crash.  One
-reader, with an explicit stack rather than recursion, reads the S-expressions
+yields a value or a positioned ParseError, never an unhandled crash.  Each
+reader follows one stated rule:
+
+- tokens are parens, names, ``;`` comments and blanks (space, tab, CR), one
+  regular expression with each token's column read off its offset;
+- a rule's priority is the text before its line's first ``:``;
+- a domain is ``(define (domain NAME) …)`` or its bare forms, in ``(define
+  …)`` or not; any other header, or a ``(domain …)`` form in the body, is a
+  ParseError.
+
+One reader, with an explicit stack rather than recursion, reads the S-expressions
 of domains, rule lines and trace goals, and one lifted-atom parser
 reads schema preconditions and effects, rule conditions and rule heads.  The
 trace codec does a few C-level calls per step: the writer one ``str.format``
@@ -15,12 +24,12 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from dataclasses import dataclass
 from itertools import chain
 from typing import Iterable, List
 
-from .core import (ActionSchema, BisonError, Domain, Predicate, StructuralError,
-                   atom_str)
+from .core import ActionSchema, BisonError, Domain, Predicate, atom_str
 from .rules import HLPolicy, Rule, rule_str
 
 
@@ -51,35 +60,18 @@ class _Form(list):
         self.col = col
 
 
+# A paren, a name, a newline, a ';' comment to the end of its line, a run of blanks
+_TOKEN = re.compile(r"(?P<tok>[()]|[^ \t\r\n();]+)|(?P<nl>\n)|;[^\n]*|[ \t\r]+")
+
+
 def _tokenize(text: str, line: int, col: int) -> List[_Tok]:
     """Tokens of ``text``, positioned as if it began at ``line``, ``col``."""
-    toks, i = [], 0
-    n = len(text)
-    while i < n:
-        c = text[i]
-        if c == ";":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        if c == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if c in " \t\r":
-            col += 1
-            i += 1
-            continue
-        if c in "()":
-            toks.append(_Tok(c, line, col))
-            col += 1
-            i += 1
-            continue
-        start, scol = i, col
-        while i < n and text[i] not in " \t\r\n();":
-            i += 1
-            col += 1
-        toks.append(_Tok(text[start:i], line, scol))
+    toks, bol = [], -col  # a token's column is its offset less bol
+    for m in _TOKEN.finditer(text):
+        if m.lastgroup == "tok":
+            toks.append(_Tok(m.group(), line, m.start() - bol))
+        elif m.lastgroup == "nl":
+            line, bol = line + 1, m.start()
     return toks
 
 
@@ -116,15 +108,15 @@ def _expect_atom(form, what: str) -> _Tok:
 
 
 def _unwrap_define(forms):
-    """Accept either bare (:blocks …) forms or a (define (kind name) …) wrapper."""
+    """Accept either bare (:predicates …) forms or a (define (domain NAME) …)
+    wrapper, whose (domain …) header may also be left out."""
     if len(forms) == 1 and _head(forms[0]) == "define":
         body = forms[0][1:]
-        name = "unnamed"
-        if body and isinstance(body[0], list) and len(body[0]) >= 1:
-            if len(body[0]) >= 2 and isinstance(body[0][1], _Tok):
-                name = body[0][1].text
-            body = body[1:]
-        return name, body
+        if body and _head(body[0]) == "domain":
+            header, body = body[0], body[1:]
+            if len(header) >= 2 and isinstance(header[1], _Tok):
+                return header[1].text, body
+        return "unnamed", body
     return "unnamed", forms
 
 
@@ -260,16 +252,11 @@ def parse_domain(text: str) -> Domain:
                     raise ParseError("schema %r has an outcome with add ∩ del ≠ ∅" % aname,
                                      o.line, o.col)
             schemata.append(ActionSchema(aname, tuple(var_ids), pre, outcomes))
-        elif h in ("domain",):
-            continue
         else:
             raise ParseError("unexpected top-level form %r" % (h or "?"), form.line, form.col)
     if not saw_predicates:
         raise ParseError("missing (:predicates …) block", 1, 1)
-    try:
-        return Domain(preds, schemata, name)
-    except StructuralError as e:
-        raise ParseError(str(e), 1, 1) from None
+    return Domain(preds, schemata, name)
 
 
 def serialize_domain(domain: Domain) -> str:
@@ -445,31 +432,27 @@ def serialize_traces(demos: Iterable[Demo]) -> str:
 # Policies
 # ---------------------------------------------------------------------------
 
-def _parse_rule(toks: List[_Tok], preds: dict, schemata: dict) -> Rule:
-    """One rule from the tokens of its line:
+def _parse_rule(text: str, line: int, col: int, preds: dict, schemata: dict) -> Rule:
+    """One rule from its line's ``text``, which begins at ``line``, ``col``:
     ``<val>: (:vars …) (:state …) (:goal …) => (head …)``, sections in any order.
 
-    The priority ends at the line's first ':' and the conditions at its first
-    '=>', which must be a token of its own.
+    The priority is the text before the line's first ':', one token read as
+    an integer, and the conditions end at the line's first '=>', which must be
+    a token of its own.
     """
-    first = toks[0]
-    val_s, colon, after = first.text.partition(":")
-    body = 1
-    if not colon and len(toks) > 1 and toks[1].text.startswith(":"):
-        colon, after, body = ":", toks[1].text[1:], 2
+    val_s, colon, after = text.partition(":")
     if not colon:
-        raise ParseError("rule line needs '<val>:' prefix", first.line, first.col)
+        raise ParseError("rule line needs '<val>:' prefix", line, col)
     try:
-        val = int(val_s) - 1  # display priorities are 1-based
+        [val_tok] = _tokenize(val_s, line, col)  # one token, blanks around it
+        val = int(val_tok.text) - 1  # display priorities are 1-based
     except ValueError:
-        raise ParseError("bad priority %r" % val_s, first.line, first.col) from None
-    if after:
-        t = toks[body - 1]
-        raise ParseError("unexpected %r after the priority" % after, t.line, t.col)
-    rest = toks[body:]
+        raise ParseError("bad priority %r" % val_s, line, col) from None
+    rest = _tokenize(after, line, col + len(val_s) + 1)
     arrow = next((i for i, t in enumerate(rest) if "=>" in t.text), None)
     if arrow is None:
-        raise ParseError("rule line needs '=>'", toks[-1].line, toks[-1].col)
+        last = rest[-1] if rest else val_tok
+        raise ParseError("rule line needs '=>'", last.line, last.col)
     sep = rest[arrow]
     if sep.text != "=>":
         raise ParseError("expected '=>', got %r" % sep.text, sep.line, sep.col)
@@ -504,7 +487,7 @@ def parse_policy(text: str, domain: Domain) -> HLPolicy:
         rule = code.strip()
         if rule:
             lead = len(code) - len(code.lstrip())
-            rules.append(_parse_rule(_tokenize(rule, line_no, lead + 1), preds, schemata))
+            rules.append(_parse_rule(rule, line_no, lead + 1, preds, schemata))
     return HLPolicy(rules, domain)
 
 

@@ -157,19 +157,11 @@ def learn_hl_policy(demos: Iterable[Demo], domain: Domain, labeller: Callable,
         for j in range(m, -1, -1):
             action = trace.actions[j]
             nxt = []
-            seen = set()
             for goal_set in subgoals:
                 regressed = regress(domain, goal_set, action)
-                if not regressed:
-                    if goal_set not in seen:  # irrelevant action: carry over
-                        seen.add(goal_set)
-                        nxt.append(goal_set)
-                    continue
-                for cond in regressed:
-                    rules.append(lift(action, cond, achieved, val=m - j))
-                    if cond not in seen:
-                        seen.add(cond)
-                        nxt.append(cond)
+                rules.extend(lift(action, cond, achieved, val=m - j) for cond in regressed)
+                nxt.extend(regressed or [goal_set])  # non-regressable: carry over
+            nxt = list(dict.fromkeys(nxt))  # first occurrences, in order
             if len(nxt) > subgoal_cap:
                 rep.subgoals_dropped += len(nxt) - subgoal_cap
                 nxt = nxt[:subgoal_cap]

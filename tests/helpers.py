@@ -1,12 +1,16 @@
 """Helpers shared by the test modules: grounding an action by name, renaming
 objects by a bijection, the outcome choosers the tests pass to ``solve_hl``,
-and the text of an HL problem, which pins ``gen_blocks_hl_problem``'s output."""
+the text of an HL problem, which pins ``gen_blocks_hl_problem``'s output, a
+blocks policy with a dead rule, and a blocks demo cut before its last action."""
 
 import random
 from typing import Callable, Sequence
 
 from bison.core import (Domain, Fact, GroundAction, HLProblem, HLState, ObjectTable,
                         StructuralError, atom_str)
+from bison.envs import EnvConfig, env_domain, generate_demos, make_labeller
+from bison.formats import Demo
+from bison.learn import extract_hl_trace
 from bison.rules import StateIndex
 from bison.search import _goal_delta
 
@@ -88,3 +92,22 @@ def problem_text(problem: HLProblem, name: str) -> str:
              "  (:init %s)" % " ".join(atom_str(preds, f, names) for f in sorted(problem.init)),
              "  (:goal %s))" % " ".join(atom_str(preds, f, names) for f in sorted(problem.goal))]
     return "\n".join(lines) + "\n"
+
+
+# The built-in blocks rules behind a rule that requires (at ?x ?l) both held
+# and unachieved: statically unsatisfiable, whatever the learner does
+DEAD_RULE_BLOCKS_POLICY = """\
+1: (:vars ?x ?l) (:state (at ?x ?l) (clear ?x)) (:goal (at ?x ?l)) => (pick ?x)
+2: (:vars ?x ?l) (:state (holding ?x) (clear ?l)) (:goal (at ?x ?l)) => (place ?x ?l)
+3: (:vars ?x ?l) (:state (clear ?x) (gripperFree)) (:goal (at ?x ?l)) => (pick ?x)
+"""
+
+
+def blocks_demo_cut_before_its_last_place(n: int, seed: int) -> Demo:
+    """An oracle blocks demo on n blocks whose steps stop where its last
+    ``place`` would change the label, so its goal is never reached."""
+    domain, labeller = env_domain("blocks"), make_labeller("blocks")
+    demo = generate_demos(EnvConfig("blocks", n, seed=seed), 1)[0]
+    trace = extract_hl_trace(demo, domain, labeller)
+    assert domain.schemata[trace.actions[-1].schema_id].name == "place"
+    return Demo(demo.goal, demo.steps[:trace.changes[-1]])

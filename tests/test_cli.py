@@ -4,6 +4,10 @@ import sys
 
 import pytest
 
+from bison.formats import serialize_traces
+
+from helpers import DEAD_RULE_BLOCKS_POLICY, blocks_demo_cut_before_its_last_place
+
 CLI = [sys.executable, "-m", "bison.cli"]
 
 
@@ -138,6 +142,36 @@ def test_check_clean_policy(workdir):
     assert r.returncode == 0, r.stdout + r.stderr
     assert "0 problem(s)" in r.stdout
     assert "statically unsatisfiable" in r.stdout  # 3-block demos induce inert rules
+
+
+def test_check_flags_the_dead_rule_of_a_hand_written_policy(tmp_path):
+    pol = tmp_path / "dead.bsp"
+    pol.write_text(DEAD_RULE_BLOCKS_POLICY)
+    r = run_cli(["check", "--env", "blocks", "--policy", str(pol)])
+    assert (r.returncode, r.stdout) == \
+        (0, "policy: rule 1 is statically unsatisfiable (shared state/goal atom)\n"), r.stderr
+
+
+def test_eval_with_a_dead_rule_writes_what_the_builtin_policy_writes(tmp_path):
+    pol = tmp_path / "dead.bsp"
+    pol.write_text(DEAD_RULE_BLOCKS_POLICY)
+    for name, policy in (("dead", str(pol)), ("builtin", "builtin")):
+        r = run_cli(["eval", "--env", "blocks", "--strategy", "bison", "--policy", policy,
+                     "--objects", "1..3", "--episodes", "1", "--seeds", "1",
+                     "--out", str(tmp_path / (name + ".csv"))])
+        assert r.returncode == 0, r.stderr
+    csv = (tmp_path / "dead.csv").read_text()
+    assert len(csv.splitlines()) == 4
+    assert csv == (tmp_path / "builtin.csv").read_text()
+
+
+def test_check_reports_a_demo_that_misses_its_goal(tmp_path):
+    bst = tmp_path / "cut.bst"
+    bst.write_text(serialize_traces([blocks_demo_cut_before_its_last_place(3, seed=5)]))
+    r = run_cli(["check", "--env", "blocks", "--traces", str(bst)])
+    assert (r.returncode, r.stdout) == \
+        (0, "demo 0: final abstraction misses the goal\nchecked 1 demos, 0 problem(s)\n"), \
+        r.stderr
 
 
 def test_check_reports_each_demo_with_an_abstraction_gap(tmp_path):

@@ -4,15 +4,18 @@ import math
 import random
 import re
 import struct
+from collections import Counter
 
 import pytest
 
 from bison.bench import gen_blocks_hl_problem
 from bison.core import BisonError
 from bison.envs import PICKPLACE_DOMAIN_TEXT, builtin_policy, env_domain
-from bison.formats import (Demo, DemoStep, ParseError, _fact_names, _numbers,
+from bison.formats import (Demo, DemoStep, ParseError, _Tok, _fact_names, _head,
+                           _lifted_atom, _numbers, _read, _symbols, _tokenize, _var_list,
                            parse_domain, parse_policy, parse_traces, serialize_domain,
                            serialize_policy, serialize_traces)
+from bison.rules import HLPolicy, Rule
 
 from helpers import problem_text
 
@@ -616,3 +619,303 @@ def test_printed_bytes_are_pinned(what, arg):
     else:
         text = problem_text(gen_blocks_hl_problem(arg, 2), "hl-blocks-%d" % arg)
     assert hashlib.sha256(text.encode("utf-8")).hexdigest() == PRINTED[what, arg]
+
+
+# ---------------------------------------------------------------------------
+# Each reader by its stated rule, against the hand-counting readers it replaced
+# ---------------------------------------------------------------------------
+
+def reference_tokenize(text, line, col):
+    """The tokenizer that counted columns by hand, one branch per character class."""
+    toks, i = [], 0
+    n = len(text)
+    while i < n:
+        c = text[i]
+        if c == ";":
+            while i < n and text[i] != "\n":
+                i += 1
+            continue
+        if c == "\n":
+            line += 1
+            col = 1
+            i += 1
+            continue
+        if c in " \t\r":
+            col += 1
+            i += 1
+            continue
+        if c in "()":
+            toks.append(_Tok(c, line, col))
+            col += 1
+            i += 1
+            continue
+        start, scol = i, col
+        while i < n and text[i] not in " \t\r\n();":
+            i += 1
+            col += 1
+        toks.append(_Tok(text[start:i], line, scol))
+    return toks
+
+
+def reference_parse_rule(toks, preds, schemata):
+    """The rule reader that found the priority's ':' among the line's tokens."""
+    first = toks[0]
+    val_s, colon, after = first.text.partition(":")
+    body = 1
+    if not colon and len(toks) > 1 and toks[1].text.startswith(":"):
+        colon, after, body = ":", toks[1].text[1:], 2
+    if not colon:
+        raise ParseError("rule line needs '<val>:' prefix", first.line, first.col)
+    try:
+        val = int(val_s) - 1
+    except ValueError:
+        raise ParseError("bad priority %r" % val_s, first.line, first.col) from None
+    if after:
+        t = toks[body - 1]
+        raise ParseError("unexpected %r after the priority" % after, t.line, t.col)
+    rest = toks[body:]
+    arrow = next((i for i, t in enumerate(rest) if "=>" in t.text), None)
+    if arrow is None:
+        raise ParseError("rule line needs '=>'", toks[-1].line, toks[-1].col)
+    sep = rest[arrow]
+    if sep.text != "=>":
+        raise ParseError("expected '=>', got %r" % sep.text, sep.line, sep.col)
+    sections = {":vars": None, ":state": None, ":goal": None}
+    for form in _read(rest[:arrow]):
+        h = _head(form)
+        if h not in sections:
+            raise ParseError("unexpected rule section %r" % (h or "?"), form.line, form.col)
+        if sections[h] is not None:
+            raise ParseError("duplicate rule section %r" % h, form.line, form.col)
+        sections[h] = form[1:]
+    for k, v in sections.items():
+        if v is None:
+            raise ParseError("rule lacks %s section" % k, sep.line, sep.col)
+    var_ids = _var_list(sections[":vars"], ":vars")
+    s_cond = frozenset(_lifted_atom(f, preds, var_ids, ":state") for f in sections[":state"])
+    g_cond = frozenset(_lifted_atom(f, preds, var_ids, ":goal") for f in sections[":goal"])
+    head = _read(rest[arrow + 1:])
+    if len(head) != 1:
+        at = head[1] if head else sep
+        raise ParseError("expected one rule head after '=>'", at.line, at.col)
+    sid, *args = _lifted_atom(head[0], schemata, var_ids, "rule head")
+    return Rule(val, len(var_ids), s_cond, g_cond, sid, tuple(args))
+
+
+def reference_parse_policy(text, domain):
+    preds, schemata = _symbols(domain.predicates), _symbols(domain.schemata)
+    rules = []
+    for line_no, line in enumerate(text.splitlines(), start=1):
+        code = line.split(";", 1)[0]
+        rule = code.strip()
+        if rule:
+            lead = len(code) - len(code.lstrip())
+            rules.append(reference_parse_rule(reference_tokenize(rule, line_no, lead + 1),
+                                              preds, schemata))
+    return HLPolicy(rules, domain)
+
+
+def positioned(toks):
+    return [(t.text, t.line, t.col) for t in toks]
+
+
+# the pieces random token texts are made of: every character class the
+# tokenizer tells apart, and the marks the rule and domain readers look for
+TEXT_PIECES = ["(", ")", ";", "\n", "\t", "\r", "\x0b", " ", "  ", "=>", "?", ":", "a",
+               "xy", "1", "١", "²", "\xa0", "; c\n"]
+
+
+def test_tokenize_equals_reference_on_random_text():
+    rng = random.Random(2801)
+    for _ in range(100000):
+        text = "".join(rng.choice(TEXT_PIECES) for _ in range(rng.randint(0, 12)))
+        line, col = rng.randint(1, 4), rng.randint(1, 40)
+        assert positioned(_tokenize(text, line, col)) == \
+            positioned(reference_tokenize(text, line, col)), (text, line, col)
+
+
+def policy_outcome(parse, text, domain):
+    """The bytes a policy text reads back as, or None if it does not read."""
+    try:
+        return serialize_policy(parse(text, domain))
+    except ParseError:
+        return None
+
+
+BUILTIN_RULE_LINES = [(kind, line) for kind in ("blocks", "pickplace", "gacha")
+                      for line in serialize_policy(builtin_policy(kind)).splitlines()]
+
+
+@pytest.mark.parametrize("spelling,accepted", [
+    ("1:", True), ("1 :", True), ("1\t:", True), ("01:", True), ("+1:", True),
+    ("-1:", True), ("1_0:", True), ("١:", True), ("1\xa0:", True),
+    ("1 \t :", True),
+    ("1::", False), ("1:x", False), ("1 :x", False), ("1 2:", False), ("(1):", False),
+    ("0x1:", False), ("1.0:", False), ("²:", False),
+])
+def test_priority_spellings_read_as_before(spelling, accepted):
+    for kind, line in BUILTIN_RULE_LINES:
+        text = spelling + line.partition(":")[2]
+        domain = env_domain(kind)
+        got = policy_outcome(parse_policy, text, domain)
+        assert got == policy_outcome(reference_parse_policy, text, domain), text
+        assert (got is not None) == accepted, text
+
+
+@pytest.mark.parametrize("text,message,pos", [
+    ("1:x (:vars) (:state) (:goal) => (pick)", "unexpected rule section '?'", (1, 3)),
+    ("1 2: (:vars) (:state) (:goal) => (pick)", "bad priority '1 2'", (1, 1)),
+])
+def test_malformed_priority_messages(text, message, pos):
+    with pytest.raises(ParseError) as e:
+        parse_policy(text, env_domain("blocks"))
+    assert str(e.value) == "%s (line %d, col %d)" % (message, *pos)
+
+
+# what a mutation writes into a rule line: the marks the rule reader looks
+# for, blanks it does and does not split at, and digits int() does and does
+# not read
+LINE_PIECES = [":", " ", " ", "\t", "\r", "(", ")", "=>", "?x", "1", "0", "-", "_", "١",
+               "\xa0", ";", "x", "=", ">", "(:vars)", "(:goal)"]
+
+
+def mutate_line(rng, line):
+    """One to three character-level mutations, half of them in the priority."""
+    for _ in range(rng.choice((1, 1, 1, 2, 3))):
+        end = len(line) if rng.random() < 0.5 else min(len(line), 6)
+        i = rng.randint(0, end)
+        kind = rng.randrange(4)
+        if kind == 0:
+            line = line[:i] + line[i + 1:]
+        elif kind == 1:
+            line = line[:i] + rng.choice(LINE_PIECES) + line[i:]
+        elif kind == 2:
+            j = rng.randint(i, min(len(line), i + 8))
+            line = line[:i] + line[i:j] * 2 + line[j:]
+        else:
+            line = line[:i] + rng.choice(LINE_PIECES) + line[i + 1:]
+    return line
+
+
+def test_rule_reader_equals_reference_on_mutated_lines():
+    rng = random.Random(2802)
+    domains = {kind: env_domain(kind) for kind in ("blocks", "pickplace", "gacha")}
+    accepted = 0
+    for _ in range(30000):
+        kind, line = rng.choice(BUILTIN_RULE_LINES)
+        text = mutate_line(rng, line)
+        got = policy_outcome(parse_policy, text, domains[kind])
+        assert got == policy_outcome(reference_parse_policy, text, domains[kind]), text
+        accepted += got is not None
+    assert 2000 < accepted < 28000  # both sides of the rule are exercised
+
+
+@pytest.mark.parametrize("text,message,pos", [
+    ("(define (problem x) (:predicates (p ?x)))",
+     "unexpected top-level form 'problem'", (1, 9)),
+    ("(define (domain d) (:predicates (p ?x)) (domain e))",
+     "unexpected top-level form 'domain'", (1, 41)),
+])
+def test_domain_header_is_domain_or_absent(text, message, pos):
+    with pytest.raises(ParseError) as e:
+        parse_domain(text)
+    assert str(e.value) == "%s (line %d, col %d)" % (message, *pos)
+
+
+def test_domain_without_header_is_unnamed():
+    dom = parse_domain("(define (:predicates (p ?x) (q)))")
+    assert dom.name == "unnamed"
+    assert [(p.name, p.arity) for p in dom.predicates] == [("p", 1), ("q", 0)]
+
+
+ACTION = ("(define (domain d) (:predicates (p ?x))\n"
+          "  (:action a :parameters (?x) %s))")
+
+
+@pytest.mark.parametrize("reader,text,message,pos", [
+    ("policy", "1: (:vars ?x ?x) (:state) (:goal) => (pick ?x)",
+     "bad or duplicate variable '?x' in :vars", (1, 14)),
+    ("domain", ACTION % ":precondition (p ?x) :effect (not (p ?x) (p ?x))",
+     "(not …) takes one atom", (2, 60)),
+    ("domain", "(define (domain d) (:predicates p))",
+     "malformed predicate declaration", (1, 33)),
+    ("domain", "(define (domain d) (:predicates (p) (q ?x) (p ?y)))",
+     "duplicate predicate 'p'", (1, 45)),
+    ("domain", "(define (domain d) (:predicates (p x)))",
+     "predicate argument must be a ?variable", (1, 36)),
+    ("domain", "(define (domain d) (:predicates (p ?x)) (:action (a)))",
+     "missing action name", (1, 41)),
+    ("domain", ACTION % ":cost 1", "unknown action section ':cost'", (2, 31)),
+    ("domain", ACTION % ":precondition", "missing body for :precondition", (2, 31)),
+    ("domain", ACTION % ":precondition (p ?x)", "action 'a' lacks :effect", (2, 12)),
+    ("domain", "(define (domain d) (:predicates (p ?x))\n"
+               "  (:action a :parameters ?x :precondition (p ?x) :effect (p ?x)))",
+     ":parameters must be a list", (2, 26)),
+    ("domain", ACTION % ":precondition (p ?x) :effect (oneof)",
+     "(oneof …) needs at least one outcome", (2, 60)),
+    ("traces", '\n{"goal": ["(at b0 p0))"], "steps": []}',
+     "bad fact '(at b0 p0))' in trace", (2, 1)),
+    ("policy", "1: (:vars ?x) (:state) (:goal)", "rule line needs '=>'", (1, 30)),
+    ("policy", "1: (:vars ?x) (:state) (:goal) ==> (pick ?x)",
+     "expected '=>', got '==>'", (1, 32)),
+    ("policy", "1: (:vars ?x) (:state) (:goal) (:head) => (pick ?x)",
+     "unexpected rule section ':head'", (1, 32)),
+    ("policy", "1: (:vars ?x) (:state) (:vars) (:goal) => (pick ?x)",
+     "duplicate rule section ':vars'", (1, 24)),
+    ("policy", "1: (:vars ?x) (:goal) => (pick ?x)", "rule lacks :state section", (1, 23)),
+    ("policy", "1: (:vars ?x) (:state) (:goal) => (pick ?x) (pick ?x)",
+     "expected one rule head after '=>'", (1, 45)),
+    ("policy", "1: (:vars ?x) (:state) (:goal) =>", "expected one rule head after '=>'",
+     (1, 32)),
+], ids=["var-list", "not-arity", "predicate-form", "predicate-repeat", "predicate-arg",
+        "action-name", "action-section", "section-body", "action-lacks", "parameters",
+        "oneof-empty", "trace-goal", "rule-arrow", "rule-arrow-token", "rule-section",
+        "rule-section-repeat", "rule-lacks", "rule-heads", "rule-no-head"])
+def test_each_parse_error_site_is_positioned(reader, text, message, pos):
+    parse = {"domain": parse_domain, "traces": parse_traces,
+             "policy": lambda t: parse_policy(t, env_domain("blocks"))}[reader]
+    with pytest.raises(ParseError) as e:
+        parse(text)
+    assert str(e.value) == "%s (line %d, col %d)" % (message, *pos)
+
+
+DOMAIN_TOKEN = re.compile(r"[()]|[^\s()]+")
+# names a mutation may bring into a domain: its own words and the keywords
+# of the forms around them
+DOMAIN_EXTRAS = ["define", "domain", "problem", ":predicates", ":action", ":parameters",
+                 ":precondition", ":effect", "and", "not", "oneof", "?z"]
+
+
+def test_domain_reader_is_total_on_token_mutations():
+    # every mutation reads as a Domain or as a positioned ParseError: the
+    # parser makes each check Domain() makes, so no StructuralError leaks
+    rng = random.Random(2803)
+    kinds = Counter()
+    for kind in ("blocks", "pickplace", "gacha"):
+        toks = DOMAIN_TOKEN.findall(serialize_domain(env_domain(kind)))
+        names = sorted(set(toks) - {"(", ")"}) + DOMAIN_EXTRAS
+        for _ in range(800):
+            mutated = list(toks)
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(mutated))
+                op = rng.choice(("delete", "insert", "duplicate", "swap", "rename"))
+                if op == "delete":
+                    del mutated[i]
+                elif op == "insert":
+                    mutated.insert(i, rng.choice(names + ["(", ")"]))
+                elif op == "duplicate":
+                    j = min(len(mutated), i + rng.randint(1, 6))
+                    mutated[i:i] = mutated[i:j]
+                elif op == "swap":
+                    j = rng.randrange(len(mutated))
+                    mutated[i], mutated[j] = mutated[j], mutated[i]
+                elif mutated[i] in names:
+                    mutated[i] = rng.choice(names)
+            text = " ".join(mutated)
+            try:
+                parse_domain(text)
+                kinds["domain"] += 1
+            except ParseError as e:
+                assert e.line == 1 and 1 <= e.col <= len(text), (text, e)
+                kinds["error"] += 1
+    assert kinds["domain"] > 100 and kinds["error"] > 1500, kinds  # both outcomes

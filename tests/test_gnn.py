@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bison.core import BisonError, ObjectTable
-from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, env_domain, generate_demos,
-                        make_env, make_labeller, obj_dim)
-from bison.formats import parse_policy
+from bison.core import BisonError, GroundAction, ObjectTable
+from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, LLState, env_domain,
+                        generate_demos, make_env, make_labeller, obj_dim)
+from bison.formats import parse_domain, parse_policy
 from bison import gnn, learn
 from bison.gnn import (EncodingSpec, GnnInput, GnnParams, LLSample, TrainConfig,
                        batch_backward, build_dataset, cosine_lr, encode, forward,
@@ -54,6 +54,29 @@ def test_encode_blocks_state():
     assert np.all(inp.h_global[EGO_DIM + spec.n_pred:] == 0.0)
     # gripperFree is a nullary state fact
     assert inp.h_global[EGO_DIM + dom.pred_ids["gripperFree"]] == 1.0
+
+
+def test_encode_goal_channels():
+    # a nullary goal fact sets the goal half of h_global, a unary one the goal
+    # half of its object's row; a binary one, like blocks' (at ?x ?y), is not
+    # encoded
+    dom = parse_domain("(define (domain toy) (:predicates (done) (ready) (lit ?x) (on ?x ?y))"
+                       " (:action press :parameters (?x ?y) :precondition (and)"
+                       " :effect (and (done) (lit ?x))))")
+    spec = EncodingSpec.for_domain(dom, 2, 1, 1)
+    table = ObjectTable(["o0", "o1"])
+    lls = LLState([0.5, -1.0], {"o0": [0.25], "o1": [0.75]})
+    done, ready, lit, on = (dom.pred_ids[p] for p in ("done", "ready", "lit", "on"))
+    hls = frozenset({(ready,), (lit, 0)})
+    goal = frozenset({(done,), (lit, 0), (lit, 1), (on, 0, 1)})
+    inp = encode(spec, lls, GroundAction(0, (0, 1)), goal, hls, table)
+    #                    ego          state: done ready lit on   goal: done ready lit on
+    assert inp.h_global.tolist() == [0.5, -1.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0]
+    assert inp.h_action.tolist() == [1.0]
+    #                  feature  state: done ready lit on  goal: done ready lit on  slot
+    assert inp.h_objects.tolist() == [
+        [0.25, 0.0, 0.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, 1.0, 0.0],
+        [0.75, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0]]
 
 
 def test_encode_unknown_object_errors():

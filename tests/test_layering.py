@@ -2,8 +2,9 @@
 form no cycle.  The package and the tests carry no unused import and no
 unread local.  Every top-level name and class member of the package is read
 by other package code, every default is used by some call, every parameter
-is read, and the package's settable values do not grow; each exception is
-named with its reason in an allow-list below.
+is read, the package's settable values do not grow, and no module takes
+another module's private names; each exception is named with its reason in
+an allow-list below.
 
 An import inside a function hides a cycle from the reader and from import
 order; with every intra-package import at module top, the modules can be
@@ -121,6 +122,36 @@ def test_hoisted_imports_still_call_through_the_module(monkeypatch):
                                        envs.obj_dim("blocks"), envs.ACTION_DIM)
     gnn.build_dataset(demos, envs.env_domain("blocks"), envs.make_labeller("blocks"), spec)
     assert calls == ["run_episode", "extract_hl_trace"]
+
+
+# Private names a module takes from another package module, each with its reason
+PRIVATE_IMPORTS = {
+    # the AND-OR lookahead compiles its own goal-side joins with the rule
+    # join engine, so the join-plan format stays inside rules and search
+    "search": {"_compile_plan", "_matches"},
+}
+
+
+def test_no_module_imports_another_modules_private_names():
+    # "from .rules import _x" and "rules._x" after "from . import rules" both count
+    private = []
+    for name in MODULES + ["__init__"]:
+        tree = _tree(name)
+        modules = set()
+        for node, targets in _imports_in(tree.body):
+            if not isinstance(node, ast.ImportFrom):
+                continue
+            if node.module in (None, "bison"):  # from . import rules
+                modules.update(a.asname or a.name for a in node.names)
+                continue
+            private += ["%s.py:%d %s.%s" % (name, node.lineno, targets[0], a.name)
+                        for a in node.names if a.name.startswith("_")
+                        and a.name not in PRIVATE_IMPORTS.get(name, ())]
+        private += ["%s.py:%d %s.%s" % (name, n.lineno, n.value.id, n.attr)
+                    for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                    and isinstance(n.value, ast.Name) and n.value.id in modules
+                    and n.attr.startswith("_")]
+    assert not private, private
 
 
 def test_no_module_imports_a_name_it_never_uses():

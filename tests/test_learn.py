@@ -1,13 +1,13 @@
 import pytest
 
-from bison.core import ObjectTable
+from bison.core import GroundAction, ObjectTable
 from bison.envs import EnvConfig, builtin_policy, generate_demos, make_labeller
-from bison.formats import Demo, DemoStep, parse_policy, serialize_policy
-from bison.learn import (AbstractionGapError, extract_hl_trace, learn_hl_policy, lift,
-                         regress)
+from bison.formats import Demo, DemoStep, parse_domain, parse_policy, serialize_policy
+from bison.learn import (AbstractionGapError, LearnReport, extract_hl_trace,
+                         learn_hl_policy, lift, regress)
 from bison.rules import StateIndex, canonical_rule_str, select_action
 
-from helpers import ground_action
+from helpers import blocks_demo_cut_before_its_last_place, ground_action
 
 
 def pp_fact(dom, table, name, *args):
@@ -193,3 +193,47 @@ def test_learn_renaming_invariance(blocks_demos, blocks_domain):
         goal = tuple((g[0],) + tuple(mapping[o] for o in g[1:]) for g in demo.goal)
         renamed.append(Demo(goal, steps))
     assert serialize_policy(learn_hl_policy(renamed, blocks_domain, lab)) == base
+
+
+# A FOND toy: roll either achieves g or loses b, and make deletes g
+FOND_DOMAIN_TEXT = """
+(define (domain fond)
+  (:predicates (a) (b) (g) (s))
+  (:action prep :parameters () :precondition (s) :effect (and (a) (not (s))))
+  (:action make :parameters () :precondition (a) :effect (and (b) (not (g))))
+  (:action roll :parameters () :precondition (b) :effect (oneof (g) (not (b)))))
+"""
+
+
+def test_learn_carries_a_subgoal_an_action_deletes():
+    # prep, make, roll from {s, g}: regressing g through roll's two outcomes
+    # gives {b} and {b, g}; make deletes g, so {b, g} is carried over past
+    # make unchanged and lifted again at prep, into a rule of its own
+    dom = parse_domain(FOND_DOMAIN_TEXT)
+
+    def label(step, table):  # step.ego flags (a, b, g, s)
+        return frozenset((i,) for i, on in enumerate(step.ego) if on)
+
+    labels = [[0, 0, 1, 1], [1, 0, 1, 0], [1, 1, 0, 0], [1, 1, 1, 0]]
+    demo = Demo((("g",),), [DemoStep([float(x) for x in v], {}, []) for v in labels])
+    b, g = dom.pred_ids["b"], dom.pred_ids["g"]
+    assert regress(dom, frozenset({(b,), (g,)}), GroundAction(dom.schema_ids["make"], ())) == []
+    report = LearnReport()
+    pol = learn_hl_policy([demo], dom, label, report=report)
+    assert serialize_policy(pol).splitlines() == [
+        "1: (:vars ) (:state (b) (g)) (:goal (g)) => (roll)",
+        "1: (:vars ) (:state (b)) (:goal (g)) => (roll)",
+        "2: (:vars ) (:state (a)) (:goal (g)) => (make)",
+        "3: (:vars ) (:state (b) (g) (s)) (:goal (g)) => (prep)",
+        "3: (:vars ) (:state (s)) (:goal (g)) => (prep)"]
+    assert [r.val for r in pol.rules] == [0, 0, 1, 2, 2]
+    assert pol.dead == (True, False, False, True, False)
+    assert (report.demos_used, report.unreached_goals) == (1, 0)
+
+
+def test_learn_counts_a_demo_that_misses_its_goal(blocks_domain):
+    cut = blocks_demo_cut_before_its_last_place(3, seed=5)
+    report = LearnReport()
+    pol = learn_hl_policy([cut], blocks_domain, make_labeller("blocks"), report=report)
+    assert (report.demos_used, report.unreached_goals) == (1, 1)
+    assert len(pol) > 0  # the goal facts the demo did achieve still make rules

@@ -11,7 +11,7 @@ from bison.rules import (HLPolicy, Rule, StateIndex, canonical_rule_str, match_r
                          select_action, solve_hl, unconstrained_vars)
 from bison.bench import gen_blocks_hl_problem
 
-from helpers import adversarial_outcome, fixed_outcome, random_outcome
+from helpers import DEAD_RULE_BLOCKS_POLICY, adversarial_outcome, fixed_outcome, random_outcome
 from test_properties import selected_rule_index
 
 
@@ -137,6 +137,42 @@ def test_dead_rule_detection(blocks_policy):
     assert any(blocks_policy.dead)  # 3-block regression makes inert rules
     live = [r for i, r in enumerate(blocks_policy.rules) if not blocks_policy.dead[i]]
     assert len(live) == 2
+
+
+def rule_body(rule):
+    return (rule.n_vars, rule.s_cond, rule.g_cond, rule.head_schema, rule.head_args)
+
+
+def test_dead_rule_of_a_hand_written_policy_is_flagged():
+    policy = parse_policy(DEAD_RULE_BLOCKS_POLICY, env_domain("blocks"))
+    assert policy.dead == (True, False, False)
+    # the live rules are the built-in ones, one priority later
+    assert [rule_body(r) for r, dead in zip(policy.rules, policy.dead) if not dead] == \
+        [rule_body(r) for r in builtin_policy("blocks").rules]
+
+
+def test_select_action_never_joins_a_dead_rule(monkeypatch):
+    policy = parse_policy(DEAD_RULE_BLOCKS_POLICY, env_domain("blocks"))
+    builtin = builtin_policy("blocks")
+    joined = []
+    real = rules_mod.match_rule
+    monkeypatch.setattr(rules_mod, "match_rule",
+                        lambda rule, *args: joined.append(rule) or real(rule, *args))
+    states = 0
+    for n in range(1, 6):
+        for seed in range(3):
+            env = make_env(EnvConfig("blocks", n, seed=seed))
+            lls, goal = env.reset()
+            idx, n_objects = StateIndex(env.label(lls), goal), len(env.table)
+            joined.clear()
+            want = select_action(builtin, idx, n_objects)
+            builtin_joins = [rule_body(r) for r in joined]
+            joined.clear()
+            assert select_action(policy, idx, n_objects) == want is not None
+            assert [rule_body(r) for r in joined] == builtin_joins  # none of the dead rule
+            assert policy.rules[0] not in joined
+            states += 1
+    assert states == 15
 
 
 def test_solve_hl_empty_on_solved(blocks_policy):
