@@ -109,13 +109,15 @@ def _expect_atom(form, what: str) -> _Tok:
 
 def _unwrap_define(forms):
     """Accept either bare (:predicates …) forms or a (define (domain NAME) …)
-    wrapper, whose (domain …) header may also be left out."""
+    wrapper, whose (domain NAME) header may also be left out."""
     if len(forms) == 1 and _head(forms[0]) == "define":
         body = forms[0][1:]
         if body and _head(body[0]) == "domain":
             header, body = body[0], body[1:]
-            if len(header) >= 2 and isinstance(header[1], _Tok):
-                return header[1].text, body
+            if len(header) != 2:  # at the first extra element, or the header
+                at = header[2] if len(header) > 2 else header
+                raise ParseError("(domain …) takes one name", at.line, at.col)
+            return _expect_atom(header[1], "a domain name").text, body
         return "unnamed", body
     return "unnamed", forms
 
@@ -333,7 +335,7 @@ def _numbers(value, what: str, line_no: int) -> list:
 
 def parse_traces(text: str) -> List[Demo]:
     demos = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -482,7 +484,7 @@ def parse_policy(text: str, domain: Domain) -> HLPolicy:
     """The policy of a text with one rule per rule line."""
     preds, schemata = _symbols(domain.predicates), _symbols(domain.schemata)
     rules = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         code = line.split(";", 1)[0]
         rule = code.strip()
         if rule:

@@ -9,8 +9,12 @@ behaviour cloning runs under Adam with a cosine-annealed learning rate.
 
 All tensor math is plain dense numpy; reverse-mode accumulation is written out
 explicitly for this fixed graph (max routes gradient to the argmax element,
-first index on ties; ReLU gradient is zero at 0).  ``forward`` is the
-inference path: one sample, no intermediates kept.  The one gradient,
+first index on ties; ReLU gradient is zero at 0).  ``encode`` memoises the HL
+part of its last call (the one-hots of HL state, goal and HL action), as
+``envs.label_blocks`` does its resting facts, so an LL step that keeps its HL
+key copies that part and writes only the LL features.  ``forward`` is the
+inference path: one sample, no intermediates kept, object rows aggregated by
+a fold of ``np.maximum``, byte-equal to numpy's max reduction.  The one gradient,
 ``batch_backward``, runs once per training batch over object rows padded
 under a mask; ``backward`` is that pass on a one-sample batch.
 """
@@ -86,16 +90,19 @@ class GnnInput:
     h_objects: np.ndarray  # (n_objects, o_dim); n_objects >= 0
 
 
-def encode(spec: EncodingSpec, lls, hla: GroundAction, goal: frozenset,
-           hls: frozenset, table: ObjectTable) -> GnnInput:
-    """Build input embeddings from an LL state, HL action, goal and abstraction.
+# encode's last HL part: (spec, hla, goal, hls, part).  One tuple, read into a
+# local once, so no reader sees half of an update.
+_hl_last = None
 
-    Only nullary and unary facts contribute one-hots; higher arities carry no
-    encoding.  Only the action's argument objects become object nodes.
-    """
+
+def _hl_part(spec: EncodingSpec, hla: GroundAction, goal: frozenset,
+             hls: frozenset) -> tuple:
+    """The input arrays with every slot that (HL state, goal, HL action) sets:
+    h_global's ``2 * n_pred`` one-hot counts, h_action's schema one-hot and,
+    per argument row, its ``2 * n_pred`` one-hot counts and its positional
+    one-hot.  The LL feature slots stay zero."""
     np_, m = spec.n_pred, spec.max_arity
     g = np.zeros(spec.g_dim)
-    g[:spec.ego_dim] = lls.ego
     for fact in hls:
         if len(fact) == 1:
             g[spec.ego_dim + fact[0]] += 1.0
@@ -104,15 +111,10 @@ def encode(spec: EncodingSpec, lls, hla: GroundAction, goal: frozenset,
             g[spec.ego_dim + np_ + fact[0]] += 1.0
     a = np.zeros(spec.a_dim)
     a[hla.schema_id] = 1.0
-    rows = []
+    objs = np.zeros((len(hla.args), spec.o_dim))
+    base = spec.obj_feat_dim
     for i, oid in enumerate(hla.args):
-        name = table.names[oid]
-        vec = lls.objects.get(name)
-        if vec is None:
-            raise BisonError("action references unknown object %r" % name)
-        row = np.zeros(spec.o_dim)
-        row[:spec.obj_feat_dim] = vec
-        base = spec.obj_feat_dim
+        row = objs[i]
         for fact in hls:
             if len(fact) == 2 and fact[1] == oid:
                 row[base + fact[0]] += 1.0
@@ -121,8 +123,39 @@ def encode(spec: EncodingSpec, lls, hla: GroundAction, goal: frozenset,
                 row[base + np_ + fact[0]] += 1.0
         if i < m:
             row[base + 2 * np_ + i] = 1.0
-        rows.append(row)
-    objs = np.array(rows) if rows else np.zeros((0, spec.o_dim))
+    return g, a, objs
+
+
+def encode(spec: EncodingSpec, lls, hla: GroundAction, goal: frozenset,
+           hls: frozenset, table: ObjectTable) -> GnnInput:
+    """Build input embeddings from an LL state, HL action, goal and abstraction.
+
+    Only nullary and unary facts contribute one-hots; higher arities carry no
+    encoding.  Only the action's argument objects become object nodes.
+
+    The HL part (``_hl_part``) is reused from the last call while the spec is
+    the same object and the HL action, goal and HL state are equal, which
+    holds on most consecutive LL steps; its counts are exact small integers,
+    so a reused part is byte-equal to a fresh one.  Each call copies it and
+    writes the LL features into the copies, so no caller shares an array.
+    """
+    global _hl_last
+    last = _hl_last
+    if (last is not None and last[0] is spec and last[1] == hla
+            and last[2] == goal and last[3] == hls):
+        part = last[4]
+    else:
+        part = _hl_part(spec, hla, goal, hls)
+        _hl_last = (spec, hla, goal, hls, part)
+    g, a, objs = part
+    g, a, objs = g.copy(), a.copy(), objs.copy()
+    g[:spec.ego_dim] = lls.ego
+    for i, oid in enumerate(hla.args):
+        name = table.names[oid]
+        vec = lls.objects.get(name)
+        if vec is None:
+            raise BisonError("action references unknown object %r" % name)
+        objs[i, :spec.obj_feat_dim] = vec
     return GnnInput(g, a, objs)
 
 
@@ -172,31 +205,44 @@ def init_params(spec: EncodingSpec, config: TrainConfig) -> GnnParams:
     return GnnParams(spec, HIDDEN, LAYERS, config.seed, rng)
 
 
+def _max_rows(objs: np.ndarray) -> np.ndarray:
+    """The element-wise max of the rows: a left fold of ``np.maximum``, the
+    loop and order ``objs.max(axis=0)`` runs, so NaNs and signed-zero ties
+    come out byte-equal to it; zeros when there are no rows."""
+    n = objs.shape[0]
+    if n == 0:
+        return np.zeros(objs.shape[1])
+    if n == 1:
+        return objs[0]
+    agg = np.maximum(objs[0], objs[1])
+    for k in range(2, n):
+        np.maximum(agg, objs[k], out=agg)
+    return agg
+
+
 def forward(params: GnnParams, inp: GnnInput) -> np.ndarray:
     """Predict an LL action (the inference path: no intermediates kept).
-    The max aggregation is numpy's, which propagates a NaN as an argmax
-    gather does; on a tie of signed zeros the two may pick differently, but
-    every aggregate passes a ReLU, which maps -0.0 to 0.0, so the output
-    bytes agree."""
-    n = inp.h_objects.shape[0]
-    g = params.w_g0 @ inp.h_global
-    a = params.w_a0 @ inp.h_action
-    objs = inp.h_objects @ params.w_o0.T if n else None
-    for l in range(params.layers):
+    The max aggregation propagates a NaN as an argmax gather does; on a tie
+    of signed zeros the two may pick differently, but every aggregate passes
+    a ReLU, which maps -0.0 to 0.0, so the output bytes agree.  Products are
+    ``ndarray.dot``: the BLAS calls ``@`` makes, with less dispatch."""
+    g = params.w_g0.dot(inp.h_global)
+    a = params.w_a0.dot(inp.h_action)
+    objs = inp.h_objects.dot(params.w_o0.T)
+    for w_g, w_a, w_o in zip(params.w_g, params.w_a, params.w_o):
         ga = g + a
-        agg = objs.max(axis=0) if n else np.zeros(params.hidden)
-        g = params.w_g[l] @ (ga + agg)
+        agg = _max_rows(objs)
+        g = w_g.dot(ga + agg)
         np.maximum(g, 0.0, out=g)
         ga = g + a
-        a = params.w_a[l] @ (ga + agg)
+        a = w_a.dot(ga + agg)
         np.maximum(a, 0.0, out=a)
-        if n:
-            objs = (ga + objs) @ params.w_o[l].T
-            np.maximum(objs, 0.0, out=objs)
-    fin = objs.max(axis=0) if n else np.zeros(params.hidden)
-    z1 = params.r_w1 @ (g + a + fin) + params.r_b1
+        objs = (ga + objs).dot(w_o.T)
+        np.maximum(objs, 0.0, out=objs)
+    fin = _max_rows(objs)
+    z1 = params.r_w1.dot(g + a + fin) + params.r_b1
     np.maximum(z1, 0.0, out=z1)
-    return params.r_w2 @ z1 + params.r_b2
+    return params.r_w2.dot(z1) + params.r_b2
 
 
 def cosine_lr(base: float, iteration: int, total: int) -> float:

@@ -125,6 +125,17 @@ def test_parse_traces_one_demo_two_steps():
     assert demos[0].goal == (("at", "b0", "p0"),)
 
 
+def test_parse_traces_breaks_lines_at_newline_only():
+    # a raw U+2028 is valid inside a JSON string; str.splitlines would break
+    # the record there
+    text = ('{"goal": ["(at b\u20280 p0)"], "steps": ['
+            '{"ego": [0.1], "objects": {"b\u20280": [0.1]}, "action": [1]}]}\n')
+    demos = parse_traces(text)
+    assert len(demos) == 1
+    assert demos[0].goal == (("at", "b\u20280", "p0"),)
+    assert list(demos[0].steps[0].objects) == ["b\u20280"]
+
+
 def test_parse_traces_ragged_vectors():
     text = ('{"goal": [], "steps": ['
             '{"ego": [0.1], "objects": {"b0": [0.1, 0.1], "b1": [0.1]}, "action": [0]}]}')
@@ -270,7 +281,7 @@ def reference_parse_traces(text):
     """``parse_traces`` as it was, before its per-step check: every vector goes
     through the check per value and is copied."""
     demos = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         try:
@@ -569,6 +580,21 @@ def test_policy_error_on_line_three_reports_line_three():
     assert (ei.value.line, ei.value.col) == (3, bad.index("(:state") + 1)  # the unclosed '('
 
 
+def test_policy_error_is_reported_at_the_line_an_editor_shows():
+    # a form feed, like \x0b, \x1c-\x1e, \x85, U+2028 and U+2029, is no
+    # line break: only "\n" ends a line
+    dom = env_domain("pickplace")
+    good = "1: (:vars ?x ?l) (:state (hold ?x) (rAt ?l)) (:goal (at ?x ?l)) => (place ?x ?l)"
+    bad = "2: (:vars ?x) (:state (hold ?x) (:goal) => (place ?x ?x)"
+    for brk in ("\x0b", "\x0c", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"):
+        with pytest.raises(ParseError) as ei:
+            parse_policy(good + brk + "\n" + bad + "\n", dom)
+        assert (ei.value.line, ei.value.col) == (2, bad.index("(:state") + 1), repr(brk)
+    text = serialize_policy(builtin_policy("pickplace"))
+    paged = "".join(line + "\x0c\n; next page\n" for line in text.split("\n")[:-1])
+    assert serialize_policy(parse_policy(paged, dom)) == text
+
+
 def test_policy_undeclared_predicate_reports_its_column():
     dom = env_domain("pickplace")
     bad = "  1: (:vars ?x ?l) (:state (hold ?x) (near ?l)) (:goal (at ?x ?l)) => (place ?x ?l)"
@@ -705,7 +731,7 @@ def reference_parse_rule(toks, preds, schemata):
 def reference_parse_policy(text, domain):
     preds, schemata = _symbols(domain.predicates), _symbols(domain.schemata)
     rules = []
-    for line_no, line in enumerate(text.splitlines(), start=1):
+    for line_no, line in enumerate(text.split("\n"), start=1):
         code = line.split(";", 1)[0]
         rule = code.strip()
         if rule:
@@ -815,6 +841,7 @@ def test_rule_reader_equals_reference_on_mutated_lines():
      "unexpected top-level form 'problem'", (1, 9)),
     ("(define (domain d) (:predicates (p ?x)) (domain e))",
      "unexpected top-level form 'domain'", (1, 41)),
+    ("(define (domain (d)) (:predicates (p ?x)))", "expected a domain name", (1, 17)),
 ])
 def test_domain_header_is_domain_or_absent(text, message, pos):
     with pytest.raises(ParseError) as e:
@@ -843,6 +870,9 @@ ACTION = ("(define (domain d) (:predicates (p ?x))\n"
      "duplicate predicate 'p'", (1, 45)),
     ("domain", "(define (domain d) (:predicates (p x)))",
      "predicate argument must be a ?variable", (1, 36)),
+    ("domain", "(define (domain d extra (junk)) (:predicates (p)))",
+     "(domain …) takes one name", (1, 19)),
+    ("domain", "(define (domain) (:predicates (p)))", "(domain …) takes one name", (1, 9)),
     ("domain", "(define (domain d) (:predicates (p ?x)) (:action (a)))",
      "missing action name", (1, 41)),
     ("domain", ACTION % ":cost 1", "unknown action section ':cost'", (2, 31)),
@@ -868,9 +898,10 @@ ACTION = ("(define (domain d) (:predicates (p ?x))\n"
     ("policy", "1: (:vars ?x) (:state) (:goal) =>", "expected one rule head after '=>'",
      (1, 32)),
 ], ids=["var-list", "not-arity", "predicate-form", "predicate-repeat", "predicate-arg",
-        "action-name", "action-section", "section-body", "action-lacks", "parameters",
-        "oneof-empty", "trace-goal", "rule-arrow", "rule-arrow-token", "rule-section",
-        "rule-section-repeat", "rule-lacks", "rule-heads", "rule-no-head"])
+        "header-extra", "header-no-name", "action-name", "action-section", "section-body",
+        "action-lacks", "parameters", "oneof-empty", "trace-goal", "rule-arrow",
+        "rule-arrow-token", "rule-section", "rule-section-repeat", "rule-lacks", "rule-heads",
+        "rule-no-head"])
 def test_each_parse_error_site_is_positioned(reader, text, message, pos):
     parse = {"domain": parse_domain, "traces": parse_traces,
              "policy": lambda t: parse_policy(t, env_domain("blocks"))}[reader]

@@ -1,6 +1,7 @@
 import json
 import random
 import struct
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -696,10 +697,10 @@ def test_forward_and_backward_agree_on_a_nan_object_row():
     # forward's max and the reference's argmax gather both carry the NaN through
     rng = np.random.default_rng(52)
     spec = arity3_spec()
-    for n in (2, 3):
+    for n in (1, 2, 3):
         params = GnnParams(spec, hidden=16, layers=2, init_rng=rng)
         objs = rng.normal(size=(n, spec.o_dim))
-        objs[1, 0] = np.nan
+        objs[min(1, n - 1), 0] = np.nan
         inp = GnnInput(rng.normal(size=spec.g_dim), rng.normal(size=spec.a_dim), objs)
         assert np.all(np.isnan(forward(params, inp)))
         assert np.all(np.isnan(reference_intermediates(params, inp)["y"]))
@@ -726,6 +727,195 @@ def test_forward_matches_reference_on_eval_bilevel_inputs(monkeypatch):
     assert len(inputs) > 800
     for inp in inputs:
         assert_same_bytes(params, inp)
+
+
+# ---------------------------------------------------------------------------
+# encode against the per-call encode it replaced
+# ---------------------------------------------------------------------------
+
+def reference_encode(spec, lls, hla, goal, hls, table):
+    """The previous ``encode``: every one-hot counted afresh on every call."""
+    np_, m = spec.n_pred, spec.max_arity
+    g = np.zeros(spec.g_dim)
+    g[:spec.ego_dim] = lls.ego
+    for fact in hls:
+        if len(fact) == 1:
+            g[spec.ego_dim + fact[0]] += 1.0
+    for fact in goal:
+        if len(fact) == 1:
+            g[spec.ego_dim + np_ + fact[0]] += 1.0
+    a = np.zeros(spec.a_dim)
+    a[hla.schema_id] = 1.0
+    rows = []
+    for i, oid in enumerate(hla.args):
+        name = table.names[oid]
+        vec = lls.objects.get(name)
+        if vec is None:
+            raise BisonError("action references unknown object %r" % name)
+        row = np.zeros(spec.o_dim)
+        row[:spec.obj_feat_dim] = vec
+        base = spec.obj_feat_dim
+        for fact in hls:
+            if len(fact) == 2 and fact[1] == oid:
+                row[base + fact[0]] += 1.0
+        for fact in goal:
+            if len(fact) == 2 and fact[1] == oid:
+                row[base + np_ + fact[0]] += 1.0
+        if i < m:
+            row[base + 2 * np_ + i] = 1.0
+        rows.append(row)
+    objs = np.array(rows) if rows else np.zeros((0, spec.o_dim))
+    return GnnInput(g, a, objs)
+
+
+def assert_same_input(got, want):
+    for x, y in ((got.h_global, want.h_global), (got.h_action, want.h_action),
+                 (got.h_objects, want.h_objects)):
+        assert x.dtype == y.dtype and x.shape == y.shape and x.tobytes() == y.tobytes()
+
+
+def checked_encode(monkeypatch):
+    """Patch ``gnn.encode`` to record each call's input beside the reference's
+    and ``gnn._hl_part`` to count the memo's misses; the memo starts empty."""
+    real_encode, real_part = gnn.encode, gnn._hl_part
+    pairs, misses = [], []
+
+    def recording(*args):
+        inp = real_encode(*args)
+        pairs.append((inp, reference_encode(*args)))
+        return inp
+
+    def counting(*args):
+        misses.append(args)
+        return real_part(*args)
+
+    monkeypatch.setattr(gnn, "_hl_last", None)
+    monkeypatch.setattr(gnn, "encode", recording)
+    monkeypatch.setattr(gnn, "_hl_part", counting)
+    return pairs, misses
+
+
+def test_encode_matches_reference_on_eval_bilevel_steps(monkeypatch):
+    # every LL step of the benchmark's eval-bilevel episodes, the arrays
+    # compared after the episodes end, so no later call may have written into
+    # an earlier call's input
+    from bison.runner import Executor, run_episode
+    fixtures = Path(__file__).resolve().parents[1] / "perfbench" / "fixtures"
+    params = load_params(str(fixtures / "params.bsw"))
+    policy = parse_policy((fixtures / "policy.bsp").read_text(encoding="utf-8"),
+                          env_domain("blocks"))
+    pairs, misses = checked_encode(monkeypatch)
+    for n in (1, 3, 6, 10):
+        run_episode(make_env(EnvConfig("blocks", n, seed=n)),
+                    Executor("bison", hl_policy=policy, gnn_params=params,
+                             ll_mode="gnn"), step_cap=400)
+    assert len(pairs) > 800
+    assert 0 < len(misses) < len(pairs) // 5  # most steps repeat the last HL key
+    for got, want in pairs:
+        assert_same_input(got, want)
+
+
+@pytest.mark.parametrize("kind", ["blocks", "pickplace"])
+def test_encode_matches_reference_in_build_dataset(kind, blocks_demos, pickplace_demos,
+                                                   monkeypatch):
+    demos = {"blocks": blocks_demos, "pickplace": pickplace_demos}[kind]
+    dom, lab = env_domain(kind), make_labeller(kind)
+    spec = EncodingSpec.for_domain(dom, EGO_DIM, obj_dim(kind), ACTION_DIM)
+    pairs, misses = checked_encode(monkeypatch)
+    samples = build_dataset(demos, dom, lab, spec)
+    assert len(pairs) == len(samples) > 100
+    assert 0 < len(misses) < len(pairs)
+    for sample, (got, want) in zip(samples, pairs):
+        assert sample.inp is got
+        assert_same_input(got, want)
+
+
+def toy_encoding():
+    """A toy domain's spec, object table and HL vocabulary."""
+    dom = parse_domain("(define (domain toy) (:predicates (done) (ready) (lit ?x) (on ?x ?y))"
+                       " (:action press :parameters (?x ?y) :precondition (and)"
+                       " :effect (and (done) (lit ?x)))"
+                       " (:action tap :parameters (?x) :precondition (and) :effect (ready)))")
+    spec = EncodingSpec.for_domain(dom, 2, 1, 1)
+    table = ObjectTable(["o0", "o1", "o2"])
+    return dom, spec, table
+
+
+def toy_lls(rng):
+    return LLState(rng.normal(size=2).tolist(),
+                   {name: rng.normal(size=1).tolist() for name in ("o0", "o1", "o2")})
+
+
+def test_encode_misses_on_each_part_of_its_key(monkeypatch):
+    dom, spec, table = toy_encoding()
+    done, ready, lit, on = (dom.pred_ids[p] for p in ("done", "ready", "lit", "on"))
+    rng = np.random.default_rng(60)
+    hla, hla2 = GroundAction(0, (0, 1)), GroundAction(0, (2, 1))
+    goal, goal2 = frozenset({(done,), (lit, 0), (on, 0, 1)}), frozenset({(lit, 1), (lit, 2)})
+    hls, hls2 = frozenset({(ready,), (lit, 0)}), frozenset({(lit, 1), (lit, 2), (on, 2, 1)})
+    spec2 = EncodingSpec.for_domain(dom, 2, 1, 1)  # equal, but another object
+    calls = [  # (spec, hla, goal, hls, a miss?)
+        (spec, hla, goal, hls, True),
+        (spec, hla, goal, hls, False),
+        (spec2, hla, goal, hls, True),
+        (spec2, hla2, goal, hls, True),
+        (spec2, hla2, goal2, hls, True),
+        (spec2, hla2, goal2, hls2, True),
+        (spec2, GroundAction(0, (2, 1)), frozenset(goal2), frozenset(hls2), False),
+        (spec2, GroundAction(1, (2,)), goal2, hls2, True),
+        (spec2, GroundAction(1, (2,)), goal2, hls2, False),
+        (spec2, GroundAction(0, ()), goal2, hls2, True),
+    ]
+    pairs, misses = checked_encode(monkeypatch)
+    for k, (sp, act, gl, hl, miss) in enumerate(calls):
+        before = len(misses)
+        gnn.encode(sp, toy_lls(rng), act, gl, hl, table)
+        assert len(misses) - before == miss, k
+    for got, want in pairs:
+        assert_same_input(got, want)
+
+
+def test_encode_returns_arrays_no_later_call_shares():
+    # pure_nn_stub zeroes h_action in place; the next call is unchanged
+    _, spec, table = toy_encoding()
+    rng = np.random.default_rng(61)
+    hla, goal, hls = GroundAction(0, (0, 1)), frozenset({(2, 1)}), frozenset({(1,), (2, 0)})
+    for _ in range(3):
+        lls = toy_lls(rng)
+        got = encode(spec, lls, hla, goal, hls, table)
+        assert_same_input(got, reference_encode(spec, lls, hla, goal, hls, table))
+        for x in (got.h_global, got.h_action, got.h_objects):
+            x[...] = 0.0
+
+
+def test_encode_unknown_object_errors_on_a_memo_hit(monkeypatch):
+    _, spec, table = toy_encoding()
+    rng = np.random.default_rng(62)
+    hla, goal, hls = GroundAction(0, (0, 1)), frozenset(), frozenset({(1,)})
+    _, misses = checked_encode(monkeypatch)
+    lls = toy_lls(rng)
+    gnn.encode(spec, lls, hla, goal, hls, table)
+    del lls.objects["o1"]
+    with pytest.raises(BisonError, match="unknown object 'o1'"):
+        gnn.encode(spec, lls, hla, goal, hls, table)
+    assert len(misses) == 1
+
+
+def test_encode_memo_keeps_nothing_past_its_last_call(monkeypatch):
+    class Labels(frozenset):
+        pass
+
+    _, spec, table = toy_encoding()
+    rng = np.random.default_rng(63)
+    hla, goal = GroundAction(0, (0, 1)), frozenset()
+    monkeypatch.setattr(gnn, "_hl_last", None)
+    hls = Labels({(1,)})
+    held = weakref.ref(hls)
+    encode(spec, toy_lls(rng), hla, goal, hls, table)
+    del hls
+    assert held() is not None  # the last call's key
+    encode(spec, toy_lls(rng), hla, goal, Labels({(0,)}), table)
+    assert held() is None
 
 
 # ---------------------------------------------------------------------------
