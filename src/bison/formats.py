@@ -306,7 +306,7 @@ class Demo:
 def _fact_names(s: str, line_no: int) -> tuple:
     try:
         forms = _read(_tokenize(s, 1, 1))
-    except ParseError as e:
+    except ParseError:
         raise ParseError("bad fact %r in trace" % s, line_no, 1) from None
     if len(forms) != 1 or not isinstance(forms[0], list) or not forms[0] \
             or not all(isinstance(t, _Tok) for t in forms[0]):

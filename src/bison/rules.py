@@ -7,7 +7,7 @@ most-constrained-atom-first join over per-predicate fact indexes; this is what
 makes policy execution at 10k-object scale possible.  The same join grounds
 action preconditions: it enumerates applicable actions for the planners and
 for explaining abstraction changes while learning, and joins a precondition
-with an unmet goal for the AND-OR planner's lookahead.
+with an unmet goal for the AND-OR planner's lookahead (``gain_joins``).
 
 Each rule's condition atoms, and each schema's precondition, are compiled once
 into a join plan: per atom its side, predicate, argument variables, a variable
@@ -286,9 +286,6 @@ class StateIndex:
     def solved(self) -> bool:
         return not self.unachieved.facts
 
-    def state(self) -> HLState:
-        return frozenset(self.held.facts)
-
 
 class _Plan:
     """A compiled join plan: its atoms, and ``levels``, which memoises
@@ -436,22 +433,42 @@ def _precondition_plans(domain: Domain) -> tuple:
     return tuple(_compile_plan(("s", a) for a in sch.pre) for sch in domain.schemata)
 
 
-def schema_actions(domain: Domain, sid: int, idx: StateIndex, n_objects: int):
-    """Ground actions of schema ``sid`` applicable in the indexed state.
-
-    Precondition variables are bound by the join (so bindings come in join
-    order, not sorted) and parameters that the precondition leaves free range
-    over all objects.  The join yields each binding once: fully bound atoms
-    only filter, and every join level binds a fresh variable from distinct
-    facts of one bucket, so no action repeats.
-    """
-    arity = domain.schemata[sid].arity
-    for binding in _matches(idx, _precondition_plans(domain)[sid], [None] * arity):
-        for args in fill_free(binding, n_objects):
+def _plan_actions(plan: _Plan, sid: int, arity: int, idx: StateIndex, n_objects: int):
+    """Ground actions of schema ``sid`` from ``plan``'s bindings, filled by ``_fill_free``."""
+    for binding in _matches(idx, plan, [None] * arity):
+        for args in _fill_free(binding, n_objects):
             yield GroundAction(sid, args)
 
 
-def fill_free(binding: tuple, n_objects: int):
+def schema_actions(domain: Domain, sid: int, idx: StateIndex, n_objects: int):
+    """Ground actions of schema ``sid`` applicable in the indexed state, in
+    join order, not sorted; parameters the precondition leaves free range
+    over all objects.  No action repeats, as the join yields each binding once."""
+    return _plan_actions(_precondition_plans(domain)[sid], sid, domain.schemata[sid].arity,
+                         idx, n_objects)
+
+
+@functools.lru_cache(maxsize=64)
+def gain_joins(domain: Domain, goal_preds: frozenset) -> tuple:
+    """The AND-OR lookahead's joins, built once per domain and goal-predicate
+    set: ``(gain, joins)`` per schema whose outcomes add atoms of ``goal_preds``,
+    ``gain`` the most one outcome adds.  ``joins`` holds ``(actions, outcome
+    index)`` per (outcome, such atom); ``actions(idx, n_objects)`` yields, as
+    ``schema_actions`` does, the actions whose precondition joins the state
+    and whose atom an unmet goal."""
+    gains = []
+    for sid, sch in enumerate(domain.schemata):
+        pre = [("s", a) for a in sch.pre]
+        adds = [[a for a in add if a[0] in goal_preds] for add, _ in sch.outcomes]
+        joins = tuple((functools.partial(_plan_actions, _compile_plan(pre + [("g", atom)]),
+                                         sid, sch.arity), j)
+                      for j, add_g in enumerate(adds) for atom in add_g)
+        if joins:
+            gains.append((max(map(len, adds)), joins))
+    return tuple(gains)
+
+
+def _fill_free(binding: tuple, n_objects: int):
     """The total bindings that extend a join's ``binding``: each variable the
     join left None ranges over all objects, in ``itertools.product`` order.
     A total binding comes back alone, without a generator's overhead."""
@@ -479,17 +496,15 @@ def match_rule(rule: Rule, idx: StateIndex, n_objects: int):
     """First satisfying total binding for the rule in the indexed state, or
     None.
 
-    Variables appearing in no condition atom take object 0, so with no
-    objects such a binding is None.
+    A binding with free variables takes ``_fill_free``'s first extension:
+    object 0 for each, or none when there are no objects.
     """
     found = _matches(idx, rule.plan, [None] * rule.n_vars, first=True)
     if not found:
         return None
     binding = found[0]
     if None in binding:
-        if not n_objects:
-            return None
-        binding = tuple(0 if o is None else o for o in binding)
+        return next(iter(_fill_free(binding, n_objects)), None)
     return binding
 
 

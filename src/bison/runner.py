@@ -111,7 +111,7 @@ def _record_step(record, lls, action):
         record.append((lls, np.asarray(action, dtype=float)))
 
 
-def _rule_selector(env, hls, executor) -> Callable:
+def _rule_selector(env, executor) -> Callable:
     """The rule policy (bison: hl_policy or the built-in one); None when no
     rule fires.
 
@@ -142,7 +142,7 @@ def _plan_from(search: Callable, env, hls):
     return search(problem, deadline=deadline)
 
 
-def _plan_cursor(env, hls, executor) -> Optional[Callable]:
+def _plan_cursor(env, hls) -> Optional[Callable]:
     """Plan from hls, walked by index: the next action if its precondition
     holds, else the one after it (one-step lookahead), else None (broken)."""
     plan = _plan_from(find_plan, env, hls)
@@ -160,7 +160,7 @@ def _plan_cursor(env, hls, executor) -> Optional[Callable]:
     return next_action
 
 
-def _policy_lookup(env, hls, executor) -> Optional[Callable]:
+def _policy_lookup(env, hls) -> Optional[Callable]:
     """AND-OR policy from hls, queried by state lookup (None when uncovered)."""
     policy = _plan_from(find_policy, env, hls)
     return None if policy is None else policy.get
@@ -169,21 +169,21 @@ def _policy_lookup(env, hls, executor) -> Optional[Callable]:
 def _run_loop(env, executor, lls, cap, record) -> EpisodeResult:
     """The control loop every strategy shares: one HL and one LL query per step.
 
-    The strategy's source turns the first unsolved state into a "state → next
-    action or None" callable.  None from the rule policy means no rule fires;
-    from a plan or policy it means the state left what was planned, which
-    fails the episode or, for the *_replan strategies, plans again from it.
+    The rule selector, or a planner at the first unsolved state, is a "state
+    → next action or None" callable.  None from the rule policy means no rule
+    fires; from a plan or policy it means the state left what was planned,
+    which fails the episode or, for the *_replan strategies, plans again.
     """
+    planner = next_action = prev = None
     if executor.strategy in ("bison", "oracle", "pure_nn_stub"):
-        source, broken_kind = _rule_selector, "no_hl_action"
+        next_action, broken_kind = _rule_selector(env, executor), "no_hl_action"
     elif executor.strategy.startswith("det"):
-        source, broken_kind = _plan_cursor, "plan_broken"
+        planner, broken_kind = _plan_cursor, "plan_broken"
     else:
-        source, broken_kind = _policy_lookup, "no_hl_action"
+        planner, broken_kind = _policy_lookup, "no_hl_action"
     replan = executor.strategy.endswith("_replan")
     ll = _make_ll(executor, env)
     result = EpisodeResult()
-    next_action = prev = None
     while True:
         hls = env.label(lls)
         goal = env.goal
@@ -199,7 +199,7 @@ def _run_loop(env, executor, lls, cap, record) -> EpisodeResult:
                 if not replan:
                     return result.fail(broken_kind)
                 result.replans += 1
-            next_action = source(env, hls, executor)
+            next_action = planner(env, hls)
             hla = None if next_action is None else next_action(hls)
             if hla is None:
                 return result.fail("no_hl_action")

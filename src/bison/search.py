@@ -17,11 +17,11 @@ enumeration order decides which action is tried first.  Candidates are tried
 by their best successor count; a one-ply lookahead breaks ties, and it runs
 for a group of tied candidates only when the search reaches that group.  It
 moves the expanded state's index to each successor and back, and joins there
-from the goal side: one compiled plan per (schema, outcome, goal-predicate
-add atom) matches the precondition against the state and the atom against
-the unmet goals.  An outcome can lower the count only by adding an unmet goal
-fact, so these joins find every grandchild below its successor's count, and
-nothing else is enumerated.
+from the goal side with ``rules.gain_joins``: per (schema, outcome,
+goal-predicate add atom), the precondition against the state and the atom
+against the unmet goals.  An outcome can lower the count only by adding an
+unmet goal fact, so these joins find every grandchild below its successor's
+count, and nothing else is enumerated.
 """
 
 from __future__ import annotations
@@ -34,8 +34,8 @@ from itertools import groupby
 from operator import itemgetter
 from typing import Optional
 
-from .core import GroundAction, HLProblem, HLState, ground_outcomes
-from .rules import StateIndex, _compile_plan, _matches, applicable_actions, fill_free
+from .core import HLProblem, HLState, ground_outcomes
+from .rules import StateIndex, applicable_actions, gain_joins
 
 DEFAULT_NODE_BUDGET = 10 ** 6
 GENERATED_CAP = 2 * 10 ** 6
@@ -175,18 +175,15 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     count if none is lower; equal lookaheads keep enumeration order.  It runs
     for the candidates of a tied count only when the search reaches them, so
     a count held by one candidate, or one never reached, costs no lookahead.
-    It moves the expanded state's index to each successor and back.  There,
-    for each outcome that adds a goal-predicate fact, it joins the schema's
-    precondition (against the state) with each such add atom (against the
-    unmet goals), fills the parameters neither binds with every object, and
-    evaluates that one outcome of that action.  This is exact: the least
-    count starts at the least successor count and only falls, so a grandchild
-    counts lower only if its outcome adds a goal fact its successor lacks,
-    and that fact is unmet there.  A pair found through two atoms is
-    evaluated twice, which leaves the minimum unchanged.  A schema whose
-    largest gain cannot beat the least count found so far is skipped.  Since
-    only the minimum is kept, the order of the joins does not matter; the
-    candidates themselves come from a fresh, canonically sorted index.
+    It moves the expanded state's index to each successor and back, and
+    there evaluates each (action, outcome) that ``rules.gain_joins`` finds
+    adding an unmet goal fact.  This is exact: the least count starts at the
+    least successor count and only falls, so a grandchild counts lower only
+    if its outcome adds a goal fact its successor lacks, and that fact is
+    unmet there.  A pair found twice leaves the minimum unchanged, and a
+    schema whose largest gain cannot beat the least count found so far is
+    skipped.  Since only the minimum is kept, the order of the joins does not
+    matter; the candidates come from a fresh, canonically sorted index.
     """
     if depth_cap is None:
         depth_cap = default_depth_cap(problem)
@@ -195,20 +192,7 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     st = stats if stats is not None else SearchStats()
     domain, goal = problem.domain, problem.goal
     n_obj = len(problem.objects)
-    # the lookahead's joins: per schema that can gain, one plan per (gain
-    # outcome, goal-predicate add atom), the precondition on the state side
-    # and the atom on the unmet-goal side
-    goal_preds = {f[0] for f in goal}
-    gain_plans = []  # (schema id, arity, largest gain, [(plan, outcome), ...])
-    for sid, sch in enumerate(domain.schemata):
-        pre = [("s", a) for a in sch.pre]
-        plans, gain = [], 0
-        for j, (add, _) in enumerate(sch.outcomes):
-            add_g = [a for a in add if a[0] in goal_preds]
-            gain = max(gain, len(add_g))
-            plans.extend((_compile_plan(pre + [("g", atom)]), j) for atom in add_g)
-        if plans:
-            gain_plans.append((sid, sch.arity, gain, plans))
+    gains = gain_joins(domain, frozenset(f[0] for f in goal))
     grounded = _Grounded(domain)
     solved_action = {}
     failed_at = {}  # state -> depth it failed with (retry only with more depth)
@@ -222,18 +206,17 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         for s2 in succs:
             idx.apply(s2 - state, state - s2)
             g2 = len(idx.unachieved.facts)
-            for sid, arity, gain, plans in gain_plans:
+            for gain, schema_joins in gains:
                 # an outcome gains at most its goal-predicate adds
                 if g2 - gain >= look:
                     continue
-                for plan, j in plans:
-                    for binding in _matches(idx, plan, [None] * arity):
-                        for args in fill_free(binding, n_obj):
-                            # the whole outcome: _goal_delta counts goal facts only
-                            add, dele = grounded[GroundAction(sid, args)][j]
-                            h = g2 + _goal_delta(add, dele, goal, s2)
-                            if h < look:
-                                look = h
+                for actions, j in schema_joins:
+                    for action in actions(idx, n_obj):
+                        # the whole outcome: _goal_delta counts goal facts only
+                        add, dele = grounded[action][j]
+                        h = g2 + _goal_delta(add, dele, goal, s2)
+                        if h < look:
+                            look = h
             idx.apply(state - s2, s2 - state)
         return look
 

@@ -125,11 +125,8 @@ def test_hoisted_imports_still_call_through_the_module(monkeypatch):
 
 
 # Private names a module takes from another package module, each with its reason
-PRIVATE_IMPORTS = {
-    # the AND-OR lookahead compiles its own goal-side joins with the rule
-    # join engine, so the join-plan format stays inside rules and search
-    "search": {"_compile_plan", "_matches"},
-}
+# (none)
+PRIVATE_IMPORTS = {}
 
 
 def test_no_module_imports_another_modules_private_names():
@@ -170,18 +167,77 @@ def test_no_module_imports_a_name_it_never_uses():
     assert not unused, unused
 
 
-_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef)
+_COMPREHENSIONS = (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda, ast.ClassDef) + _COMPREHENSIONS
 
 
-def _own_nodes(fn):
-    """The nodes of ``fn``'s own scope: its nested functions and classes are
-    left out, their bodies being scopes of their own."""
-    todo = list(ast.iter_child_nodes(fn))
+def _split(scope):
+    """(inside, outside): the nodes of ``scope`` that run in its own scope,
+    and those that run in the enclosing one (decorators, defaults, bases, a
+    comprehension's first iterable)."""
+    if isinstance(scope, ast.ClassDef):
+        return scope.body, scope.decorator_list + scope.bases + scope.keywords
+    if isinstance(scope, _COMPREHENSIONS):
+        first, *rest = scope.generators
+        inside = [getattr(scope, f) for f in ("elt", "key", "value") if hasattr(scope, f)]
+        inside += [first.target, *first.ifs]
+        inside += [n for g in rest for n in (g.target, g.iter, *g.ifs)]
+        return inside, [first.iter]
+    outside = scope.args.defaults + [d for d in scope.args.kw_defaults if d is not None]
+    if isinstance(scope, ast.Lambda):
+        return [scope.body], outside
+    return scope.body, outside + scope.decorator_list
+
+
+def _own_scope(scope):
+    """The nodes that run in ``scope`` itself, and the scopes nested directly
+    in it (functions, lambdas, classes and comprehensions)."""
+    todo, own, nested = list(_split(scope)[0]), [], []
     while todo:
         node = todo.pop()
-        yield node
-        if not isinstance(node, _SCOPES):
-            todo.extend(ast.iter_child_nodes(node))
+        if isinstance(node, _SCOPES):
+            nested.append(node)
+            todo += _split(node)[1]
+        else:
+            own.append(node)
+            todo += ast.iter_child_nodes(node)
+    return own, nested
+
+
+def _binds(scope):
+    """The names ``scope`` binds for itself, so a read of one there is not a
+    read of the enclosing scope's: a comprehension's targets, or the
+    parameters, assigned, imported, defined and ``except … as`` names and
+    ``global`` names of a function or class, less its ``nonlocal`` names."""
+    if isinstance(scope, _COMPREHENSIONS):
+        return {n.id for g in scope.generators for n in ast.walk(g.target)
+                if isinstance(n, ast.Name)}
+    own, nested = _own_scope(scope)
+    names = {n.id for n in own if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Load)}
+    names |= {n.name for n in own if isinstance(n, ast.ExceptHandler) and n.name}
+    names |= {(a.asname or a.name).split(".")[0] for n in own
+              if isinstance(n, (ast.Import, ast.ImportFrom)) for a in n.names}
+    names |= {n.name for n in nested if hasattr(n, "name")}
+    names |= {v for n in own if isinstance(n, ast.Global) for v in n.names}
+    names -= {v for n in own if isinstance(n, ast.Nonlocal) for v in n.names}
+    if not isinstance(scope, ast.ClassDef):
+        args = scope.args
+        names |= {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs
+                  + [args.vararg, args.kwarg] if a is not None}
+    return names
+
+
+def _reads(scope):
+    """The names ``scope`` reads as its own or an enclosing scope's binding:
+    its own loads and augmented-assignment targets, and what each nested
+    scope reads and does not bind itself."""
+    own, nested = _own_scope(scope)
+    read = {n.id for n in own if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+    read |= {n.target.id for n in own
+             if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name)}
+    for inner in nested:
+        read |= _reads(inner) - _binds(inner)
+    return read
 
 
 def _assigned_names(target):
@@ -192,33 +248,34 @@ def _assigned_names(target):
             yield from _assigned_names(elt.value if isinstance(elt, ast.Starred) else elt)
 
 
+def _assigned_locals(nodes):
+    """(name, line) of each local that ``nodes`` bind by assignment, an
+    assignment expression or ``except … as``."""
+    for node in nodes:
+        if isinstance(node, ast.ExceptHandler) and node.name:
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Assign):
+            yield from ((v.id, v.lineno) for t in node.targets for v in _assigned_names(t))
+        elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and node.value:
+            yield from ((v.id, v.lineno) for v in _assigned_names(node.target))
+
+
 def test_no_function_assigns_a_local_it_never_reads():
-    # a read anywhere in the function counts, nested functions included; an
-    # augmented assignment reads its target, and a leading underscore marks
-    # a name as deliberately unused
+    # a read by the function, or by a scope nested in it that does not bind
+    # the name itself, counts; an augmented assignment reads its target, and
+    # a leading underscore marks a name as deliberately unused
     unread = []
     for label, tree in _linted(MODULES + ["__init__"]):
         for fn in ast.walk(tree):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
-            read = {n.id for n in ast.walk(fn) if isinstance(n, ast.Name)
-                    and not isinstance(n.ctx, ast.Store)}
-            read.update(n.target.id for n in ast.walk(fn)
-                        if isinstance(n, ast.AugAssign) and isinstance(n.target, ast.Name))
-            shared = {v for n in ast.walk(fn) if isinstance(n, (ast.Global, ast.Nonlocal))
+            own, _ = _own_scope(fn)
+            read = _reads(fn)
+            shared = {v for n in own if isinstance(n, (ast.Global, ast.Nonlocal))
                       for v in n.names}
-            for node in _own_nodes(fn):
-                if isinstance(node, ast.Assign):
-                    targets = node.targets
-                elif isinstance(node, (ast.AnnAssign, ast.NamedExpr)) and node.value:
-                    targets = [node.target]
-                else:
-                    continue
-                for t in targets:
-                    for var in _assigned_names(t):
-                        if not (var.id.startswith("_") or var.id in read or var.id in shared):
-                            unread.append("%s:%d %s() assigns %s"
-                                          % (label, var.lineno, fn.name, var.id))
+            unread += ["%s:%d %s() assigns %s" % (label, line, fn.name, name)
+                       for name, line in _assigned_locals(own)
+                       if not (name.startswith("_") or name in read or name in shared)]
     assert not unread, unread
 
 
@@ -232,13 +289,13 @@ REACHED_FROM_OUTSIDE = {
 }
 
 
-def _references(nodes):
-    """How often each name is read among ``nodes``: as a name, as an
-    attribute, or as a string that looks it up (as ``make_labeller``'s
-    ``globals()`` lookup does)."""
+def _references(nodes, plain=True):
+    """How often each name is read among ``nodes``: as a plain name (unless
+    ``plain`` is False), as an attribute, or as a string that looks it up (as
+    ``make_labeller``'s ``globals()`` lookup does)."""
     refs = Counter()
     for n in nodes:
-        if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
+        if plain and isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store):
             refs[n.id] += 1
         elif isinstance(n, ast.Attribute):
             refs[n.attr] += 1
@@ -282,15 +339,16 @@ MEMBERS_KEPT = set()
 
 def test_every_class_member_is_read_by_package_code():
     # a method, property or class attribute (dataclass fields included) is
-    # read outside its own definition, by name, attribute or string; dunders
-    # are called by Python itself, and the tests do not count
+    # read outside its own definition, as an attribute or by a string; a
+    # plain name is some local or global, not the member, so it does not
+    # count.  Dunders are called by Python itself, and the tests do not count
     trees = [_tree(name) for name in MODULES]
-    refs = _references(n for tree in trees for n in ast.walk(tree))
+    refs = _references((n for tree in trees for n in ast.walk(tree)), plain=False)
     unread = []
     for module, tree in zip(MODULES, trees):
         for cls in _classes(tree):
             for node in cls.body:
-                own = _references(ast.walk(node))
+                own = _references(ast.walk(node), plain=False)
                 labels = [("%s.%s.%s" % (module, cls.name, name), name)
                           for name in _bound_names(node) if not name.startswith("__")]
                 unread += [label for label, name in labels
@@ -389,9 +447,6 @@ PARAMETERS_UNREAD = {
     "cli._Parser.error": {"message"},
     # a hook: the families' overrides read both
     "envs.SimEnv._skill": {"sch", "names"},
-    # the runner's HL sources share the (env, hls, executor) call protocol
-    "runner._plan_cursor": {"executor"},
-    "runner._policy_lookup": {"executor"},
     # every LL shares the (lls, hla, goal, hls) call protocol; the scripted
     # skill reads the env's live state
     "runner._make_ll.<lambda>": {"lls", "goal", "hls"},
@@ -399,14 +454,13 @@ PARAMETERS_UNREAD = {
 
 
 def test_every_parameter_is_read_by_its_function():
-    # a read anywhere in the body counts, nested functions included; self,
-    # cls and a leading underscore mark a parameter as deliberately unread
+    # a read by the body, or by a scope nested in it that does not bind the
+    # name itself, counts; self, cls and a leading underscore mark a
+    # parameter as deliberately unread
     unread = []
     for module in MODULES:
         for qual, _cls, fn in _functions(_tree(module)):
-            body = fn.body if isinstance(fn.body, list) else [fn.body]
-            read = {n.id for stmt in body for n in ast.walk(stmt)
-                    if isinstance(n, ast.Name) and not isinstance(n.ctx, ast.Store)}
+            read = _reads(fn)
             args = fn.args
             params = args.posonlyargs + args.args + args.kwonlyargs + \
                 [a for a in (args.vararg, args.kwarg) if a is not None]

@@ -445,10 +445,10 @@ def test_incremental_index_equals_rebuilt():
             add = rng.sample(pool, rng.randint(0, min(3, len(pool))))
             dele = rng.sample(pool, rng.randint(0, min(3, len(pool))))
             idx.apply(add, dele)
-        fresh = StateIndex(idx.state(), goal)
+        fresh = StateIndex(frozenset(idx.held.facts), goal)
         for side in ("s", "g"):
             assert index_contents(idx.sides[side]) == index_contents(fresh.sides[side])
-        assert set(idx.unachieved.facts) == goal - idx.state()
+        assert set(idx.unachieved.facts) == goal - frozenset(idx.held.facts)
         n_vars = rng.randint(1, 3)
         for _ in range(3):
             plan = _compile_plan(random_atoms(rng, domain, n_vars))
@@ -490,7 +490,7 @@ def test_compacted_buckets_keep_insertion_order():
                 for p, bucket in by_pred.items():
                     assert list(bucket) == [f for f in order[side] if f[0] == p]
             if rng.random() < 0.1:
-                fresh = StateIndex(idx.state(), goal)
+                fresh = StateIndex(frozenset(idx.held.facts), goal)
                 n_vars = rng.randint(1, 3)
                 plan = _compile_plan(random_atoms(rng, domain, n_vars))
                 assert Counter(_matches(idx, plan, [None] * n_vars)) == \

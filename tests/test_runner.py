@@ -85,8 +85,8 @@ def test_one_hl_and_one_ll_query_per_step(monkeypatch, blocks_policy):
         counts["select"] += 1
         return real_select(*a, **kw)
 
-    def counting_selector(env, hls, executor):
-        query = real_selector(env, hls, executor)
+    def counting_selector(env, executor):
+        query = real_selector(env, executor)
 
         def counted(hls):
             counts["hl"] += 1
@@ -111,7 +111,7 @@ def test_one_hl_and_one_ll_query_per_step(monkeypatch, blocks_policy):
     assert 0 < counts["select"] < counts["hl"]
 
 
-def _selecting_every_step(env, hls, executor):
+def _selecting_every_step(env, executor):
     """Reference selector: the rule policy queried afresh at every step."""
     import bison.runner as runner_mod
     from bison.envs import builtin_policy
@@ -164,7 +164,7 @@ def test_selection_reruns_on_new_state_goal_or_object(monkeypatch):
     env = make_env(EnvConfig("factory", 2, seed=4))
     lls, _ = env.reset()
     hls = env.label(lls)
-    query = runner_mod._rule_selector(env, hls, Executor(strategy="bison"))
+    query = runner_mod._rule_selector(env, Executor(strategy="bison"))
     first = query(hls)
     assert query(frozenset(hls)) == first and len(calls) == 1
     env.goal = env.goal - {next(iter(env.goal))}
@@ -175,7 +175,7 @@ def test_selection_reruns_on_new_state_goal_or_object(monkeypatch):
     assert len(calls) == 3 and calls[-1][2] == len(env.table)
     other = hls - {next(iter(hls))}
     query(other)
-    assert len(calls) == 4 and calls[-1][1].state() == other
+    assert len(calls) == 4 and frozenset(calls[-1][1].held.facts) == other
     query(hls)  # a state met before is answered without selecting again
     assert len(calls) == 4
 

@@ -9,7 +9,7 @@ import pytest
 
 from bison.core import (GroundAction, HLProblem, ObjectTable, PreconditionError,
                         ground_outcomes, instantiate, successors)
-from bison import runner, search
+from bison import rules, runner, search
 from bison.envs import EnvConfig, env_domain, episode_seed, make_env
 from bison.formats import parse_domain
 from bison.rules import StateIndex, applicable_actions
@@ -644,6 +644,25 @@ def test_each_action_is_grounded_once_per_call(monkeypatch, planner):
         assert planner(reset_problem(kind, n, n)) is not None
         assert len(grounded) >= 20
         assert max(grounded.values()) == 1
+
+
+def test_lookahead_plans_compile_once_per_domain_and_goal_predicates(monkeypatch):
+    # factory and blocks-noisy share the blocks domain and its goal predicate
+    compiled = []
+    compile_plan = rules._compile_plan
+    monkeypatch.setattr(rules, "_compile_plan",
+                        lambda atoms: compiled.append(1) or compile_plan(atoms))
+    rules._precondition_plans.cache_clear()
+    rules.gain_joins.cache_clear()
+    factory, noisy = reset_problem("factory", 6, 6), reset_problem("blocks-noisy", 6, 6)
+    domain, goal_preds = factory.domain, frozenset(f[0] for f in factory.goal)
+    assert noisy.domain is domain and {f[0] for f in noisy.goal} == goal_preds
+    assert find_policy(factory) is not None
+    lookahead_plans = sum(len(joins) for _, joins in rules.gain_joins(domain, goal_preds))
+    assert lookahead_plans > 0
+    assert len(compiled) == len(domain.schemata) + lookahead_plans
+    assert find_policy(noisy) is not None
+    assert len(compiled) == len(domain.schemata) + lookahead_plans
 
 
 def test_no_lookahead_where_the_least_count_is_unique(monkeypatch):
