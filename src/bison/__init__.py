@@ -8,8 +8,8 @@ against planner baselines in desk-scale 2D environments.
 from .core import (ActionSchema, BisonError, Domain, GroundAction, HLProblem,
                    ObjectTable, Predicate, PreconditionError, StructuralError,
                    applicable, successors)
-from .envs import EnvConfig, LLState, builtin_policy, env_domain, generate_demos, \
-    make_env, make_labeller
+from .envs import (EnvConfig, builtin_policy, env_domain, generate_demos, make_env,
+                   make_labeller)
 from .formats import (Demo, DemoStep, ParseError, parse_domain, parse_policy,
                       parse_traces, serialize_domain, serialize_policy,
                       serialize_traces)

@@ -22,11 +22,9 @@ def gen_blocks_hl_problem(n: int, seed: int) -> HLProblem:
     """n blocks scattered off-pad (all clear), n+1 pads, random goal bijection."""
     domain = env_domain("blocks")
     rng = random.Random(seed)
-    table = ObjectTable()
     blocks = ["b%d" % i for i in range(n)]
     pads = ["p%d" % i for i in range(n + 1)]
-    for name in blocks + pads:
-        table.intern(name)
+    table = ObjectTable(blocks + pads)
     init = set()
     init.add(domain.ground_fact("gripperFree", (), table))
     for name in blocks + pads:

@@ -3,8 +3,10 @@
 A kinematic gripper moves in the unit arena; the grip channel grasps the
 nearest block, releases a held one, or actuates fixtures (the gacha lid and
 lever).  Object feature vectors carry absolute position, position relative to
-the gripper, a held flag and type one-hots, so the labelling functions work
-identically on live states and on recorded demo steps.
+the gripper, a held flag and type one-hots.  ``render`` returns a
+``formats.DemoStep`` whose ``action`` is None until the runner acts on it, so
+a recorded episode is a demo and one labeller reads live states and demo
+steps alike.
 
 The kind table ``KINDS`` maps the five kinds (blocks, blocks-noisy, factory,
 gacha, pickplace) to three families: domain and built-in policy texts,
@@ -12,7 +14,8 @@ labeller, env class and object feature width.  The families share feature
 channels 0-7, so one labelling core labels the gripper, block clear and
 at(block, fixture) and each family's labeller adds only its own facts.  Each
 env carries its family's ``domain`` and ``builtin_policy``; the runner reads
-them from the env, and ``generate_demos`` runs the runner's oracle episodes.
+them from the env, and ``generate_demos`` keeps the steps of the runner's
+oracle episodes as its demos.
 """
 
 from __future__ import annotations
@@ -63,12 +66,6 @@ class EnvConfig:
     @property
     def max_steps(self) -> int:
         return 2048 * self.n_objects
-
-
-@dataclass
-class LLState:
-    ego: list                       # [x, y, grip-openness] as floats
-    objects: dict                   # name -> feature vector (float list), table order
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +443,7 @@ class SimEnv:
     def reset(self):
         raise NotImplementedError
 
-    def step(self, action) -> LLState:
+    def step(self, action) -> DemoStep:
         a = self._move_gripper(action)
         self._grip(a)
         self._maybe_release(a)
@@ -460,10 +457,10 @@ class SimEnv:
     def _dynamics(self):
         """Changes the world makes after the gripper acted (none here)."""
 
-    def label(self, lls: LLState) -> frozenset:
+    def label(self, lls: DemoStep) -> frozenset:
         return self._labeller(lls, self.table)
 
-    def render(self) -> LLState:
+    def render(self) -> DemoStep:
         gx, gy = self.grip
         objs = {}
         for name in self.table.names:
@@ -475,7 +472,7 @@ class SimEnv:
                 dx, dy = abs(rx), abs(ry)
                 vec[:5] = x, y, rx, ry, dx if dx > dy else dy
             objs[name] = vec
-        return LLState([gx, gy, 0.0 if self.held is not None else 1.0], objs)
+        return DemoStep([gx, gy, 0.0 if self.held is not None else 1.0], objs, None)
 
     def _features(self, name: str, vec: list):
         """Set name's flag channels in vec; return its position, or None when
@@ -866,6 +863,5 @@ def generate_demos(config: EnvConfig, count: int):
                 tuple([env.domain.predicates[f[0]].name]
                       + [env.table.names[o] for o in f[1:]])
                 for f in sorted(env.goal))
-            steps = [DemoStep(lls.ego, lls.objects, act.tolist()) for lls, act in record]
-            demos.append(Demo(goal_names, steps))
+            demos.append(Demo(goal_names, record))
     return demos

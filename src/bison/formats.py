@@ -294,7 +294,7 @@ def serialize_domain(domain: Domain) -> str:
 class DemoStep:
     ego: list
     objects: dict  # name -> feature list, insertion order = object order
-    action: list
+    action: list   # None on a live step until the runner acts on it
 
 
 @dataclass

@@ -60,9 +60,7 @@ def extract_hl_trace(demo: Demo, domain: Domain, labeller: Callable) -> HLTrace:
     """
     if not demo.steps:
         raise BisonError("cannot abstract an empty demo")
-    table = ObjectTable()
-    for name in demo.steps[0].objects:
-        table.intern(name)
+    table = ObjectTable(demo.steps[0].objects)
     states = [labeller(s, table) for s in demo.steps]
     goal = frozenset(domain.ground_fact(g[0], g[1:], table) for g in demo.goal)
     changes = [i for i in range(1, len(states)) if states[i] != states[i - 1]]

@@ -9,6 +9,8 @@ Baselines follow the plan/policy bookkeeping of the replanning literature:
 track a plan index, advance when the next action's precondition holds, fail
 or replan when neither does.  ``Executor.ll`` alone says which LL a strategy
 runs.  Without a learned policy the rule strategies read ``env.builtin_policy``.
+With ``record``, ``run_episode`` keeps each rendered step it acts on, the
+``formats.DemoStep`` itself with its ``action`` set, so a rollout is a demo.
 """
 
 from __future__ import annotations
@@ -16,8 +18,6 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from typing import Callable, Optional
-
-import numpy as np
 
 from . import gnn
 from .core import BisonError, HLProblem, applicable
@@ -106,11 +106,6 @@ def run_episode(env, executor: Executor, step_cap: int = None,
     return result
 
 
-def _record_step(record, lls, action):
-    if record is not None:
-        record.append((lls, np.asarray(action, dtype=float)))
-
-
 def _rule_selector(env, executor) -> Callable:
     """The rule policy (bison: hl_policy or the built-in one); None when no
     rule fires.
@@ -189,7 +184,9 @@ def _run_loop(env, executor, lls, cap, record) -> EpisodeResult:
         goal = env.goal
         if goal <= hls:
             result.success = True
-            _record_step(record, lls, np.zeros(3))
+            if record is not None:
+                lls.action = [0.0, 0.0, 0.0]
+                record.append(lls)
             return result
         if result.ll_steps >= cap:
             return result.fail("step_cap")
@@ -207,6 +204,8 @@ def _run_loop(env, executor, lls, cap, record) -> EpisodeResult:
             result.hl_actions_fired += 1
         prev = hla
         action = ll(lls, hla, goal, hls)
-        _record_step(record, lls, action)
+        if record is not None:
+            lls.action = action.tolist()
+            record.append(lls)
         lls = env.step(action)
         result.ll_steps += 1

@@ -5,8 +5,9 @@ import pytest
 
 from bison import envs
 from bison.core import BisonError, ObjectTable, atom_str
-from bison.envs import (EPS, EnvConfig, LLState, env_domain,
-                        episode_seed, generate_demos, make_env, make_labeller)
+from bison.envs import (EPS, EnvConfig, env_domain, episode_seed, generate_demos, make_env,
+                        make_labeller)
+from bison.formats import DemoStep
 from bison.runner import Executor, run_episode
 
 
@@ -167,7 +168,7 @@ def test_labelling_conforms_to_domain():
 def _label_scene(kind, ego, objects):
     """Label a hand-built step on a fresh table: (fact strings, interning order)."""
     table = ObjectTable()
-    facts = make_labeller(kind)(LLState(np.array(ego), objects), table)
+    facts = make_labeller(kind)(DemoStep(np.array(ego), objects, None), table)
     preds = env_domain(kind).predicates
     return sorted(atom_str(preds, f, table.names) for f in facts), table.names
 

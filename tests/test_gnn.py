@@ -8,9 +8,9 @@ import numpy as np
 import pytest
 
 from bison.core import BisonError, GroundAction, ObjectTable
-from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, LLState, env_domain,
+from bison.envs import (ACTION_DIM, EGO_DIM, EnvConfig, env_domain,
                         generate_demos, make_env, make_labeller, obj_dim)
-from bison.formats import parse_domain, parse_policy
+from bison.formats import DemoStep, parse_domain, parse_policy
 from bison import gnn, learn
 from bison.gnn import (EncodingSpec, GnnInput, GnnParams, LLSample, TrainConfig,
                        batch_backward, build_dataset, cosine_lr, encode, forward,
@@ -66,7 +66,7 @@ def test_encode_goal_channels():
                        " :effect (and (done) (lit ?x))))")
     spec = EncodingSpec.for_domain(dom, 2, 1, 1)
     table = ObjectTable(["o0", "o1"])
-    lls = LLState([0.5, -1.0], {"o0": [0.25], "o1": [0.75]})
+    lls = DemoStep([0.5, -1.0], {"o0": [0.25], "o1": [0.75]}, None)
     done, ready, lit, on = (dom.pred_ids[p] for p in ("done", "ready", "lit", "on"))
     hls = frozenset({(ready,), (lit, 0)})
     goal = frozenset({(done,), (lit, 0), (lit, 1), (on, 0, 1)})
@@ -842,8 +842,8 @@ def toy_encoding():
 
 
 def toy_lls(rng):
-    return LLState(rng.normal(size=2).tolist(),
-                   {name: rng.normal(size=1).tolist() for name in ("o0", "o1", "o2")})
+    return DemoStep(rng.normal(size=2).tolist(),
+                    {name: rng.normal(size=1).tolist() for name in ("o0", "o1", "o2")}, None)
 
 
 def test_encode_misses_on_each_part_of_its_key(monkeypatch):

@@ -3,6 +3,7 @@ import pytest
 
 from bison.core import BisonError
 from bison.envs import EnvConfig, make_env
+from bison.formats import Demo, DemoStep, serialize_traces
 from bison.rules import StateIndex
 from bison.runner import STRATEGIES, EpisodeResult, Executor, run_episode
 
@@ -143,12 +144,12 @@ def test_remembered_selection_equals_selecting_every_step(monkeypatch):
         ref_fields, ref_record = _episode(*case)
         assert fields == ref_fields, case
         assert len(record) == len(ref_record), case
-        for (lls, action), (ref_lls, ref_action) in zip(record, ref_record):
+        for lls, ref_lls in zip(record, ref_record):
             assert np.array_equal(lls.ego, ref_lls.ego), case
             assert list(lls.objects) == list(ref_lls.objects), case
             assert all(np.array_equal(lls.objects[k], ref_lls.objects[k])
                        for k in lls.objects), case
-            assert np.array_equal(action, ref_action), case
+            assert np.array_equal(lls.action, ref_lls.action), case
 
 
 def test_selection_reruns_on_new_state_goal_or_object(monkeypatch):
@@ -278,7 +279,68 @@ def test_oracle_records_terminal_zero_action():
     res = run_episode(env, Executor(strategy="oracle"), record=record)
     assert res.success
     assert len(record) == res.ll_steps + 1
-    assert np.array_equal(record[-1][1], np.zeros(3))
+    assert np.array_equal(record[-1].action, np.zeros(3))
+
+
+class _KeepingEnv:
+    """Env proxy that keeps every step ``reset`` and ``step`` return and every
+    action ``step`` receives."""
+
+    def __init__(self, env):
+        self._env, self.steps, self.actions = env, [], []
+
+    def __getattr__(self, name):
+        return getattr(self._env, name)
+
+    def reset(self):
+        lls, goal = self._env.reset()
+        self.steps.append(lls)
+        return lls, goal
+
+    def step(self, action):
+        self.actions.append(action)
+        self.steps.append(self._env.step(action))
+        return self.steps[-1]
+
+
+def test_record_holds_the_rendered_steps_with_their_actions():
+    env = _KeepingEnv(make_env(EnvConfig("blocks", 2, seed=5)))
+    record = []
+    res = run_episode(env, Executor("oracle"), record=record)
+    assert res.success
+    assert len(record) == res.ll_steps + 1 == len(env.steps)
+    assert all(isinstance(r, DemoStep) and r is s for r, s in zip(record, env.steps))
+    for step, action in zip(record, env.actions):
+        assert type(step.action) is list and all(type(a) is float for a in step.action)
+        assert step.action == list(action)
+    assert record[-1].action == [0.0, 0.0, 0.0]
+
+
+@pytest.mark.parametrize("kind,n,seed", [("blocks", 3, 11), ("pickplace", 2, 4)])
+def test_oracle_rollout_is_the_demo_generate_demos_writes(kind, n, seed):
+    # generate_demos's first episode runs at episode_seed(seed, 0); pickplace's
+    # even episodes start the robot at the block's pad
+    from bison import gnn
+    from bison.envs import env_domain, episode_seed, generate_demos, make_labeller
+    from bison.cli import _encoding_spec
+    start = True if kind == "pickplace" else None
+    env = make_env(EnvConfig(kind, n, seed=episode_seed(seed, 0), start_at_block=start))
+    record = []
+    assert run_episode(env, Executor("oracle"), record=record).success
+    preds, names = env.domain.predicates, env.table.names
+    goal = tuple(tuple([preds[f[0]].name] + [names[o] for o in f[1:]])
+                 for f in sorted(env.goal))
+    rollout = [Demo(goal, record)]
+    demos = generate_demos(EnvConfig(kind, n, seed=seed), 1)
+    assert serialize_traces(rollout) == serialize_traces(demos)
+    dom, lab, spec = env_domain(kind), make_labeller(kind), _encoding_spec(kind)
+    got = gnn.build_dataset(rollout, dom, lab, spec)
+    want = gnn.build_dataset(demos, dom, lab, spec)
+    assert len(got) == len(want) == len(record)
+    for a, b in zip(got, want):
+        for x, y in ((a.inp.h_global, b.inp.h_global), (a.inp.h_action, b.inp.h_action),
+                     (a.inp.h_objects, b.inp.h_objects), (a.target, b.target)):
+            assert x.shape == y.shape and x.tobytes() == y.tobytes()
 
 
 def test_pickplace_ndt_move_to_block_is_a_noop():
@@ -311,7 +373,7 @@ def _gnn_episode(monkeypatch, transform):
                       step_cap=60, record=record)
     monkeypatch.undo()
     fields = (res.success, res.ll_steps, res.hl_actions_fired, res.failure_kind)
-    states = [(list(lls.ego), dict(lls.objects)) for lls, _ in record]
+    states = [(list(lls.ego), dict(lls.objects)) for lls in record]
     return fields, states, raw
 
 
