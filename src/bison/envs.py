@@ -3,10 +3,12 @@
 A kinematic gripper moves in the unit arena; the grip channel grasps the
 nearest block, releases a held one, or actuates fixtures (the gacha lid and
 lever).  Object feature vectors carry absolute position, position relative to
-the gripper, a held flag and type one-hots.  ``render`` returns a
-``formats.DemoStep`` whose ``action`` is None until the runner acts on it, so
-a recorded episode is a demo and one labeller reads live states and demo
-steps alike.
+the gripper, a held flag and type one-hots.  ``render`` builds each vector as
+one list, the geometry then a constant ``tail`` of flag channels (a resting
+block's, a held block's or a fixture's); gacha's colour and box channels are
+written by one hook per step.  It returns a ``formats.DemoStep`` whose
+``action`` is None until the runner acts on it, so a recorded episode is a
+demo and one labeller reads live states and demo steps alike.
 
 The kind table ``KINDS`` maps the five kinds (blocks, blocks-noisy, factory,
 gacha, pickplace) to three families: domain and built-in policy texts,
@@ -173,6 +175,12 @@ BLOCKS_OBJ_DIM = 8
 # occupied (bit 1).  Kept compact: the parameter budget is tight at these dims.
 G_BLOCK, G_TRAY, G_BOX, G_CIDX, G_BSTATE = B_BLOCK, B_PAD, 8, 9, 10
 GACHA_OBJ_DIM = 11
+
+
+def _tail(dim: int, *flags: int) -> tuple:
+    """Channels 5 and up of a ``dim``-wide object vector: 1.0 at each of
+    ``flags``, 0.0 elsewhere."""
+    return tuple(1.0 if c in flags else 0.0 for c in range(5, dim))
 
 
 def _near(p, q):
@@ -349,6 +357,12 @@ class SimEnv:
     limit)."""
 
     max_objects: Optional[int] = None
+    # render's tails: a resting block's, a held block's and a fixture's
+    tails = (_tail(BLOCKS_OBJ_DIM, B_BLOCK), _tail(BLOCKS_OBJ_DIM, B_HELD, B_BLOCK),
+             _tail(BLOCKS_OBJ_DIM, B_PAD))
+    # a kind's hook that writes its own channels into render's vectors, once
+    # per step (None: the tails are all)
+    _features = None
 
     def __init__(self, config: EnvConfig):
         family = _family(config.kind)
@@ -461,29 +475,30 @@ class SimEnv:
         return self._labeller(lls, self.table)
 
     def render(self) -> DemoStep:
+        """One vector per object in table order: ``[x, y, rx, ry, d, *tail]``,
+        ``tail`` one of ``tails``; an object with no position is all zeros.
+        The kind's ``_features`` hook, if any, then writes its own channels."""
         gx, gy = self.grip
+        held, block_pos, fixture_pos = self.held, self.block_pos, self.fixture_pos
+        block_tail, held_tail, fixture_tail = self.tails
         objs = {}
         for name in self.table.names:
-            vec = [0.0] * self.obj_dim
-            pos = self._features(name, vec)
+            pos = block_pos.get(name)
             if pos is not None:
-                x, y = pos
-                rx, ry = x - gx, y - gy
-                dx, dy = abs(rx), abs(ry)
-                vec[:5] = x, y, rx, ry, dx if dx > dy else dy
-            objs[name] = vec
-        return DemoStep([gx, gy, 0.0 if self.held is not None else 1.0], objs, None)
-
-    def _features(self, name: str, vec: list):
-        """Set name's flag channels in vec; return its position, or None when
-        it has no geometry.  Blocks and pads here."""
-        pos = self.block_pos.get(name)
-        if pos is None:
-            vec[B_PAD] = 1.0
-            return self.fixture_pos[name]
-        vec[B_HELD] = 1.0 if self.held == name else 0.0
-        vec[B_BLOCK] = 1.0
-        return pos
+                tail = held_tail if name == held else block_tail
+            else:
+                pos = fixture_pos.get(name)
+                if pos is None:
+                    objs[name] = [0.0] * self.obj_dim
+                    continue
+                tail = fixture_tail
+            x, y = pos
+            rx, ry = x - gx, y - gy
+            dx, dy = abs(rx), abs(ry)
+            objs[name] = [x, y, rx, ry, dx if dx > dy else dy, *tail]
+        if self._features is not None:
+            self._features(objs)
+        return DemoStep([gx, gy, 0.0 if held is not None else 1.0], objs, None)
 
     def oracle_skill(self, hla: GroundAction) -> np.ndarray:
         sch = self.domain.schemata[hla.schema_id].name
@@ -594,31 +609,35 @@ class BlocksEnv(SimEnv):
     step = SimEnv.step
     oracle_skill = SimEnv.oracle_skill
 
-    def _resting_at_goal(self, name) -> bool:
-        pad = self.goal_pad.get(name)
-        return (pad is not None and self.held != name
-                and _near(self.block_pos[name], self.fixture_pos[pad]))
-
     def _dynamics(self):
+        # a block rests at its goal unheld within EPS of its goal pad (∞-norm)
+        held, block_pos, fixture_pos, goal_pad = (
+            self.held, self.block_pos, self.fixture_pos, self.goal_pad)
         # factory spawning: once per original block, at first placement
-        for name in list(self.spawn_pending):
-            if self._resting_at_goal(name):
-                self.spawn_pending.remove(name)
-                k = self.config.n_objects + self.spawn_count
-                self.spawn_count += 1
-                nb, np_ = "b%d" % k, "p%d" % k
-                self.table.intern(nb)
-                self.table.intern(np_)
-                self.block_pos[nb] = self._sample_free()
-                self.fixture_pos[np_] = self._sample_free()
-                self.goal_pad[nb] = np_
-                self.goal = self.goal | {self.fact("at", nb, np_)}
+        if self.spawn_pending:
+            for name in list(self.spawn_pending):
+                x, y = block_pos[name]
+                px, py = fixture_pos[goal_pad[name]]
+                if name != held and abs(x - px) < EPS and abs(y - py) < EPS:
+                    self.spawn_pending.remove(name)
+                    k = self.config.n_objects + self.spawn_count
+                    self.spawn_count += 1
+                    nb, np_ = "b%d" % k, "p%d" % k
+                    self.table.intern(nb)
+                    self.table.intern(np_)
+                    block_pos[nb] = self._sample_free()
+                    fixture_pos[np_] = self._sample_free()
+                    goal_pad[nb] = np_
+                    self.goal = self.goal | {self.fact("at", nb, np_)}
         # exogenous teleports of goal-satisfying blocks
         p = self.config.teleport_prob
         if p > 0.0:
-            for name in list(self.block_pos):
-                if self._resting_at_goal(name) and self.rng.random() < p:
-                    self.block_pos[name] = self._sample_free()
+            random = self.rng.random
+            for name, (x, y) in list(block_pos.items()):
+                px, py = fixture_pos[goal_pad[name]]
+                if (name != held and abs(x - px) < EPS and abs(y - py) < EPS
+                        and random() < p):
+                    block_pos[name] = self._sample_free()
 
 
 class PickPlaceEnv(SimEnv):
@@ -689,6 +708,8 @@ class GachaEnv(SimEnv):
     TRAY_X, TRAY_Y0, TRAY_DY = 0.85, 0.2, 0.15  # tray i sits at y = Y0 + i * DY
     # goal colour i is trayed on tray i, so the n goal trays must fit the arena
     max_objects = int((ARENA_HI - TRAY_Y0) / TRAY_DY) + 1
+    tails = (_tail(GACHA_OBJ_DIM, G_BLOCK), _tail(GACHA_OBJ_DIM, B_HELD, G_BLOCK),
+             _tail(GACHA_OBJ_DIM, G_TRAY))
 
     def __init__(self, config: EnvConfig):
         super().__init__(config)
@@ -697,6 +718,9 @@ class GachaEnv(SimEnv):
         self.capsule: Optional[str] = None   # block currently inside the box
         self.block_colour: dict = {}
         self.roll_count = 0
+        # (colour object, its tray, the 1-based colour index both render)
+        self.colour_objects = [("c%d" % i, "t%d" % i, i + 1.0)
+                               for i in range(self.n_colours)]
 
     def reset(self):
         n = self.config.n_objects
@@ -712,23 +736,20 @@ class GachaEnv(SimEnv):
         self.grip = (0.5, 0.5)
         return self.render(), self.goal
 
-    def _features(self, name: str, vec: list):
-        if name in self.block_pos:
-            if name == self.capsule and not self.lid_open:
-                return None  # hidden in the closed box: an all-zero vector
-            vec[B_HELD] = 1.0 if self.held == name else 0.0
-            vec[G_BLOCK] = 1.0
-            vec[G_CIDX] = self.block_colour[name] + 1.0
-            return self.block_pos[name]
-        if name == "box0":
-            vec[G_BOX] = 1.0
-            vec[G_BSTATE] = float(self.lid_open) + 2.0 * (self.capsule is not None)
-            return self.BOX
-        vec[G_CIDX] = float(int(name[1:])) + 1.0
-        if name.startswith("t"):
-            vec[G_TRAY] = 1.0
-            return self.fixture_pos[name]
-        return None  # colour objects are abstract: colour index only
+    def _features(self, objs: dict):
+        """Write gacha's channels into render's vectors: each capsule's,
+        tray's and colour object's colour index, the box's flag and state in
+        place of the tray flag, and the all-zero vector of a capsule hidden
+        in the closed box."""
+        for name, colour in self.block_colour.items():
+            objs[name][G_CIDX] = colour + 1.0
+        for cname, tname, cidx in self.colour_objects:
+            objs[cname][G_CIDX] = objs[tname][G_CIDX] = cidx
+        box = objs["box0"]
+        box[G_TRAY], box[G_BOX] = 0.0, 1.0
+        box[G_BSTATE] = float(self.lid_open) + 2.0 * (self.capsule is not None)
+        if self.capsule is not None and not self.lid_open:
+            objs[self.capsule] = [0.0] * GACHA_OBJ_DIM
 
     def _grip(self, a):
         # a rising command actuates the lid or the lever under the gripper

@@ -448,3 +448,227 @@ def test_label_memo_hits_on_gripper_moves_and_misses_on_resting_changes():
     assert not _label_both(env.render(), env.table, ref)
     facts = fact_strs(env, env.label(env.render()))
     assert "(at b0 p1)" in facts and "(clear p1)" not in facts
+
+
+# ---------------------------------------------------------------------------
+# render and BlocksEnv._dynamics against the forms they replaced
+# ---------------------------------------------------------------------------
+
+def _reference_features(env, name, vec):
+    pos = env.block_pos.get(name)
+    if pos is None:
+        vec[envs.B_PAD] = 1.0
+        return env.fixture_pos[name]
+    vec[envs.B_HELD] = 1.0 if env.held == name else 0.0
+    vec[envs.B_BLOCK] = 1.0
+    return pos
+
+
+def _reference_gacha_features(env, name, vec):
+    if name in env.block_pos:
+        if name == env.capsule and not env.lid_open:
+            return None
+        vec[envs.B_HELD] = 1.0 if env.held == name else 0.0
+        vec[envs.G_BLOCK] = 1.0
+        vec[envs.G_CIDX] = env.block_colour[name] + 1.0
+        return env.block_pos[name]
+    if name == "box0":
+        vec[envs.G_BOX] = 1.0
+        vec[envs.G_BSTATE] = float(env.lid_open) + 2.0 * (env.capsule is not None)
+        return env.BOX
+    vec[envs.G_CIDX] = float(int(name[1:])) + 1.0
+    if name.startswith("t"):
+        vec[envs.G_TRAY] = 1.0
+        return env.fixture_pos[name]
+    return None
+
+
+def reference_render(env):
+    """``SimEnv.render`` as it was before it built each vector in one list
+    display: a zero list per object, flags set by a per-object features call,
+    then the geometry written over the first five channels."""
+    features = (_reference_gacha_features if isinstance(env, envs.GachaEnv)
+                else _reference_features)
+    gx, gy = env.grip
+    objs = {}
+    for name in env.table.names:
+        vec = [0.0] * env.obj_dim
+        pos = features(env, name, vec)
+        if pos is not None:
+            x, y = pos
+            rx, ry = x - gx, y - gy
+            dx, dy = abs(rx), abs(ry)
+            vec[:5] = x, y, rx, ry, dx if dx > dy else dy
+        objs[name] = vec
+    return DemoStep([gx, gy, 0.0 if env.held is not None else 1.0], objs, None)
+
+
+def _hex(vec):
+    return [float.hex(v) for v in vec]  # rejects a non-float entry
+
+
+def _checked_render(env, seen):
+    """Make ``env`` compare every step it renders with ``reference_render``;
+    ``seen`` gathers the (held, capsule hidden, lid open, box occupied)
+    states and object counts the renders cover."""
+    render = env.render
+
+    def checked():
+        step = render()
+        ref = reference_render(env)
+        assert list(step.objects) == list(ref.objects)
+        assert _hex(step.ego) == _hex(ref.ego)
+        for name, vec in step.objects.items():
+            assert _hex(vec) == _hex(ref.objects[name]), name
+        capsule = getattr(env, "capsule", None)
+        lid_open = getattr(env, "lid_open", False)
+        seen.add((env.held is not None, capsule is not None and not lid_open,
+                  lid_open, capsule is not None, len(step.objects)))
+        return step
+
+    env.render = checked
+    return env
+
+
+RENDER_CASES = [("blocks", 3, None), ("blocks-noisy", 3, 0.05), ("factory", 3, None),
+                ("gacha", 2, None), ("pickplace", 3, None)]
+
+
+@pytest.mark.parametrize("kind, n, teleport_prob", RENDER_CASES)
+def test_render_matches_reference_on_oracle_episodes(kind, n, teleport_prob):
+    seen = set()
+    for seed in range(3):
+        env = _checked_render(make_env(EnvConfig(kind, n, seed=seed,
+                                                 teleport_prob=teleport_prob)), seen)
+        run_episode(env, Executor("oracle"), step_cap=3000)
+    assert {s[0] for s in seen} == {False, True}  # held and unheld blocks
+    if kind == "factory":
+        assert len({s[4] for s in seen}) > 1  # spawns grew the table
+    if kind == "gacha":  # a hidden capsule, the open lid, a revealed capsule
+        assert {s[1] for s in seen} == {False, True}
+        assert (False, False, True, True) in {s[:4] for s in seen}
+
+
+@pytest.mark.parametrize("kind, n, teleport_prob", RENDER_CASES)
+def test_render_matches_reference_on_random_walks(kind, n, teleport_prob):
+    env = _checked_render(make_env(EnvConfig(kind, n, seed=5, teleport_prob=teleport_prob)),
+                          set())
+    env.reset()
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        env.step(rng.uniform(-1, 1, 3))
+
+
+def test_render_writes_each_object_class_its_channels():
+    def tail(dim, **channels):
+        """channels 5 and up: the named constants' values, 0.0 elsewhere"""
+        vec = [0.0] * dim
+        for name, value in channels.items():
+            vec[getattr(envs, name)] = value
+        return vec[5:]
+
+    env = make_env(EnvConfig("blocks", 2, seed=0))
+    env.reset()
+    env.held = "b1"
+    env.block_pos["b1"] = env.grip
+    objs = env.render().objects
+    dim = envs.BLOCKS_OBJ_DIM
+    assert objs["b0"][5:] == tail(dim, B_BLOCK=1.0)
+    assert objs["b1"][5:] == tail(dim, B_HELD=1.0, B_BLOCK=1.0)
+    assert objs["p0"][5:] == objs["p1"][5:] == tail(dim, B_PAD=1.0)
+    gx, gy = env.grip
+    x, y = env.fixture_pos["p0"]
+    assert objs["p0"][:5] == [x, y, x - gx, y - gy, max(abs(x - gx), abs(y - gy))]
+
+    env = make_env(EnvConfig("gacha", 2, seed=0))
+    env.reset()
+    env.table.intern("g0")  # a roll: capsule g0 of colour 2 in the closed box
+    env.block_pos["g0"] = env.BOX
+    env.block_colour["g0"] = 2
+    env.capsule = "g0"
+    objs = env.render().objects
+    dim = envs.GACHA_OBJ_DIM
+    assert objs["g0"] == [0.0] * dim  # hidden
+    assert objs["box0"][:2] == list(env.BOX)
+    assert objs["box0"][5:] == tail(dim, G_BOX=1.0, G_BSTATE=2.0)
+    for i in range(env.n_colours):
+        assert objs["c%d" % i] == [0.0] * 5 + tail(dim, G_CIDX=i + 1.0)
+        assert objs["t%d" % i][5:] == tail(dim, G_TRAY=1.0, G_CIDX=i + 1.0)
+    env.lid_open = True
+    objs = env.render().objects
+    assert objs["box0"][5:] == tail(dim, G_BOX=1.0, G_BSTATE=3.0)
+    assert objs["g0"][5:] == tail(dim, G_BLOCK=1.0, G_CIDX=3.0)
+    env.held, env.capsule = "g0", None
+    env.block_pos["g0"] = env.grip
+    objs = env.render().objects
+    assert objs["box0"][5:] == tail(dim, G_BOX=1.0, G_BSTATE=1.0)
+    assert objs["g0"][5:] == tail(dim, B_HELD=1.0, G_BLOCK=1.0, G_CIDX=3.0)
+
+
+def reference_dynamics(env):
+    """``BlocksEnv._dynamics`` as it was before it read each block's position
+    and goal pad in place: a resting-at-goal test call per block, and a copy
+    of ``spawn_pending`` every step."""
+    def resting_at_goal(name):
+        pad = env.goal_pad.get(name)
+        return (pad is not None and env.held != name
+                and envs._near(env.block_pos[name], env.fixture_pos[pad]))
+
+    for name in list(env.spawn_pending):
+        if resting_at_goal(name):
+            env.spawn_pending.remove(name)
+            k = env.config.n_objects + env.spawn_count
+            env.spawn_count += 1
+            nb, np_ = "b%d" % k, "p%d" % k
+            env.table.intern(nb)
+            env.table.intern(np_)
+            env.block_pos[nb] = env._sample_free()
+            env.fixture_pos[np_] = env._sample_free()
+            env.goal_pad[nb] = np_
+            env.goal = env.goal | {env.fact("at", nb, np_)}
+    p = env.config.teleport_prob
+    if p > 0.0:
+        for name in list(env.block_pos):
+            if resting_at_goal(name) and env.rng.random() < p:
+                env.block_pos[name] = env._sample_free()
+
+
+@pytest.mark.parametrize("kind, teleport_prob", [
+    ("blocks-noisy", 0.05), ("blocks-noisy", 0.5), ("factory", None)])
+def test_dynamics_matches_reference(kind, teleport_prob):
+    events = 0
+    for seed in range(3):
+        cfg = EnvConfig(kind, 3, seed=seed, teleport_prob=teleport_prob)
+        env, ref = make_env(cfg), make_env(cfg)
+        ref._dynamics = lambda ref=ref: reference_dynamics(ref)
+        reset, step = env.reset, env.step
+
+        def same():
+            assert env.rng.bit_generator.state == ref.rng.bit_generator.state
+            assert list(env.block_pos.items()) == list(ref.block_pos.items())
+            assert env.table.names == ref.table.names
+            assert env.goal == ref.goal
+            assert env.spawn_pending == ref.spawn_pending
+
+        def both_reset(reset=reset, ref=ref):
+            out = reset()
+            ref.reset()
+            same()
+            return out
+
+        def both_step(action, step=step, ref=ref):
+            nonlocal events
+            before, held = dict(ref.block_pos), ref.held
+            out = step(action)
+            ref.step(action)
+            same()
+            if kind == "factory":  # a spawn
+                events += len(ref.block_pos) > len(before)
+            else:  # a teleport: a block held neither before nor after moved
+                events += any(ref.block_pos[b] != pos for b, pos in before.items()
+                              if b != held and b != ref.held)
+            return out
+
+        env.reset, env.step = both_reset, both_step
+        run_episode(env, Executor("oracle"), step_cap=1500)
+    assert events > 0
