@@ -8,7 +8,8 @@ one list, the geometry then a constant ``tail`` of flag channels (a resting
 block's, a held block's or a fixture's); gacha's colour and box channels are
 written by one hook per step.  It returns a ``formats.DemoStep`` whose
 ``action`` is None until the runner acts on it, so a recorded episode is a
-demo and one labeller reads live states and demo steps alike.
+demo and one labeller reads live states and demo steps alike.  An action is
+the ``[x, y, grip]`` float list a demo step holds, fresh from each skill call.
 
 The kind table ``KINDS`` maps the five kinds (blocks, blocks-noisy, factory,
 gacha, pickplace) to three families: domain and built-in policy texts,
@@ -397,19 +398,19 @@ class SimEnv:
     def fact(self, pred: str, *names: str) -> Fact:
         return self.domain.ground_fact(pred, names, self.table)
 
-    def _goto(self, target, grip_cmd: float) -> np.ndarray:
+    def _goto(self, target, grip_cmd: float) -> list:
         # proportional control decelerating within 6·DELTA of the target;
         # the smooth profile is what makes the skill cloneable by MSE
         gx, gy = self.grip
-        return np.array([_clip((target[0] - gx) / (6.0 * DELTA), -1.0, 1.0),
-                         _clip((target[1] - gy) / (6.0 * DELTA), -1.0, 1.0),
-                         grip_cmd])
+        return [_clip((target[0] - gx) / (6.0 * DELTA), -1.0, 1.0),
+                _clip((target[1] - gy) / (6.0 * DELTA), -1.0, 1.0),
+                grip_cmd]
 
     def _dist(self, target) -> float:
         gx, gy = self.grip
         return max(abs(target[0] - gx), abs(target[1] - gy))
 
-    def _approach_grasp(self, target) -> np.ndarray:
+    def _approach_grasp(self, target) -> list:
         """Approach with the grip command ramping up over the grasp shell.
 
         Two-piece ramp: a shallow sub-threshold rise spreads supervised signal
@@ -423,7 +424,7 @@ class SimEnv:
         steep = _clip((1.5 * EPS - d) / (0.8 * EPS), 0.0, 1.0)
         return self._goto(target, 0.22 * shallow + 0.78 * steep)
 
-    def _carry_release(self, target) -> np.ndarray:
+    def _carry_release(self, target) -> list:
         """Carry toward the target; release fires only inside the drop shell.
 
         Two-piece ramp: a shallow sub-threshold plateau spreads the negative
@@ -436,7 +437,7 @@ class SimEnv:
         steep = _clip((0.9 * EPS - d) / (0.3 * EPS), 0.0, 1.0)
         return self._goto(target, -(0.22 * shallow + 0.78 * steep))
 
-    def _approach_actuate(self, target) -> np.ndarray:
+    def _approach_actuate(self, target) -> list:
         """Tight actuation ramp for fixture zones (lids, levers).
 
         Actuation is edge-triggered, so the command withdraws after a high
@@ -447,10 +448,10 @@ class SimEnv:
         return self._goto(target, _clip((1.2 * EPS - self._dist(target)) / (0.6 * EPS),
                                         0.0, 1.0))
 
-    def _carry(self, name: str, target) -> np.ndarray:
+    def _carry(self, name: str, target) -> list:
         """Carry the held block name to target (idle if not held or no target)."""
         if target is None or self.held != name:
-            return np.zeros(ACTION_DIM)
+            return [0.0, 0.0, 0.0]
         return self._carry_release(target)
 
     # -- interface ----------------------------------------------------------
@@ -458,15 +459,15 @@ class SimEnv:
         raise NotImplementedError
 
     def step(self, action) -> DemoStep:
-        a = self._move_gripper(action)
-        self._grip(a)
-        self._maybe_release(a)
+        g = self._move_gripper(action)
+        self._grip(g)
+        self._maybe_release(g)
         self._dynamics()
         return self.render()
 
-    def _grip(self, a):
-        """What the gripper command does before a release: grasp here."""
-        self._grasp_nearest(a)
+    def _grip(self, g: float):
+        """What the grip command ``g`` does before a release: grasp here."""
+        self._grasp_nearest(g)
 
     def _dynamics(self):
         """Changes the world makes after the gripper acted (none here)."""
@@ -500,30 +501,28 @@ class SimEnv:
             self._features(objs)
         return DemoStep([gx, gy, 0.0 if held is not None else 1.0], objs, None)
 
-    def oracle_skill(self, hla: GroundAction) -> np.ndarray:
+    def oracle_skill(self, hla: GroundAction) -> list:
         sch = self.domain.schemata[hla.schema_id].name
         names = [self.table.names[o] for o in hla.args]
         if sch == "pick":
             target = self.block_pos.get(names[0])
             if target is None or self.held == names[0]:
-                return np.zeros(ACTION_DIM)
+                return [0.0, 0.0, 0.0]
             return self._approach_grasp(target)
         if sch in ("place", "placeGoal"):  # (?x ?fixture ...)
             return self._carry(names[0], self.fixture_pos.get(names[1]))
         return self._skill(sch, names)
 
-    def _skill(self, sch: str, names: list) -> np.ndarray:
+    def _skill(self, sch: str, names: list) -> list:
         """The family's other skills; the zero action when it has none."""
-        return np.zeros(ACTION_DIM)
+        return [0.0, 0.0, 0.0]
 
-    def _move_gripper(self, action) -> tuple:
-        """Check the action, move by its clipped x and y; return it clipped,
-        as an (x, y, grip) float triple."""
-        a = np.asarray(action, dtype=float)
-        if a.shape != (ACTION_DIM,):
-            raise BisonError("LL action must have shape (%d,), got %s"
-                             % (ACTION_DIM, a.shape))
-        x, y, g = a.tolist()
+    def _move_gripper(self, action) -> float:
+        """Check the action, ACTION_DIM numbers ``[x, y, grip]`` read as floats;
+        move by x and y clipped to [-1, 1]; return grip clipped likewise."""
+        if len(action) != ACTION_DIM:
+            raise BisonError("LL action must have %d values, got %d" % (ACTION_DIM, len(action)))
+        x, y, g = map(float, action)
         if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(g)):
             raise BisonError("non-finite LL action")
         x, y, g = _clip(x, -1.0, 1.0), _clip(y, -1.0, 1.0), _clip(g, -1.0, 1.0)
@@ -532,9 +531,9 @@ class SimEnv:
                      _clip(gy + y * DELTA, ARENA_LO, ARENA_HI))
         if self.held is not None:
             self.block_pos[self.held] = self.grip
-        return x, y, g
+        return g
 
-    def _grasp_nearest(self, a, graspable=None):
+    def _grasp_nearest(self, g: float, graspable=None):
         """Close on the nearest in-range block once the command has dwelled.
 
         The dwell makes grasping (like releasing) an intentful act: demos keep
@@ -543,7 +542,7 @@ class SimEnv:
         """
         if self.held is not None:
             return
-        if a[2] <= GRIP_ON:
+        if g <= GRIP_ON:
             self.grasp_count = 0
             return
         self.grasp_count += 1
@@ -563,8 +562,8 @@ class SimEnv:
             self.grasp_count = 0
             self.release_count = 0
 
-    def _maybe_release(self, a):
-        if self.held is None or a[2] >= -GRIP_ON:
+    def _maybe_release(self, g: float):
+        if self.held is None or g >= -GRIP_ON:
             self.release_count = 0
             return
         self.release_count += 1
@@ -685,10 +684,10 @@ class PickPlaceEnv(SimEnv):
         self.grip = self.fixture_pos[start_pad]
         return self.render(), self.goal
 
-    def _skill(self, sch: str, names: list) -> np.ndarray:
+    def _skill(self, sch: str, names: list) -> list:
         # the domain is untyped: a planner may bind move's location to a block
         target = self.fixture_pos.get(names[1]) if sch == "move" else None
-        return np.zeros(ACTION_DIM) if target is None else self._goto(target, 0.0)
+        return [0.0, 0.0, 0.0] if target is None else self._goto(target, 0.0)
 
 
 class GachaEnv(SimEnv):
@@ -751,9 +750,9 @@ class GachaEnv(SimEnv):
         if self.capsule is not None and not self.lid_open:
             objs[self.capsule] = [0.0] * GACHA_OBJ_DIM
 
-    def _grip(self, a):
+    def _grip(self, g: float):
         # a rising command actuates the lid or the lever under the gripper
-        rising = a[2] > GRIP_ON >= self.prev_grip_cmd
+        rising = g > GRIP_ON >= self.prev_grip_cmd
         if rising and self.held is None and _near(self.grip, self.LID):
             self.lid_open = not self.lid_open
         elif rising and self.held is None and _near(self.grip, self.LEVER):
@@ -766,12 +765,12 @@ class GachaEnv(SimEnv):
                     self.block_colour[name] = int(self.rng.integers(self.n_colours))
                     self.capsule = name
         elif not (_near(self.grip, self.LID) or _near(self.grip, self.LEVER)):
-            self._grasp_nearest(a, graspable=lambda n: n != self.capsule or self.lid_open)
+            self._grasp_nearest(g, graspable=lambda n: n != self.capsule or self.lid_open)
             if self.held == self.capsule:
                 self.capsule = None
-        self.prev_grip_cmd = a[2]
+        self.prev_grip_cmd = g
 
-    def _skill(self, sch: str, names: list) -> np.ndarray:
+    def _skill(self, sch: str, names: list) -> list:
         if sch in ("open", "close"):
             return self._approach_actuate(self.LID)
         if sch == "roll":
@@ -779,7 +778,7 @@ class GachaEnv(SimEnv):
         if sch == "discard":
             slot = int(names[0][1:]) if names[0][1:].isdigit() else 0
             return self._carry(names[0], self.DISCARD[slot % len(self.DISCARD)])
-        return np.zeros(ACTION_DIM)
+        return [0.0, 0.0, 0.0]
 
 
 # ---------------------------------------------------------------------------

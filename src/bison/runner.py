@@ -8,9 +8,10 @@ in the episode, since rule selection is a pure function of those three.
 Baselines follow the plan/policy bookkeeping of the replanning literature:
 track a plan index, advance when the next action's precondition holds, fail
 or replan when neither does.  ``Executor.ll`` alone says which LL a strategy
-runs.  Without a learned policy the rule strategies read ``env.builtin_policy``.
-With ``record``, ``run_episode`` keeps each rendered step it acts on, the
-``formats.DemoStep`` itself with its ``action`` set, so a rollout is a demo.
+runs, and every LL returns the ``[x, y, grip]`` float list ``env.step`` takes.
+Without a learned policy the rule strategies read ``env.builtin_policy``.
+With ``record``, ``run_episode`` keeps each rendered ``formats.DemoStep`` it
+acts on, with that very list as its ``action``, so a rollout is a demo.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def _make_ll(executor: Executor, env) -> Callable:
         inp = encode(params.spec, lls, hla, goal, hls, env.table)
         if ablate:  # pure_nn_stub: the network never sees which schema runs
             inp.h_action[:] = 0.0
-        return forward(params, inp)  # the env checks it and clips each channel to [-1, 1]
+        return forward(params, inp).tolist()  # as a list; the env checks and clips it
     return ll
 
 
@@ -205,7 +206,7 @@ def _run_loop(env, executor, lls, cap, record) -> EpisodeResult:
         prev = hla
         action = ll(lls, hla, goal, hls)
         if record is not None:
-            lls.action = action.tolist()
+            lls.action = action
             record.append(lls)
         lls = env.step(action)
         result.ll_steps += 1

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from bison import envs
-from bison.core import BisonError, ObjectTable, atom_str
-from bison.envs import (EPS, EnvConfig, env_domain, episode_seed, generate_demos, make_env,
-                        make_labeller)
+from bison.core import BisonError, GroundAction, ObjectTable, atom_str
+from bison.envs import (ACTION_DIM, EPS, EnvConfig, env_domain, episode_seed, generate_demos,
+                        make_env, make_labeller)
 from bison.formats import DemoStep
 from bison.runner import Executor, run_episode
 
@@ -60,14 +60,43 @@ def test_step_grasp_within_radius():
 
 
 def test_step_rejects_non_finite():
+    # each bad action both as the float list every LL returns and as an
+    # array: NaN and ±inf in each channel, and 2 or 4 values
     env = make_env(EnvConfig("blocks", 1, seed=0))
     env.reset()
     grip = env.grip
-    for bad in ([np.nan, 0.0, 0.0], [np.inf, 0.0, 0.0], [0.0, -np.inf, 0.0],
-                [0.0, 0.0, np.inf], [0.5, 0.5], [0.0, 0.0, 0.0, 0.0]):
-        with pytest.raises(BisonError):
-            env.step(np.array(bad))
-    assert env.grip == grip
+    bad = [([0.0] * c + [v] + [0.0] * (ACTION_DIM - 1 - c), "non-finite")
+           for c in range(ACTION_DIM) for v in (np.nan, np.inf, -np.inf)]
+    bad += [([0.5, 0.5], "must have 3 values"), ([0.0] * 4, "must have 3 values")]
+    for action, message in bad:
+        for form in (list, np.array):
+            with pytest.raises(BisonError, match=message):
+                env.step(form(action))
+            assert env.grip == grip and env.held is None and env.grasp_count == 0
+
+
+def test_every_idle_skill_returns_a_fresh_zero_list():
+    # the record keeps each action list without copying it, so an idle branch
+    # handing out one shared list would alias the record's steps
+    def skill(env, schema, *names):
+        sid = [s.name for s in env.domain.schemata].index(schema)
+        return lambda: env.oracle_skill(GroundAction(sid, tuple(map(env.table.intern, names))))
+
+    blocks, pickplace, gacha = (make_env(EnvConfig(kind, 2, seed=0))
+                                for kind in ("blocks", "pickplace", "gacha"))
+    for env in (blocks, pickplace, gacha):
+        env.reset()
+    blocks.held = "b0"
+    idles = [skill(blocks, "pick", "b0"),                     # picks the held block
+             skill(blocks, "place", "b1", "p0"),              # carries an unheld one
+             lambda: blocks._skill("move", ["p0"]),           # no other skills
+             skill(pickplace, "move", "loc0", "obj0"),        # moves to a block
+             skill(gacha, "discard", "c0"),                   # discards an unheld one
+             lambda: gacha._skill("move", ["c0"])]            # a schema it lacks
+    for idle in idles:
+        first, second = idle(), idle()
+        assert type(first) is list and first == second == [0.0, 0.0, 0.0]
+        assert first is not second
 
 
 @pytest.mark.parametrize("p", [-0.001, 1.001, float("nan")])

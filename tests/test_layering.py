@@ -124,6 +124,24 @@ def test_hoisted_imports_still_call_through_the_module(monkeypatch):
     assert calls == ["run_episode", "extract_hl_trace"]
 
 
+def test_envs_reads_numpy_only_as_its_generator():
+    # an env step runs on plain floats and an LL action is the float list a
+    # demo step holds, so numpy in envs is np.random alone: the seeded
+    # generator, whose draws fix every layout.  An array built or read in the
+    # step path is a round trip back to that list
+    tree = _tree("envs")
+    aliases = {a.asname or a.name for n in ast.walk(tree) if isinstance(n, ast.Import)
+               for a in n.names if a.name.split(".")[0] == "numpy"}
+    other = ["envs.py:%d from %s import" % (n.lineno, n.module) for n in ast.walk(tree)
+             if isinstance(n, ast.ImportFrom) and (n.module or "").split(".")[0] == "numpy"]
+    generator = {id(n.value) for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                 and isinstance(n.value, ast.Name) and n.attr == "random"}
+    other += ["envs.py:%d %s" % (n.lineno, ast.unparse(parent)) for parent in ast.walk(tree)
+              for n in ast.iter_child_nodes(parent) if isinstance(n, ast.Name)
+              and n.id in aliases and id(n) not in generator]
+    assert not other, other
+
+
 # Private names a module takes from another package module, each with its reason
 # (none)
 PRIVATE_IMPORTS = {}

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from bison.core import BisonError
-from bison.envs import EnvConfig, make_env
+from bison.envs import ACTION_DIM, EnvConfig, make_env
 from bison.formats import Demo, DemoStep, serialize_traces
 from bison.rules import StateIndex
 from bison.runner import STRATEGIES, EpisodeResult, Executor, run_episode
@@ -303,17 +303,27 @@ class _KeepingEnv:
         return self.steps[-1]
 
 
+def _assert_one_list_per_step(record):
+    """Each recorded action is a list of ACTION_DIM Python floats of its own."""
+    for step in record:
+        assert type(step.action) is list and len(step.action) == ACTION_DIM
+        assert all(type(a) is float for a in step.action)
+    assert len({id(step.action) for step in record}) == len(record)
+
+
 def test_record_holds_the_rendered_steps_with_their_actions():
-    env = _KeepingEnv(make_env(EnvConfig("blocks", 2, seed=5)))
-    record = []
-    res = run_episode(env, Executor("oracle"), record=record)
-    assert res.success
-    assert len(record) == res.ll_steps + 1 == len(env.steps)
-    assert all(isinstance(r, DemoStep) and r is s for r, s in zip(record, env.steps))
-    for step, action in zip(record, env.actions):
-        assert type(step.action) is list and all(type(a) is float for a in step.action)
-        assert step.action == list(action)
-    assert record[-1].action == [0.0, 0.0, 0.0]
+    # on every kind the record holds the very list each LL step handed the env
+    for kind, n, seed in (("blocks", 2, 5), ("blocks-noisy", 2, 4), ("factory", 2, 3),
+                          ("gacha", 1, 2), ("pickplace", 2, 1)):
+        env = _KeepingEnv(make_env(EnvConfig(kind, n, seed=seed)))
+        record = []
+        res = run_episode(env, Executor("oracle"), record=record)
+        assert res.success, kind
+        assert len(record) == res.ll_steps + 1 == len(env.steps)
+        assert all(isinstance(r, DemoStep) and r is s for r, s in zip(record, env.steps))
+        assert all(step.action is action for step, action in zip(record, env.actions))
+        _assert_one_list_per_step(record)
+        assert record[-1].action == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("kind,n,seed", [("blocks", 3, 11), ("pickplace", 2, 4)])
@@ -345,33 +355,50 @@ def test_oracle_rollout_is_the_demo_generate_demos_writes(kind, n, seed):
 
 def test_pickplace_ndt_move_to_block_is_a_noop():
     # find_policy can bind move's untyped location to a block; the scripted
-    # skill then idles and the episode fails at the step cap, not with a crash
+    # skill then idles and the episode fails at the step cap, not with a crash.
+    # Each idle step records a zero list of its own
     from bison.envs import episode_seed
     for strat in ("ndt_plan", "ndt_replan"):
         env = make_env(EnvConfig("pickplace", 1, seed=episode_seed(1, 0)))
-        res = run_episode(env, Executor(strategy=strat), step_cap=64)
+        record = []
+        res = run_episode(env, Executor(strategy=strat), step_cap=64, record=record)
         assert not res.success
         assert res.failure_kind == "step_cap"
+        assert len(record) == 64
+        assert sum(step.action == [0.0, 0.0, 0.0] for step in record) > 1
+        _assert_one_list_per_step(record)
 
 
 def _gnn_episode(monkeypatch, transform):
     """A blocks GNN episode whose network output passes through ``transform``:
-    (result fields, the LL states met, the raw actions)."""
+    (result fields, the LL states met, the raw actions).  It checks that the
+    record holds the very lists the network LL returned, each ``tolist()`` of
+    a raw action."""
+    import bison.runner as runner_mod
     from bison import gnn
     from bison.cli import _encoding_spec
     params = gnn.init_params(_encoding_spec("blocks"), gnn.TrainConfig(seed=3))
-    real_forward = gnn.forward
-    raw = []
+    real_forward, real_make_ll = gnn.forward, runner_mod._make_ll
+    raw, returned = [], []
 
     def forward(p, inp):
         raw.append(transform(real_forward(p, inp)))
         return raw[-1]
+
+    def make_ll(executor, env):
+        ll = real_make_ll(executor, env)
+        return lambda *args: returned.append(ll(*args)) or returned[-1]
     monkeypatch.setattr(gnn, "forward", forward)
+    monkeypatch.setattr(runner_mod, "_make_ll", make_ll)
     env = make_env(EnvConfig("blocks", 2, seed=4))
     record = []
     res = run_episode(env, Executor("bison", gnn_params=params, ll_mode="gnn"),
                       step_cap=60, record=record)
     monkeypatch.undo()
+    assert len(record) == len(returned) == len(raw) == res.ll_steps
+    assert all(step.action is action for step, action in zip(record, returned))
+    assert all(action == a.tolist() for action, a in zip(returned, raw))
+    _assert_one_list_per_step(record)
     fields = (res.success, res.ll_steps, res.hl_actions_fired, res.failure_kind)
     states = [(list(lls.ego), dict(lls.objects)) for lls in record]
     return fields, states, raw
