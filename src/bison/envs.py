@@ -248,9 +248,9 @@ def _block_facts(add: Callable, blocks, fixtures, table: ObjectTable, p_clear, p
     return pairs
 
 
-# label_blocks' last resting part: (table, label ids, the resting blocks' and
-# pads' (name, x, y) lists, their facts in insertion order).  One tuple, read
-# into a local once, so no reader sees half of an update.
+# label_blocks' last resting part: (table, the resting blocks' and pads'
+# (name, x, y) lists, their facts in insertion order).  One tuple, read into a
+# local once, so no reader sees half of an update.
 _resting = None
 
 
@@ -258,28 +258,27 @@ def label_blocks(step, table: ObjectTable) -> frozenset:
     """The core's facts plus clear for every empty pad.
 
     Between steps only the gripper and the held block move, so the facts of
-    resting blocks and pads are reused from the last call while the table, the
-    label ids and every resting (name, x, y) stay the same.  A table only grows
+    resting blocks and pads are reused from the last call while the table and
+    every resting (name, x, y) stay the same.  The label ids are one cached
+    tuple per process, so the memo needs no key for them.  A table only grows
     and never renumbers, so on a hit every name is interned under the same id:
     the call returns, and leaves the table, as a fresh one would.  The reused
     facts are added in their first insertion order, so the frozenset iterates
     in the same order too."""
     global _resting
-    ids = _BLOCKS.label_ids
-    p_free, p_hold, p_clear, p_at = ids
+    p_free, p_hold, p_clear, p_at = _BLOCKS.label_ids
     held, blocks, pads, _, _ = _split(step.objects, False)
     facts = _gripper_facts(held, table, p_free, p_hold, p_clear)
     last = _resting
-    if (last is not None and last[0] is table and last[1] == ids
-            and last[2] == blocks and last[3] == pads):
-        rest = last[4]
+    if last is not None and last[0] is table and last[1] == blocks and last[2] == pads:
+        rest = last[3]
     else:
         rest = []
         covered = {pad[0] for _, pad in _block_facts(rest.append, blocks, pads, table,
                                                       p_clear, p_at)}
         rest.extend((p_clear, table.intern(pad[0])) for pad in pads
                     if pad[0] not in covered)
-        _resting = (table, ids, blocks, pads, rest)
+        _resting = (table, blocks, pads, rest)
     facts.update(rest)
     return frozenset(facts)
 
@@ -455,9 +454,6 @@ class SimEnv:
         return self._carry_release(target)
 
     # -- interface ----------------------------------------------------------
-    def reset(self):
-        raise NotImplementedError
-
     def step(self, action) -> DemoStep:
         g = self._move_gripper(action)
         self._grip(g)
@@ -502,6 +498,9 @@ class SimEnv:
         return DemoStep([gx, gy, 0.0 if held is not None else 1.0], objs, None)
 
     def oracle_skill(self, hla: GroundAction) -> list:
+        """The scripted action for ``hla``.  Pick and place(Goal), which every
+        family has, act here; the family's ``_skill`` takes its other schemata
+        (blocks has none)."""
         sch = self.domain.schemata[hla.schema_id].name
         names = [self.table.names[o] for o in hla.args]
         if sch == "pick":
@@ -512,10 +511,6 @@ class SimEnv:
         if sch in ("place", "placeGoal"):  # (?x ?fixture ...)
             return self._carry(names[0], self.fixture_pos.get(names[1]))
         return self._skill(sch, names)
-
-    def _skill(self, sch: str, names: list) -> list:
-        """The family's other skills; the zero action when it has none."""
-        return [0.0, 0.0, 0.0]
 
     def _move_gripper(self, action) -> float:
         """Check the action, ACTION_DIM numbers ``[x, y, grip]`` read as floats;
@@ -775,10 +770,9 @@ class GachaEnv(SimEnv):
             return self._approach_actuate(self.LID)
         if sch == "roll":
             return self._approach_actuate(self.LEVER)
-        if sch == "discard":
-            slot = int(names[0][1:]) if names[0][1:].isdigit() else 0
-            return self._carry(names[0], self.DISCARD[slot % len(self.DISCARD)])
-        return [0.0, 0.0, 0.0]
+        # discard, the one schema left: oracle_skill takes pick and placeGoal
+        slot = int(names[0][1:]) if names[0][1:].isdigit() else 0
+        return self._carry(names[0], self.DISCARD[slot % len(self.DISCARD)])
 
 
 # ---------------------------------------------------------------------------

@@ -409,21 +409,19 @@ def _join(sides: dict, plan: _Plan, bound: int, binding: list, out: list,
     return False
 
 
-def _matches(idx: StateIndex, plan: _Plan, binding: list, first: bool = False) -> list:
-    """Every extension of ``binding`` satisfying a compiled plan, each as a
-    tuple, in join order (``first``: at most one).  Candidates iterate in
-    bucket insertion order, which is canonical for the initial state, so
-    enumeration is deterministic; variables no atom touches stay None."""
+def _matches(idx: StateIndex, plan: _Plan, n_vars: int, first: bool = False) -> list:
+    """Every binding of ``n_vars`` variables satisfying a compiled plan, each
+    as a tuple, in join order (``first``: at most one).  The join starts with
+    every variable unbound, so the only atoms no level reaches are the
+    variable-free ones, checked here first.  Candidates iterate in bucket
+    insertion order, which is canonical for the initial state, so enumeration
+    is deterministic; variables no atom touches stay None."""
     sides = idx.sides
-    bound = 0
-    for v, o in enumerate(binding):
-        if o is not None:
-            bound |= 1 << v
-    for side, pred, args, mask, _ in plan.atoms:
-        if not mask & ~bound and (pred, *[binding[v] for v in args]) not in sides[side].facts:
+    for side, pred, _, mask, _ in plan.atoms:
+        if not mask and (pred,) not in sides[side].facts:
             return []
     out = []
-    _join(sides, plan, bound, binding, out, first)
+    _join(sides, plan, 0, [None] * n_vars, out, first)
     return out
 
 
@@ -435,7 +433,7 @@ def _precondition_plans(domain: Domain) -> tuple:
 
 def _plan_actions(plan: _Plan, sid: int, arity: int, idx: StateIndex, n_objects: int):
     """Ground actions of schema ``sid`` from ``plan``'s bindings, filled by ``_fill_free``."""
-    for binding in _matches(idx, plan, [None] * arity):
+    for binding in _matches(idx, plan, arity):
         for args in _fill_free(binding, n_objects):
             yield GroundAction(sid, args)
 
@@ -499,7 +497,7 @@ def match_rule(rule: Rule, idx: StateIndex, n_objects: int):
     A binding with free variables takes ``_fill_free``'s first extension:
     object 0 for each, or none when there are no objects.
     """
-    found = _matches(idx, rule.plan, [None] * rule.n_vars, first=True)
+    found = _matches(idx, rule.plan, rule.n_vars, first=True)
     if not found:
         return None
     binding = found[0]

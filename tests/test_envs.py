@@ -89,14 +89,32 @@ def test_every_idle_skill_returns_a_fresh_zero_list():
     blocks.held = "b0"
     idles = [skill(blocks, "pick", "b0"),                     # picks the held block
              skill(blocks, "place", "b1", "p0"),              # carries an unheld one
-             lambda: blocks._skill("move", ["p0"]),           # no other skills
              skill(pickplace, "move", "loc0", "obj0"),        # moves to a block
-             skill(gacha, "discard", "c0"),                   # discards an unheld one
-             lambda: gacha._skill("move", ["c0"])]            # a schema it lacks
+             skill(gacha, "discard", "c0")]                   # discards an unheld one
     for idle in idles:
         first, second = idle(), idle()
         assert type(first) is list and first == second == [0.0, 0.0, 0.0]
         assert first is not second
+
+
+@pytest.mark.parametrize("kind", envs.ENV_KINDS)
+def test_every_schema_acts(kind):
+    # oracle_skill acts for pick and place(Goal) and hands every other schema
+    # to its family's _skill: a schema that fell to a missing hook would raise
+    # AttributeError, and one that fell to an idle branch would never act
+    acted = set()
+    for n in (1, 2, 3):
+        for seed in range(4):
+            env = make_env(EnvConfig(kind, n, seed=seed))
+
+            def skill(hla, env=env, oracle=env.oracle_skill):
+                action = oracle(hla)
+                if any(action):
+                    acted.add(env.domain.schemata[hla.schema_id].name)
+                return action
+            env.oracle_skill = skill
+            run_episode(env, Executor("oracle"))
+    assert acted == {sch.name for sch in env_domain(kind).schemata}
 
 
 @pytest.mark.parametrize("p", [-0.001, 1.001, float("nan")])

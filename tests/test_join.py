@@ -174,42 +174,37 @@ def mutated_index(rng, preds, n_obj):
     return idx, compactions
 
 
-def random_join(rng, preds, n_obj):
-    """(side, atom) list over n_vars variables and a partial binding."""
+def random_join(rng, preds):
+    """(side, atom) list over n_vars variables, and n_vars."""
     n_vars = rng.randint(1, 4)
     atoms = []
     for _ in range(rng.randint(0, 6)):
         p = rng.randrange(len(preds))
         atoms.append((rng.choice("sssg"),
                       (p,) + tuple(rng.randrange(n_vars) for _ in range(preds[p].arity))))
-    binding = [rng.randrange(n_obj) if rng.random() < 0.2 else None
-               for _ in range(n_vars)]
-    return atoms, binding
+    return atoms, n_vars
 
 
 def test_join_order_equals_reference():
     rng = random.Random(808)
     seen = dict.fromkeys(("compactions", "ordered", "g_side", "nullary",
-                          "repeat_ranked", "prebound"), 0)
+                          "repeat_ranked"), 0)
     for _ in range(5000):
         preds = random_preds(rng)
         n_obj = rng.randint(2, 5)
         idx, compactions = mutated_index(rng, preds, n_obj)
         seen["compactions"] += compactions
         for _ in range(4):
-            atoms, binding = random_join(rng, preds, n_obj)
-            want = list(reference_enum_matches(idx, atoms, list(binding)))
-            b = list(binding)
-            got = _matches(idx, _compile_plan(atoms), b)
-            assert got == want, (atoms, binding)
-            assert b == binding  # the join leaves its binding as it found it
+            atoms, n_vars = random_join(rng, preds)
+            want = list(reference_enum_matches(idx, atoms, [None] * n_vars))
+            got = _matches(idx, _compile_plan(atoms), n_vars)
+            assert got == want, atoms
             if got != sorted(got):
                 seen["ordered"] += 1
                 seen["g_side"] += any(side == "g" for side, _ in atoms)
                 seen["nullary"] += any(len(a) == 1 for _, a in atoms)
                 seen["repeat_ranked"] += any(
                     len(a) == 4 and len(set(a[1:])) == 2 for _, a in atoms)
-                seen["prebound"] += any(o is not None for o in binding)
     # every feature shows up in cases whose order is not the sorted one
     assert seen["compactions"] >= 1000, seen
     assert seen["ordered"] >= 700, seen
@@ -295,17 +290,16 @@ def test_join_yields_each_binding_once():
     fully bound atom only filters, and every join level binds a fresh variable
     from distinct facts of one bucket while comparing every bound position."""
     rng = random.Random(811)
-    seen = dict.fromkeys(("prebound", "repeated", "actions"), 0)
+    seen = dict.fromkeys(("repeated", "actions"), 0)
     for _ in range(3000):
         preds = random_preds(rng)
         n_obj = rng.randint(2, 5)
         idx, _ = mutated_index(rng, preds, n_obj)
         for _ in range(4):
-            atoms, binding = random_join(rng, preds, n_obj)
-            out = _matches(idx, _compile_plan(atoms), list(binding))
-            assert len(set(out)) == len(out), (atoms, binding)
+            atoms, n_vars = random_join(rng, preds)
+            out = _matches(idx, _compile_plan(atoms), n_vars)
+            assert len(set(out)) == len(out), atoms
             if len(out) > 1:
-                seen["prebound"] += any(o is not None for o in binding)
                 seen["repeated"] += any(len(set(a[1:])) < len(a) - 1 for _, a in atoms)
     for _ in range(400):
         domain = props.random_domain(rng)
@@ -316,6 +310,34 @@ def test_join_yields_each_binding_once():
             assert len(set(got)) == len(got)
             seen["actions"] += len(got) > 1
     assert min(seen.values()) >= 100, seen
+
+
+def test_variable_free_atoms_gate_the_join():
+    """A plan of nullary atoms binds no variable, so ``_level(plan, 0)`` is
+    empty and the join itself tests none of them: ``_matches``' up-front check
+    is their one guard.  The plan yields the all-None binding exactly when
+    each atom holds on its side ("s": the state, "g": a goal the state lacks),
+    on a fresh index and on one whose emptied buckets remain."""
+    atoms = [(side, (p,)) for side in "sg" for p in range(3)]
+    plans = [list(c) for k in (1, 2, 3) for c in itertools.product(atoms, repeat=k)]
+    facts = [(p,) for p in range(3)]
+    subsets = [frozenset(c) for k in range(4) for c in itertools.combinations(facts, k)]
+    yields = 0
+    for state, goal in itertools.product(subsets, repeat=2):
+        fresh = StateIndex(state, goal)
+        emptied = StateIndex(facts, goal)
+        for fact in set(facts) - state:
+            emptied.remove(fact)
+        for plan in plans:
+            holds = all(a in state if side == "s" else a in goal and a not in state
+                        for side, a in plan)
+            compiled = _compile_plan(plan)
+            for n_vars, idx, first in itertools.product((0, 1, 2), (fresh, emptied),
+                                                        (False, True)):
+                want = [(None,) * n_vars] if holds else []
+                assert _matches(idx, compiled, n_vars, first) == want, (plan, state, goal)
+            yields += holds
+    assert 0 < yields < len(subsets) ** 2 * len(plans)
 
 
 def emptied_index(rng, preds, n_obj):
@@ -337,27 +359,19 @@ def emptied_index(rng, preds, n_obj):
 
 def test_one_plan_memo_holds_across_indexes_and_bindings():
     """A plan memoises its join levels per bound-variable mask, so one plan
-    must give the reference's bindings on any index and any pre-binding, in
-    whatever order they come: its memo holds nothing the facts decide."""
+    must give the reference's bindings on any index, in whatever order they
+    come: its memo holds nothing the facts decide."""
     rng = random.Random(812)
     seen = dict.fromkeys(("masks", "deduped", "emptied", "repeated", "ordered"), 0)
     for _ in range(400):
         preds = random_preds(rng)
         n_obj = rng.randint(2, 6)
-        atoms, _ = random_join(rng, preds, n_obj)
-        n_vars = 1 + max((v for _, a in atoms for v in a[1:]), default=0)
+        atoms, n_vars = random_join(rng, preds)
         plan = _compile_plan(atoms)
-        cases = []
-        for _ in range(8):
-            idx = emptied_index(rng, preds, n_obj)
-            for _ in range(3):
-                p = rng.choice((0.0, 0.2, 0.5))
-                cases.append((idx, [rng.randrange(n_obj) if rng.random() < p else None
-                                    for _ in range(n_vars)]))
-        rng.shuffle(cases)
-        for idx, binding in cases + cases[::-1]:
-            want = list(reference_enum_matches(idx, atoms, list(binding)))
-            assert _matches(idx, plan, list(binding)) == want, (atoms, binding)
+        cases = [emptied_index(rng, preds, n_obj) for _ in range(24)]
+        for idx in cases + cases[::-1]:
+            want = list(reference_enum_matches(idx, atoms, [None] * n_vars))
+            assert _matches(idx, plan, n_vars) == want, atoms
             if want != sorted(want):
                 seen["ordered"] += 1
             seen["emptied"] += any(not b for side in "sg"

@@ -4,7 +4,7 @@ unread local.  Every top-level name and class member of the package is read
 by other package code, every default is used by some call, every parameter
 is read, the package's settable values do not grow, and no module takes
 another module's private names; each exception is named with its reason in
-an allow-list below.
+an allow-list below, and each allow-list entry must still excuse a finding.
 
 An import inside a function hides a cycle from the reader and from import
 order; with every intra-package import at module top, the modules can be
@@ -147,25 +147,31 @@ def test_envs_reads_numpy_only_as_its_generator():
 PRIVATE_IMPORTS = {}
 
 
+def _private_names_taken(name):
+    """(label, private name, allow-listable) of each private name package
+    module ``name`` takes from another: by "from .rules import _x", which an
+    entry in ``PRIVATE_IMPORTS`` may excuse, or as "rules._x" after "from .
+    import rules", which none may."""
+    tree = _tree(name)
+    modules = set()
+    for node, targets in _imports_in(tree.body):
+        if not isinstance(node, ast.ImportFrom):
+            continue
+        if node.module in (None, "bison"):  # from . import rules
+            modules.update(a.asname or a.name for a in node.names)
+            continue
+        yield from (("%s.py:%d %s.%s" % (name, node.lineno, targets[0], a.name), a.name, True)
+                    for a in node.names if a.name.startswith("_"))
+    yield from (("%s.py:%d %s.%s" % (name, n.lineno, n.value.id, n.attr), n.attr, False)
+                for n in ast.walk(tree) if isinstance(n, ast.Attribute)
+                and isinstance(n.value, ast.Name) and n.value.id in modules
+                and n.attr.startswith("_"))
+
+
 def test_no_module_imports_another_modules_private_names():
-    # "from .rules import _x" and "rules._x" after "from . import rules" both count
-    private = []
-    for name in MODULES + ["__init__"]:
-        tree = _tree(name)
-        modules = set()
-        for node, targets in _imports_in(tree.body):
-            if not isinstance(node, ast.ImportFrom):
-                continue
-            if node.module in (None, "bison"):  # from . import rules
-                modules.update(a.asname or a.name for a in node.names)
-                continue
-            private += ["%s.py:%d %s.%s" % (name, node.lineno, targets[0], a.name)
-                        for a in node.names if a.name.startswith("_")
-                        and a.name not in PRIVATE_IMPORTS.get(name, ())]
-        private += ["%s.py:%d %s.%s" % (name, n.lineno, n.value.id, n.attr)
-                    for n in ast.walk(tree) if isinstance(n, ast.Attribute)
-                    and isinstance(n.value, ast.Name) and n.value.id in modules
-                    and n.attr.startswith("_")]
+    private = [label for name in MODULES + ["__init__"]
+               for label, attr, listable in _private_names_taken(name)
+               if not (listable and attr in PRIVATE_IMPORTS.get(name, ()))]
     assert not private, private
 
 
@@ -333,17 +339,22 @@ def _bound_names(node):
     return []
 
 
-def test_every_top_level_name_is_reached_from_package_code():
-    # __init__'s re-export and the tests do not count, so src holds only what
-    # a command runs; a definition's reads of its own name do not count either
+def _unreached_names():
+    """(module, name) of each top-level name no other package code reaches.
+    __init__'s re-export and the tests do not count, so src holds only what a
+    command runs; a definition's reads of its own name do not count either."""
     trees = [_tree(name) for name in MODULES]
     refs = _references(n for tree in trees for n in ast.walk(tree))
-    unreached = []
     for module, tree in zip(MODULES, trees):
         for node in tree.body:
             own = _references(ast.walk(node))
-            unreached += ["%s.%s" % (module, name) for name in _bound_names(node)
-                          if refs[name] == own[name] and name not in REACHED_FROM_OUTSIDE]
+            yield from ((module, name) for name in _bound_names(node)
+                        if refs[name] == own[name])
+
+
+def test_every_top_level_name_is_reached_from_package_code():
+    unreached = ["%s.%s" % (module, name) for module, name in _unreached_names()
+                 if name not in REACHED_FROM_OUTSIDE]
     assert not unreached, unreached
 
 
@@ -355,22 +366,24 @@ def _classes(tree):
 MEMBERS_KEPT = set()
 
 
-def test_every_class_member_is_read_by_package_code():
-    # a method, property or class attribute (dataclass fields included) is
-    # read outside its own definition, as an attribute or by a string; a
-    # plain name is some local or global, not the member, so it does not
-    # count.  Dunders are called by Python itself, and the tests do not count
+def _unread_members():
+    """"module.Class.member" of each class member no other package code reads.
+    A method, property or class attribute (dataclass fields included) is read
+    outside its own definition, as an attribute or by a string; a plain name
+    is some local or global, not the member, so it does not count.  Dunders
+    are called by Python itself, and the tests do not count."""
     trees = [_tree(name) for name in MODULES]
     refs = _references((n for tree in trees for n in ast.walk(tree)), plain=False)
-    unread = []
     for module, tree in zip(MODULES, trees):
         for cls in _classes(tree):
             for node in cls.body:
                 own = _references(ast.walk(node), plain=False)
-                labels = [("%s.%s.%s" % (module, cls.name, name), name)
-                          for name in _bound_names(node) if not name.startswith("__")]
-                unread += [label for label, name in labels
-                           if refs[name] == own[name] and label not in MEMBERS_KEPT]
+                yield from ("%s.%s.%s" % (module, cls.name, name) for name in _bound_names(node)
+                            if not name.startswith("__") and refs[name] == own[name])
+
+
+def test_every_class_member_is_read_by_package_code():
+    unread = [label for label in _unread_members() if label not in MEMBERS_KEPT]
     assert not unread, unread
 
 
@@ -439,23 +452,27 @@ def _callee(call):
 DEFAULTS_KEPT = set()
 
 
-def test_every_default_is_used_by_some_call():
-    # a default every caller overrides is a second copy of the value the
-    # callers state; calls match by the callee's name, so a call to another
-    # function of the same name counts too (the rule errs towards passing)
+def _unused_defaults():
+    """"module.function: parameter" of each default that no call in src,
+    perfbench or the tests leaves to its value.  Calls match by the callee's
+    name, so a call to another function of the same name counts too (the rule
+    errs towards passing)."""
     calls = {}
     for root in (PACKAGE, TESTS, TESTS.parent / "perfbench"):
         for path in root.glob("*.py"):
             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
                 if isinstance(node, ast.Call):
                     calls.setdefault(_callee(node), []).append(node)
-    unused = []
     for module in MODULES:
         for qual, callee, index, param in _defaults(_tree(module)):
-            label = "%s.%s: %s" % (module, qual, param)
-            if label not in DEFAULTS_KEPT and \
-                    not any(_omits(c, index, param) for c in calls.get(callee, ())):
-                unused.append(label)
+            if not any(_omits(c, index, param) for c in calls.get(callee, ())):
+                yield "%s.%s: %s" % (module, qual, param)
+
+
+def test_every_default_is_used_by_some_call():
+    # a default every caller overrides is a second copy of the value the
+    # callers state
+    unused = [label for label in _unused_defaults() if label not in DEFAULTS_KEPT]
     assert not unused, unused
 
 
@@ -463,29 +480,51 @@ def test_every_default_is_used_by_some_call():
 PARAMETERS_UNREAD = {
     # argparse calls error(message) and fixes that signature
     "cli._Parser.error": {"message"},
-    # a hook: the families' overrides read both
-    "envs.SimEnv._skill": {"sch", "names"},
     # every LL shares the (lls, hla, goal, hls) call protocol; the scripted
     # skill reads the env's live state
     "runner._make_ll.<lambda>": {"lls", "goal", "hls"},
 }
 
 
-def test_every_parameter_is_read_by_its_function():
-    # a read by the body, or by a scope nested in it that does not bind the
-    # name itself, counts; self, cls and a leading underscore mark a
-    # parameter as deliberately unread
-    unread = []
+def _unread_parameters():
+    """"module.function: parameter" of each parameter its function never
+    reads.  A read by the body, or by a scope nested in it that does not bind
+    the name itself, counts; self, cls and a leading underscore mark a
+    parameter as deliberately unread."""
     for module in MODULES:
         for qual, _cls, fn in _functions(_tree(module)):
-            read = _reads(fn)
+            read = _reads(fn) | {"self", "cls"}
             args = fn.args
             params = args.posonlyargs + args.args + args.kwonlyargs + \
                 [a for a in (args.vararg, args.kwarg) if a is not None]
-            read |= PARAMETERS_UNREAD.get("%s.%s" % (module, qual), set()) | {"self", "cls"}
-            unread += ["%s.%s: %s" % (module, qual, a.arg) for a in params
-                       if a.arg not in read and not a.arg.startswith("_")]
+            yield from ("%s.%s: %s" % (module, qual, a.arg) for a in params
+                        if a.arg not in read and not a.arg.startswith("_"))
+
+
+def _allowed_parameters():
+    return {"%s: %s" % (qual, param)
+            for qual, params in PARAMETERS_UNREAD.items() for param in params}
+
+
+def test_every_parameter_is_read_by_its_function():
+    allowed = _allowed_parameters()
+    unread = [label for label in _unread_parameters() if label not in allowed]
     assert not unread, unread
+
+
+def test_every_allow_list_entry_is_still_needed():
+    # an entry whose finding is gone (its function, parameter, name or import
+    # deleted, or now read) gives a reason that no longer holds, and would
+    # excuse a later finding of the same name without anyone reading it
+    stale = sorted(_allowed_parameters() - set(_unread_parameters()))
+    stale += sorted(REACHED_FROM_OUTSIDE - {name for _, name in _unreached_names()})
+    stale += sorted(MEMBERS_KEPT - set(_unread_members()))
+    stale += sorted(DEFAULTS_KEPT - set(_unused_defaults()))
+    taken = {(module, attr) for module in MODULES + ["__init__"]
+             for _, attr, listable in _private_names_taken(module) if listable}
+    stale += sorted("%s: %s" % (module, attr) for module, names in PRIVATE_IMPORTS.items()
+                    for attr in names if (module, attr) not in taken)
+    assert not stale, stale
 
 
 # The package's settable values at most: a change that adds one raises this

@@ -452,8 +452,8 @@ def test_incremental_index_equals_rebuilt():
         n_vars = rng.randint(1, 3)
         for _ in range(3):
             plan = _compile_plan(random_atoms(rng, domain, n_vars))
-            assert Counter(_matches(idx, plan, [None] * n_vars)) == \
-                Counter(_matches(fresh, plan, [None] * n_vars))
+            assert Counter(_matches(idx, plan, n_vars)) == \
+                Counter(_matches(fresh, plan, n_vars))
 
 
 def test_compacted_buckets_keep_insertion_order():
@@ -493,8 +493,8 @@ def test_compacted_buckets_keep_insertion_order():
                 fresh = StateIndex(frozenset(idx.held.facts), goal)
                 n_vars = rng.randint(1, 3)
                 plan = _compile_plan(random_atoms(rng, domain, n_vars))
-                assert Counter(_matches(idx, plan, [None] * n_vars)) == \
-                    Counter(_matches(fresh, plan, [None] * n_vars))
+                assert Counter(_matches(idx, plan, n_vars)) == \
+                    Counter(_matches(fresh, plan, n_vars))
     assert compactions > 1000
 
 
