@@ -8,13 +8,20 @@ Representation: predicates and objects are interned to integer ids; a ground
 fact is the tuple ``(pred_id, obj_id, ...)`` and an HL state is a frozenset of
 such tuples.  Lifted atoms use variable indices in place of object ids.  All
 values are immutable after construction and safe to share across workers.
+
+Each schema is compiled once, when its ``Domain`` is built: every precondition
+atom and every outcome's add and delete atom becomes a function from an
+action's arguments to its fact, ``(pred,) + itemgetter(*vars)(args)``.
+Grounding an action calls these functions in the order the schema's atoms
+iterate, so each ground fact set iterates in that order too.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Sequence
+from operator import itemgetter
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 
 class BisonError(Exception):
@@ -112,6 +119,19 @@ def atom_str(symbols: Sequence, atom: tuple, names: Sequence[str]) -> str:
     return "(%s)" % " ".join([symbols[atom[0]].name] + [names[a] for a in atom[1:]])
 
 
+def _grounder(atom: Atom) -> Callable:
+    """The function from a binding to ``atom``'s ground fact."""
+    pred, args = atom[0], atom[1:]
+    if not args:
+        fact = (pred,)
+        return lambda _binding: fact
+    if len(args) == 1:
+        v = args[0]
+        return lambda binding: (pred, binding[v])
+    get = itemgetter(*args)
+    return lambda binding: (pred,) + get(binding)
+
+
 class Domain:
     """A set of predicates and action schemata with interned symbol ids."""
 
@@ -133,6 +153,15 @@ class Domain:
                 raise StructuralError("duplicate action schema %r" % a.name)
             self.schema_ids[a.name] = i
             self._check_schema(a)
+        # per schema: precondition grounders, and (add, delete) grounders per outcome
+        self.grounders = tuple(
+            (tuple(map(_grounder, a.pre)),
+             tuple((tuple(map(_grounder, add)), tuple(map(_grounder, dele)))
+                   for add, dele in a.outcomes))
+            for a in self.schemata)
+
+    def __reduce__(self):  # the grounders are closures: a copy compiles its own
+        return Domain, (self.predicates, self.schemata, self.name)
 
     def _check_schema(self, a: ActionSchema):
         if not a.outcomes:
@@ -165,30 +194,29 @@ class HLProblem:
 # Ground operations
 # ---------------------------------------------------------------------------
 
-def instantiate(atom: Atom, binding: Sequence[int]) -> Fact:
-    return (atom[0],) + tuple(binding[v] for v in atom[1:])
-
-
 def ground_pre(domain: Domain, action: GroundAction) -> frozenset:
-    sch = domain.schemata[action.schema_id]
-    return frozenset(instantiate(a, action.args) for a in sch.pre)
+    args = action.args
+    return frozenset([g(args) for g in domain.grounders[action.schema_id][0]])
 
 
-def ground_outcomes(domain: Domain, action: GroundAction):
-    """Yield (add, delete) fact-set pairs in declared outcome order."""
-    sch = domain.schemata[action.schema_id]
-    for add, dele in sch.outcomes:
-        yield (frozenset(instantiate(a, action.args) for a in add),
-               frozenset(instantiate(a, action.args) for a in dele))
+def ground_outcomes(domain: Domain, action: GroundAction) -> list:
+    """The (add, delete) fact-set pairs, in declared outcome order."""
+    args = action.args
+    return [(frozenset([g(args) for g in add]), frozenset([g(args) for g in dele]))
+            for add, dele in domain.grounders[action.schema_id][1]]
 
 
 def applicable(domain: Domain, state: HLState, action: GroundAction) -> bool:
     """True iff every ground precondition fact is in the state."""
     sch = domain.schemata[action.schema_id]
-    if len(action.args) != sch.arity:
+    args = action.args
+    if len(args) != sch.arity:
         raise StructuralError("binding length %d does not match arity of %r"
-                              % (len(action.args), sch.name))
-    return all(instantiate(a, action.args) in state for a in sch.pre)
+                              % (len(args), sch.name))
+    for g in domain.grounders[action.schema_id][0]:
+        if g(args) not in state:
+            return False
+    return True
 
 
 def successors(domain: Domain, state: HLState, action: GroundAction) -> list:

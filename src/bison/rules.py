@@ -11,7 +11,8 @@ with an unmet goal for the AND-OR planner's lookahead (``gain_joins``).
 
 Each rule's condition atoms, and each schema's precondition, are compiled once
 into a join plan: per atom its side, predicate, argument variables, a variable
-bitmask and its (position, variable) pairs.  The join tracks bound variables as
+bitmask and its (position, variable) pairs, and the plan's variable-free atoms,
+which no join level tests.  The join tracks bound variables as
 an int bitmask, tests an atom with one membership lookup as soon as its
 variables are all bound, and ranks only the atoms that still bind something:
 bound argument positions descending, then candidate bucket size ascending,
@@ -25,7 +26,9 @@ one's bound position count and bound (position, variable) pairs, and per
 choice the mask after it, the positions it binds and compares and the atoms
 it completes.  An atom with no bound position that reads the same bucket as
 an earlier one is not ranked.  The join itself does what the facts decide:
-bucket lookups, the size comparison and the candidate loop.
+bucket lookups, the size comparison and the candidate loop.  A ranked atom
+has an unbound variable, so one with a bound position has arity 2 or more:
+the fact indexes keep per-argument buckets for such facts only.
 An ``HLPolicy`` canonicalises each distinct rule body once and holds the
 canonical rules, so any policy selects what its ``.bsp`` file selects.
 
@@ -196,7 +199,13 @@ class HLPolicy:
 # ---------------------------------------------------------------------------
 
 class FactIndex:
-    """One indexed fact set: membership, per-predicate and per-argument buckets.
+    """One indexed fact set: membership, per-predicate buckets, and
+    per-argument buckets for the facts of arity 2 or more.
+
+    The join probes a per-argument bucket only for an atom that has a bound
+    position and an unbound variable, which a unary atom never has: bound,
+    it is a membership test.  A unary fact therefore gets no per-argument
+    bucket, and a nullary one has no argument.
 
     Buckets are insertion-ordered dicts, so candidate enumeration follows the
     order facts were added.  A dict keeps a deleted key's slot until it grows,
@@ -223,9 +232,21 @@ class FactIndex:
         if fact in self.facts:
             return
         self.facts[fact] = None
-        self.by_pred.setdefault(fact[0], {})[fact] = None
-        for pos, o in enumerate(fact[1:]):
-            self.by_pos.setdefault((fact[0], pos, o), {})[fact] = None
+        pred = fact[0]
+        bucket = self.by_pred.get(pred)
+        if bucket is None:
+            self.by_pred[pred] = {fact: None}
+        else:
+            bucket[fact] = None
+        if len(fact) > 2:
+            by_pos = self.by_pos
+            for pos, o in enumerate(fact[1:]):
+                key = (pred, pos, o)
+                bucket = by_pos.get(key)
+                if bucket is None:
+                    by_pos[key] = {fact: None}
+                else:
+                    bucket[fact] = None
 
     def remove(self, fact: Fact):
         if fact not in self.facts:
@@ -239,12 +260,14 @@ class FactIndex:
             self.by_pred[pred] = dict(bucket)
             holes = 0
         self.holes[pred] = holes
-        for pos, o in enumerate(fact[1:]):
-            key = (pred, pos, o)
-            bucket = self.by_pos[key]
-            del bucket[fact]
-            if not bucket:
-                del self.by_pos[key]
+        if len(fact) > 2:
+            by_pos = self.by_pos
+            for pos, o in enumerate(fact[1:]):
+                key = (pred, pos, o)
+                bucket = by_pos[key]
+                del bucket[fact]
+                if not bucket:
+                    del by_pos[key]
 
 
 class StateIndex:
@@ -266,7 +289,7 @@ class StateIndex:
         for f in sorted(self.goal.difference(self.held.facts)):
             self.unachieved.add(f)
 
-    # invariant: unachieved == goal \ held after every add and remove
+    # invariant: unachieved == goal \ held after every add, remove and apply
     def add(self, fact: Fact):
         self.held.add(fact)
         if fact in self.goal:
@@ -278,23 +301,30 @@ class StateIndex:
             self.unachieved.add(fact)
 
     def apply(self, add: Iterable[Fact], dele: Iterable[Fact]):
+        held, unachieved, goal = self.held, self.unachieved, self.goal
         for f in dele:
-            self.remove(f)
+            held.remove(f)
+            if f in goal:
+                unachieved.add(f)
         for f in add:
-            self.add(f)
+            held.add(f)
+            if f in goal:
+                unachieved.remove(f)
 
     def solved(self) -> bool:
         return not self.unachieved.facts
 
 
 class _Plan:
-    """A compiled join plan: its atoms, and ``levels``, which memoises
-    ``_level`` per bound-variable bitmask."""
+    """A compiled join plan: its atoms, ``gates``, the ``(side, fact)`` of
+    each variable-free atom, and ``levels``, which memoises ``_level`` per
+    bound-variable bitmask."""
 
-    __slots__ = ("atoms", "levels")
+    __slots__ = ("atoms", "gates", "levels")
 
     def __init__(self, atoms: tuple):
         self.atoms = atoms
+        self.gates = tuple((side, (pred,)) for side, pred, _, mask, _ in atoms if not mask)
         self.levels = {}
 
 
@@ -417,8 +447,8 @@ def _matches(idx: StateIndex, plan: _Plan, n_vars: int, first: bool = False) -> 
     insertion order, which is canonical for the initial state, so enumeration
     is deterministic; variables no atom touches stay None."""
     sides = idx.sides
-    for side, pred, _, mask, _ in plan.atoms:
-        if not mask and (pred,) not in sides[side].facts:
+    for side, fact in plan.gates:
+        if fact not in sides[side].facts:
             return []
     out = []
     _join(sides, plan, 0, [None] * n_vars, out, first)
@@ -603,7 +633,7 @@ def solve_hl(policy: HLPolicy, problem: HLProblem, outcome_chooser: Callable = N
             res.status = "defect"
             res.actions.append(action)
             return res
-        outs = list(ground_outcomes(domain, action))
+        outs = ground_outcomes(domain, action)
         k = outcome_chooser(outs, idx) if outcome_chooser and len(outs) > 1 else 0
         add, dele = outs[k]
         idx.apply(add, dele)

@@ -16,7 +16,8 @@ one canonically sorted ``StateIndex`` per expanded state, since its
 enumeration order decides which action is tried first.  Candidates are tried
 by their best successor count; a one-ply lookahead breaks ties, and it runs
 for a group of tied candidates only when the search reaches that group.  It
-moves the expanded state's index to each successor and back, and joins there
+moves the expanded state's index to each successor and back by the facts the
+outcome changes, and joins there
 from the goal side with ``rules.gain_joins``: per (schema, outcome,
 goal-predicate add atom), the precondition against the state and the atom
 against the unmet goals.  An outcome can lower the count only by adding an
@@ -83,7 +84,7 @@ class _Grounded(dict):
         self.domain = domain
 
     def __missing__(self, action):
-        outs = self[action] = tuple(ground_outcomes(self.domain, action))
+        outs = self[action] = ground_outcomes(self.domain, action)
         return outs
 
 
@@ -175,8 +176,8 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     count if none is lower; equal lookaheads keep enumeration order.  It runs
     for the candidates of a tied count only when the search reaches them, so
     a count held by one candidate, or one never reached, costs no lookahead.
-    It moves the expanded state's index to each successor and back, and
-    there evaluates each (action, outcome) that ``rules.gain_joins`` finds
+    It moves the expanded state's index to each successor and back by the
+    facts the outcome adds and deletes, and there evaluates each (action, outcome) that ``rules.gain_joins`` finds
     adding an unmet goal fact.  This is exact: the least count starts at the
     least successor count and only falls, so a grandchild counts lower only
     if its outcome adds a goal fact its successor lacks, and that fact is
@@ -198,13 +199,17 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
     failed_at = {}  # state -> depth it failed with (retry only with more depth)
     on_path = set()
 
-    def lookahead(idx: StateIndex, state: HLState, succs: list, look: int) -> int:
+    def lookahead(idx: StateIndex, state: HLState, succs: list, outs: list,
+                  look: int) -> int:
         """Least goal count over the successors' successors, or ``look`` if
         none is lower.  ``idx`` indexes ``state``; it is moved to each
-        successor and back, so it ends indexing ``state`` again, though its
-        buckets may enumerate in another order."""
-        for s2 in succs:
-            idx.apply(s2 - state, state - s2)
+        successor ``succs[i]`` by the facts outcome ``outs[i]`` changes and
+        back, so it ends indexing ``state`` again, though its buckets may
+        enumerate in another order."""
+        for s2, (add1, dele1) in zip(succs, outs):
+            new = add1 - state
+            gone = [f for f in dele1 if f in state and f not in add1]
+            idx.apply(new, gone)
             g2 = len(idx.unachieved.facts)
             for gain, schema_joins in gains:
                 # an outcome gains at most its goal-predicate adds
@@ -217,7 +222,7 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
                         h = g2 + _goal_delta(add, dele, goal, s2)
                         if h < look:
                             look = h
-            idx.apply(state - s2, s2 - state)
+            idx.apply(gone, new)
         return look
 
     def solve(state: HLState, depth: int) -> bool:
@@ -242,7 +247,7 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
             outs = grounded[act]
             succs = [(state - dele) | add for add, dele in outs]
             best_h = unmet + min(_goal_delta(add, dele, goal, state) for add, dele in outs)
-            candidates.append((best_h, act, succs))
+            candidates.append((best_h, act, succs, outs))
             st.generated += len(succs)
         # one-ply lookahead tie-break keeps greedy descent off plateau actions
         # whose successors enable no improvement; the stable sort keeps
@@ -253,8 +258,8 @@ def find_policy(problem: HLProblem, depth_cap: int = None,
         for best_h, group in groupby(candidates, itemgetter(0)):
             group = list(group)
             if look and len(group) > 1:
-                group.sort(key=lambda c: lookahead(idx, state, c[2], best_h))
-            for _, act, succs in group:
+                group.sort(key=lambda c: lookahead(idx, state, c[2], c[3], best_h))
+            for _, act, succs, _ in group:
                 if all(solve(s2, depth - 1) for s2 in succs):
                     solved_action[state] = act
                     on_path.discard(state)

@@ -1,13 +1,14 @@
-"""Helpers shared by the test modules: grounding an action by name, renaming
-objects by a bijection, the outcome choosers the tests pass to ``solve_hl``,
-the text of an HL problem, which pins ``gen_blocks_hl_problem``'s output, a
-blocks policy with a dead rule, and a blocks demo cut before its last action."""
+"""Helpers shared by the test modules: grounding an action by name, the
+reference grounding of a lifted atom, renaming objects by a bijection, the
+outcome choosers the tests pass to ``solve_hl``, the text of an HL problem,
+which pins ``gen_blocks_hl_problem``'s output, a blocks policy with a dead
+rule, and a blocks demo cut before its last action."""
 
 import random
 from typing import Callable, Sequence
 
-from bison.core import (Domain, Fact, GroundAction, HLProblem, HLState, ObjectTable,
-                        StructuralError, atom_str)
+from bison.core import (Atom, Domain, Fact, GroundAction, HLProblem, HLState,
+                        ObjectTable, StructuralError, atom_str)
 from bison.envs import EnvConfig, env_domain, generate_demos, make_labeller
 from bison.formats import Demo
 from bison.learn import extract_hl_trace
@@ -25,6 +26,12 @@ def ground_action(domain: Domain, name: str, arg_names: Sequence[str],
     if len(arg_names) != domain.schemata[sid].arity:
         raise StructuralError("arity mismatch grounding %r" % name)
     return GroundAction(sid, tuple(objects.ids[a] for a in arg_names))
+
+
+def instantiate(atom: Atom, binding: Sequence[int]) -> Fact:
+    """The reference grounding: ``atom``'s fact under ``binding``, which the
+    grounders ``Domain`` compiles must equal."""
+    return (atom[0],) + tuple(binding[v] for v in atom[1:])
 
 
 # ---------------------------------------------------------------------------

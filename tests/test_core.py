@@ -1,14 +1,16 @@
 import pickle
+import random
 
 import pytest
 
-from bison.core import (GroundAction, ObjectTable, PreconditionError, StructuralError,
-                        applicable, successors)
-from bison.envs import EnvConfig, env_domain, make_env, make_labeller
+from bison.core import (ActionSchema, Domain, GroundAction, ObjectTable, Predicate,
+                        PreconditionError, StructuralError, applicable, ground_outcomes,
+                        ground_pre, successors)
+from bison.envs import ENV_KINDS, EnvConfig, env_domain, make_env, make_labeller
 from bison.formats import parse_domain, parse_policy
 from bison.rules import check_ndrp
 
-from helpers import ground_action, rename_action, rename_state
+from helpers import ground_action, instantiate, rename_action, rename_state
 
 
 def pp_setup():
@@ -169,3 +171,115 @@ def test_check_ndrp_flags_an_inapplicable_selected_action():
     rep = check_ndrp([before, before, after], policy, frozenset({f("at", "b", "p")}),
                      len(table))
     assert (rep.ok, rep.step, rep.reason) == (False, 1, "selected action inapplicable")
+
+
+# ---------------------------------------------------------------------------
+# The compiled grounding against the reference
+# ---------------------------------------------------------------------------
+
+class ProbedState(frozenset):
+    """A state that records each fact its membership test is asked about."""
+
+    def __new__(cls, facts, probes):
+        state = super().__new__(cls, facts)
+        state.probes = probes
+        return state
+
+    def __contains__(self, fact):
+        self.probes.append(fact)
+        return super().__contains__(fact)
+
+
+def random_schema_domain(rng):
+    """Predicates of arity 0-3 and schemata of arity 0-4 whose atoms may
+    repeat a variable."""
+    preds = [Predicate("p%d" % i, a) for i, a in enumerate((0, 1, 2, 3))]
+    schemata = []
+    for i in range(rng.randint(1, 4)):
+        arity = rng.randint(0, 4)
+        usable = [p for p in range(len(preds)) if arity or not preds[p].arity]
+
+        def atoms(k):
+            out = set()
+            for _ in range(k):
+                p = rng.choice(usable)
+                out.add((p,) + tuple(rng.randrange(arity) for _ in range(preds[p].arity)))
+            return out
+        pre = frozenset(atoms(rng.randint(0, 5)))
+        outcomes = []
+        for _ in range(rng.randint(1, 3)):
+            add, dele = atoms(rng.randint(0, 4)), atoms(rng.randint(0, 4))
+            outcomes.append((frozenset(add - dele), frozenset(dele)))
+        schemata.append(ActionSchema("a%d" % i, tuple("?v%d" % v for v in range(arity)),
+                                     pre, tuple(outcomes)))
+    return Domain(preds, schemata, "random")
+
+
+def reference_outcomes(sch, args):
+    return [(frozenset(instantiate(a, args) for a in add),
+             frozenset(instantiate(a, args) for a in dele)) for add, dele in sch.outcomes]
+
+
+def assert_grounds_as_reference(domain, rng, n_obj, seen):
+    for sid, sch in enumerate(domain.schemata):
+        args = tuple(rng.randrange(n_obj) for _ in range(sch.arity))
+        action = GroundAction(sid, args)
+        pre = [instantiate(a, args) for a in sch.pre]
+        got, want = ground_pre(domain, action), frozenset(pre)
+        assert got == want and list(got) == list(want)
+        outs, want_outs = ground_outcomes(domain, action), reference_outcomes(sch, args)
+        assert outs == want_outs
+        for (add, dele), (add2, dele2) in zip(outs, want_outs):
+            assert list(add) == list(add2) and list(dele) == list(dele2)
+        # a state that holds a random part of the precondition: applicable
+        # asks about the facts in the atoms' order and stops at the first missing
+        held = [f for f in pre if rng.random() < 0.8]
+        probes = []
+        state = ProbedState(held + [(0,)] * rng.randint(0, 1), probes)
+        want_probes = []
+        for fact in pre:
+            want_probes.append(fact)
+            if fact not in state:
+                break
+        probes.clear()
+        ok = applicable(domain, state, action)
+        assert probes == want_probes
+        assert ok == all(f in state for f in pre)
+        seen["applicable"] += ok
+        seen["inapplicable"] += not ok
+        for wrong in (args + (0,), args[:-1]):
+            if len(wrong) != sch.arity:
+                with pytest.raises(StructuralError):
+                    applicable(domain, state, GroundAction(sid, wrong))
+                seen["wrong_length"] += 1
+        seen["repeated"] += any(len(set(a[1:])) < len(a) - 1 for a in sch.pre)
+        seen["nullary"] += any(len(a) == 1 for a in sch.pre)
+        seen["unary"] += any(len(a) == 2 for a in sch.pre)
+        seen["ternary"] += any(len(a) == 4 for a in sch.pre)
+
+
+def test_compiled_grounding_equals_reference():
+    rng = random.Random(35)
+    seen = dict.fromkeys(("applicable", "inapplicable", "wrong_length", "repeated",
+                          "nullary", "unary", "ternary"), 0)
+    domains = [env_domain(kind) for kind in ENV_KINDS]
+    for domain in domains:
+        for _ in range(50):
+            assert_grounds_as_reference(domain, rng, rng.randint(1, 8), seen)
+    for _ in range(1500):
+        assert_grounds_as_reference(random_schema_domain(rng), rng, rng.randint(1, 6), seen)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_a_copied_domain_compiles_its_own_grounding():
+    # the grounders are closures, which pickle cannot copy: a copy is rebuilt
+    # from its predicates, schemata and name, as an eval worker receives it
+    rng = random.Random(36)
+    for domain in [env_domain(kind) for kind in ENV_KINDS] + \
+            [random_schema_domain(rng) for _ in range(50)]:
+        again = pickle.loads(pickle.dumps(domain))
+        assert (again.name, again.predicates, again.schemata) == \
+            (domain.name, domain.predicates, domain.schemata)
+        for sid, sch in enumerate(again.schemata):
+            action = GroundAction(sid, tuple(rng.randrange(5) for _ in range(sch.arity)))
+            assert ground_outcomes(again, action) == reference_outcomes(sch, action.args)

@@ -14,14 +14,13 @@ import random
 
 from bison.bench import gen_blocks_hl_problem
 from bison.core import (ActionSchema, Domain, GroundAction, HLProblem,
-                        ObjectTable, Predicate, applicable, ground_outcomes,
-                        instantiate)
-from bison.envs import builtin_policy
+                        ObjectTable, Predicate, applicable, ground_outcomes)
+from bison.envs import builtin_policy, env_domain
 from bison.rules import (HLPolicy, StateIndex, _compile_plan, _matches, match_rule,
                          schema_actions, solve_hl)
 
 import test_properties as props
-from helpers import adversarial_outcome
+from helpers import adversarial_outcome, instantiate
 
 
 # ---------------------------------------------------------------------------
@@ -382,3 +381,70 @@ def test_one_plan_memo_holds_across_indexes_and_bindings():
         seen["deduped"] += any(len(level) < sum(1 for a in plan.atoms if a[3] & ~bound)
                                for bound, level in plan.levels.items() if level)
     assert min(seen.values()) >= 50, seen
+
+
+class ProbedBuckets(dict):
+    """A ``by_pos`` that records every key looked up in it."""
+
+    def __init__(self, buckets, probes):
+        super().__init__(buckets)
+        self.probes = probes
+
+    def get(self, key, default=None):
+        self.probes.append(key)
+        return super().get(key, default)
+
+
+def probed_matches(idx, plan, n_vars, probes):
+    """``_matches`` with both sides' ``by_pos`` recording each key it probes."""
+    saved = idx.held.by_pos, idx.unachieved.by_pos
+    idx.held.by_pos = ProbedBuckets(saved[0], probes)
+    idx.unachieved.by_pos = ProbedBuckets(saved[1], probes)
+    try:
+        return _matches(idx, plan, n_vars)
+    finally:
+        idx.held.by_pos, idx.unachieved.by_pos = saved
+
+
+def test_join_probes_no_unary_bucket():
+    """The index keeps per-argument buckets for facts of arity 2 or more
+    only.  That is enough: a level ranks only atoms with an unbound
+    variable, so a unary atom it ranks has no bound position, and the join
+    probes no bucket of a predicate of arity below 2.  The random plans and
+    the env domains' rule, precondition and lookahead plans all join as the
+    reference does."""
+    rng = random.Random(813)
+    probes = []
+    seen = dict.fromkeys(("random", "rules", "pre", "lookahead", "bindings"), 0)
+
+    def check(idx, preds, atoms, n_vars, plan):
+        want = list(reference_enum_matches(idx, atoms, [None] * n_vars))
+        assert probed_matches(idx, plan, n_vars, probes) == want, atoms
+        assert all(preds[pred].arity >= 2 for pred, _, _ in probes), atoms
+        seen["bindings"] += len(want)
+        n = len(probes)
+        probes.clear()
+        return n
+
+    for _ in range(2000):
+        preds = random_preds(rng)
+        idx, _ = mutated_index(rng, preds, rng.randint(2, 5))
+        for _ in range(2):
+            atoms, n_vars = random_join(rng, preds)
+            seen["random"] += check(idx, preds, atoms, n_vars, _compile_plan(atoms))
+    for kind in ("blocks", "gacha", "pickplace"):
+        domain, policy = env_domain(kind), builtin_policy(kind)
+        preds = domain.predicates
+        for _ in range(150):
+            idx, _ = mutated_index(rng, preds, rng.randint(2, 6))
+            for rule in policy.rules:
+                seen["rules"] += check(idx, preds, rule.atoms(), rule.n_vars, rule.plan)
+            for sch in domain.schemata:
+                pre = [("s", a) for a in sch.pre]
+                seen["pre"] += check(idx, preds, pre, sch.arity, _compile_plan(pre))
+                for add, _ in sch.outcomes:
+                    for atom in add:
+                        join = pre + [("g", atom)]
+                        seen["lookahead"] += check(idx, preds, join, sch.arity,
+                                                   _compile_plan(join))
+    assert min(seen.values()) >= 300, seen

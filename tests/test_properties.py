@@ -13,7 +13,7 @@ from collections import Counter
 import pytest
 
 from bison.core import (ActionSchema, Domain, GroundAction, ObjectTable, Predicate,
-                        applicable, ground_outcomes, instantiate, successors)
+                        applicable, ground_outcomes, successors)
 from bison.envs import env_domain, make_labeller
 from bison.formats import (Demo, DemoStep, ParseError, parse_domain, parse_policy,
                            parse_traces, serialize_domain, serialize_policy,
@@ -23,7 +23,7 @@ from bison.rules import (FactIndex, HLPolicy, Rule, StateIndex, _compile_plan, _
                          canonical_rule_str, check_ndrp, match_rule)
 from bison.search import _goal_delta
 
-from helpers import adversarial_outcome, rename_action, rename_state
+from helpers import adversarial_outcome, instantiate, rename_action, rename_state
 
 N_CASES = 200
 

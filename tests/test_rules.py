@@ -302,7 +302,8 @@ def test_unconstrained_vars_flagged_at_load():
 
 def test_replay_leaves_no_empty_position_buckets(blocks_policy):
     # a bucket that empties is deleted, so after a whole solve each side
-    # holds per-argument buckets only for the facts it still holds
+    # holds per-argument buckets only for the facts it still holds, and only
+    # for those of arity 2 or more: no join probes a unary fact's argument
     prob = gen_blocks_hl_problem(1000, seed=0)
     res = solve_hl(blocks_policy, prob, step_cap=8 * 1000 + 64)
     assert res.solved
@@ -310,10 +311,10 @@ def test_replay_leaves_no_empty_position_buckets(blocks_policy):
     for action, k in zip(res.actions, res.outcomes):
         add, dele = list(ground_outcomes(prob.domain, action))[k]
         idx.apply(add, dele)
-    assert idx.solved()
+    assert idx.solved() and idx.held.by_pos
     for side in (idx.held, idx.unachieved):
         assert all(side.by_pos.values())
-        assert set(side.by_pos) == {(f[0], pos, o) for f in side.facts
+        assert set(side.by_pos) == {(f[0], pos, o) for f in side.facts if len(f) > 2
                                     for pos, o in enumerate(f[1:])}
     assert not idx.unachieved.by_pos
 

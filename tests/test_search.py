@@ -8,7 +8,7 @@ from collections import Counter, deque
 import pytest
 
 from bison.core import (GroundAction, HLProblem, ObjectTable, PreconditionError,
-                        ground_outcomes, instantiate, successors)
+                        ground_outcomes, successors)
 from bison import rules, runner, search
 from bison.envs import EnvConfig, env_domain, episode_seed, make_env
 from bison.formats import parse_domain
@@ -17,7 +17,7 @@ from bison.search import (DEFAULT_NODE_BUDGET, Plan, SearchStats,
                           default_depth_cap, find_plan, find_policy)
 from bison.bench import gen_blocks_hl_problem
 
-from helpers import ground_action
+from helpers import ground_action, instantiate
 import test_properties as props
 
 
